@@ -52,4 +52,49 @@ mod tests {
         lock_unpoisoned(&m).push(4);
         assert_eq!(*lock_unpoisoned(&m), vec![1, 2, 3, 4]);
     }
+
+    /// Lint: no non-test source in the workspace takes a `Mutex` with
+    /// `.lock().unwrap()` / `.lock().expect(..)` — every one goes through
+    /// [`lock_unpoisoned`], or one panic under the lock bricks the process.
+    /// Scans `crates/*/src/**/*.rs` above each file's first `#[cfg(test)]`,
+    /// with whitespace removed so a call split across lines still matches.
+    #[test]
+    fn no_raw_mutex_unwrap_outside_tests() {
+        fn visit(dir: &std::path::Path, offenders: &mut Vec<String>) {
+            for entry in std::fs::read_dir(dir).expect("readable source dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    visit(&path, offenders);
+                } else if path.extension().is_some_and(|x| x == "rs") {
+                    let source = std::fs::read_to_string(&path).expect("utf-8 source");
+                    let code: String = source
+                        .split("#[cfg(test)]")
+                        .next()
+                        .unwrap_or_default()
+                        .lines()
+                        .filter(|l| !l.trim_start().starts_with("//"))
+                        .flat_map(|l| l.chars().filter(|c| !c.is_whitespace()))
+                        .collect();
+                    if code.contains(".lock().unwrap()") || code.contains(".lock().expect(") {
+                        offenders.push(path.display().to_string());
+                    }
+                }
+            }
+        }
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut offenders = Vec::new();
+        let mut scanned = 0;
+        for krate in std::fs::read_dir(&crates).expect("crates dir") {
+            let src = krate.expect("dir entry").path().join("src");
+            if src.is_dir() {
+                scanned += 1;
+                visit(&src, &mut offenders);
+            }
+        }
+        assert!(scanned >= 10, "lint walked {scanned} crates — wrong root?");
+        assert!(
+            offenders.is_empty(),
+            "use ver_common::sync::lock_unpoisoned instead of .lock().unwrap()/.expect() in: {offenders:?}"
+        );
+    }
 }

@@ -184,22 +184,14 @@ impl Ver {
     }
 
     /// [`Ver::run_budgeted`] with JOIN-GRAPH-SEARCH + MATERIALIZER
-    /// scattered over `shard_count` logical shards and gathered back
-    /// through the content-based rank order — determinism invariant 11:
-    /// the result is **bit-identical** to the single-engine
-    /// [`Ver::run_budgeted`] for every shard count (same views, same
-    /// [`ViewId`]s, same ranking), because candidate ownership partitions
-    /// the globally-ranked candidate list exactly and the gather merges
-    /// through the same total order the single path sorts by.
-    ///
-    /// Each scatter leg runs on `ver_common::pool` with the query's
-    /// [`QueryBudget`] threaded through by value (the deadline is an
-    /// absolute instant, so every shard races the same wall clock). A leg
-    /// that trips its deadline degrades *inside* the shard (its slice
-    /// comes back partial); a leg whose worker panics is dropped and the
-    /// merged result is flagged [`QueryResult::partial`] — never an error.
-    /// Distillation and ranking run centrally on the merged views, exactly
-    /// as in the single-engine path.
+    /// scattered over `shard_count` in-process legs ([`Ver::run_shard_leg`])
+    /// and gathered back through the content-based rank order —
+    /// determinism invariant 11: the result is **bit-identical** to the
+    /// single-engine [`Ver::run_budgeted`] for every shard count (same
+    /// views, same [`ViewId`]s, same ranking), because candidate ownership
+    /// partitions the globally-ranked candidate list exactly and the
+    /// gather merges through the same total order the single path sorts
+    /// by. Failure model: see [`Ver::scatter_gather`].
     pub fn run_sharded(
         &self,
         spec: &ViewSpec,
@@ -207,46 +199,52 @@ impl Ver {
         budget: &QueryBudget,
         shard_count: usize,
     ) -> Result<QueryResult> {
-        self.run_sharded_with_legs(spec, caches, budget, shard_count)
-            .map(|(result, _)| result)
+        self.scatter_gather(
+            spec,
+            budget,
+            shard_count,
+            self.config.search.threads,
+            |shard| self.run_shard_leg(spec, caches, budget, shard, shard_count),
+            |_, e| leg_degradable(e),
+        )
+        .map(|(result, _)| result)
     }
 
-    /// [`Ver::run_sharded`] that also reports what happened to each
-    /// scatter leg, so a serving layer can keep per-shard health counters.
-    pub fn run_sharded_with_legs(
+    /// The scatter/gather every sharded path runs: fan `leg(shard)` out
+    /// over `threads` workers of `ver_common::pool`, classify each leg,
+    /// then finish centrally with [`Ver::gather_shard_outputs`]. Where a
+    /// leg runs is the caller's business — [`Ver::run_sharded`] runs
+    /// [`Ver::run_shard_leg`] in process, `ver-serve` asks one
+    /// `ShardBackend` per shard, which may be a remote `verd`.
+    ///
+    /// Classification: a leg that answers is reported and merged (its
+    /// slice may itself be partial — a deadline trip degrades *inside*
+    /// the shard); a leg whose error `degradable(shard, &e)` accepts is
+    /// dropped and the merged result flagged [`QueryResult::partial`] —
+    /// a shard failure is never an error; any other error fails the
+    /// query. Worker panics arrive as [`VerError::Internal`] via
+    /// `try_par_map`. The budget's deadline is an absolute instant, so
+    /// every leg races the same wall clock. Also returns what happened to
+    /// each leg, so a serving layer can keep per-shard health counters.
+    pub fn scatter_gather(
         &self,
         spec: &ViewSpec,
-        caches: Option<&SearchCaches>,
         budget: &QueryBudget,
         shard_count: usize,
+        threads: usize,
+        leg: impl Fn(usize) -> Result<ver_search::ShardSearchOutput> + Sync,
+        degradable: impl Fn(usize, &VerError) -> bool,
     ) -> Result<(QueryResult, Vec<ShardLeg>)> {
         assert!(shard_count >= 1, "shard_count must be at least 1");
-        let mut timer = PhaseTimer::new();
-
-        // COLUMN-SELECTION runs once; the scatter shares the result.
-        let selection = timer.time("cs", || {
-            select_for_spec(&self.index, spec, &self.config.selection)
-        });
-
-        // Scatter: one search leg per shard, fanned out on the pool. Legs
-        // are independent (shared caches are bit-identical to none), and
-        // `try_par_map` degrades a panicking leg to an error we can drop.
-        let pool = ver_common::pool::ThreadPool::new(self.config.search.threads);
         let shard_ids: Vec<usize> = (0..shard_count).collect();
-        let legs = pool.try_par_map(&shard_ids, |&shard| {
-            let mut cx = SearchContext::new(&self.catalog, &self.index).with_budget(*budget);
-            if let Some(caches) = caches {
-                cx = cx.with_caches(caches);
-            }
-            cx.search_shard(&selection, &self.config.search, shard, shard_count)
-        });
+        let answers =
+            ver_common::pool::ThreadPool::new(threads).try_par_map(&shard_ids, |&shard| leg(shard));
         let mut outputs = Vec::with_capacity(shard_count);
-        let mut reports = Vec::with_capacity(shard_count);
-        let mut complete = true;
-        for (shard, leg) in legs.into_iter().enumerate() {
-            match leg {
+        let mut legs = Vec::with_capacity(shard_count);
+        for (shard, answer) in answers.into_iter().enumerate() {
+            match answer {
                 Ok(out) => {
-                    reports.push(ShardLeg {
+                    legs.push(ShardLeg {
                         shard,
                         ok: true,
                         partial: out.partial,
@@ -254,24 +252,18 @@ impl Ver {
                     });
                     outputs.push(out);
                 }
-                // A shard whose worker panicked or that ran out the clock
-                // before degrading internally is dropped: the gather
-                // proceeds on the healthy shards, flagged partial.
-                Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => {
-                    complete = false;
-                    reports.push(ShardLeg {
-                        shard,
-                        ok: false,
-                        partial: true,
-                        views: 0,
-                    });
-                }
+                Err(e) if degradable(shard, &e) => legs.push(ShardLeg {
+                    shard,
+                    ok: false,
+                    partial: true,
+                    views: 0,
+                }),
                 Err(e) => return Err(e),
             }
         }
-        let search_out = ver_search::merge_shard_outputs(outputs, complete);
-        self.finish_query(spec, budget, timer, selection, search_out)
-            .map(|result| (result, reports))
+        let complete = legs.iter().all(|l| l.ok);
+        self.gather_shard_outputs(spec, budget, outputs, complete)
+            .map(|result| (result, legs))
     }
 
     /// One scatter leg of the sharded search, runnable **in a separate
@@ -279,11 +271,10 @@ impl Ver {
     /// every leg computes the identical selection the gather will) plus
     /// this shard's JOIN-GRAPH-SEARCH + MATERIALIZER slice.
     ///
-    /// [`Ver::run_sharded_with_legs`] shares one selection across its
-    /// in-process legs as an optimisation; this entry point recomputes it
-    /// per call so a remote shard server needs nothing but the spec and
-    /// its shard identity on the wire. Selection is a pure function of
-    /// (index, spec, config), so the two paths are bit-identical.
+    /// Selection is recomputed per call so a remote shard server needs
+    /// nothing but the spec and its shard identity on the wire; it is a
+    /// pure function of (index, spec, config), so every leg and the
+    /// gather agree on it bit for bit.
     pub fn run_shard_leg(
         &self,
         spec: &ViewSpec,
@@ -405,7 +396,7 @@ impl Ver {
     }
 }
 
-/// Outcome of one scatter leg of [`Ver::run_sharded_with_legs`].
+/// Outcome of one scatter leg of [`Ver::scatter_gather`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLeg {
     /// Which shard the leg queried.
@@ -418,6 +409,14 @@ pub struct ShardLeg {
     pub partial: bool,
     /// Views the leg contributed to the merge.
     pub views: usize,
+}
+
+/// Which leg errors an in-process scatter drops rather than surfaces: a
+/// worker panic ([`VerError::Internal`]) or a deadline that tripped before
+/// the shard could degrade internally. Remote backends widen this to
+/// transport failures.
+pub fn leg_degradable(e: &VerError) -> bool {
+    matches!(e, VerError::DeadlineExceeded(_) | VerError::Internal(_))
 }
 
 /// The degraded stand-in for an abandoned distillation: an unlabelled
@@ -736,6 +735,67 @@ mod tests {
             .unwrap();
         assert!(partial.partial, "missing leg must flag the merge partial");
         assert!(partial.views.len() <= single.views.len());
+    }
+
+    #[test]
+    fn scatter_gather_drops_degradable_legs_and_reports_them() {
+        let ver = Ver::build(catalog(), VerConfig::fast()).unwrap();
+        let spec = qbe(&[vec!["st1", "1001"], vec!["st2", "1002"]]);
+        let budget = QueryBudget::none();
+        let healthy = |shard| ver.run_shard_leg(&spec, None, &budget, shard, 2);
+        let leg0_views = healthy(0).unwrap().views.len();
+
+        // Leg 1 fails with an error its backend calls degradable: the
+        // slice is dropped, the leg reported, the merge flagged partial.
+        let one_down = |shard| match shard {
+            1 => Err(VerError::Io("leg down".into())),
+            _ => healthy(shard),
+        };
+        let (result, legs) = ver
+            .scatter_gather(&spec, &budget, 2, 2, one_down, |_, e| {
+                matches!(e, VerError::Io(_))
+            })
+            .expect("a degradable leg failure is never an error");
+        assert!(result.partial);
+        assert_eq!(result.views.len(), leg0_views);
+        let report = |shard, ok, partial, views| ShardLeg {
+            shard,
+            ok,
+            partial,
+            views,
+        };
+        assert_eq!(
+            legs,
+            vec![
+                report(0, true, false, leg0_views),
+                report(1, false, true, 0)
+            ]
+        );
+
+        // A panicking leg arrives as `Internal`, which the in-process
+        // default drops as well.
+        let one_panics = |shard| match shard {
+            0 => panic!("leg worker dies"),
+            _ => healthy(shard),
+        };
+        let (result, legs) = ver
+            .scatter_gather(&spec, &budget, 2, 2, one_panics, |_, e| leg_degradable(e))
+            .unwrap();
+        assert!(result.partial);
+        assert!(!legs[0].ok && legs[1].ok);
+    }
+
+    #[test]
+    fn scatter_gather_fails_the_query_on_a_non_degradable_leg_error() {
+        let ver = Ver::build(catalog(), VerConfig::fast()).unwrap();
+        let spec = qbe(&[vec!["st1", "1001"], vec!["st2", "1002"]]);
+        let budget = QueryBudget::none();
+        let one_down = |shard| match shard {
+            1 => Err(VerError::Io("leg down".into())),
+            _ => ver.run_shard_leg(&spec, None, &budget, shard, 2),
+        };
+        let err = ver.scatter_gather(&spec, &budget, 2, 2, one_down, |_, e| leg_degradable(e));
+        assert!(matches!(err, Err(VerError::Io(_))), "{err:?}");
     }
 
     #[test]

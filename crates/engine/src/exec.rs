@@ -7,7 +7,7 @@
 
 use crate::dedup::dedup_rows;
 use crate::join::hash_join;
-use crate::plan::PjPlan;
+use crate::plan::{JoinStep, PjPlan};
 use crate::project::project;
 use crate::view::{Provenance, View};
 use ver_common::error::{Result, VerError};
@@ -71,10 +71,31 @@ pub fn execute_plan(catalog: &TableCatalog, plan: &PjPlan, join_score: f64) -> R
     ))
 }
 
+/// Re-derive a view from the plan its `provenance` records (base table,
+/// join steps in execution order, projection, score) through
+/// [`execute_plan`]. This is invariant 9's oracle: a view the shared
+/// sub-join DAG materialized must equal its re-execution here — same
+/// table, same provenance.
+pub fn reexecute(catalog: &TableCatalog, provenance: &Provenance) -> Result<View> {
+    let base = *provenance
+        .source_tables
+        .first()
+        .ok_or_else(|| VerError::InvalidData("provenance names no source table".into()))?;
+    let plan = PjPlan {
+        base,
+        joins: provenance
+            .join_edges
+            .iter()
+            .map(|&(left, right)| JoinStep { left, right })
+            .collect(),
+        projection: provenance.projection.clone(),
+    };
+    execute_plan(catalog, &plan, provenance.join_score)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::JoinStep;
     use ver_common::ids::ColumnRef;
     use ver_common::value::Value;
     use ver_store::table::TableBuilder;
@@ -145,6 +166,32 @@ mod tests {
             .map(|r| v.table.cell(r, 2).unwrap().to_string())
             .collect();
         assert_eq!(regions.iter().filter(|r| *r == "South").count(), 2);
+    }
+
+    #[test]
+    fn provenance_records_the_whole_plan() {
+        // Bushy plan, reordered projection: re-executing the provenance
+        // reproduces table and provenance exactly.
+        let cat = catalog();
+        let plan = PjPlan {
+            base: TableId(0),
+            joins: vec![
+                JoinStep {
+                    left: cref(0, 1),
+                    right: cref(1, 0),
+                },
+                JoinStep {
+                    left: cref(0, 1),
+                    right: cref(2, 0),
+                },
+            ],
+            projection: vec![cref(2, 1), cref(0, 0), cref(1, 1)],
+        };
+        let v = execute_plan(&cat, &plan, 0.25).unwrap();
+        let again = reexecute(&cat, &v.provenance).unwrap();
+        assert_eq!((&again.table, &again.provenance), (&v.table, &v.provenance));
+        // A provenance that names no base table cannot be a plan.
+        assert!(reexecute(&cat, &Provenance::default()).is_err());
     }
 
     #[test]

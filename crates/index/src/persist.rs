@@ -1,21 +1,18 @@
 //! Binary persistence of the offline pass's products.
 //!
-//! Three formats live here, all hand-rolled on the `bytes` crate (the serde
+//! Two formats live here, both hand-rolled on the `bytes` crate (the serde
 //! stand-in under `vendor/` is a no-op, so persistence cannot lean on
 //! derives):
 //!
 //! * the **hypergraph format** (`VERIDX\x01`) — just the join hypergraph,
 //!   the original persistence surface kept for compatibility and tooling;
-//! * the **legacy full-index format** (`VERIDX\x02`) — everything
-//!   [`DiscoveryIndex`] holds, as one monolithic body. Still readable
-//!   ([`index_from_bytes`] dispatches on the magic byte) so artifacts
-//!   written by older builds keep loading; [`index_to_bytes_v2`] still
-//!   writes it for compat testing and downgrade tooling;
-//! * the **checksummed full-index format** (`VERIDX\x03`) — the same five
-//!   payload sections (build config, column profiles with their
-//!   distinct-hash vectors, MinHash signatures, keyword index, hypergraph),
-//!   each framed as `len u64 · payload · checksum u64`, followed by a
-//!   whole-file trailer checksum. This is what [`save_index`] writes and
+//! * the **checksummed full-index format** (`VERIDX\x03`) — everything
+//!   [`DiscoveryIndex`] holds, as five payload sections (build config,
+//!   column profiles with their distinct-hash vectors, MinHash signatures,
+//!   keyword index, hypergraph), each framed as
+//!   `len u64 · payload · checksum u64`, followed by a whole-file trailer
+//!   checksum. (The unchecksummed `VERIDX\x02` layout it replaced is no
+//!   longer read: such a file fails with a typed bad-magic error.) This is what [`save_index`] writes and
 //!   what the `ver-serve` serving layer warm-starts from: [`load_index`]
 //!   must reproduce the in-memory index **exactly**
 //!   ([`DiscoveryIndex::same_contents`]), so a warm-started engine answers
@@ -43,9 +40,9 @@
 //! per-section checksums then localise the damage ("profiles section
 //! checksum mismatch") for artifacts corrupted in ways the trailer cannot
 //! attribute. All lengths are still validated against the remaining input
-//! before allocation, so even legacy `\x02` artifacts (which carry no
-//! checksums) fail with [`VerError::Serde`] instead of panicking or
-//! over-allocating. The MinHash family is *not* stored: it is a pure
+//! before allocation, so a hostile artifact with valid checksums fails with
+//! [`VerError::Serde`] instead of panicking or over-allocating. The MinHash
+//! family is *not* stored: it is a pure
 //! function of `(minhash_k, seed)`, both in the config.
 //!
 //! **Crash safety.** [`save_index`] and [`save_hypergraph`] write through a
@@ -68,7 +65,6 @@ use ver_common::value::DataType;
 use ver_store::profile::ColumnProfile;
 
 const MAGIC: &[u8; 8] = b"VERIDX\x01\x00";
-const MAGIC_FULL_V2: &[u8; 8] = b"VERIDX\x02\x00";
 const MAGIC_FULL_V3: &[u8; 8] = b"VERIDX\x03\x00";
 
 /// Section names in on-disk order, used to name the damaged section in
@@ -303,18 +299,17 @@ pub fn load_hypergraph(path: &std::path::Path) -> Result<JoinHypergraph> {
 }
 
 // ---------------------------------------------------------------------------
-// Full-index formats (VERIDX\x02 monolithic, VERIDX\x03 checksummed).
+// Full-index format (VERIDX\x03, checksummed).
 
 /// Config section (the MinHash family is derived from k + seed on load).
-/// `threads` is passed explicitly: the v3 writer canonicalises it to `0`
-/// (auto) because the build-time worker count is not index content, while
-/// the v2 writer preserves the historical byte layout exactly.
-pub(crate) fn put_config(buf: &mut BytesMut, c: &IndexConfig, threads: u32) {
+/// `threads` is canonicalised to `0` (auto): the build-time worker count
+/// is not index content.
+pub(crate) fn put_config(buf: &mut BytesMut, c: &IndexConfig) {
     buf.put_u32_le(c.minhash_k as u32);
     buf.put_f64_le(c.containment_threshold);
     buf.put_u8(u8::from(c.verify_exact));
     buf.put_u64_le(c.sample_cap as u64);
-    buf.put_u32_le(threads);
+    buf.put_u32_le(0);
     buf.put_u64_le(c.seed);
     buf.put_u64_le(c.value_index_cap as u64);
 }
@@ -392,7 +387,7 @@ pub(crate) fn put_keyword(buf: &mut BytesMut, keyword: &KeywordIndex) {
 /// byte-for-byte across builds and thread counts.
 pub fn index_to_bytes(index: &DiscoveryIndex) -> Bytes {
     let mut sections: [BytesMut; 5] = Default::default();
-    put_config(&mut sections[0], index.config(), 0);
+    put_config(&mut sections[0], index.config());
     put_profiles(&mut sections[1], index);
     put_signatures(&mut sections[2], index);
     put_keyword(&mut sections[3], index.keyword_index());
@@ -460,47 +455,25 @@ pub(crate) fn read_framed_sections<'a>(
     Ok(payloads)
 }
 
-/// Serialise a complete [`DiscoveryIndex`] in the legacy monolithic
-/// `VERIDX\x02` layout (no checksums). Kept for read-compat testing and
-/// for tooling that needs to produce artifacts older builds can load.
-pub fn index_to_bytes_v2(index: &DiscoveryIndex) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC_FULL_V2);
-    put_config(&mut buf, index.config(), index.config().threads as u32);
-    put_profiles(&mut buf, index);
-    put_signatures(&mut buf, index);
-    put_keyword(&mut buf, index.keyword_index());
-    put_hypergraph(&mut buf, index.hypergraph());
-    buf.freeze()
-}
-
 /// Deserialise a [`DiscoveryIndex`] from bytes produced by
-/// [`index_to_bytes`] (checksummed `\x03`) or [`index_to_bytes_v2`]
-/// (legacy `\x02`) — the magic byte selects the decoder. The result
-/// satisfies [`DiscoveryIndex::same_contents`] with the original.
+/// [`index_to_bytes`]. The result satisfies
+/// [`DiscoveryIndex::same_contents`] with the original.
+///
+/// The magic is checked first, so a file of another format or version
+/// (e.g. a pre-checksum `VERIDX\x02` artifact) fails with an error naming
+/// the magic it carries. Then the whole-file trailer is verified over the
+/// raw bytes *before any parsing*, so any flipped bit or truncation — in
+/// payloads, length fields, section checksums, or the trailer itself —
+/// fails with a typed error; the per-section checksums then attribute
+/// damage to a named section.
 pub fn index_from_bytes(data: &[u8]) -> Result<DiscoveryIndex> {
-    if data.len() >= MAGIC_FULL_V3.len() && &data[..MAGIC_FULL_V3.len()] == MAGIC_FULL_V3 {
-        return index_from_bytes_v3(data);
+    if !data.starts_with(MAGIC_FULL_V3) {
+        let found = &data[..data.len().min(MAGIC_FULL_V3.len())];
+        return Err(VerError::Serde(format!(
+            "bad magic header \"{}\" (not a VERIDX\\x03 full-index artifact)",
+            found.escape_ascii()
+        )));
     }
-    if data.len() < MAGIC_FULL_V2.len() || &data[..MAGIC_FULL_V2.len()] != MAGIC_FULL_V2 {
-        return Err(VerError::Serde(
-            "bad magic header (not a full-index artifact)".into(),
-        ));
-    }
-    let mut cur = Cursor::new(&data[MAGIC_FULL_V2.len()..]);
-    let index = read_index_body(&mut cur)?;
-    if !cur.is_empty() {
-        return Err(VerError::Serde("trailing bytes after index".into()));
-    }
-    Ok(index)
-}
-
-/// Decode the checksummed `VERIDX\x03` layout. The whole-file trailer is
-/// verified over the raw bytes *before any parsing*, so any flipped bit or
-/// truncation — in payloads, length fields, section checksums, or the
-/// trailer itself — fails here with a typed error; the per-section
-/// checksums then attribute damage to a named section.
-fn index_from_bytes_v3(data: &[u8]) -> Result<DiscoveryIndex> {
     let payloads = read_framed_sections(data, MAGIC_FULL_V3, &SECTIONS)?;
 
     let section = |i: usize| -> Cursor<'_> { Cursor::new(payloads[i]) };
@@ -528,29 +501,6 @@ fn index_from_bytes_v3(data: &[u8]) -> Result<DiscoveryIndex> {
     let hypergraph = read_hypergraph(&mut cur)?;
     done(&cur, "hypergraph")?;
 
-    assemble_checked(config, profiles, signatures, keyword, hypergraph)
-}
-
-/// Decode the shared body layout (config → profiles → signatures → keyword
-/// → hypergraph) from one cursor — the whole of a `\x02` artifact after
-/// the magic, and the concatenation of a `\x03` artifact's payloads.
-fn read_index_body(cur: &mut Cursor<'_>) -> Result<DiscoveryIndex> {
-    let config = read_config(cur)?;
-    let profiles = read_profiles(cur)?;
-    let signatures = read_signatures(cur, profiles.len(), config.minhash_k)?;
-    let keyword = read_keyword(cur, profiles.len())?;
-    let hypergraph = read_hypergraph(cur)?;
-    assemble_checked(config, profiles, signatures, keyword, hypergraph)
-}
-
-/// Final cross-section validation + assembly shared by both decoders.
-fn assemble_checked(
-    config: IndexConfig,
-    profiles: Vec<ColumnProfile>,
-    signatures: Vec<MinHashSignature>,
-    keyword: KeywordIndex,
-    hypergraph: JoinHypergraph,
-) -> Result<DiscoveryIndex> {
     if hypergraph.column_count() != profiles.len() {
         return Err(VerError::Serde(format!(
             "hypergraph columns {} != profile count {}",
@@ -765,8 +715,7 @@ pub fn save_index(index: &DiscoveryIndex, path: &std::path::Path) -> Result<()> 
     atomic_write(path, &bytes)
 }
 
-/// Load a complete discovery index from a file written by [`save_index`]
-/// (or a legacy `\x02` artifact).
+/// Load a complete discovery index from a file written by [`save_index`].
 pub fn load_index(path: &std::path::Path) -> Result<DiscoveryIndex> {
     ver_common::fault::hit(ver_common::fault::points::PERSIST_LOAD)?;
     let data = std::fs::read(path)?;
@@ -943,28 +892,28 @@ mod tests {
             index_to_bytes(&four).to_vec(),
             "canonical encoding differs across thread counts"
         );
-        // Legacy v2 preserves `threads` verbatim; blank it on both sides
-        // (offset: magic 8 + k 4 + threshold 8 + exact 1 + sample_cap 8).
-        let mut a = index_to_bytes_v2(&one).to_vec();
-        let b = index_to_bytes_v2(&four).to_vec();
-        let t_off = 8 + 4 + 8 + 1 + 8;
-        a[t_off..t_off + 4].copy_from_slice(&b[t_off..t_off + 4]);
-        assert_eq!(a, b, "v2 encoding differs beyond the threads field");
     }
 
     #[test]
-    fn v2_artifacts_still_load() {
-        // Read-compat: the legacy monolithic layout loads into the same
-        // index as the checksummed one.
+    fn v2_magic_is_rejected_with_a_typed_error_naming_it() {
+        // The pre-checksum `\x02` layout is no longer read. Whatever
+        // follows the magic — even a byte-valid v3 body — the load fails
+        // up front, typed, naming the magic it found: never a panic, never
+        // a partially decoded index.
         let idx = build(true);
-        let v2 = index_to_bytes_v2(&idx);
-        assert_eq!(&v2[..8], b"VERIDX\x02\x00");
-        let from_v2 = index_from_bytes(&v2).unwrap();
-        assert!(from_v2.same_contents(&idx), "v2 load diverged");
+        let mut bytes = index_to_bytes(&idx).to_vec();
+        bytes[6] = 0x02;
+        for artifact in [&bytes[..], &b"VERIDX\x02\x00"[..]] {
+            match index_from_bytes(artifact) {
+                Err(VerError::Serde(m)) => {
+                    assert!(m.contains("bad magic"), "{m}");
+                    assert!(m.contains("VERIDX\\x02"), "must name the magic found: {m}");
+                }
+                other => panic!("expected Serde(bad magic), got {other:?}"),
+            }
+        }
+        // v3 canonicalises the build-time threads knob.
         let from_v3 = index_from_bytes(&index_to_bytes(&idx)).unwrap();
-        assert!(from_v2.same_contents(&from_v3), "v2 and v3 loads diverge");
-        // v2 round-trips the historical threads field; v3 canonicalises it.
-        assert_eq!(from_v2.config().threads, idx.config().threads);
         assert_eq!(from_v3.config().threads, 0);
     }
 
@@ -1147,13 +1096,20 @@ mod tests {
 
     #[test]
     fn full_index_rejects_implausible_lengths() {
-        // Use the checksum-free v2 layout so the length validation itself
-        // is exercised (v3 would reject at the trailer before parsing).
+        // Frame a hostile profiles section by hand so every checksum is
+        // valid and the length validation itself is exercised (a bit flip
+        // in a real artifact would be rejected at the trailer first).
         let idx = build(false);
-        let mut bytes = index_to_bytes_v2(&idx).to_vec();
-        // Blow up the profile count field (magic 8 + config 41 bytes).
-        let off = 8 + 4 + 8 + 1 + 8 + 4 + 8 + 8;
-        bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(index_from_bytes(&bytes), Err(VerError::Serde(_))));
+        let mut sections: [BytesMut; 5] = Default::default();
+        put_config(&mut sections[0], idx.config());
+        sections[1].put_u32_le(u32::MAX);
+        put_signatures(&mut sections[2], &idx);
+        put_keyword(&mut sections[3], idx.keyword_index());
+        put_hypergraph(&mut sections[4], idx.hypergraph());
+        let bytes = frame_sections(MAGIC_FULL_V3, &sections);
+        match index_from_bytes(&bytes) {
+            Err(VerError::Serde(m)) => assert!(m.contains("profile"), "{m}"),
+            other => panic!("expected a length error, got {other:?}"),
+        }
     }
 }

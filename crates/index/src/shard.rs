@@ -295,7 +295,7 @@ pub fn merge_shards(shards: &[IndexShard]) -> Result<DiscoveryIndex> {
 /// build-time `threads` knob canonicalised to `0`.
 pub fn shard_to_bytes(shard: &IndexShard) -> Bytes {
     let mut sections: [BytesMut; 6] = Default::default();
-    persist::put_config(&mut sections[0], &shard.config, 0);
+    persist::put_config(&mut sections[0], &shard.config);
     sections[1].put_u32_le(shard.shard);
     sections[1].put_u32_le(shard.count);
     sections[2].put_u32_le(shard.profiles.len() as u32);

@@ -7,15 +7,15 @@
 //! verified before any parsing, which is what makes the property hold at
 //! *every* offset (payloads, length fields, section checksums, the trailer
 //! itself, even the magic — a damaged magic falls through to the
-//! bad-magic error, still `Serde`). Alongside the properties, the legacy
-//! `VERIDX\x02` read-compat path is pinned: both formats load back
-//! [`DiscoveryIndex::same_contents`]-identical to the in-memory original.
+//! bad-magic error, still `Serde`). Alongside the properties, the retired
+//! `VERIDX\x02` layout is pinned as *rejected*: typed error naming the
+//! magic, never a panic, never a partial index.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use ver_common::error::VerError;
 use ver_common::value::Value;
-use ver_index::persist::{index_from_bytes, index_to_bytes, index_to_bytes_v2};
+use ver_index::persist::{index_from_bytes, index_to_bytes};
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
@@ -137,17 +137,20 @@ fn intact_v3_round_trips_to_same_contents() {
 }
 
 #[test]
-fn legacy_v2_artifact_still_loads_to_same_contents() {
-    // Read-compat: a `\x02` artifact (as written by pre-PR builds) loads
-    // through the same entry point and matches the v3 load exactly.
-    let v2 = index_to_bytes_v2(index());
-    assert_ne!(&v2[..8], &v3_bytes()[..8], "formats must differ in magic");
-    let from_v2 = index_from_bytes(&v2).unwrap();
-    let from_v3 = index_from_bytes(v3_bytes()).unwrap();
-    assert!(from_v2.same_contents(index()));
-    assert!(from_v2.same_contents(&from_v3));
-    // And re-saving the v2 load produces the canonical v3 bytes.
-    assert_eq!(index_to_bytes(&from_v2).as_ref(), v3_bytes());
+fn retired_v2_magic_fails_typed_naming_the_magic() {
+    // A `\x02`-magic file — here the worst case, an otherwise byte-valid
+    // artifact — is refused before any decoding.
+    let mut v2 = v3_bytes().to_vec();
+    v2[6] = 0x02;
+    match index_from_bytes(&v2) {
+        Err(VerError::Serde(m)) => {
+            assert!(m.contains("bad magic") && m.contains("VERIDX\\x02"), "{m}")
+        }
+        other => panic!("expected Serde naming the bad magic, got {other:?}"),
+    }
+    // Re-saving a load produces the canonical bytes.
+    let loaded = index_from_bytes(v3_bytes()).unwrap();
+    assert_eq!(index_to_bytes(&loaded).as_ref(), v3_bytes());
 }
 
 #[test]

@@ -109,27 +109,11 @@ impl SearchCaches {
     pub fn view_insert(&self, key: ViewKey, view: View) {
         self.views.insert(key, view);
     }
-
-    /// Cached view for `key`, or materialize-and-remember. Errors are never
-    /// cached (a transient failure must not poison the cache).
-    pub fn view_or_materialize(
-        &self,
-        key: ViewKey,
-        materialize: impl FnOnce() -> ver_common::error::Result<View>,
-    ) -> ver_common::error::Result<View> {
-        if let Some(hit) = self.view_get(&key) {
-            return Ok(hit);
-        }
-        let view = materialize()?;
-        self.view_insert(key, view.clone());
-        Ok(view)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ver_common::error::VerError;
     use ver_common::ids::ViewId;
     use ver_engine::view::Provenance;
     use ver_store::table::TableBuilder;
@@ -195,23 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn view_cache_hits_skip_materialization() {
-        let caches = SearchCaches::new(8);
-        let key = view_key(&plan(0, &[((0, 0), (1, 0))]), &projection(&[(0, 0)]));
-        let v1 = caches
-            .view_or_materialize(key.clone(), || Ok(dummy_view(3)))
-            .unwrap();
-        let v2 = caches
-            .view_or_materialize(key, || panic!("must be served from cache"))
-            .unwrap();
-        assert!(v1.same_contents(&v2));
-        let s = caches.view_stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(caches.cached_views(), 1);
-    }
-
-    #[test]
-    fn get_then_insert_round_trips_like_or_materialize() {
+    fn get_then_insert_round_trips() {
         let caches = SearchCaches::new(8);
         let key = view_key(&plan(0, &[((0, 0), (1, 0))]), &projection(&[(0, 0)]));
         assert!(caches.view_get(&key).is_none(), "cold cache misses");
@@ -220,19 +188,6 @@ mod tests {
         assert!(hit.same_contents(&dummy_view(2)));
         let s = caches.view_stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn errors_are_not_cached() {
-        let caches = SearchCaches::new(8);
-        let key = view_key(&plan(0, &[((0, 0), (1, 0))]), &projection(&[(0, 0)]));
-        let err = caches
-            .view_or_materialize(key.clone(), || Err(VerError::JoinError("transient".into())));
-        assert!(err.is_err());
-        // The next attempt recomputes and succeeds.
-        let ok = caches.view_or_materialize(key, || Ok(dummy_view(1)));
-        assert!(ok.is_ok());
-        assert_eq!(caches.cached_views(), 1);
     }
 
     #[test]

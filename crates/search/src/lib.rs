@@ -29,8 +29,6 @@ pub mod search;
 
 pub use cache::{view_key, SearchCaches, ViewKey};
 pub use materialize::{plan_from_join_graph, MaterializePlanner, MaterializeStats};
-#[allow(deprecated)]
-pub use search::{join_graph_search, join_graph_search_cached};
 pub use search::{
     merge_shard_outputs, SearchConfig, SearchContext, SearchOutput, SearchStats, ShardSearchOutput,
     ShardView,

@@ -19,10 +19,10 @@
 //! Output is **bit-identical** to materialising every candidate
 //! independently through [`execute_plan`](ver_engine::exec::execute_plan)
 //! — same rows in the same order, same names, same provenance (the
-//! `ver_engine::dag` module documents why). `SearchConfig::dag_materialize
-//! = false` keeps the independent path available as the reference arm, and
+//! `ver_engine::dag` module documents why). `execute_plan` stays in the
+//! tree as the reference implementation;
 //! `crates/search/tests/materialize_equivalence.rs` plus the repo-root
-//! determinism suite pin the equivalence.
+//! determinism suite pin the equivalence (invariant 9).
 
 use std::sync::Arc;
 use ver_common::budget::QueryBudget;

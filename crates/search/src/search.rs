@@ -10,13 +10,12 @@
 //! ([`MaterializePlanner::plan_batch`]) whose level-wise fan-out is
 //! likewise order-preserving. Results are therefore bit-identical for
 //! every `threads` value — same views, same [`ViewId`] assignment, same
-//! ranked order — and identical between the batched DAG executor and the
-//! independent per-candidate path ([`SearchConfig::dag_materialize`]).
+//! ranked order — and identical to executing each ranked plan on its own
+//! through the reference executor (`ver_engine::exec::execute_plan`,
+//! invariant 9).
 //!
 //! Entry point: build a [`SearchContext`] over the catalog and index, then
-//! call [`SearchContext::search`]. The pre-PR-6 free functions
-//! [`join_graph_search`] / [`join_graph_search_cached`] remain as
-//! deprecated shims over it.
+//! call [`SearchContext::search`].
 
 use std::sync::Arc;
 
@@ -52,12 +51,6 @@ pub struct SearchConfig {
     /// `VER_THREADS` environment variable). Output is identical for every
     /// value. Ignored when the [`SearchContext`] carries an explicit pool.
     pub threads: usize,
-    /// Materialise the top-k over the shared sub-join DAG (default), or
-    /// independently per candidate when `false`. Both paths produce
-    /// bit-identical output; the independent path is kept as the reference
-    /// arm for the equivalence tests and the `materialize_dag` bench
-    /// section.
-    pub dag_materialize: bool,
 }
 
 impl Default for SearchConfig {
@@ -68,7 +61,6 @@ impl Default for SearchConfig {
             max_combinations: 100_000,
             drop_empty_views: true,
             threads: ver_common::pool::default_threads(),
-            dag_materialize: true,
         }
     }
 }
@@ -97,7 +89,7 @@ pub struct SearchOutput {
     /// Search-space statistics.
     pub stats: SearchStats,
     /// Shared sub-join DAG counters for the candidates this query batched
-    /// (zeroed on the independent path and for cache-served candidates).
+    /// (zeroed for cache-served candidates).
     pub dag: MaterializeStats,
     /// Stage wall times: `jgs` (enumeration + ranking) and `materialize`
     /// (plan execution) — the JGS/M split of Fig. 4b.
@@ -188,8 +180,8 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Run Algorithm 5: enumerate combinations, resolve join graphs, rank,
-    /// and materialise the top-k candidate PJ-views — batched over the
-    /// shared sub-join DAG unless [`SearchConfig::dag_materialize`] is off.
+    /// and materialise the top-k candidate PJ-views, batched over the
+    /// shared sub-join DAG.
     pub fn search(
         &self,
         selection: &SelectionResult,
@@ -388,92 +380,63 @@ impl<'a> SearchContext<'a> {
             })
             .collect();
 
-        let mut dag = MaterializeStats::default();
-        let materialized: Vec<Result<View>> = if config.dag_materialize {
-            // Partition into cache hits and the batch of misses, execute
-            // the misses over the shared DAG, then reassemble in rank
-            // order.
-            let mut results: Vec<Option<Result<View>>> = (0..scored.len()).map(|_| None).collect();
-            let mut miss: Vec<usize> = Vec::new();
-            for (i, plan) in plans.iter().enumerate() {
-                match plan {
-                    Err(e) => results[i] = Some(Err(e.clone())),
-                    Ok(plan) => {
-                        let hit = self.caches.and_then(|cs| {
-                            cs.view_get(&crate::cache::view_key(plan, &scored[i].1.projection))
-                        });
-                        match hit {
-                            Some(view) => results[i] = Some(Ok(view)),
-                            None => miss.push(i),
-                        }
+        // Partition into cache hits and the batch of misses, execute the
+        // misses over the shared DAG, then reassemble in rank order.
+        let mut results: Vec<Option<Result<View>>> = (0..scored.len()).map(|_| None).collect();
+        let mut miss: Vec<usize> = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
+            match plan {
+                Err(e) => results[i] = Some(Err(e.clone())),
+                Ok(plan) => {
+                    let hit = self.caches.and_then(|cs| {
+                        cs.view_get(&crate::cache::view_key(plan, &scored[i].1.projection))
+                    });
+                    match hit {
+                        Some(view) => results[i] = Some(Ok(view)),
+                        None => miss.push(i),
                     }
                 }
             }
-            // Batch the misses by value. Without caches the plan is moved
-            // out of `plans` (nothing reads it again); with caches it is
-            // cloned because `view_insert` needs it for the key afterwards.
-            let batch: Vec<(ver_engine::plan::PjPlan, f64)> = miss
-                .iter()
-                .map(|&i| {
-                    let plan = match self.caches {
-                        Some(_) => plans[i].as_ref().expect("misses are Ok").clone(),
-                        None => std::mem::replace(
-                            &mut plans[i],
-                            Err(ver_common::error::VerError::InvalidQuery(
-                                "plan consumed by batch".into(),
-                            )),
-                        )
-                        .expect("misses are Ok"),
-                    };
-                    (plan, scored[i].0)
-                })
-                .collect();
-            let (views, batch_stats) = planner.plan_batch_budgeted(&batch, pool, &self.budget);
-            dag = batch_stats;
-            for (&i, view) in miss.iter().zip(views) {
-                if let (Some(cs), Ok(view), Ok(plan)) = (self.caches, &view, &plans[i]) {
-                    cs.view_insert(
-                        crate::cache::view_key(plan, &scored[i].1.projection),
-                        view.clone(),
-                    );
-                }
-                results[i] = Some(view);
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("every candidate resolved"))
-                .collect()
-        } else {
-            // Independent reference path: one full executor run per
-            // candidate, exactly the pre-DAG behaviour (plus the same
-            // per-candidate deadline boundary and panic isolation as the
-            // DAG arm, so both degrade identically under pressure).
-            let idx: Vec<usize> = (0..scored.len()).collect();
-            pool.try_par_map(&idx, |&i| {
-                self.budget.check("materialize.view")?;
-                let plan = match &plans[i] {
-                    Err(e) => return Err(e.clone()),
-                    Ok(plan) => plan,
+        }
+        // Batch the misses by value. Without caches the plan is moved out
+        // of `plans` (nothing reads it again); with caches it is cloned
+        // because `view_insert` needs it for the key afterwards.
+        let batch: Vec<(ver_engine::plan::PjPlan, f64)> = miss
+            .iter()
+            .map(|&i| {
+                let plan = match self.caches {
+                    Some(_) => plans[i].as_ref().expect("misses are Ok").clone(),
+                    None => std::mem::replace(
+                        &mut plans[i],
+                        Err(ver_common::error::VerError::InvalidQuery(
+                            "plan consumed by batch".into(),
+                        )),
+                    )
+                    .expect("misses are Ok"),
                 };
-                match self.caches {
-                    Some(cs) => cs.view_or_materialize(
-                        crate::cache::view_key(plan, &scored[i].1.projection),
-                        || ver_engine::exec::execute_plan(self.catalog, plan, scored[i].0),
-                    ),
-                    None => ver_engine::exec::execute_plan(self.catalog, plan, scored[i].0),
-                }
+                (plan, scored[i].0)
             })
-        };
+            .collect();
+        let (views, dag) = planner.plan_batch_budgeted(&batch, pool, &self.budget);
+        for (&i, view) in miss.iter().zip(views) {
+            if let (Some(cs), Ok(view), Ok(plan)) = (self.caches, &view, &plans[i]) {
+                cs.view_insert(
+                    crate::cache::view_key(plan, &scored[i].1.projection),
+                    view.clone(),
+                );
+            }
+            results[i] = Some(view);
+        }
 
         drop(plans);
-        let mut views = Vec::with_capacity(materialized.len());
-        for (result, (score, candidate)) in materialized.into_iter().zip(scored) {
+        let mut views = Vec::with_capacity(results.len());
+        for (result, (score, candidate)) in results.into_iter().zip(scored) {
             // Graceful degradation: a candidate that ran out of deadline or
             // whose worker panicked is skipped (the ranked views that did
             // complete are still returned, flagged partial); any other
             // error — e.g. a genuine I/O failure — is a hard failure for
             // the whole query.
-            let view = match result {
+            let view = match result.expect("every candidate resolved") {
                 Ok(view) => view,
                 Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => {
                     partial = true;
@@ -644,40 +607,6 @@ fn collect_candidates(
         }
     }
     Ok(candidates)
-}
-
-/// Run Algorithm 5: enumerate combinations, resolve join graphs, rank, and
-/// materialise the top-k candidate PJ-views.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SearchContext::new(catalog, index).search(selection, config)`"
-)]
-pub fn join_graph_search(
-    catalog: &TableCatalog,
-    index: &DiscoveryIndex,
-    selection: &SelectionResult,
-    config: &SearchConfig,
-) -> Result<SearchOutput> {
-    SearchContext::new(catalog, index).search(selection, config)
-}
-
-/// [`join_graph_search`] with optional cross-query caches.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SearchContext::new(catalog, index).with_caches(caches).search(selection, config)`"
-)]
-pub fn join_graph_search_cached(
-    catalog: &TableCatalog,
-    index: &DiscoveryIndex,
-    selection: &SelectionResult,
-    config: &SearchConfig,
-    caches: Option<&crate::cache::SearchCaches>,
-) -> Result<SearchOutput> {
-    let mut cx = SearchContext::new(catalog, index);
-    if let Some(cs) = caches {
-        cx = cx.with_caches(cs);
-    }
-    cx.search(selection, config)
 }
 
 #[cfg(test)]
@@ -865,31 +794,41 @@ mod tests {
     }
 
     #[test]
-    fn dag_and_independent_paths_are_bit_identical() {
+    fn dag_output_matches_the_reference_executor() {
+        // Invariant 9 at the search surface: every view the batched DAG
+        // produced — empties included, so nothing was pruned that the
+        // reference would have kept — equals its own plan re-executed
+        // through `execute_plan`, table-exact.
         let (cat, idx) = setup();
         let q = ExampleQuery::new(vec![
             QueryColumn::of_strs(&["st1", "st2"]),
             QueryColumn::of_strs(&["1001", "2002"]),
         ])
         .unwrap();
-        let dag = run(&cat, &idx, &q, &SearchConfig::default());
-        let independent = run(
+        let all = run(
             &cat,
             &idx,
             &q,
             &SearchConfig {
-                dag_materialize: false,
+                drop_empty_views: false,
                 ..Default::default()
             },
         );
-        assert_eq!(dag.stats, independent.stats);
-        assert_eq!(dag.views.len(), independent.views.len());
-        for (a, b) in dag.views.iter().zip(&independent.views) {
-            assert!(a.same_contents(b), "{} differs across executors", a.id);
-        }
+        assert_eq!(all.views.len(), all.dag.candidates);
         // The DAG actually shared work on this multi-candidate query.
-        assert!(dag.dag.candidates > 1);
-        assert_eq!(independent.dag, MaterializeStats::default());
+        assert!(all.dag.candidates > 1);
+        for v in &all.views {
+            let reference = ver_engine::exec::reexecute(&cat, &v.provenance).unwrap();
+            assert_eq!(v.table, reference.table, "{} differs from reference", v.id);
+            assert_eq!(v.provenance, reference.provenance);
+        }
+        // The default drops exactly the empty ones, keeping rank order.
+        let kept = run(&cat, &idx, &q, &SearchConfig::default());
+        let non_empty: Vec<&View> = all.views.iter().filter(|v| v.row_count() > 0).collect();
+        assert_eq!(kept.views.len(), non_empty.len());
+        for (a, b) in kept.views.iter().zip(non_empty) {
+            assert_eq!((&a.table, &a.provenance), (&b.table, &b.provenance));
+        }
     }
 
     #[test]
@@ -934,34 +873,30 @@ mod tests {
             QueryColumn::of_strs(&["1001", "2002"]),
         ])
         .unwrap();
-        for dag_materialize in [true, false] {
-            let base = run(
+        let base = run(
+            &cat,
+            &idx,
+            &q,
+            &SearchConfig {
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        for threads in [2usize, 4, 0] {
+            let par = run(
                 &cat,
                 &idx,
                 &q,
                 &SearchConfig {
-                    threads: 1,
-                    dag_materialize,
+                    threads,
                     ..Default::default()
                 },
             );
-            for threads in [2usize, 4, 0] {
-                let par = run(
-                    &cat,
-                    &idx,
-                    &q,
-                    &SearchConfig {
-                        threads,
-                        dag_materialize,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(par.stats, base.stats, "threads={threads}");
-                assert_eq!(par.dag, base.dag, "threads={threads}");
-                assert_eq!(par.views.len(), base.views.len());
-                for (a, b) in par.views.iter().zip(&base.views) {
-                    assert!(a.same_contents(b), "threads={threads}: {} differs", a.id);
-                }
+            assert_eq!(par.stats, base.stats, "threads={threads}");
+            assert_eq!(par.dag, base.dag, "threads={threads}");
+            assert_eq!(par.views.len(), base.views.len());
+            for (a, b) in par.views.iter().zip(&base.views) {
+                assert!(a.same_contents(b), "threads={threads}: {} differs", a.id);
             }
         }
     }
@@ -1024,20 +959,12 @@ mod tests {
         ])
         .unwrap();
         let sel = select(&idx, &q);
-        for dag_materialize in [true, false] {
-            let out = SearchContext::new(&cat, &idx)
-                .with_budget(QueryBudget::none().with_timeout(std::time::Duration::ZERO))
-                .search(
-                    &sel,
-                    &SearchConfig {
-                        dag_materialize,
-                        ..Default::default()
-                    },
-                )
-                .expect("deadline exhaustion degrades, it does not error");
-            assert!(out.partial, "dag={dag_materialize}");
-            assert!(out.views.is_empty(), "dag={dag_materialize}");
-        }
+        let out = SearchContext::new(&cat, &idx)
+            .with_budget(QueryBudget::none().with_timeout(std::time::Duration::ZERO))
+            .search(&sel, &SearchConfig::default())
+            .expect("deadline exhaustion degrades, it does not error");
+        assert!(out.partial);
+        assert!(out.views.is_empty());
     }
 
     #[test]
@@ -1160,27 +1087,5 @@ mod tests {
         assert!(out.views.is_empty());
         let merged = merge_shard_outputs(vec![out], false);
         assert!(merged.partial);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_unified_entrypoint() {
-        let (cat, idx) = setup();
-        let q = ExampleQuery::new(vec![
-            QueryColumn::of_strs(&["st1", "st2"]),
-            QueryColumn::of_strs(&["1001", "2002"]),
-        ])
-        .unwrap();
-        let sel = select(&idx, &q);
-        let cfg = SearchConfig::default();
-        let base = SearchContext::new(&cat, &idx).search(&sel, &cfg).unwrap();
-        let via_old = join_graph_search(&cat, &idx, &sel, &cfg).unwrap();
-        let via_old_cached = join_graph_search_cached(&cat, &idx, &sel, &cfg, None).unwrap();
-        for out in [&via_old, &via_old_cached] {
-            assert_eq!(out.stats, base.stats);
-            for (a, b) in out.views.iter().zip(&base.views) {
-                assert!(a.same_contents(b));
-            }
-        }
     }
 }

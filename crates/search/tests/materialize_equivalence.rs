@@ -8,9 +8,10 @@
 //!   [`MaterializePlanner::plan_batch`] must reproduce
 //!   [`execute_plan`]'s per-candidate output *exactly* — same rows in the
 //!   same order, same schema, same provenance — for every thread count.
-//! * **Search level** — [`SearchContext::search`] with
-//!   `dag_materialize: true` vs `false` must produce the same ranked
-//!   views ([`View::same_contents`]) and statistics for random queries,
+//! * **Search level** — every ranked view [`SearchContext::search`]
+//!   returns must equal its own plan re-executed through the reference
+//!   executor ([`reexecute`]), and the views it drops as empty must be
+//!   exactly the ones the reference finds empty — for random queries,
 //!   top-k cuts, and thread counts.
 
 use proptest::prelude::*;
@@ -20,7 +21,7 @@ use rand::SeedableRng;
 use ver_common::ids::{ColumnRef, TableId};
 use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
-use ver_engine::exec::execute_plan;
+use ver_engine::exec::{execute_plan, reexecute};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_qbe::query::{ExampleQuery, QueryColumn};
@@ -151,14 +152,15 @@ proptest! {
     }
 }
 
-// Search level: the `dag_materialize` flag never changes the output —
-// same stats, same ranked views — across random corpora, k, threads.
-// Search-level cases build a discovery index each, so fewer cases.
+// Search level: production search (batched over the DAG) returns exactly
+// what per-candidate reference execution of the same ranked plans would —
+// across random corpora, k, threads. Search-level cases build a discovery
+// index each, so fewer cases.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
     #[test]
-    fn dag_flag_never_changes_search_output(
+    fn search_output_matches_reference_execution(
         seed in 0u64..1_000_000,
         k in 1usize..10,
         thread_pick in 0usize..3,
@@ -172,23 +174,33 @@ proptest! {
         ]).unwrap();
         let sel = column_selection(&idx, &query, &SelectionConfig::default());
         let cx = SearchContext::new(&cat, &idx);
-        let run = |dag_materialize: bool| {
+        let run = |drop_empty_views: bool| {
             cx.search(&sel, &SearchConfig {
                 k,
                 threads,
-                dag_materialize,
+                drop_empty_views,
                 ..Default::default()
             }).expect("search")
         };
-        let dag = run(true);
-        let independent = run(false);
-        prop_assert_eq!(dag.stats, independent.stats);
-        prop_assert_eq!(dag.views.len(), independent.views.len());
-        for (a, b) in dag.views.iter().zip(&independent.views) {
-            prop_assert!(
-                a.same_contents(b),
-                "k={} threads={}: view {} differs across executors", k, threads, a.id
+        // With empties kept, the output is the whole top-k cut: each view
+        // must be table-exact against its reference execution.
+        let all = run(false);
+        for v in &all.views {
+            let reference = reexecute(&cat, &v.provenance).expect("reference execution");
+            prop_assert_eq!(
+                &v.table, &reference.table,
+                "k={} threads={}: view {} differs from the reference", k, threads, v.id
             );
+            prop_assert_eq!(&v.provenance, &reference.provenance);
+        }
+        // The default output is that list minus exactly the empty views.
+        let kept = run(true);
+        let non_empty: Vec<_> = all.views.iter().filter(|v| v.row_count() > 0).collect();
+        prop_assert_eq!(kept.views.len(), non_empty.len());
+        prop_assert_eq!(kept.stats.join_graphs, all.stats.join_graphs);
+        for (a, b) in kept.views.iter().zip(non_empty) {
+            prop_assert_eq!(&a.table, &b.table);
+            prop_assert_eq!(&a.provenance, &b.provenance);
         }
     }
 }

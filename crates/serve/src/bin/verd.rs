@@ -39,7 +39,7 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use ver_core::{Ver, VerConfig};
+use ver_core::VerConfig;
 use ver_serve::net::{config, Backend, NetConfig, RetryPolicy, Server};
 use ver_serve::{RouterEngine, ServeConfig, ServeEngine, ShardedEngine};
 use ver_store::catalog::TableCatalog;
@@ -217,113 +217,68 @@ fn main() -> ExitCode {
         ..ServeConfig::default()
     };
 
+    // One load-or-build-then-save for every backend shape: each of them
+    // (the router included — it runs column selection itself and merges
+    // the legs' outputs centrally) serves the full catalog + index.
     let index_path = args.index.as_deref().map(std::path::Path::new);
-    let warm = index_path.is_some_and(|p| p.exists());
+    let warm_path = index_path.filter(|p| p.exists());
+    let index = match warm_path {
+        Some(p) => ver_index::persist::load_index(p),
+        None => ver_index::build_index(&catalog, serve_config.pipeline.index.clone()),
+    };
+    let index = match index {
+        Ok(index) => Arc::new(index),
+        Err(e) => {
+            eprintln!("verd: building index: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let (None, true, Some(p)) = (warm_path, args.save_index, index_path) {
+        match ver_index::persist::save_index(&index, p) {
+            Ok(()) => eprintln!("verd: index saved to {}", p.display()),
+            Err(e) => eprintln!("verd: saving index: {e} (serving anyway)"),
+        }
+    }
 
+    let catalog = Arc::new(catalog);
     let backend = if let Some(route) = args.route.as_deref() {
         let addrs = parse_route(route);
-        // The router keeps the full catalog + index: it runs column
-        // selection itself and merges the legs' shard outputs centrally,
-        // so a healthy-leg router answers bit-identically to one process.
-        let ver = if warm {
-            ver_index::persist::load_index(index_path.unwrap()).and_then(|ix| {
-                Ver::from_parts(
-                    Arc::new(catalog),
-                    Arc::new(ix),
-                    serve_config.pipeline.clone(),
-                )
-            })
-        } else {
-            Ver::build(catalog, serve_config.pipeline.clone())
-        };
-        match ver {
-            Ok(ver) => {
-                if !warm && args.save_index {
-                    if let Some(p) = index_path {
-                        match ver_index::persist::save_index(ver.index(), p) {
-                            Ok(()) => eprintln!("verd: index saved to {}", p.display()),
-                            Err(e) => eprintln!("verd: saving index: {e} (serving anyway)"),
-                        }
-                    }
+        RouterEngine::warm_start(catalog, index, serve_config, &addrs, RetryPolicy::default()).map(
+            |router| {
+                eprintln!("verd: router backend: {} remote legs", router.shard_count());
+                for leg in router.leg_stats() {
+                    eprintln!("verd:   leg {}", leg.addr);
                 }
-                match RouterEngine::new(ver, serve_config, &addrs, RetryPolicy::default()) {
-                    Ok(router) => {
-                        eprintln!("verd: router backend: {} remote legs", router.shard_count());
-                        for leg in router.leg_stats() {
-                            eprintln!("verd:   leg {}", leg.addr);
-                        }
-                        Backend::Router(Arc::new(router))
-                    }
-                    Err(e) => {
-                        eprintln!("verd: building router: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("verd: building router pipeline: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+                Backend::Router(Arc::new(router))
+            },
+        )
     } else if args.shards == 1 {
-        let engine = if warm {
-            ServeEngine::open(Arc::new(catalog), index_path.unwrap(), serve_config)
-        } else {
-            ServeEngine::build(catalog, serve_config)
-        };
-        match engine {
-            Ok(engine) => {
-                if !warm && args.save_index {
-                    if let Some(p) = index_path {
-                        match engine.save_index(p) {
-                            Ok(()) => eprintln!("verd: index saved to {}", p.display()),
-                            Err(e) => eprintln!("verd: saving index: {e} (serving anyway)"),
-                        }
-                    }
-                }
-                if args.shard_leg {
-                    eprintln!("verd: serving as a shard leg (answers ShardQuery)");
-                }
-                Backend::Single(Arc::new(engine))
+        ServeEngine::warm_start(catalog, index, serve_config).map(|engine| {
+            if args.shard_leg {
+                eprintln!("verd: serving as a shard leg (answers ShardQuery)");
             }
-            Err(e) => {
-                eprintln!("verd: building engine: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+            Backend::Single(Arc::new(engine))
+        })
     } else {
-        let engine = if warm {
-            ShardedEngine::open(
-                Arc::new(catalog),
-                index_path.unwrap(),
-                serve_config,
-                args.shards,
-            )
-        } else {
-            ShardedEngine::build(catalog, serve_config, args.shards)
-        };
-        match engine {
-            Ok(engine) => {
-                if !warm && args.save_index {
-                    if let Some(p) = index_path {
-                        match engine.save_index(p) {
-                            Ok(()) => eprintln!("verd: index saved to {}", p.display()),
-                            Err(e) => eprintln!("verd: saving index: {e} (serving anyway)"),
-                        }
-                    }
-                }
-                eprintln!("verd: sharded backend: {} shards", engine.shard_count());
-                Backend::Sharded(Arc::new(engine))
-            }
-            Err(e) => {
-                eprintln!("verd: building sharded engine: {e}");
-                return ExitCode::FAILURE;
-            }
+        ShardedEngine::warm_start(catalog, index, serve_config, args.shards).map(|engine| {
+            eprintln!("verd: sharded backend: {} shards", engine.shard_count());
+            Backend::Sharded(Arc::new(engine))
+        })
+    };
+    let backend = match backend {
+        Ok(backend) => backend,
+        Err(e) => {
+            eprintln!("verd: building engine: {e}");
+            return ExitCode::FAILURE;
         }
     };
     eprintln!(
         "verd: engine ready ({})",
-        if warm { "warm start" } else { "cold build" }
+        if warm_path.is_some() {
+            "warm start"
+        } else {
+            "cold build"
+        }
     );
 
     let mut net = NetConfig::default();

@@ -1,5 +1,18 @@
-//! The serving engine: warm-start, caches, stats, session admission.
+//! The serving front: what happens to a query between arrival and answer.
+//!
+//! [`Engine`] owns that policy **once** — result LRU, admission gate,
+//! `serve.query` fault point, the partial-is-never-cached rule, the
+//! deadline fallback, counters, sessions and the [`ServeStats`] assembly —
+//! and is parameterised only by *how a miss is computed*, the
+//! [`MissBackend`] seam. The three deployment shapes are instantiations:
+//! [`ServeEngine`] runs the pipeline in process, [`ShardedEngine`] and
+//! [`RouterEngine`] scatter over local or remote legs ([`crate::sharded`],
+//! [`crate::remote`]).
+//!
+//! [`ShardedEngine`]: crate::ShardedEngine
+//! [`RouterEngine`]: crate::RouterEngine
 
+use crate::remote::RouterLegStats;
 use crate::session::{Session, SessionId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -13,7 +26,7 @@ use ver_index::persist::{load_index, save_index};
 use ver_index::DiscoveryIndex;
 use ver_present::{SessionOutcome, SimulatedUser};
 use ver_qbe::ViewSpec;
-use ver_search::SearchCaches;
+use ver_search::{SearchCaches, ShardSearchOutput};
 use ver_store::catalog::TableCatalog;
 
 /// Serving-layer tunables on top of the pipeline configuration.
@@ -107,18 +120,74 @@ pub struct ServeStats {
     pub in_flight: usize,
 }
 
-/// A long-lived, concurrently shareable serving engine.
+/// How a result-cache miss is computed — the one seam between the serving
+/// front ([`Engine`]) and the deployment shapes behind it. Everything else
+/// a query meets on its way (cache, gate, fault point, counters) is the
+/// front's and identical for every implementation.
+pub trait MissBackend {
+    /// Compute the answer to `spec` under `budget`. Called with an
+    /// admission slot held, after the result LRU missed. `ver` is the
+    /// engine's pipeline facade over the full catalog and index.
+    fn compute(&self, ver: &Ver, spec: &ViewSpec, budget: &QueryBudget) -> Result<QueryResult>;
+
+    /// The cross-query search caches this process searches with (`None`
+    /// when every leg is remote) — reported in [`ServeStats`].
+    fn caches(&self) -> Option<&SearchCaches>;
+
+    /// Logical shards a miss fans out over (`1` = no scatter).
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    /// Health of each remote leg, indexed by shard (empty unless routing).
+    fn leg_stats(&self) -> Vec<RouterLegStats> {
+        Vec::new()
+    }
+
+    /// Whether this engine answers [`Engine::shard_query`]. Only the
+    /// in-process backend does: a scattering backend answering a leg
+    /// request would nest scatters, which the deployment shape rules out —
+    /// a router fans out to *shard-serving* `verd`s, never to another
+    /// router.
+    fn serves_legs(&self) -> bool {
+        false
+    }
+}
+
+/// The in-process [`MissBackend`]: a miss runs [`Ver::run_budgeted`] with
+/// the engine's cross-query [`SearchCaches`] threaded through, so even a
+/// result-cache miss reuses materialized views and memoized scores from
+/// earlier queries.
+pub struct InProcess {
+    caches: SearchCaches,
+}
+
+impl MissBackend for InProcess {
+    fn compute(&self, ver: &Ver, spec: &ViewSpec, budget: &QueryBudget) -> Result<QueryResult> {
+        ver.run_budgeted(spec, Some(&self.caches), budget)
+    }
+
+    fn caches(&self) -> Option<&SearchCaches> {
+        Some(&self.caches)
+    }
+
+    fn serves_legs(&self) -> bool {
+        true
+    }
+}
+
+/// A long-lived, concurrently shareable serving engine over miss backend
+/// `B`.
 ///
 /// All entry points take `&self`; the engine is `Sync` and designed to sit
 /// behind an `Arc` with any number of client threads calling
-/// [`ServeEngine::query`] / [`ServeEngine::interact`] simultaneously.
-pub struct ServeEngine {
+/// [`Engine::query`] / [`Engine::interact`] simultaneously.
+pub struct Engine<B> {
     ver: Ver,
     config: ServeConfig,
     /// Whole-result cache keyed by the canonical query form.
     results: LruCache<String, Arc<QueryResult>>,
-    /// Cross-query search caches (view LRU + score memo).
-    caches: SearchCaches,
+    pub(crate) miss: B,
     sessions: Mutex<FxHashMap<SessionId, Session>>,
     next_session: AtomicU64,
     queries: AtomicU64,
@@ -128,6 +197,9 @@ pub struct ServeEngine {
     rejected: AtomicU64,
     partial_results: AtomicU64,
 }
+
+/// The single-process engine: every miss runs the pipeline here.
+pub type ServeEngine = Engine<InProcess>;
 
 /// RAII admission permit: one slot of [`ServeConfig::max_in_flight`],
 /// released on drop — including when the query errors or (behind the
@@ -146,7 +218,7 @@ impl ServeEngine {
     /// process (the path [`ServeEngine::open`] exists to avoid).
     pub fn build(catalog: TableCatalog, config: ServeConfig) -> Result<ServeEngine> {
         let ver = Ver::build(catalog, config.pipeline.clone())?;
-        Ok(Self::assemble(ver, config))
+        Ok(Self::in_process(ver, config))
     }
 
     /// Warm start from an already-built index (typically loaded via
@@ -158,7 +230,7 @@ impl ServeEngine {
         config: ServeConfig,
     ) -> Result<ServeEngine> {
         let ver = Ver::from_parts(catalog, index, config.pipeline.clone())?;
-        Ok(Self::assemble(ver, config))
+        Ok(Self::in_process(ver, config))
     }
 
     /// Warm start from a persisted index file (see
@@ -172,10 +244,17 @@ impl ServeEngine {
         Self::warm_start(catalog, Arc::new(index), config)
     }
 
-    fn assemble(ver: Ver, config: ServeConfig) -> ServeEngine {
-        ServeEngine {
+    fn in_process(ver: Ver, config: ServeConfig) -> ServeEngine {
+        let caches = SearchCaches::new(config.view_cache_capacity);
+        Engine::assemble(ver, config, InProcess { caches })
+    }
+}
+
+impl<B: MissBackend> Engine<B> {
+    pub(crate) fn assemble(ver: Ver, config: ServeConfig, miss: B) -> Engine<B> {
+        Engine {
             results: LruCache::new(config.result_cache_capacity),
-            caches: SearchCaches::new(config.view_cache_capacity),
+            miss,
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -190,7 +269,9 @@ impl ServeEngine {
     }
 
     /// Claim an admission slot, failing fast with [`VerError::Overloaded`]
-    /// when [`ServeConfig::max_in_flight`] slots are already taken.
+    /// when [`ServeConfig::max_in_flight`] slots are already taken. The
+    /// gate counts *queries*, not scatter legs: one admitted query fans
+    /// out to all shards.
     fn admit(&self) -> Result<InFlightPermit<'_>> {
         let limit = self.config.max_in_flight;
         let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
@@ -204,8 +285,8 @@ impl ServeEngine {
         Ok(InFlightPermit(&self.in_flight))
     }
 
-    /// Persist this engine's index so future processes can
-    /// [`ServeEngine::open`] instead of rebuilding.
+    /// Persist this engine's index as one full-index artifact so future
+    /// processes can warm-start instead of rebuilding.
     pub fn save_index(&self, path: &std::path::Path) -> Result<()> {
         save_index(self.ver.index(), path)
     }
@@ -220,7 +301,7 @@ impl ServeEngine {
         self.ver.catalog_shared()
     }
 
-    /// Shared handle to the index.
+    /// Shared handle to the (logical, merged) index.
     pub fn index_shared(&self) -> Arc<DiscoveryIndex> {
         self.ver.index_shared()
     }
@@ -230,22 +311,32 @@ impl ServeEngine {
         &self.config
     }
 
+    /// Number of logical shards a miss scatters over (`1` for the
+    /// single-process engine).
+    pub fn shard_count(&self) -> usize {
+        self.miss.shard_count()
+    }
+
+    /// Per-leg health of a router's remote legs, indexed by shard id
+    /// (empty for engines without remote legs).
+    pub fn leg_stats(&self) -> Vec<RouterLegStats> {
+        self.miss.leg_stats()
+    }
+
     /// Answer a view specification.
     ///
     /// Identical specs (after value normalization) are served from the
-    /// whole-result LRU; misses run the full online pipeline with the
-    /// engine's cross-query [`SearchCaches`] threaded through, so even a
-    /// result-cache miss reuses materialized views and memoized scores
-    /// from earlier queries. The returned result is shared — sessions and
-    /// concurrent callers alias one materialization.
+    /// whole-result LRU; misses go to the [`MissBackend`]. The returned
+    /// result is shared — sessions and concurrent callers alias one
+    /// materialization.
     ///
-    /// Unbudgeted: shorthand for [`ServeEngine::query_with_budget`] with an
+    /// Unbudgeted: shorthand for [`Engine::query_with_budget`] with an
     /// unlimited [`QueryBudget`]. Still subject to the admission gate.
     pub fn query(&self, spec: &ViewSpec) -> Result<Arc<QueryResult>> {
         self.query_with_budget(spec, &QueryBudget::none())
     }
 
-    /// [`ServeEngine::query`] under a per-query [`QueryBudget`].
+    /// [`Engine::query`] under a per-query [`QueryBudget`].
     ///
     /// The failure model, in order:
     ///
@@ -254,12 +345,13 @@ impl ServeEngine {
     /// 2. **Admission**: a miss claims an in-flight slot or fails fast
     ///    with [`VerError::Overloaded`].
     /// 3. **Degradation**: the budget is threaded through every pipeline
-    ///    stage. Deadline exhaustion and isolated worker panics degrade to
-    ///    the best-ranked views completed so far with
-    ///    [`QueryResult::partial`] set — partial results are returned but
-    ///    **never cached**, so a later retry with headroom can produce
-    ///    (and cache) the complete answer.
-    /// 4. **Fallback**: if the pipeline fails outright with
+    ///    stage and scatter leg. Deadline exhaustion, isolated worker
+    ///    panics and dropped legs degrade to the best-ranked views
+    ///    completed so far with [`QueryResult::partial`] set — partial
+    ///    results are returned but **never cached**, so a later retry with
+    ///    headroom (or a restarted leg) can produce and cache the
+    ///    complete answer.
+    /// 4. **Fallback**: if the miss fails outright with
     ///    [`VerError::DeadlineExceeded`], the result LRU is consulted once
     ///    more (a concurrent complete run may have landed meanwhile)
     ///    before the error is surfaced.
@@ -277,22 +369,20 @@ impl ServeEngine {
         }
         let _permit = self.admit()?;
         ver_common::fault::hit(ver_common::fault::points::SERVE_QUERY)?;
-        match self.ver.run_budgeted(spec, Some(&self.caches), budget) {
+        match self.miss.compute(&self.ver, spec, budget) {
             Ok(result) => {
                 let result = Arc::new(result);
                 if result.partial {
                     // Never cache a degraded result: the next query with
-                    // headroom must be able to compute the full answer.
+                    // headroom (or after a dead leg restarts) must be able
+                    // to compute the full, byte-identical answer.
                     self.partial_results.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.results.insert(key, Arc::clone(&result));
                 }
                 Ok(result)
             }
-            Err(e @ VerError::DeadlineExceeded(_)) => match self.results.get(&key) {
-                Some(hit) => Ok(hit),
-                None => Err(e),
-            },
+            Err(e @ VerError::DeadlineExceeded(_)) => self.results.get(&key).ok_or(e),
             Err(e) => Err(e),
         }
     }
@@ -304,19 +394,26 @@ impl ServeEngine {
     /// caching a raw slice here could never be consulted coherently.
     /// Selection is recomputed per leg — a pure function of the index,
     /// spec, and config, so the slice is bit-identical to the one an
-    /// in-process scatter would produce (invariant 13).
+    /// in-process scatter would produce (invariant 13). Refused with
+    /// [`VerError::InvalidQuery`] unless [`MissBackend::serves_legs`].
     pub fn shard_query(
         &self,
         spec: &ViewSpec,
         shard: usize,
         shard_count: usize,
         budget: &QueryBudget,
-    ) -> Result<ver_search::ShardSearchOutput> {
+    ) -> Result<ShardSearchOutput> {
+        if !self.miss.serves_legs() {
+            return Err(VerError::InvalidQuery(
+                "this verd is not a shard leg (sharded/router backends do not serve ShardQuery)"
+                    .into(),
+            ));
+        }
         self.queries.fetch_add(1, Ordering::Relaxed);
         let _permit = self.admit()?;
         ver_common::fault::hit(ver_common::fault::points::SERVE_QUERY)?;
         self.ver
-            .run_shard_leg(spec, Some(&self.caches), budget, shard, shard_count)
+            .run_shard_leg(spec, self.miss.caches(), budget, shard, shard_count)
     }
 
     /// Open an interactive QBE session: run (or reuse) the query and
@@ -364,14 +461,16 @@ impl ServeEngine {
         lock_unpoisoned(&self.sessions).len()
     }
 
-    /// Serving statistics snapshot.
+    /// Serving statistics snapshot. An engine that runs no local search
+    /// (a router) reports the view/score caches as the all-zero default.
     pub fn stats(&self) -> ServeStats {
+        let caches = self.miss.caches();
         ServeStats {
             queries: self.queries.load(Ordering::Relaxed),
             result_cache: self.results.stats(),
-            view_cache: self.caches.view_stats(),
-            score_memo: self.caches.score_stats(),
-            cached_views: self.caches.cached_views(),
+            view_cache: caches.map(SearchCaches::view_stats).unwrap_or_default(),
+            score_memo: caches.map(SearchCaches::score_stats).unwrap_or_default(),
+            cached_views: caches.map_or(0, SearchCaches::cached_views),
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
             sessions_active: self.active_sessions(),
             interactions: self.interactions.load(Ordering::Relaxed),
@@ -439,58 +538,154 @@ pub(crate) fn spec_key(spec: &ViewSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ver_common::value::Value;
+    use crate::fixture::{catalog, config, spec};
+    use crate::net::{Backend, NetConfig, RetryPolicy, Server, ServerHandle};
+    use crate::{RouterEngine, ShardedEngine};
     use ver_present::OracleUser;
     use ver_qbe::{ExampleQuery, QueryColumn};
-    use ver_store::table::TableBuilder;
 
-    /// airports ⋈ state_pop plus a conflicting state_pop_old (mirrors the
-    /// ver-core pipeline fixture so serving output can be compared 1:1).
-    fn catalog() -> TableCatalog {
-        let mut cat = TableCatalog::new();
-        let states: Vec<String> = (0..40).map(|i| format!("st{i}")).collect();
-        let mut b = TableBuilder::new("airports", &["iata", "state"]);
-        for (i, s) in states.iter().enumerate() {
-            b.push_row(vec![Value::text(format!("AP{i}")), Value::text(s.clone())])
-                .unwrap();
+    /// The serving contract, asserted identically on whatever `make`
+    /// builds: every flavour is the same front, so every flavour must pass
+    /// the same checks.
+    fn assert_serving_contract<B: MissBackend>(
+        name: &str,
+        make: impl Fn(ServeConfig) -> Engine<B>,
+    ) {
+        // A repeated query aliases the first answer out of the result LRU.
+        let engine = make(config());
+        let a = engine.query(&spec()).unwrap();
+        let b = engine.query(&spec()).unwrap();
+        assert!(!a.views.is_empty(), "{name}");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "{name}: second query must alias the first"
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.queries, 2, "{name}");
+        assert_eq!(stats.result_cache.hits, 1, "{name}");
+        assert_eq!(stats.result_cache.misses, 1, "{name}");
+
+        // A full gate fails fast and counts the rejection; the rejected
+        // query leaks no slot; releasing re-opens; hits bypass the gate.
+        let gated = make(config().with_max_in_flight(1));
+        // Claim the only slot by hand, exactly as an executing miss would.
+        let permit = gated.admit().unwrap();
+        match gated.query(&spec()) {
+            Err(VerError::Overloaded(m)) => assert!(m.contains("1 queries"), "{name}: {m}"),
+            other => panic!("{name}: expected Overloaded, got {other:?}"),
         }
-        cat.add_table(b.build()).unwrap();
-        let mut b = TableBuilder::new("state_pop", &["state", "pop"]);
-        for (i, s) in states.iter().enumerate() {
-            b.push_row(vec![Value::text(s.clone()), Value::Int(1000 + i as i64)])
-                .unwrap();
-        }
-        cat.add_table(b.build()).unwrap();
-        let mut b = TableBuilder::new("state_pop_old", &["state", "pop"]);
-        for (i, s) in states.iter().enumerate() {
-            b.push_row(vec![Value::text(s.clone()), Value::Int(900 + i as i64)])
-                .unwrap();
-        }
-        cat.add_table(b.build()).unwrap();
-        cat
+        assert_eq!(gated.stats().rejected, 1, "{name}");
+        assert_eq!(
+            gated.stats().in_flight,
+            1,
+            "{name}: the rejection leaked a slot"
+        );
+        drop(permit);
+        let full = gated.query(&spec()).unwrap();
+        assert!(!full.partial && !full.views.is_empty(), "{name}");
+        assert_eq!(gated.stats().in_flight, 0, "{name}");
+        let _block = gated.admit().unwrap();
+        let hit = gated.query(&spec()).unwrap();
+        assert!(
+            Arc::ptr_eq(&full, &hit),
+            "{name}: hit must bypass the full gate"
+        );
+
+        // An exhausted budget degrades to a partial answer that is counted
+        // but never cached...
+        let engine = make(config());
+        let exhausted = QueryBudget::none().with_timeout(std::time::Duration::ZERO);
+        let partial = engine.query_with_budget(&spec(), &exhausted).unwrap();
+        assert!(partial.partial, "{name}");
+        assert!(partial.views.is_empty(), "{name}");
+        assert_eq!(engine.stats().partial_results, 1, "{name}");
+        // ...so the next unbudgeted query computes the complete answer...
+        let full = engine.query(&spec()).unwrap();
+        assert!(!full.partial && !full.views.is_empty(), "{name}");
+        assert_eq!(engine.stats().result_cache.hits, 0, "{name}");
+        assert_eq!(full.ranked, a.ranked, "{name}");
+        // ...and once that is cached, even an exhausted budget is served
+        // from the LRU (a hit does no budgeted work).
+        let served = engine.query_with_budget(&spec(), &exhausted).unwrap();
+        assert!(Arc::ptr_eq(&full, &served), "{name}");
+        assert_eq!(engine.stats().partial_results, 1, "{name}: no new partials");
+        assert_eq!(engine.stats().in_flight, 0, "{name}");
+
+        // Sessions ride on the same front: opened over the cached answer.
+        let sid = engine.open_session(&spec()).unwrap();
+        assert_eq!(engine.session_candidates(sid).unwrap(), full.ranked.len());
+        assert!(engine.close_session(sid), "{name}");
+        assert_eq!(engine.stats().sessions_opened, 1, "{name}");
+        assert_eq!(engine.stats().sessions_active, 0, "{name}");
     }
 
-    fn config() -> ServeConfig {
-        ServeConfig {
-            pipeline: VerConfig::fast(),
-            ..ServeConfig::default()
-        }
-    }
-
-    fn spec() -> ViewSpec {
-        ViewSpec::Qbe(ExampleQuery::from_rows(&[vec!["st1", "1001"], vec!["st2", "1002"]]).unwrap())
+    /// `n` in-process `verd` shard legs (one shared single engine behind
+    /// `n` listeners) and a router constructor over them.
+    fn router_over_legs(n: usize) -> (Vec<ServerHandle>, impl Fn(ServeConfig) -> RouterEngine) {
+        let leg = Arc::new(ServeEngine::build(catalog(), config()).unwrap());
+        let legs: Vec<ServerHandle> = (0..n)
+            .map(|_| {
+                let net = NetConfig {
+                    addr: "127.0.0.1:0".parse().unwrap(),
+                    ..NetConfig::default()
+                };
+                Server::bind(Backend::Single(Arc::clone(&leg)), net)
+                    .unwrap()
+                    .spawn()
+            })
+            .collect();
+        let addrs: Vec<_> = legs.iter().map(ServerHandle::addr).collect();
+        let make = move |c| {
+            let (catalog, index) = (leg.catalog_shared(), leg.index_shared());
+            RouterEngine::warm_start(catalog, index, c, &addrs, RetryPolicy::default()).unwrap()
+        };
+        (legs, make)
     }
 
     #[test]
-    fn result_cache_serves_repeated_queries() {
-        let engine = ServeEngine::build(catalog(), config()).unwrap();
-        let a = engine.query(&spec()).unwrap();
-        let b = engine.query(&spec()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second query must alias the first");
-        let stats = engine.stats();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.result_cache.hits, 1);
-        assert_eq!(stats.result_cache.misses, 1);
+    fn single_engine_honours_the_serving_contract() {
+        assert_serving_contract("single", |c| ServeEngine::build(catalog(), c).unwrap());
+    }
+
+    #[test]
+    fn local_scatter_honours_the_serving_contract_at_every_shard_count() {
+        for shards in [1usize, 2, 4] {
+            assert_serving_contract(&format!("sharded/{shards}"), |c| {
+                ShardedEngine::build(catalog(), c, shards).unwrap()
+            });
+        }
+    }
+
+    #[test]
+    fn router_over_verd_legs_honours_the_serving_contract() {
+        let (_legs, make) = router_over_legs(2);
+        assert_serving_contract("router/2", make);
+    }
+
+    #[test]
+    fn only_the_in_process_engine_serves_scatter_legs() {
+        let budget = QueryBudget::none();
+        let single = ServeEngine::build(catalog(), config()).unwrap();
+        let leg = single.shard_query(&spec(), 1, 2, &budget).unwrap();
+        assert_eq!((leg.shard, leg.shard_count), (1, 2));
+        assert_eq!(single.stats().queries, 1, "a served leg counts as a query");
+        assert_eq!(
+            single.stats().result_cache.lookups(),
+            0,
+            "legs bypass the LRU"
+        );
+
+        // A scattering engine answering a leg would nest scatters: refused
+        // before it is counted or admitted.
+        let sharded = ShardedEngine::build(catalog(), config(), 2).unwrap();
+        let err = sharded.shard_query(&spec(), 0, 2, &budget);
+        assert!(matches!(err, Err(VerError::InvalidQuery(_))), "{err:?}");
+        assert_eq!(sharded.stats().queries, 0);
+        let (_legs, make) = router_over_legs(2);
+        let router = make(config());
+        let err = router.shard_query(&spec(), 0, 2, &budget);
+        assert!(matches!(err, Err(VerError::InvalidQuery(_))), "{err:?}");
+        assert_eq!(router.stats().queries, 0);
     }
 
     #[test]
@@ -630,51 +825,6 @@ mod tests {
         let one = ViewSpec::Keyword(vec!["a\u{1f}b".into()]);
         let two = ViewSpec::Keyword(vec!["a".into(), "b".into()]);
         assert_ne!(spec_key(&one), spec_key(&two));
-    }
-
-    #[test]
-    fn admission_gate_fails_fast_when_full() {
-        let engine = ServeEngine::build(catalog(), config().with_max_in_flight(1)).unwrap();
-        // Claim the only slot by hand, exactly as an executing miss would.
-        let permit = engine.admit().unwrap();
-        match engine.query(&spec()) {
-            Err(VerError::Overloaded(m)) => assert!(m.contains("1 queries"), "msg: {m}"),
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(engine.stats().rejected, 1);
-        assert_eq!(engine.stats().in_flight, 1);
-        // Releasing the slot re-opens the gate.
-        drop(permit);
-        let full = engine.query(&spec()).unwrap();
-        assert!(!full.views.is_empty());
-        assert_eq!(engine.stats().in_flight, 0);
-        // Cache hits bypass the gate entirely.
-        let _block = engine.admit().unwrap();
-        let hit = engine.query(&spec()).unwrap();
-        assert!(Arc::ptr_eq(&full, &hit), "hit must bypass the full gate");
-    }
-
-    #[test]
-    fn expired_budget_degrades_to_uncached_partial_result() {
-        let engine = ServeEngine::build(catalog(), config()).unwrap();
-        let exhausted = QueryBudget::none().with_timeout(std::time::Duration::ZERO);
-        let partial = engine.query_with_budget(&spec(), &exhausted).unwrap();
-        assert!(partial.partial);
-        assert!(partial.views.is_empty());
-        assert_eq!(engine.stats().partial_results, 1);
-
-        // The partial result was NOT cached: the next unbudgeted query
-        // recomputes and returns the complete answer...
-        let full = engine.query(&spec()).unwrap();
-        assert!(!full.partial);
-        assert!(!full.views.is_empty());
-        assert_eq!(engine.stats().result_cache.hits, 0);
-
-        // ...and once the complete answer is cached, even an exhausted
-        // budget is served from the LRU (a hit does no budgeted work).
-        let served = engine.query_with_budget(&spec(), &exhausted).unwrap();
-        assert!(Arc::ptr_eq(&full, &served));
-        assert_eq!(engine.stats().partial_results, 1, "no new partials");
     }
 
     #[test]

@@ -21,6 +21,14 @@
 //!   ([`ServeEngine::open_session`]) reusing `ver-present`'s Algorithm-2
 //!   interaction loop over shared query results.
 //!
+//! [`ServeEngine`] is one instantiation of the generic front
+//! [`Engine`]`<B>`, which owns the whole serving policy (result LRU,
+//! admission gate, partial-is-never-cached, deadline fallback, sessions,
+//! stats) and is parameterised only by how a miss is computed
+//! ([`MissBackend`]): in process ([`ServeEngine`]), scattered over
+//! in-process shard legs ([`ShardedEngine`]), or scattered over remote
+//! `verd` processes ([`RouterEngine`]).
+//!
 //! Serving preserves the pipeline's determinism contract: a warm-started,
 //! cache-hitting engine answers every query **bit-identically** to a cold
 //! `Ver::run` (pinned by `tests/serve_warm_start.rs` against the golden
@@ -73,7 +81,55 @@ pub mod remote;
 pub mod session;
 pub mod sharded;
 
-pub use engine::{ServeConfig, ServeEngine, ServeStats};
+pub use engine::{Engine, InProcess, MissBackend, ServeConfig, ServeEngine, ServeStats};
 pub use remote::{RemoteLeg, RouterEngine, RouterLegStats};
 pub use session::SessionId;
-pub use sharded::{default_shards, LocalLeg, ShardBackend, ShardStats, ShardedEngine};
+pub use sharded::{default_shards, LocalLeg, Scatter, ShardBackend, ShardStats, ShardedEngine};
+
+/// The one unit-test fixture every engine flavour is exercised on.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use crate::ServeConfig;
+    use ver_common::value::Value;
+    use ver_core::VerConfig;
+    use ver_qbe::{ExampleQuery, ViewSpec};
+    use ver_store::catalog::TableCatalog;
+    use ver_store::table::TableBuilder;
+
+    /// airports ⋈ state_pop plus a conflicting state_pop_old (mirrors the
+    /// ver-core pipeline fixture so serving output can be compared 1:1).
+    pub(crate) fn catalog() -> TableCatalog {
+        let mut cat = TableCatalog::new();
+        let states: Vec<String> = (0..40).map(|i| format!("st{i}")).collect();
+        let mut b = TableBuilder::new("airports", &["iata", "state"]);
+        for (i, s) in states.iter().enumerate() {
+            b.push_row(vec![Value::text(format!("AP{i}")), Value::text(s.clone())])
+                .unwrap();
+        }
+        cat.add_table(b.build()).unwrap();
+        let mut b = TableBuilder::new("state_pop", &["state", "pop"]);
+        for (i, s) in states.iter().enumerate() {
+            b.push_row(vec![Value::text(s.clone()), Value::Int(1000 + i as i64)])
+                .unwrap();
+        }
+        cat.add_table(b.build()).unwrap();
+        let mut b = TableBuilder::new("state_pop_old", &["state", "pop"]);
+        for (i, s) in states.iter().enumerate() {
+            b.push_row(vec![Value::text(s.clone()), Value::Int(900 + i as i64)])
+                .unwrap();
+        }
+        cat.add_table(b.build()).unwrap();
+        cat
+    }
+
+    pub(crate) fn config() -> ServeConfig {
+        ServeConfig {
+            pipeline: VerConfig::fast(),
+            ..ServeConfig::default()
+        }
+    }
+
+    pub(crate) fn spec() -> ViewSpec {
+        ViewSpec::Qbe(ExampleQuery::from_rows(&[vec!["st1", "1001"], vec!["st2", "1002"]]).unwrap())
+    }
+}

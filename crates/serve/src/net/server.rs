@@ -27,8 +27,8 @@ use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
 use ver_common::fault::{self, points};
 use ver_common::fxhash::FxHashMap;
+use ver_common::sync::lock_unpoisoned;
 use ver_core::QueryResult;
-use ver_qbe::ViewSpec;
 
 use super::config::NetConfig;
 use super::frame::{read_frame, write_frame, ReadOutcome};
@@ -36,88 +36,19 @@ use super::wire::{
     HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
     WireRouterLeg, WireShardOutput, WireView, PROTOCOL_VERSION,
 };
-use crate::remote::RouterEngine;
-use crate::{ServeEngine, ServeStats, ShardedEngine};
+use crate::{Engine, MissBackend, RouterEngine, ServeEngine, ShardedEngine};
 
 /// The engine a server fronts: a single [`ServeEngine`], an in-process
 /// [`ShardedEngine`], or a [`RouterEngine`] scattering to remote shard
 /// `verd`s — same wire surface every way (scatter/gather is invisible to
-/// clients, as invariants 11 and 13 require).
+/// clients, as invariants 11 and 13 require). All three are one
+/// [`Engine`] front; the connection loop picks the instantiation once per
+/// request and everything downstream is generic over it.
 #[derive(Clone)]
 pub enum Backend {
     Single(Arc<ServeEngine>),
     Sharded(Arc<ShardedEngine>),
     Router(Arc<RouterEngine>),
-}
-
-impl Backend {
-    fn query_with_budget(&self, spec: &ViewSpec, budget: &QueryBudget) -> Result<Arc<QueryResult>> {
-        match self {
-            Backend::Single(e) => e.query_with_budget(spec, budget),
-            Backend::Sharded(e) => e.query_with_budget(spec, budget),
-            Backend::Router(e) => e.query_with_budget(spec, budget),
-        }
-    }
-
-    /// Serve one scatter leg (`ShardQuery`). Only a single engine serves
-    /// legs: a sharded or routing backend answering a leg request would
-    /// nest scatters, which the deployment shape rules out — the router
-    /// fans out to *shard-serving* `verd`s, never to another router.
-    fn shard_query(
-        &self,
-        spec: &ViewSpec,
-        shard: usize,
-        shard_count: usize,
-        budget: &QueryBudget,
-    ) -> Result<ver_search::ShardSearchOutput> {
-        match self {
-            Backend::Single(e) => e.shard_query(spec, shard, shard_count, budget),
-            Backend::Sharded(_) | Backend::Router(_) => Err(VerError::InvalidQuery(
-                "this verd is not a shard leg (sharded/router backends do not serve ShardQuery)"
-                    .into(),
-            )),
-        }
-    }
-
-    fn stats(&self) -> ServeStats {
-        match self {
-            Backend::Single(e) => e.stats(),
-            Backend::Sharded(e) => e.stats(),
-            Backend::Router(e) => e.stats(),
-        }
-    }
-
-    /// Per-leg router health — empty for non-router backends.
-    fn router_stats(&self) -> Vec<WireRouterLeg> {
-        match self {
-            Backend::Single(_) | Backend::Sharded(_) => Vec::new(),
-            Backend::Router(e) => e
-                .leg_stats()
-                .into_iter()
-                .map(|l| WireRouterLeg {
-                    addr: l.addr,
-                    attempts: l.attempts,
-                    retries: l.retries,
-                    failures: l.failures,
-                    failovers: l.failovers,
-                    breaker: l.breaker.wire_tag(),
-                })
-                .collect(),
-        }
-    }
-
-    fn health(&self) -> (u64, u64, u32) {
-        let (catalog, shards) = match self {
-            Backend::Single(e) => (e.catalog_shared(), 1),
-            Backend::Sharded(e) => (e.catalog_shared(), e.shard_count() as u32),
-            Backend::Router(e) => (e.ver().catalog_shared(), e.shard_count() as u32),
-        };
-        (
-            catalog.table_count() as u64,
-            catalog.column_count() as u64,
-            shards,
-        )
-    }
 }
 
 /// Lifetime counters, lock-free on the hot path.
@@ -187,7 +118,7 @@ struct Shared {
 
 impl Shared {
     fn net_stats(&self) -> NetStats {
-        let open = self.cursors.lock().map(|t| t.map.len()).unwrap_or(0);
+        let open = lock_unpoisoned(&self.cursors).map.len();
         self.counters.snapshot(open as u64)
     }
 
@@ -386,7 +317,11 @@ fn serve_conn(stream: &TcpStream, shared: &Shared) {
             }
         };
         let response = match Request::decode(&payload) {
-            Ok(req) => handle_request(shared, req),
+            Ok(req) => match &shared.backend {
+                Backend::Single(e) => handle_request(shared, e.as_ref(), req),
+                Backend::Sharded(e) => handle_request(shared, e.as_ref(), req),
+                Backend::Router(e) => handle_request(shared, e.as_ref(), req),
+            },
             Err(e) => {
                 // The frame checksum passed, so framing is still aligned
                 // — report the typed error and keep the connection.
@@ -440,7 +375,7 @@ fn error_response(e: &VerError) -> Response {
     }
 }
 
-fn handle_request(shared: &Shared, req: Request) -> Response {
+fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Request) -> Response {
     let c = &shared.counters;
     match req {
         Request::Query {
@@ -453,7 +388,7 @@ fn handle_request(shared: &Shared, req: Request) -> Response {
             } else {
                 QueryBudget::none().with_timeout(Duration::from_millis(timeout_ms))
             };
-            match shared.backend.query_with_budget(&spec, &budget) {
+            match engine.query_with_budget(&spec, &budget) {
                 Ok(result) => {
                     c.queries_ok.fetch_add(1, Ordering::Relaxed);
                     Response::Query(paginate(shared, &result, page_size))
@@ -477,10 +412,7 @@ fn handle_request(shared: &Shared, req: Request) -> Response {
             } else {
                 QueryBudget::none().with_timeout(Duration::from_millis(budget_ms))
             };
-            match shared
-                .backend
-                .shard_query(&spec, shard as usize, shard_count as usize, &budget)
-            {
+            match engine.shard_query(&spec, shard as usize, shard_count as usize, &budget) {
                 Ok(out) => {
                     c.queries_ok.fetch_add(1, Ordering::Relaxed);
                     Response::ShardOutput(WireShardOutput::from_output(&out))
@@ -493,17 +425,28 @@ fn handle_request(shared: &Shared, req: Request) -> Response {
         }
         Request::FetchPage { cursor, page } => fetch_page(shared, cursor, page),
         Request::Stats => Response::Stats(StatsReply {
-            serve: shared.backend.stats(),
+            serve: engine.stats(),
             net: shared.net_stats(),
-            router: shared.backend.router_stats(),
+            router: engine
+                .leg_stats()
+                .into_iter()
+                .map(|l| WireRouterLeg {
+                    addr: l.addr,
+                    attempts: l.attempts,
+                    retries: l.retries,
+                    failures: l.failures,
+                    failovers: l.failovers,
+                    breaker: l.breaker.wire_tag(),
+                })
+                .collect(),
         }),
         Request::Health => {
-            let (tables, columns, shards) = shared.backend.health();
+            let catalog = engine.ver().catalog();
             Response::Health(HealthReply {
                 protocol_version: PROTOCOL_VERSION,
-                tables,
-                columns,
-                shards,
+                tables: catalog.table_count() as u64,
+                columns: catalog.column_count() as u64,
+                shards: engine.shard_count() as u32,
                 uptime_ms: shared.started.elapsed().as_millis() as u64,
             })
         }
@@ -527,7 +470,7 @@ fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> 
         let all = Arc::new(wire.views);
         let first: Vec<WireView> = all[..page_size as usize].to_vec();
         let id = shared.next_cursor.fetch_add(1, Ordering::Relaxed);
-        let mut table = shared.cursors.lock().expect("cursor lock");
+        let mut table = lock_unpoisoned(&shared.cursors);
         table.map.insert(
             id,
             CursorState {
@@ -561,7 +504,7 @@ fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> 
 }
 
 fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
-    let mut table = shared.cursors.lock().expect("cursor lock");
+    let mut table = lock_unpoisoned(&shared.cursors);
     let state = match table.map.get(&cursor) {
         Some(s) => s,
         None => {
@@ -593,4 +536,38 @@ fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
         last,
         views,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixture::{catalog, config, spec};
+
+    #[test]
+    fn a_panic_under_the_cursor_lock_does_not_brick_pagination() {
+        let engine = ServeEngine::build(catalog(), config()).unwrap();
+        let result = engine.query(&spec()).unwrap();
+        assert!(result.views.len() >= 2, "need a result worth paginating");
+        let net = NetConfig {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            ..NetConfig::default()
+        };
+        let server = Server::bind(Backend::Single(Arc::new(engine)), net).unwrap();
+        let shared = &server.shared;
+
+        let holder = catch_unwind(AssertUnwindSafe(|| {
+            let _table = shared.cursors.lock().unwrap();
+            panic!("handler dies holding the cursor table");
+        }));
+        assert!(holder.is_err() && shared.cursors.is_poisoned());
+
+        // Later paginated queries still park cursors, pages still serve,
+        // and the open-cursor gauge still reads the table.
+        let head = paginate(shared, &result, 1);
+        assert_ne!(head.cursor, 0);
+        assert_eq!(head.views.len(), 1);
+        assert_eq!(shared.net_stats().cursors_open, 1);
+        let page = fetch_page(shared, head.cursor, 1);
+        assert!(matches!(page, Response::Page(ref p) if p.views.len() == 1));
+    }
 }

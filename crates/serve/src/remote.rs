@@ -28,20 +28,18 @@
 //! carries remaining (not original) milliseconds. Per-leg health is
 //! visible in [`RouterEngine::leg_stats`] and on the `Stats` wire reply.
 
-use crate::engine::{spec_key, ServeConfig, ServeStats};
+use crate::engine::{Engine, MissBackend, ServeConfig};
 use crate::net::resilient::{BreakerState, ResilientClient, RetryPolicy};
-use crate::sharded::{scatter_over_backends, InFlightPermit, ShardBackend};
+use crate::sharded::{Scatter, ShardBackend};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ver_common::budget::QueryBudget;
-use ver_common::cache::LruCache;
 use ver_common::error::{Result, VerError};
 use ver_common::sync::lock_unpoisoned;
 use ver_core::{QueryResult, Ver};
 use ver_index::DiscoveryIndex;
 use ver_qbe::ViewSpec;
-use ver_search::ShardSearchOutput;
+use ver_search::{SearchCaches, ShardSearchOutput};
 use ver_store::catalog::TableCatalog;
 
 /// Point-in-time health snapshot of one remote leg, as surfaced in
@@ -71,7 +69,6 @@ pub struct RouterLegStats {
 pub struct RemoteLeg {
     addr: SocketAddr,
     client: Mutex<ResilientClient>,
-    failovers: AtomicU64,
 }
 
 impl RemoteLeg {
@@ -79,7 +76,6 @@ impl RemoteLeg {
         RemoteLeg {
             addr,
             client: Mutex::new(ResilientClient::new(addr, policy)),
-            failovers: AtomicU64::new(0),
         }
     }
 
@@ -87,13 +83,9 @@ impl RemoteLeg {
         self.addr
     }
 
-    /// Count one query in which this leg was dropped at the gather.
-    fn note_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current health counters and breaker state.
-    pub fn stats(&self) -> RouterLegStats {
+    /// Current health counters and breaker state; `failovers` is the
+    /// scatter's count of queries that dropped this leg.
+    pub fn stats(&self, failovers: u64) -> RouterLegStats {
         let client = lock_unpoisoned(&self.client);
         let c = client.counters();
         RouterLegStats {
@@ -101,7 +93,7 @@ impl RemoteLeg {
             attempts: c.attempts,
             retries: c.retries,
             failures: c.failures,
-            failovers: self.failovers.load(Ordering::Relaxed),
+            failovers,
             breaker: client.breaker_state(),
         }
     }
@@ -149,32 +141,44 @@ impl ShardBackend for RemoteLeg {
     }
 }
 
-/// The scatter/gather router over remote legs — `verd --route`.
-///
-/// Presents the [`ShardedEngine`](crate::ShardedEngine) query surface
-/// (same admission gate, result LRU, partial-never-cached semantics) but
-/// every result-cache miss fans out to one [`RemoteLeg`] per shard. The
-/// router holds its own catalog + index (the same artifacts the legs
-/// serve) for COLUMN-SELECTION and the central finish of every query —
-/// merge, distillation, ranking.
-pub struct RouterEngine {
-    ver: Ver,
-    config: ServeConfig,
-    legs: Vec<Arc<RemoteLeg>>,
-    /// The same legs, pre-upcast for the shared scatter.
-    backends: Vec<Arc<dyn ShardBackend>>,
-    results: LruCache<String, Arc<QueryResult>>,
-    queries: AtomicU64,
-    in_flight: AtomicU64,
-    rejected: AtomicU64,
-    partial_results: AtomicU64,
+impl MissBackend for Scatter<RemoteLeg> {
+    fn compute(&self, ver: &Ver, spec: &ViewSpec, budget: &QueryBudget) -> Result<QueryResult> {
+        self.scatter(ver, spec, budget)
+    }
+
+    /// The router runs no local search.
+    fn caches(&self) -> Option<&SearchCaches> {
+        None
+    }
+
+    fn shard_count(&self) -> usize {
+        self.legs.len()
+    }
+
+    fn leg_stats(&self) -> Vec<RouterLegStats> {
+        let dropped = self.shard_stats();
+        self.legs
+            .iter()
+            .zip(dropped)
+            .map(|(leg, shard)| leg.stats(shard.failed))
+            .collect()
+    }
 }
+
+/// The scatter/gather router over remote legs — `verd --route`: the
+/// serving front ([`Engine`]) whose every result-cache miss fans out to
+/// one [`RemoteLeg`] per shard. The router holds its own catalog + index
+/// (the same artifacts the legs serve) for COLUMN-SELECTION and the
+/// central finish of every query — merge, distillation, ranking. Per-leg
+/// health: [`Engine::leg_stats`].
+pub type RouterEngine = Engine<Scatter<RemoteLeg>>;
 
 impl RouterEngine {
     /// Route over one remote leg per address in `addrs` (shard `i` is
     /// served by `addrs[i]`, so the order is part of the deployment).
-    pub fn new(
-        ver: Ver,
+    pub fn warm_start(
+        catalog: Arc<TableCatalog>,
+        index: Arc<DiscoveryIndex>,
         config: ServeConfig,
         addrs: &[SocketAddr],
         policy: RetryPolicy,
@@ -184,147 +188,18 @@ impl RouterEngine {
                 "router mode needs at least one shard-leg address".into(),
             ));
         }
-        let legs: Vec<Arc<RemoteLeg>> = addrs
+        let ver = Ver::from_parts(catalog, index, config.pipeline.clone())?;
+        let legs: Vec<_> = addrs
             .iter()
             .map(|&a| Arc::new(RemoteLeg::new(a, policy)))
             .collect();
-        let backends = legs
-            .iter()
-            .map(|l| Arc::clone(l) as Arc<dyn ShardBackend>)
-            .collect();
-        Ok(RouterEngine {
-            results: LruCache::new(config.result_cache_capacity),
-            queries: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            partial_results: AtomicU64::new(0),
-            ver,
-            config,
-            legs,
-            backends,
-        })
-    }
-
-    /// [`RouterEngine::new`] from shared catalog/index handles.
-    pub fn warm_start(
-        catalog: Arc<TableCatalog>,
-        index: Arc<DiscoveryIndex>,
-        config: ServeConfig,
-        addrs: &[SocketAddr],
-        policy: RetryPolicy,
-    ) -> Result<RouterEngine> {
-        let ver = Ver::from_parts(catalog, index, config.pipeline.clone())?;
-        Self::new(ver, config, addrs, policy)
-    }
-
-    /// Number of shards (= remote legs) queries scatter over.
-    pub fn shard_count(&self) -> usize {
-        self.legs.len()
-    }
-
-    /// The wrapped pipeline facade (selection + central finish).
-    pub fn ver(&self) -> &Ver {
-        &self.ver
-    }
-
-    /// The serving configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    fn admit(&self) -> Result<InFlightPermit<'_>> {
-        let limit = self.config.max_in_flight;
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if limit != 0 && prev as usize >= limit {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(VerError::Overloaded(format!(
-                "{limit} queries already in flight"
-            )));
-        }
-        Ok(InFlightPermit(&self.in_flight))
-    }
-
-    /// Answer a view specification by scattering over the remote legs.
-    /// Unbudgeted shorthand for [`query_with_budget`](Self::query_with_budget).
-    pub fn query(&self, spec: &ViewSpec) -> Result<Arc<QueryResult>> {
-        self.query_with_budget(spec, &QueryBudget::none())
-    }
-
-    /// [`query`](Self::query) under a per-query [`QueryBudget`] — the
-    /// [`ShardedEngine`](crate::ShardedEngine) failure model, with remote
-    /// legs: cache hits are free, misses claim an admission slot or fail
-    /// fast, a leg the envelope cannot reach degrades the merge to a
-    /// partial (never-cached) result, a hard deadline consults the LRU
-    /// once more before surfacing, and any other error propagates typed.
-    pub fn query_with_budget(
-        &self,
-        spec: &ViewSpec,
-        budget: &QueryBudget,
-    ) -> Result<Arc<QueryResult>> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let key = spec_key(spec);
-        if let Some(hit) = self.results.get(&key) {
-            return Ok(hit);
-        }
-        let _permit = self.admit()?;
-        ver_common::fault::hit(ver_common::fault::points::SERVE_QUERY)?;
         // Fan out wide: legs are network-bound, so give each its own
         // worker regardless of the local compute budget.
-        let scattered = scatter_over_backends(&self.backends, spec, budget, self.legs.len())
-            .and_then(|(outputs, legs, complete)| {
-                self.ver
-                    .gather_shard_outputs(spec, budget, outputs, complete)
-                    .map(|result| (result, legs))
-            });
-        match scattered {
-            Ok((result, legs)) => {
-                for leg in legs {
-                    if !leg.ok {
-                        self.legs[leg.shard].note_failover();
-                    }
-                }
-                let result = Arc::new(result);
-                if result.partial {
-                    // Never cache a degraded result: once the dead leg
-                    // restarts, the next query must recompute the full,
-                    // byte-identical answer.
-                    self.partial_results.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.results.insert(key, Arc::clone(&result));
-                }
-                Ok(result)
-            }
-            Err(e @ VerError::DeadlineExceeded(_)) => match self.results.get(&key) {
-                Some(hit) => Ok(hit),
-                None => Err(e),
-            },
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Serving statistics in the common [`ServeStats`] shape. The router
-    /// runs no local search, so the view/score cache counters are the
-    /// disabled-cache zero (sessions likewise live on the single-engine
-    /// surface only).
-    pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            result_cache: self.results.stats(),
-            view_cache: Default::default(),
-            score_memo: Default::default(),
-            cached_views: 0,
-            sessions_opened: 0,
-            sessions_active: 0,
-            interactions: 0,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            partial_results: self.partial_results.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed) as usize,
-        }
-    }
-
-    /// Per-leg health, indexed by shard id.
-    pub fn leg_stats(&self) -> Vec<RouterLegStats> {
-        self.legs.iter().map(|l| l.stats()).collect()
+        let fanout = legs.len();
+        Ok(Engine::assemble(
+            ver,
+            config,
+            Scatter::new(legs, fanout, None),
+        ))
     }
 }

@@ -1,17 +1,15 @@
 //! Sharded serving: one logical catalog scattered over N shard handles.
 //!
-//! [`ShardedEngine`] presents the exact [`ServeEngine`](crate::ServeEngine) query surface —
-//! [`query`](ShardedEngine::query) /
-//! [`query_with_budget`](ShardedEngine::query_with_budget), the same
-//! fail-fast admission gate, the same result-LRU and partial-result
-//! semantics — but executes every result-cache miss as a scatter/gather
-//! over `shard_count` logical shards on `ver_common::pool`. Where a leg
-//! *runs* is behind the [`ShardBackend`] trait: the engine built here
-//! scatters over in-process [`LocalLeg`]s ([`Ver::run_shard_leg`]), and
-//! the router in [`crate::remote`] scatters the same way over remote
-//! `verd` processes. One [`SearchCaches`] bundle is shared by every local
-//! leg: the score memo makes each shard's (identical) global scoring pass
-//! cheap, and cache hits stay bit-identical to misses.
+//! [`ShardedEngine`] is the serving front ([`Engine`]) with the [`Scatter`]
+//! miss backend: every result-cache miss fans out over one
+//! [`ShardBackend`] per logical shard on `ver_common::pool` and is
+//! finished centrally ([`Ver::scatter_gather`]). Where a leg *runs* is
+//! behind the [`ShardBackend`] trait: the engine built here scatters over
+//! in-process [`LocalLeg`]s ([`Ver::run_shard_leg`]), and the router in
+//! [`crate::remote`] scatters the same way over remote `verd` processes.
+//! One [`SearchCaches`] bundle is shared by every local leg: the score
+//! memo makes each shard's (identical) global scoring pass cheap, and
+//! cache hits stay bit-identical to misses.
 //!
 //! **Determinism invariant 11.** For every shard count the merged answer
 //! is bit-identical to the single-engine [`ServeEngine`](crate::ServeEngine) run — same views,
@@ -21,22 +19,20 @@
 //! **Failure model.** A scatter leg that trips the query deadline degrades
 //! *inside* its shard; a leg whose worker panics is dropped at the gather.
 //! Either way the merged result is flagged partial and returned — a shard
-//! failure is never an error (`tests/chaos.rs`) — and partial results
-//! are never cached, exactly as on the single-engine path. Per-shard
-//! health is visible in [`ShardedEngine::shard_stats`].
+//! failure is never an error (`tests/chaos.rs`) — and the front never
+//! caches a partial result. Per-shard health is visible in
+//! [`Engine::shard_stats`].
 //!
 //! The shard count comes from the constructor, or from the `VER_SHARDS`
 //! environment knob when `0` (auto) is passed — same contract as
 //! `VER_THREADS`: malformed values warn once and fall back to `1`.
 
-use crate::engine::{spec_key, ServeConfig, ServeStats};
+use crate::engine::{Engine, MissBackend, ServeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ver_common::budget::QueryBudget;
-use ver_common::cache::LruCache;
 use ver_common::error::{Result, VerError};
-use ver_core::{QueryResult, ShardLeg, Ver};
-use ver_index::persist::{load_index, save_index};
+use ver_core::{QueryResult, Ver};
 use ver_index::DiscoveryIndex;
 use ver_qbe::ViewSpec;
 use ver_search::{SearchCaches, ShardSearchOutput};
@@ -81,11 +77,11 @@ pub trait ShardBackend: Send + Sync {
 
     /// Whether `e` **degrades** this leg (dropped at the gather, merged
     /// result flagged partial) rather than failing the whole query. The
-    /// in-process default mirrors [`Ver::run_sharded_with_legs`]: worker
-    /// panics and un-degraded deadlines are droppable, anything else is a
-    /// real error. Remote backends widen this to transport failures.
+    /// in-process default is [`ver_core::leg_degradable`]: worker panics
+    /// and un-degraded deadlines are droppable, anything else is a real
+    /// error. Remote backends widen this to transport failures.
     fn degradable(&self, e: &VerError) -> bool {
-        matches!(e, VerError::DeadlineExceeded(_) | VerError::Internal(_))
+        ver_core::leg_degradable(e)
     }
 }
 
@@ -121,62 +117,13 @@ impl ShardBackend for LocalLeg {
     }
 }
 
-/// Scatter `spec` over one backend per shard on `ver_common::pool`,
-/// classifying each leg exactly as [`Ver::run_sharded_with_legs`] does:
-/// a leg whose error its backend calls [`ShardBackend::degradable`] is
-/// dropped (reported `ok: false`, gather proceeds flagged partial); any
-/// other error fails the query. Worker panics arrive here as
-/// [`VerError::Internal`] via `try_par_map` and are droppable by default.
-/// Returns the surviving outputs, a per-leg report, and whether every leg
-/// survived.
-pub(crate) fn scatter_over_backends(
-    backends: &[Arc<dyn ShardBackend>],
-    spec: &ViewSpec,
-    budget: &QueryBudget,
-    threads: usize,
-) -> Result<(Vec<ShardSearchOutput>, Vec<ShardLeg>, bool)> {
-    let shard_count = backends.len();
-    assert!(shard_count >= 1, "scatter needs at least one backend");
-    let pool = ver_common::pool::ThreadPool::new(threads);
-    let shard_ids: Vec<usize> = (0..shard_count).collect();
-    let legs = pool.try_par_map(&shard_ids, |&shard| {
-        backends[shard].leg_query(spec, shard, shard_count, budget)
-    });
-    let mut outputs = Vec::with_capacity(shard_count);
-    let mut reports = Vec::with_capacity(shard_count);
-    let mut complete = true;
-    for (shard, leg) in legs.into_iter().enumerate() {
-        match leg {
-            Ok(out) => {
-                reports.push(ShardLeg {
-                    shard,
-                    ok: true,
-                    partial: out.partial,
-                    views: out.views.len(),
-                });
-                outputs.push(out);
-            }
-            Err(e) if backends[shard].degradable(&e) => {
-                complete = false;
-                reports.push(ShardLeg {
-                    shard,
-                    ok: false,
-                    partial: true,
-                    views: 0,
-                });
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((outputs, reports, complete))
-}
-
-/// Point-in-time health counters for one shard of a [`ShardedEngine`].
+/// Point-in-time health counters for one shard of a scattering engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Scatter legs dispatched to this shard (one per result-cache miss).
     pub legs: u64,
-    /// Legs dropped at the gather (worker panic / un-degraded deadline).
+    /// Legs dropped at the gather (worker panic / un-degraded deadline /
+    /// unreachable remote peer).
     pub failed: u64,
     /// Legs that came back degraded (budget trimmed their slice, or the
     /// leg was dropped).
@@ -194,41 +141,94 @@ struct ShardCounters {
     views: AtomicU64,
 }
 
-/// RAII admission permit — one in-flight slot, released on drop even when
-/// the query errors, so failed queries can never leak the gate shut.
-/// Shared with the remote router, which runs the same admission gate.
-pub(crate) struct InFlightPermit<'a>(pub(crate) &'a AtomicU64);
+/// The scattering [`MissBackend`]: a miss asks one leg `L` per shard
+/// (shard `i` is served by `legs[i]`) and gathers centrally.
+pub struct Scatter<L> {
+    pub(crate) legs: Vec<Arc<L>>,
+    shards: Vec<ShardCounters>,
+    /// Pool width of the scatter.
+    fanout: usize,
+    /// The ONE cross-query cache bundle every local leg shares (`None`
+    /// when the legs are remote and this process runs no search).
+    caches: Option<Arc<SearchCaches>>,
+}
 
-impl Drop for InFlightPermit<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+impl<L> Scatter<L> {
+    pub(crate) fn new(
+        legs: Vec<Arc<L>>,
+        fanout: usize,
+        caches: Option<Arc<SearchCaches>>,
+    ) -> Scatter<L> {
+        Scatter {
+            shards: legs.iter().map(|_| ShardCounters::default()).collect(),
+            legs,
+            fanout,
+            caches,
+        }
+    }
+
+    /// Per-shard health counters, indexed by shard id.
+    pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
+        self.shards
+            .iter()
+            .map(|c| ShardStats {
+                legs: c.legs.load(Ordering::Relaxed),
+                failed: c.failed.load(Ordering::Relaxed),
+                partial: c.partial.load(Ordering::Relaxed),
+                views: c.views.load(Ordering::Relaxed),
+            })
+            .collect()
     }
 }
 
-/// A long-lived, concurrently shareable **sharded** serving engine.
-///
-/// Same contract as [`ServeEngine`](crate::ServeEngine): all entry points take `&self`, the
-/// engine sits behind an `Arc` with any number of client threads calling
-/// [`query`](Self::query) simultaneously, and every answer is
-/// bit-identical to the single-engine run (invariant 11).
-pub struct ShardedEngine {
-    ver: Ver,
-    config: ServeConfig,
-    shard_count: usize,
-    /// One [`ShardBackend`] per shard (all [`LocalLeg`]s here; the remote
-    /// router in `ver_serve::remote` reuses the same scatter over
-    /// `RemoteLeg`s).
-    backends: Vec<Arc<dyn ShardBackend>>,
-    /// Whole-result cache keyed by the canonical query form.
-    results: LruCache<String, Arc<QueryResult>>,
-    /// The ONE cross-query cache bundle every scatter leg shares.
-    caches: Arc<SearchCaches>,
-    shards: Vec<ShardCounters>,
-    queries: AtomicU64,
-    in_flight: AtomicU64,
-    rejected: AtomicU64,
-    partial_results: AtomicU64,
+impl<L: ShardBackend> Scatter<L> {
+    /// [`MissBackend::compute`] for any leg type: scatter, gather, count.
+    pub(crate) fn scatter(
+        &self,
+        ver: &Ver,
+        spec: &ViewSpec,
+        budget: &QueryBudget,
+    ) -> Result<QueryResult> {
+        let count = self.legs.len();
+        let (result, legs) = ver.scatter_gather(
+            spec,
+            budget,
+            count,
+            self.fanout,
+            |shard| self.legs[shard].leg_query(spec, shard, count, budget),
+            |shard, e| self.legs[shard].degradable(e),
+        )?;
+        for leg in legs {
+            let cell = &self.shards[leg.shard];
+            cell.legs.fetch_add(1, Ordering::Relaxed);
+            cell.failed.fetch_add(u64::from(!leg.ok), Ordering::Relaxed);
+            cell.partial
+                .fetch_add(u64::from(leg.partial), Ordering::Relaxed);
+            cell.views.fetch_add(leg.views as u64, Ordering::Relaxed);
+        }
+        Ok(result)
+    }
 }
+
+impl MissBackend for Scatter<LocalLeg> {
+    fn compute(&self, ver: &Ver, spec: &ViewSpec, budget: &QueryBudget) -> Result<QueryResult> {
+        self.scatter(ver, spec, budget)
+    }
+
+    fn caches(&self) -> Option<&SearchCaches> {
+        self.caches.as_deref()
+    }
+
+    fn shard_count(&self) -> usize {
+        self.legs.len()
+    }
+}
+
+/// A long-lived, concurrently shareable **sharded** serving engine: the
+/// [`ServeEngine`](crate::ServeEngine) contract with every miss executed
+/// as an in-process scatter/gather, bit-identical to the single-engine
+/// run (invariant 11).
+pub type ShardedEngine = Engine<Scatter<LocalLeg>>;
 
 impl ShardedEngine {
     /// Cold start: profile the catalog and build the discovery index in
@@ -240,10 +240,11 @@ impl ShardedEngine {
         shard_count: usize,
     ) -> Result<ShardedEngine> {
         let ver = Ver::build(catalog, config.pipeline.clone())?;
-        Self::assemble(ver, config, shard_count)
+        Self::over_local_legs(ver, config, shard_count)
     }
 
-    /// Warm start from an already-built index (e.g. merged from persisted
+    /// Warm start from an already-built index (e.g. loaded with
+    /// [`ver_index::persist::load_index`], or merged from persisted
     /// `VERSHD` shard artifacts via [`ver_index::shard::load_sharded_index`]).
     pub fn warm_start(
         catalog: Arc<TableCatalog>,
@@ -252,21 +253,10 @@ impl ShardedEngine {
         shard_count: usize,
     ) -> Result<ShardedEngine> {
         let ver = Ver::from_parts(catalog, index, config.pipeline.clone())?;
-        Self::assemble(ver, config, shard_count)
+        Self::over_local_legs(ver, config, shard_count)
     }
 
-    /// Warm start from a persisted full-index file.
-    pub fn open(
-        catalog: Arc<TableCatalog>,
-        index_path: &std::path::Path,
-        config: ServeConfig,
-        shard_count: usize,
-    ) -> Result<ShardedEngine> {
-        let index = load_index(index_path)?;
-        Self::warm_start(catalog, Arc::new(index), config, shard_count)
-    }
-
-    fn assemble(ver: Ver, config: ServeConfig, shard_count: usize) -> Result<ShardedEngine> {
+    fn over_local_legs(ver: Ver, config: ServeConfig, shard_count: usize) -> Result<ShardedEngine> {
         let shard_count = if shard_count == 0 {
             default_shards()
         } else {
@@ -280,173 +270,24 @@ impl ShardedEngine {
             ver.index_shared(),
             config.pipeline.clone(),
         )?;
-        let local: Arc<dyn ShardBackend> = Arc::new(LocalLeg::new(leg_ver, Arc::clone(&caches)));
-        Ok(ShardedEngine {
-            results: LruCache::new(config.result_cache_capacity),
-            caches,
-            backends: (0..shard_count).map(|_| Arc::clone(&local)).collect(),
-            shards: (0..shard_count).map(|_| ShardCounters::default()).collect(),
-            queries: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            partial_results: AtomicU64::new(0),
-            ver,
-            config,
-            shard_count,
-        })
-    }
-
-    /// Claim an admission slot, failing fast with [`VerError::Overloaded`]
-    /// when [`ServeConfig::max_in_flight`] slots are already taken. The
-    /// gate counts *queries*, not scatter legs: one admitted query fans
-    /// out to all shards.
-    fn admit(&self) -> Result<InFlightPermit<'_>> {
-        let limit = self.config.max_in_flight;
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if limit != 0 && prev as usize >= limit {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(VerError::Overloaded(format!(
-                "{limit} queries already in flight"
-            )));
-        }
-        Ok(InFlightPermit(&self.in_flight))
-    }
-
-    /// Number of logical shards queries scatter over.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The wrapped pipeline facade.
-    pub fn ver(&self) -> &Ver {
-        &self.ver
-    }
-
-    /// Shared handle to the catalog.
-    pub fn catalog_shared(&self) -> Arc<TableCatalog> {
-        self.ver.catalog_shared()
-    }
-
-    /// Shared handle to the (logical, merged) index.
-    pub fn index_shared(&self) -> Arc<DiscoveryIndex> {
-        self.ver.index_shared()
-    }
-
-    /// The serving configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
+        let local = Arc::new(LocalLeg::new(leg_ver, Arc::clone(&caches)));
+        let legs = (0..shard_count).map(|_| Arc::clone(&local)).collect();
+        let scatter = Scatter::new(legs, config.pipeline.search.threads, Some(caches));
+        Ok(Engine::assemble(ver, config, scatter))
     }
 
     /// Persist this engine's logical index as `shard_count` per-shard
     /// `VERSHD` artifacts under `dir` (invariant: loading and merging them
     /// reconstructs the index exactly).
     pub fn save_shards(&self, dir: &std::path::Path) -> Result<Vec<std::path::PathBuf>> {
-        ver_index::shard::save_sharded_index(self.ver.index(), self.shard_count, dir)
+        ver_index::shard::save_sharded_index(self.ver().index(), self.shard_count(), dir)
     }
+}
 
-    /// Persist the logical index as one full-index artifact.
-    pub fn save_index(&self, path: &std::path::Path) -> Result<()> {
-        save_index(self.ver.index(), path)
-    }
-
-    /// Answer a view specification — [`ServeEngine`](crate::ServeEngine)'s contract, executed
-    /// as a scatter/gather. Unbudgeted shorthand for
-    /// [`query_with_budget`](Self::query_with_budget).
-    pub fn query(&self, spec: &ViewSpec) -> Result<Arc<QueryResult>> {
-        self.query_with_budget(spec, &QueryBudget::none())
-    }
-
-    /// [`query`](Self::query) under a per-query [`QueryBudget`]. Failure
-    /// model, in order, identical to [`ServeEngine::query_with_budget`](crate::ServeEngine::query_with_budget):
-    /// cache hits are free (no gate, no budget), misses claim an
-    /// admission slot or fail fast with [`VerError::Overloaded`], budget
-    /// exhaustion and shard failures degrade to a partial (never-cached)
-    /// result, a hard [`VerError::DeadlineExceeded`] consults the LRU once
-    /// more before surfacing, and any other error propagates typed. The
-    /// budget's deadline is an absolute instant threaded to every scatter
-    /// leg by value, so all shards race the same wall clock.
-    pub fn query_with_budget(
-        &self,
-        spec: &ViewSpec,
-        budget: &QueryBudget,
-    ) -> Result<Arc<QueryResult>> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let key = spec_key(spec);
-        if let Some(hit) = self.results.get(&key) {
-            return Ok(hit);
-        }
-        let _permit = self.admit()?;
-        ver_common::fault::hit(ver_common::fault::points::SERVE_QUERY)?;
-        let scattered = scatter_over_backends(
-            &self.backends,
-            spec,
-            budget,
-            self.ver.config().search.threads,
-        )
-        .and_then(|(outputs, legs, complete)| {
-            self.ver
-                .gather_shard_outputs(spec, budget, outputs, complete)
-                .map(|result| (result, legs))
-        });
-        match scattered {
-            Ok((result, legs)) => {
-                for leg in legs {
-                    let cell = &self.shards[leg.shard];
-                    cell.legs.fetch_add(1, Ordering::Relaxed);
-                    cell.failed.fetch_add(u64::from(!leg.ok), Ordering::Relaxed);
-                    cell.partial
-                        .fetch_add(u64::from(leg.partial), Ordering::Relaxed);
-                    cell.views.fetch_add(leg.views as u64, Ordering::Relaxed);
-                }
-                let result = Arc::new(result);
-                if result.partial {
-                    // Never cache a degraded result: the next query with
-                    // headroom must be able to compute the full answer.
-                    self.partial_results.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.results.insert(key, Arc::clone(&result));
-                }
-                Ok(result)
-            }
-            Err(e @ VerError::DeadlineExceeded(_)) => match self.results.get(&key) {
-                Some(hit) => Ok(hit),
-                None => Err(e),
-            },
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Merged serving statistics — the same [`ServeStats`] shape a
-    /// [`ServeEngine`](crate::ServeEngine) reports (session counters are zero: sessions live
-    /// on the single-engine surface).
-    pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            result_cache: self.results.stats(),
-            view_cache: self.caches.view_stats(),
-            score_memo: self.caches.score_stats(),
-            cached_views: self.caches.cached_views(),
-            sessions_opened: 0,
-            sessions_active: 0,
-            interactions: 0,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            partial_results: self.partial_results.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed) as usize,
-        }
-    }
-
+impl<L> Engine<Scatter<L>> {
     /// Per-shard health counters, indexed by shard id.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|c| ShardStats {
-                legs: c.legs.load(Ordering::Relaxed),
-                failed: c.failed.load(Ordering::Relaxed),
-                partial: c.partial.load(Ordering::Relaxed),
-                views: c.views.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.miss.shard_stats()
     }
 }
 
@@ -454,45 +295,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::engine::ServeEngine;
-    use ver_common::value::Value;
-    use ver_core::VerConfig;
-    use ver_qbe::ExampleQuery;
-    use ver_store::table::TableBuilder;
-
-    fn catalog() -> TableCatalog {
-        let mut cat = TableCatalog::new();
-        let states: Vec<String> = (0..40).map(|i| format!("st{i}")).collect();
-        let mut b = TableBuilder::new("airports", &["iata", "state"]);
-        for (i, s) in states.iter().enumerate() {
-            b.push_row(vec![Value::text(format!("AP{i}")), Value::text(s.clone())])
-                .unwrap();
-        }
-        cat.add_table(b.build()).unwrap();
-        let mut b = TableBuilder::new("state_pop", &["state", "pop"]);
-        for (i, s) in states.iter().enumerate() {
-            b.push_row(vec![Value::text(s.clone()), Value::Int(1000 + i as i64)])
-                .unwrap();
-        }
-        cat.add_table(b.build()).unwrap();
-        let mut b = TableBuilder::new("state_pop_old", &["state", "pop"]);
-        for (i, s) in states.iter().enumerate() {
-            b.push_row(vec![Value::text(s.clone()), Value::Int(900 + i as i64)])
-                .unwrap();
-        }
-        cat.add_table(b.build()).unwrap();
-        cat
-    }
-
-    fn config() -> ServeConfig {
-        ServeConfig {
-            pipeline: VerConfig::fast(),
-            ..ServeConfig::default()
-        }
-    }
-
-    fn spec() -> ViewSpec {
-        ViewSpec::Qbe(ExampleQuery::from_rows(&[vec!["st1", "1001"], vec!["st2", "1002"]]).unwrap())
-    }
+    use crate::fixture::{catalog, config, spec};
 
     #[test]
     fn sharded_engine_matches_single_engine_for_every_shard_count() {
@@ -516,45 +319,20 @@ mod tests {
             assert!(per_shard.iter().all(|s| s.legs == 1 && s.failed == 0));
             let contributed: u64 = per_shard.iter().map(|s| s.views).sum();
             assert_eq!(contributed as usize, base.views.len(), "count={count}");
+            // A result-cache hit dispatches no new scatter legs.
+            sharded.query(&spec()).unwrap();
+            assert!(sharded.shard_stats().iter().all(|s| s.legs == 1));
+            // An exhausted budget degrades every leg, not the query.
+            let exhausted = QueryBudget::none().with_timeout(std::time::Duration::ZERO);
+            let fresh = ShardedEngine::build(catalog(), config(), count).unwrap();
+            assert!(
+                fresh
+                    .query_with_budget(&spec(), &exhausted)
+                    .unwrap()
+                    .partial
+            );
+            assert!(fresh.shard_stats().iter().all(|s| s.partial == 1));
         }
-    }
-
-    #[test]
-    fn result_cache_and_admission_behave_like_the_single_engine() {
-        let engine = ShardedEngine::build(catalog(), config(), 2).unwrap();
-        let a = engine.query(&spec()).unwrap();
-        let b = engine.query(&spec()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second query must alias the first");
-        let stats = engine.stats();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.result_cache.hits, 1);
-        // The cache hit dispatched no new scatter legs.
-        assert!(engine.shard_stats().iter().all(|s| s.legs == 1));
-
-        // Admission: claim the only slot, the next miss is rejected.
-        let gated = ShardedEngine::build(catalog(), config().with_max_in_flight(1), 2).unwrap();
-        let permit = gated.admit().unwrap();
-        assert!(matches!(gated.query(&spec()), Err(VerError::Overloaded(_))));
-        assert_eq!(gated.stats().rejected, 1);
-        drop(permit);
-        assert!(!gated.query(&spec()).unwrap().views.is_empty());
-        assert_eq!(gated.stats().in_flight, 0);
-    }
-
-    #[test]
-    fn expired_budget_degrades_partial_and_uncached_across_shards() {
-        let engine = ShardedEngine::build(catalog(), config(), 2).unwrap();
-        let exhausted = QueryBudget::none().with_timeout(std::time::Duration::ZERO);
-        let partial = engine.query_with_budget(&spec(), &exhausted).unwrap();
-        assert!(partial.partial);
-        assert!(partial.views.is_empty());
-        assert_eq!(engine.stats().partial_results, 1);
-        assert!(engine.shard_stats().iter().all(|s| s.partial == 1));
-        // Not cached: the next unbudgeted query computes the full answer.
-        let full = engine.query(&spec()).unwrap();
-        assert!(!full.partial);
-        assert!(!full.views.is_empty());
-        assert_eq!(engine.stats().result_cache.hits, 0);
     }
 
     #[test]

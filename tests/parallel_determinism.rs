@@ -282,21 +282,18 @@ fn shard_leg_outputs_survive_the_wire_codec_bit_identically() {
 
 #[test]
 fn dag_materialization_is_identical_to_independent_execution() {
-    // Invariant 9: the shared sub-join DAG executor (the default) and the
-    // independent per-candidate executor produce bit-identical results —
-    // for every thread count, over a corpus large enough that candidates
-    // actually share join prefixes.
+    // Invariant 9: the shared sub-join DAG executor produces, for every
+    // thread count, exactly what executing each ranked plan on its own
+    // through the reference executor (`ver_engine::exec`) does — over a
+    // corpus large enough that candidates actually share join prefixes.
     let cat = corpus();
     let gts = wdc_ground_truths(&cat).expect("wdc ground truths");
 
-    let build = |threads: usize, dag: bool| {
-        let mut config = VerConfig::default().with_threads(threads);
-        config.search.dag_materialize = dag;
-        Ver::build(cat.clone(), config).expect("build")
+    let build = |threads: usize| {
+        Ver::build(cat.clone(), VerConfig::default().with_threads(threads)).expect("build")
     };
-    let dag_seq = build(1, true);
-    let ind_seq = build(1, false);
-    let dag_auto = build(0, true);
+    let dag_seq = build(1);
+    let dag_auto = build(0);
 
     let mut compared = 0;
     for (qi, gt) in gts.iter().enumerate().take(4) {
@@ -305,11 +302,20 @@ fn dag_materialization_is_identical_to_independent_execution() {
         };
         let spec = ViewSpec::Qbe(query);
         let rd = dag_seq.run(&spec).expect("run dag threads=1");
-        let ri = ind_seq.run(&spec).expect("run independent threads=1");
         let ra = dag_auto.run(&spec).expect("run dag threads=auto");
-        assert_same_result(&rd, &ri, &format!("{} dag vs independent", gt.name));
-        assert_same_result(&ra, &ri, &format!("{} dag-auto vs independent", gt.name));
-        if !ri.views.is_empty() {
+        assert_same_result(&ra, &rd, &format!("{} dag-auto vs dag-seq", gt.name));
+        for v in &rd.views {
+            let independent =
+                ver_engine::exec::reexecute(&cat, &v.provenance).expect("reference execution");
+            assert_eq!(
+                (&v.table, &v.provenance),
+                (&independent.table, &independent.provenance),
+                "{} view {} dag vs independent",
+                gt.name,
+                v.id
+            );
+        }
+        if !rd.views.is_empty() {
             compared += 1;
         }
     }
