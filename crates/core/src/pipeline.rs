@@ -360,6 +360,12 @@ impl Ver {
         // Automatic mode ranking (line 13): overlap score over survivors.
         let ranked = rank_survivors(&views, &distill_out, spec);
 
+        // The row-hash vectors the DAG gave the views were an input of 4C,
+        // not part of the answer: whatever caches or ships this result
+        // carries none of them (views parked in the view LRU keep theirs
+        // for the next miss).
+        views.iter_mut().for_each(View::release_row_hashes);
+
         Ok(QueryResult {
             views,
             selection,
@@ -463,10 +469,7 @@ fn rank_survivors(
     distill_out: &DistillOutput,
     spec: &ViewSpec,
 ) -> Vec<(ViewId, usize)> {
-    let survivors: Vec<&View> = views
-        .iter()
-        .filter(|v| distill_out.survivors_c2.contains(&v.id))
-        .collect();
+    let survivors = ver_distill::strategy::distilled_views(views, distill_out);
     match spec {
         ViewSpec::Qbe(query) => {
             let owned: Vec<View> = survivors.iter().map(|v| (*v).clone()).collect();

@@ -10,7 +10,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use ver_common::error::{Result, VerError};
 use ver_common::ids::ColumnRef;
-use ver_engine::rowhash::table_hash_set;
 use ver_engine::view::View;
 use ver_index::DiscoveryIndex;
 use ver_qbe::groundtruth::GroundTruth;
@@ -250,7 +249,7 @@ fn ver_search_plan(
 /// rows with the same arity (supersets arise when a candidate was built
 /// from a broader but correct join).
 pub fn find_ground_truth_view(views: &[View], gt_view: &View) -> Option<ver_common::ids::ViewId> {
-    let gt_set = table_hash_set(&gt_view.table);
+    let gt_set = gt_view.hash_set();
     if gt_set.is_empty() {
         return None;
     }

@@ -10,12 +10,12 @@ use crate::categories::{Category, ViewGraph};
 use crate::hashes::{HashCache, SetRelation};
 use crate::keys::{find_candidate_keys, key_value_hash, Key};
 use serde::{Deserialize, Serialize};
+use std::hash::Hash;
 use ver_common::budget::QueryBudget;
 use ver_common::error::Result;
 use ver_common::fxhash::{fx_hash_u64, FxHashMap, FxHashSet};
 use ver_common::ids::ViewId;
 use ver_common::timer::PhaseTimer;
-use ver_engine::rowhash::hash_table_row;
 use ver_engine::view::View;
 
 /// Tunables for distillation.
@@ -134,33 +134,22 @@ pub fn distill_budgeted(
     // Phase SP: schema blocks.
     let blocks = timer.time("schema_partition", || schema_blocks(views));
 
-    // Phase Hash + C1: row hashing fans out per view; the compatible-group
-    // sweep over the prefilled cache stays sequential (it is pure lookups).
+    // Phase Hash + C1: building the row-hash sets fans out per view (views
+    // from the DAG bring their row hashes along, so no cell is hashed);
+    // the compatible sweep over the prefilled cache stays sequential (it
+    // is pure lookups).
     budget.check("distill.hash_c1")?;
-    let mut cache = timer.time("hash_c1", || HashCache::prefill(views, &pool));
+    let cache = timer.time("hash_c1", || HashCache::prefill(views, &pool));
     let mut compatible_groups: Vec<Vec<ViewId>> = Vec::new();
     let mut survivors_c1: Vec<usize> = Vec::new(); // indices into `views`
     timer.time("hash_c1", || -> Result<()> {
         for block in &blocks {
             budget.check("distill.c1")?;
-            // representatives of this block with their hash-set sizes
-            let mut reps: Vec<usize> = Vec::new();
+            let (reps, matches) = compatible_sweep(&block.members, &cache, |i| cache.digest(i));
             let mut groups: FxHashMap<usize, Vec<ViewId>> = FxHashMap::default();
-            for &vi in &block.members {
-                let mut matched = None;
-                for &rep in &reps {
-                    if cache.relation(&views[rep], &views[vi]) == SetRelation::Equal {
-                        matched = Some(rep);
-                        break;
-                    }
-                }
-                match matched {
-                    Some(rep) => {
-                        graph.label(views[rep].id, views[vi].id, Category::Compatible);
-                        groups.entry(rep).or_default().push(views[vi].id);
-                    }
-                    None => reps.push(vi),
-                }
+            for (rep, vi) in matches {
+                graph.label(views[rep].id, views[vi].id, Category::Compatible);
+                groups.entry(rep).or_default().push(views[vi].id);
             }
             for rep in &reps {
                 if let Some(members) = groups.remove(rep) {
@@ -171,6 +160,8 @@ pub fn distill_budgeted(
             }
             survivors_c1.extend(reps);
         }
+        // Sorted, so the later phases test membership by binary search.
+        survivors_c1.sort_unstable();
         Ok(())
     })?;
 
@@ -183,14 +174,14 @@ pub fn distill_budgeted(
                 .members
                 .iter()
                 .copied()
-                .filter(|i| survivors_c1.contains(i))
+                .filter(|i| survivors_c1.binary_search(i).is_ok())
                 .collect();
             // Largest first: a view can only be contained in a larger one.
-            members.sort_by_key(|&i| std::cmp::Reverse(cache.get(&views[i]).len()));
+            members.sort_by_key(|&i| std::cmp::Reverse(cache.get(i).len()));
             let mut kept: Vec<usize> = Vec::new();
             'next_view: for vi in members {
                 for &big in &kept {
-                    if cache.relation(&views[big], &views[vi]) == SetRelation::RightInLeft {
+                    if cache.relation(big, vi) == SetRelation::RightInLeft {
                         graph.label(views[big].id, views[vi].id, Category::Contained);
                         continue 'next_view;
                     }
@@ -232,7 +223,7 @@ pub fn distill_budgeted(
                 .members
                 .iter()
                 .copied()
-                .filter(|i| survivors_c2.contains(i))
+                .filter(|i| survivors_c2.binary_search(i).is_ok())
                 .collect();
             if members.len() < 2 {
                 continue;
@@ -262,7 +253,7 @@ pub fn distill_budgeted(
                     if shared.is_empty() {
                         continue;
                     }
-                    if cache.relation(&views[a], &views[b]) == SetRelation::Overlap {
+                    if cache.relation(a, b) == SetRelation::Overlap {
                         graph.label(views[a].id, views[b].id, Category::Complementary);
                         complementary_pairs.push((views[a].id, views[b].id, shared));
                     }
@@ -284,15 +275,12 @@ pub fn distill_budgeted(
                 .collect();
             let hashed: Vec<Vec<(u64, u64)>> = pool.par_map(&tasks, |&(ki, oi)| {
                 let (key, owners) = &shared_keys[ki];
-                let view = &views[owners[oi]];
+                let table = &views[owners[oi]].table;
                 // key value → set of full-row hashes (sorted → stable hash)
                 let mut per_value: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
-                for r in 0..view.table.row_count() {
-                    let kv = key_value_hash(&view.table, r, key);
-                    per_value
-                        .entry(kv)
-                        .or_default()
-                        .push(hash_table_row(&view.table, r));
+                for (r, &row_hash) in cache.row_hashes(owners[oi]).iter().enumerate() {
+                    let kv = key_value_hash(table, r, key);
+                    per_value.entry(kv).or_default().push(row_hash);
                 }
                 let mut entries: Vec<(u64, u64)> = per_value
                     .into_iter()
@@ -391,6 +379,37 @@ pub fn distill_budgeted(
     })
 }
 
+/// C1 over one schema block: `(representatives, (representative, member)
+/// matches)`, both in block order — a member joins the first earlier
+/// member with the same row-hash set, or becomes a representative.
+///
+/// Equal sets have equal digests, so a member is compared only with the
+/// representatives in its digest bucket: one expected comparison per
+/// member instead of one per representative. Set equality is an
+/// equivalence, so "the bucket's first member with that set" is the same
+/// view a sweep over all representatives would find first. `digest` is a
+/// parameter so tests can force collisions.
+fn compatible_sweep<D: Hash + Eq>(
+    members: &[usize],
+    cache: &HashCache<'_>,
+    digest: impl Fn(usize) -> D,
+) -> (Vec<usize>, Vec<(usize, usize)>) {
+    let mut reps: Vec<usize> = Vec::new();
+    let mut matches: Vec<(usize, usize)> = Vec::new();
+    let mut buckets: FxHashMap<D, Vec<usize>> = FxHashMap::default();
+    for &vi in members {
+        let bucket = buckets.entry(digest(vi)).or_default();
+        match bucket.iter().find(|&&rep| cache.get(rep) == cache.get(vi)) {
+            Some(&rep) => matches.push((rep, vi)),
+            None => {
+                bucket.push(vi);
+                reps.push(vi);
+            }
+        }
+    }
+    (reps, matches)
+}
+
 /// Tiny helper: sort-and-return for readability above.
 trait Sorted {
     fn sorted(self) -> Self;
@@ -406,6 +425,7 @@ impl Sorted for Vec<ViewId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ver_common::value::Value;
     use ver_engine::view::Provenance;
     use ver_store::table::TableBuilder;
@@ -433,6 +453,95 @@ mod tests {
         );
         assert_eq!(out.compatible_groups, vec![vec![ViewId(0), ViewId(1)]]);
         assert_eq!(out.survivors_c1, vec![ViewId(0), ViewId(2)]);
+    }
+
+    /// The pairwise C1 sweep the digest buckets replaced: every member
+    /// against every representative so far. Kept as the reference.
+    fn compatible_sweep_pairwise(
+        members: &[usize],
+        cache: &HashCache<'_>,
+    ) -> (Vec<usize>, Vec<(usize, usize)>) {
+        let mut reps: Vec<usize> = Vec::new();
+        let mut matches = Vec::new();
+        for &vi in members {
+            match reps
+                .iter()
+                .find(|&&rep| cache.relation(rep, vi) == SetRelation::Equal)
+            {
+                Some(&rep) => matches.push((rep, vi)),
+                None => reps.push(vi),
+            }
+        }
+        (reps, matches)
+    }
+
+    /// `(reps, compatible_groups, compatible labels)` of one block, derived
+    /// from a sweep's result exactly as `distill_budgeted` derives them.
+    #[allow(clippy::type_complexity)]
+    fn c1_outcome(
+        (reps, matches): (Vec<usize>, Vec<(usize, usize)>),
+    ) -> (Vec<usize>, Vec<Vec<usize>>, Vec<(usize, usize)>) {
+        let groups = reps
+            .iter()
+            .map(|&rep| {
+                let mut g = vec![rep];
+                g.extend(matches.iter().filter(|m| m.0 == rep).map(|m| m.1));
+                g
+            })
+            .filter(|g| g.len() > 1)
+            .collect();
+        (reps, groups, matches)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+        // Random blocks full of duplicates, subsets and permuted rows:
+        // the one-pass sweep — under the real digest and under digests
+        // forced to collide — equals the pairwise sweep.
+        #[test]
+        fn one_pass_c1_equals_the_pairwise_sweep(
+            base in prop::collection::vec(prop::collection::vec((0..6i64, 0..3i64), 0..7), 1..6),
+            picks in prop::collection::vec((0..64usize, 0..4usize, 0..8usize), 1..24),
+        ) {
+            // Each view is a base row list rotated (same set, new order),
+            // with its head repeated (same set, more rows) or truncated
+            // (a subset).
+            let names = ["ST0", "ST1", "ST2", "ST3", "ST4", "ST5"];
+            let views: Vec<View> = picks
+                .iter()
+                .map(|&(b, mode, rot)| {
+                    let mut rows = base[b % base.len()].clone();
+                    if !rows.is_empty() {
+                        let k = rot % rows.len();
+                        rows.rotate_left(k);
+                        match mode {
+                            1 => rows.push(rows[0]),
+                            2 => rows.truncate(rows.len() - 1),
+                            _ => {}
+                        }
+                    }
+                    let rows: Vec<(&str, i64)> =
+                        rows.iter().map(|&(s, p)| (names[s as usize], p)).collect();
+                    // Shared ids on purpose: nothing may key on them.
+                    view(0, &rows)
+                })
+                .collect();
+            let cache = HashCache::prefill(&views, &ver_common::pool::ThreadPool::new(1));
+            let members: Vec<usize> = (0..views.len()).collect();
+            let expect = c1_outcome(compatible_sweep_pairwise(&members, &cache));
+            prop_assert_eq!(
+                &c1_outcome(compatible_sweep(&members, &cache, |i| cache.digest(i))),
+                &expect
+            );
+            // Everything in one bucket, then buckets that split equal sets'
+            // neighbours arbitrarily (by set size parity).
+            prop_assert_eq!(&c1_outcome(compatible_sweep(&members, &cache, |_| 0u8)), &expect);
+            prop_assert_eq!(
+                &c1_outcome(compatible_sweep(&members, &cache, |i| cache.get(i).len() % 2)),
+                &expect
+            );
+        }
     }
 
     #[test]

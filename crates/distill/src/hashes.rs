@@ -1,15 +1,37 @@
 //! Row-hash sets per view, with the cache Algorithm 3 calls out
 //! ("we employ a cache to not hash any view multiple times").
+//!
+//! The cache goes one step further than the paper's: a view materialised by
+//! the shared sub-join DAG already carries `H` of its rows
+//! ([`View::row_hashes`]), so for those no cell is hashed here at all — the
+//! cache only folds the vectors into sets. Views built any other way fall
+//! back to hashing their cells, once.
 
-use ver_common::fxhash::{FxHashMap, FxHashSet};
-use ver_common::ids::ViewId;
-use ver_engine::rowhash::table_hash_set;
+use std::borrow::{Borrow, Cow};
+use ver_common::fxhash::FxHashSet;
 use ver_engine::view::View;
 
-/// Cache of `H(V)` keyed by view id.
-#[derive(Debug, Default)]
-pub struct HashCache {
-    sets: FxHashMap<ViewId, FxHashSet<u64>>,
+/// Order-free summary of a row-hash set: `(len, xor-fold, wrapping sum)`.
+/// Equal sets have equal digests, so the compatible sweep compares sets
+/// only inside a digest bucket.
+pub type SetDigest = (usize, u64, u64);
+
+/// One view's `H(V)`: the per-row hashes, their set, and the set's digest.
+#[derive(Debug)]
+struct Entry<'a> {
+    rows: Cow<'a, [u64]>,
+    set: FxHashSet<u64>,
+    digest: SetDigest,
+}
+
+/// `H(V)` for every view of one distillation run, keyed by the view's
+/// **position** in the slice it was filled from — never by [`ViewId`],
+/// which callers are free to leave defaulted or duplicated.
+///
+/// [`ViewId`]: ver_common::ids::ViewId
+#[derive(Debug)]
+pub struct HashCache<'a> {
+    entries: Vec<Entry<'a>>,
 }
 
 /// Set relationship between two row-hash sets.
@@ -27,49 +49,45 @@ pub enum SetRelation {
     Disjoint,
 }
 
-impl HashCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> HashCache<'a> {
+    /// `H(V)` of every view, fanned out per view on `pool`. Everything
+    /// after this is a lookup, which keeps the sequential 4C control flow
+    /// (and therefore its output) unchanged.
+    pub fn prefill<V: Borrow<View> + Sync>(
+        views: &'a [V],
+        pool: &ver_common::pool::ThreadPool,
+    ) -> Self {
+        // By index, so the borrowed hash vectors keep the slice's lifetime.
+        let positions: Vec<usize> = (0..views.len()).collect();
+        let entries = pool.par_map(&positions, |&i| {
+            let rows = views[i].borrow().row_hashes();
+            let set: FxHashSet<u64> = rows.iter().copied().collect();
+            let digest = set.iter().fold((set.len(), 0u64, 0u64), |(n, x, s), &h| {
+                (n, x ^ h, s.wrapping_add(h))
+            });
+            Entry { rows, set, digest }
+        });
+        HashCache { entries }
     }
 
-    /// Cache with `H(V)` computed for every view up front, fanning the
-    /// per-view row hashing out on `pool`. Later `get`/`relation` calls
-    /// become pure lookups, which keeps the sequential 4C control flow
-    /// (and therefore its output) unchanged while the hashing — the bulk
-    /// of the hash+C1 phase — runs in parallel.
-    pub fn prefill(views: &[View], pool: &ver_common::pool::ThreadPool) -> Self {
-        let sets = pool.par_map(views, |v| table_hash_set(&v.table));
-        HashCache {
-            sets: views.iter().map(|v| v.id).zip(sets).collect(),
-        }
+    /// `H` of every row of view `i`, in row order.
+    pub fn row_hashes(&self, i: usize) -> &[u64] {
+        &self.entries[i].rows
     }
 
-    /// Get (or compute) `H(V)`.
-    pub fn get(&mut self, view: &View) -> &FxHashSet<u64> {
-        self.sets
-            .entry(view.id)
-            .or_insert_with(|| table_hash_set(&view.table))
+    /// The set `H(V)` of view `i`.
+    pub fn get(&self, i: usize) -> &FxHashSet<u64> {
+        &self.entries[i].set
     }
 
-    /// Number of cached views.
-    pub fn len(&self) -> usize {
-        self.sets.len()
+    /// Digest of view `i`'s row-hash set.
+    pub fn digest(&self, i: usize) -> SetDigest {
+        self.entries[i].digest
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
-    /// Relation between two views' row sets (computes/caches both).
-    pub fn relation(&mut self, a: &View, b: &View) -> SetRelation {
-        // Borrowck: materialise `a`'s set before borrowing `b`'s.
-        self.get(a);
-        self.get(b);
-        let sa = &self.sets[&a.id];
-        let sb = &self.sets[&b.id];
-        relation_of(sa, sb)
+    /// Relation between the row sets of views `a` and `b`.
+    pub fn relation(&self, a: usize, b: usize) -> SetRelation {
+        relation_of(self.get(a), self.get(b))
     }
 }
 
@@ -100,6 +118,8 @@ pub fn relation_of(sa: &FxHashSet<u64>, sb: &FxHashSet<u64>) -> SetRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ver_common::ids::ViewId;
+    use ver_common::pool::ThreadPool;
     use ver_common::value::Value;
     use ver_engine::view::{Provenance, View};
     use ver_store::table::TableBuilder;
@@ -112,63 +132,87 @@ mod tests {
         View::new(ViewId(id), b.build(), Provenance::default())
     }
 
-    #[test]
-    fn relations_cover_all_cases() {
-        let mut cache = HashCache::new();
-        let a = view(0, &[1, 2, 3]);
-        let b = view(1, &[3, 2, 1]);
-        let c = view(2, &[1, 2]);
-        let d = view(3, &[2, 3, 4]);
-        let e = view(4, &[9, 10]);
-        assert_eq!(cache.relation(&a, &b), SetRelation::Equal);
-        assert_eq!(cache.relation(&c, &a), SetRelation::LeftInRight);
-        assert_eq!(cache.relation(&a, &c), SetRelation::RightInLeft);
-        assert_eq!(cache.relation(&a, &d), SetRelation::Overlap);
-        assert_eq!(cache.relation(&a, &e), SetRelation::Disjoint);
+    fn cache(views: &[View]) -> HashCache<'_> {
+        HashCache::prefill(views, &ThreadPool::new(1))
     }
 
     #[test]
-    fn prefill_matches_lazy_computation() {
-        let a = view(0, &[1, 2, 3]);
-        let b = view(1, &[1, 2]);
-        let views = vec![a, b];
+    fn relations_cover_all_cases() {
+        let views = [
+            view(0, &[1, 2, 3]),
+            view(1, &[3, 2, 1]),
+            view(2, &[1, 2]),
+            view(3, &[2, 3, 4]),
+            view(4, &[9, 10]),
+        ];
+        let cache = cache(&views);
+        assert_eq!(cache.relation(0, 1), SetRelation::Equal);
+        assert_eq!(cache.relation(2, 0), SetRelation::LeftInRight);
+        assert_eq!(cache.relation(0, 2), SetRelation::RightInLeft);
+        assert_eq!(cache.relation(0, 3), SetRelation::Overlap);
+        assert_eq!(cache.relation(0, 4), SetRelation::Disjoint);
+    }
+
+    #[test]
+    fn prefill_is_thread_count_independent_and_matches_the_table_hash() {
+        let views = vec![view(0, &[1, 2, 3]), view(1, &[1, 2, 2])];
         for threads in [1usize, 4] {
-            let mut pre = HashCache::prefill(&views, &ver_common::pool::ThreadPool::new(threads));
-            assert_eq!(pre.len(), 2);
-            let mut lazy = HashCache::new();
-            for v in &views {
-                assert_eq!(pre.get(v), lazy.get(v), "H(V{}) differs", v.id.0);
+            let pre = HashCache::prefill(&views, &ThreadPool::new(threads));
+            for (i, v) in views.iter().enumerate() {
+                assert_eq!(pre.get(i), &v.hash_set(), "H(V{i}) differs");
+                assert_eq!(pre.row_hashes(i), &*v.row_hashes());
             }
-            assert_eq!(pre.relation(&views[0], &views[1]), SetRelation::RightInLeft);
+            assert_eq!(pre.get(1).len(), 2, "duplicate rows collapse in the set");
+            assert_eq!(pre.row_hashes(1).len(), 3, "but not in the row vector");
+            assert_eq!(pre.relation(0, 1), SetRelation::RightInLeft);
         }
     }
 
     #[test]
-    fn cache_computes_each_view_once() {
-        let mut cache = HashCache::new();
-        let a = view(0, &[1, 2, 3]);
-        let b = view(1, &[1, 2]);
-        cache.relation(&a, &b);
-        cache.relation(&a, &b);
-        assert_eq!(cache.len(), 2);
+    fn views_sharing_an_id_do_not_alias() {
+        // Every view straight out of the materializer carries the default
+        // id; an id-keyed cache handed all of them the first one's set.
+        let views = [view(0, &[1, 2]), view(0, &[7, 8, 9]), view(0, &[1, 2])];
+        let cache = cache(&views);
+        assert_eq!(cache.get(1).len(), 3);
+        assert_eq!(cache.relation(0, 1), SetRelation::Disjoint);
+        assert_eq!(cache.relation(0, 2), SetRelation::Equal);
+    }
+
+    #[test]
+    fn equal_sets_have_equal_digests_whatever_the_row_order_or_repeats() {
+        let views = [
+            view(0, &[1, 2, 3]),
+            view(1, &[3, 1, 2, 2]),
+            view(2, &[1, 2]),
+            view(3, &[]),
+        ];
+        let cache = cache(&views);
+        assert_eq!(cache.digest(0), cache.digest(1));
+        assert_ne!(cache.digest(0), cache.digest(2));
+        assert_eq!(cache.digest(3), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_cache_can_be_filled_from_borrowed_views() {
+        let views = [view(0, &[1, 2, 3]), view(1, &[1, 2])];
+        let picked: Vec<&View> = vec![&views[1], &views[0]];
+        let cache = HashCache::prefill(&picked, &ThreadPool::new(1));
+        assert_eq!(cache.relation(0, 1), SetRelation::LeftInRight);
     }
 
     #[test]
     fn empty_views_are_disjoint_from_everything_nonempty() {
-        let mut cache = HashCache::new();
-        let a = view(0, &[]);
-        let b = view(1, &[1]);
-        assert_eq!(cache.relation(&a, &b), SetRelation::Disjoint);
+        let views = [view(0, &[]), view(1, &[1]), view(2, &[])];
+        let cache = cache(&views);
+        assert_eq!(cache.relation(0, 1), SetRelation::Disjoint);
         // Two empty sets are equal.
-        let c = view(2, &[]);
-        assert_eq!(cache.relation(&a, &c), SetRelation::Equal);
+        assert_eq!(cache.relation(0, 2), SetRelation::Equal);
     }
 
     #[test]
     fn same_size_different_content_is_overlap_or_disjoint() {
-        let mut cache = HashCache::new();
-        let a = view(0, &[1, 2]);
-        let b = view(1, &[2, 3]);
-        assert_eq!(cache.relation(&a, &b), SetRelation::Overlap);
+        let views = [view(0, &[1, 2]), view(1, &[2, 3])];
+        assert_eq!(cache(&views).relation(0, 1), SetRelation::Overlap);
     }
 }

@@ -41,6 +41,11 @@ impl Key {
 }
 
 /// Hash of a row projected onto a key (the key *value*).
+///
+/// Deliberately not `ver_engine::rowhash`'s `H`: key-value hashes bucket a
+/// view's rows by key and are only ever compared with each other, never
+/// with a row hash, so they keep the streaming form (one hasher per key
+/// value, no per-cell finish).
 pub fn key_value_hash(table: &Table, row: usize, key: &Key) -> u64 {
     let mut h = FxHasher::default();
     for &o in &key.0 {

@@ -62,7 +62,7 @@ pub fn distill_counts(views: &[View], output: &DistillOutput) -> DistillCounts {
 /// contradictory under it, do not union.
 pub fn union_complementary(views: &[View], output: &DistillOutput, key: &Key) -> usize {
     let survivors: Vec<&View> = surviving_views(views, output);
-    let mut cache = HashCache::new();
+    let cache = HashCache::prefill(&survivors, &ver_common::pool::ThreadPool::new(1));
 
     // Pairs contradictory under this key (they must not union).
     let mut conflict: FxHashSet<(ViewId, ViewId)> = FxHashSet::default();
@@ -105,7 +105,7 @@ pub fn union_complementary(views: &[View], output: &DistillOutput, key: &Key) ->
             if conflict.contains(&(a.id.min(b.id), a.id.max(b.id))) {
                 continue;
             }
-            if cache.relation(a, b) == SetRelation::Overlap {
+            if cache.relation(i, j) == SetRelation::Overlap {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
                     parent[ri] = rj;

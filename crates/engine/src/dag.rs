@@ -2,10 +2,11 @@
 //!
 //! [`execute_plan`](crate::exec::execute_plan) materialises every candidate
 //! independently: it clones the base table and gathers *all* columns of
-//! every intermediate at every step. When thousands of candidate PJ-views
-//! share join prefixes (the common case — Algorithm 5 enumerates
-//! combinations over the same join paths), that repeats the identical hash
-//! joins and value copies once per view.
+//! every intermediate at every step. When candidate PJ-views share join
+//! prefixes (Algorithm 5 enumerates combinations over the same join paths;
+//! how often they do depends on the corpus — see
+//! `ver_search::materialize`), that repeats the identical hash joins and
+//! value copies once per view.
 //!
 //! This module factors the executor into a value-free core: a [`JoinState`]
 //! holds, for each joined table, a flat `Vec<u32>` of *source row indices*
@@ -32,11 +33,11 @@
 //! * keys compare as typed [`Value`]s (`Int(1)` ≠ `Text("1")`).
 
 use crate::plan::{JoinStep, PjPlan};
+use crate::rowhash::{cell_hash, mix};
 use crate::view::{Provenance, View};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use ver_common::error::{Result, VerError};
-use ver_common::fxhash::{FxHashMap, FxHasher};
+use ver_common::fxhash::FxHashMap;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_common::value::Value;
 use ver_store::catalog::TableCatalog;
@@ -44,27 +45,16 @@ use ver_store::column::Column;
 use ver_store::schema::TableSchema;
 use ver_store::table::Table;
 
-/// Per-row 64-bit value hashes of a column (type-tagged, matching how
-/// [`Value`] hashes in a hash-join index).
-fn hash_values(vals: &[Value]) -> Vec<u64> {
-    vals.iter()
-        .map(|v| {
-            let mut h = FxHasher::default();
-            v.hash(&mut h);
-            h.finish()
-        })
-        .collect()
-}
-
-/// Batch-scoped cache of per-column value-hash arrays.
+/// Batch-scoped cache of per-column [`cell_hash`] arrays.
 ///
 /// Joining and deduplicating hash the same key and projection columns over
 /// and over — once per DAG node and once per candidate. A batch executor
 /// hashes each column **once** up front and shares the `Vec<u64>` across
 /// every step and projection that touches it. Purely an optimisation:
 /// hashes only pre-bucket candidates, every match is verified by typed
-/// [`Value`] equality, so output is identical with or without the cache
-/// (and identical for any hash function).
+/// [`Value`] equality, so the rows that come out are identical with or
+/// without the cache (and the row hashes a view carries are the same
+/// [`hash_table_row`](crate::rowhash::hash_table_row) either way).
 #[derive(Debug, Default)]
 pub struct ColumnHashes {
     map: FxHashMap<(TableId, u16), Vec<u64>>,
@@ -89,8 +79,10 @@ impl ColumnHashes {
         let Some(col) = table.column(cref.ordinal as usize) else {
             return;
         };
-        self.map
-            .insert((cref.table, cref.ordinal), hash_values(col.values()));
+        self.map.insert(
+            (cref.table, cref.ordinal),
+            col.values().iter().map(cell_hash).collect(),
+        );
     }
 
     fn get(&self, cref: ColumnRef) -> Option<&[u64]> {
@@ -449,7 +441,7 @@ impl JoinState {
         let lh: &[u64] = match hashes.get(step.left) {
             Some(h) => h,
             None => {
-                lh_local = hash_values(lvals);
+                lh_local = lvals.iter().map(cell_hash).collect::<Vec<_>>();
                 &lh_local
             }
         };
@@ -457,7 +449,7 @@ impl JoinState {
         let rh: &[u64] = match hashes.get(step.right) {
             Some(h) => h,
             None => {
-                rh_local = hash_values(rvals);
+                rh_local = rvals.iter().map(cell_hash).collect::<Vec<_>>();
                 &rh_local
             }
         };
@@ -601,12 +593,13 @@ pub fn materialize_state_named(
     name: Arc<str>,
 ) -> Result<View> {
     // Resolve each projected column once (source values + the state's
-    // row-index column for its table), folding its per-row value hashes
-    // into the combined row hash as it is resolved — column-outer for
-    // locality, and no per-candidate hash-slice bookkeeping. The mix only
-    // pre-buckets — duplicates are confirmed by value equality — so its
-    // exact form never affects output. Columns absent from the batch cache
-    // hash locally.
+    // row-index column for its table), folding its per-row cell hashes
+    // into the row hash as it is resolved — column-outer for locality, and
+    // no per-candidate hash-slice bookkeeping. The fold is `rowhash`'s `H`,
+    // so a kept row's dedup hash is `hash_table_row` of the gathered row
+    // and is handed to the view instead of thrown away. For dedup itself it
+    // only pre-buckets: duplicates are confirmed by value equality. Columns
+    // absent from the batch cache hash locally.
     let n_rows = if plan.projection.is_empty() {
         0
     } else {
@@ -614,7 +607,8 @@ pub fn materialize_state_named(
     };
     let mut metas = Vec::with_capacity(plan.projection.len());
     let mut cols: Vec<(&[Value], &[u32])> = Vec::with_capacity(plan.projection.len());
-    let columns: Vec<Column> = DEDUP_SCRATCH.with(|scratch| -> Result<Vec<Column>> {
+    type Kept = (Vec<Column>, Arc<[u64]>);
+    let (columns, row_hashes) = DEDUP_SCRATCH.with(|scratch| -> Result<Kept> {
         let (rowh, slots, arena, keep) = &mut *scratch.borrow_mut();
         rowh.clear();
         rowh.resize(n_rows, 0);
@@ -642,12 +636,12 @@ pub fn materialize_state_named(
             let ch: &[u64] = match hashes.get(*p) {
                 Some(h) => h,
                 None => {
-                    local = hash_values(vals);
+                    local = vals.iter().map(cell_hash).collect::<Vec<_>>();
                     &local
                 }
             };
             for (h, &src) in rowh.iter_mut().zip(idx.iter()) {
-                *h = (h.rotate_left(5) ^ ch[src as usize]).wrapping_mul(0x517c_c1b7_2722_0a95);
+                *h = mix(*h, ch[src as usize]);
             }
             cols.push((vals, idx));
         }
@@ -688,17 +682,18 @@ pub fn materialize_state_named(
             keep.push(r as u32);
         }
 
-        Ok(cols
+        let columns = cols
             .iter()
             .map(|(vals, idx)| {
                 keep.iter()
                     .map(|&r| vals[idx[r as usize] as usize].clone())
                     .collect::<Column>()
             })
-            .collect())
+            .collect();
+        Ok((columns, keep.iter().map(|&r| rowh[r as usize]).collect()))
     })?;
     let projected = Table::new(TableSchema::new(name, metas), columns)?;
-    Ok(View::new(
+    Ok(View::with_row_hashes(
         ViewId::default(),
         projected,
         Provenance {
@@ -707,6 +702,7 @@ pub fn materialize_state_named(
             projection: plan.projection.clone(),
             join_score,
         },
+        row_hashes,
     ))
 }
 
@@ -844,6 +840,12 @@ mod tests {
             assert_eq!(a.table, b.table, "plan {i}: tables differ");
             assert_eq!(a.provenance, b.provenance, "plan {i}: provenance differs");
             assert_eq!(a.table.name(), b.table.name(), "plan {i}: name differs");
+            // The dedup hashes the DAG hands the view are `H` of its rows:
+            // what `execute_plan`'s hash-less view computes from the cells.
+            assert_eq!(b.row_hashes(), a.row_hashes(), "plan {i}: row hashes");
+            for (r, &h) in b.row_hashes().iter().enumerate() {
+                assert_eq!(h, crate::rowhash::hash_table_row(&b.table, r));
+            }
         }
     }
 

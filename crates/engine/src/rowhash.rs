@@ -3,47 +3,69 @@
 //! `H(V)` maps a view to a *set* of 64-bit values, one per distinct row.
 //! Compatible / contained / overlapping view pairs are detected by set
 //! equality / subset / intersection over these hash sets, exactly as the
-//! paper describes. The hash streams each value's type tag and payload, so
-//! `Int(1)` and `Text("1")` rows hash differently and field boundaries are
-//! unambiguous.
+//! paper describes.
+//!
+//! `H` of a row is a left fold of [`mix`] over the row's [`cell_hash`]es,
+//! starting from zero. A cell hash covers the value's type tag and payload,
+//! so `Int(1)` and `Text("1")` differ, and each cell is finished before it
+//! is mixed in, so field boundaries are unambiguous. The two-level form is
+//! what lets one definition serve everywhere: the shared sub-join DAG
+//! ([`crate::dag`]) hashes every base *column* once per batch and folds
+//! those per-cell hashes along each candidate's row indices for keep-first
+//! dedup, and the fold it ends up with **is** `hash_table_row` of the
+//! gathered row — so a DAG-built [`View`](crate::view::View) carries its
+//! row hashes with it and 4C never hashes a cell again.
 
 use std::hash::{Hash, Hasher};
-use ver_common::fxhash::{FxHashSet, FxHasher};
+use ver_common::fxhash::{fx_step, FxHashSet, FxHasher};
 use ver_common::value::Value;
 use ver_store::table::Table;
+
+/// Hash of one cell: type tag and payload.
+#[inline]
+pub fn cell_hash(v: &Value) -> u64 {
+    let mut h = FxHasher::default();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Fold the next cell's hash into a running row hash (which starts at 0).
+#[inline]
+pub fn mix(h: u64, cell: u64) -> u64 {
+    fx_step(h, cell)
+}
 
 /// Hash a single row (slice of values).
 #[inline]
 pub fn hash_row(values: &[Value]) -> u64 {
-    let mut h = FxHasher::default();
-    for v in values {
-        v.hash(&mut h);
-    }
-    h.finish()
+    values.iter().fold(0, |h, v| mix(h, cell_hash(v)))
 }
 
 /// Hash row `row` of `table` without materialising the row.
 #[inline]
 pub fn hash_table_row(table: &Table, row: usize) -> u64 {
-    let mut h = FxHasher::default();
+    // Missing cells hash as Null to keep H total on ragged data.
+    table.columns().iter().fold(0, |h, col| {
+        mix(h, cell_hash(col.get(row).unwrap_or(&Value::Null)))
+    })
+}
+
+/// `H` of every row of `table`, in row order (column-outer, so each
+/// column's values are read sequentially).
+pub fn table_row_hashes(table: &Table) -> Vec<u64> {
+    let mut hashes = vec![0u64; table.row_count()];
     for col in table.columns() {
-        // Missing cells hash as Null to keep H total on ragged data.
-        match col.get(row) {
-            Some(v) => v.hash(&mut h),
-            None => Value::Null.hash(&mut h),
+        for (h, v) in hashes.iter_mut().zip(col.values()) {
+            *h = mix(*h, cell_hash(v));
         }
     }
-    h.finish()
+    hashes
 }
 
 /// The set `H(V)` for an entire table: one hash per row, duplicates
 /// collapsed (views are row sets).
 pub fn table_hash_set(table: &Table) -> FxHashSet<u64> {
-    let mut set = FxHashSet::with_capacity_and_hasher(table.row_count(), Default::default());
-    for r in 0..table.row_count() {
-        set.insert(hash_table_row(table, r));
-    }
-    set
+    table_row_hashes(table).into_iter().collect()
 }
 
 /// Order-insensitive fingerprint of the whole view: XOR-fold of the row-hash
@@ -96,6 +118,17 @@ mod tests {
             hash_table_row(&table, 0),
             hash_row(&[Value::text("x"), Value::Int(1)])
         );
+    }
+
+    #[test]
+    fn whole_table_hashes_match_per_row_hashes() {
+        let table = t(&[("x", 1), ("y", 2), ("x", 1)]);
+        let all = table_row_hashes(&table);
+        assert_eq!(all.len(), 3);
+        for (r, &h) in all.iter().enumerate() {
+            assert_eq!(h, hash_table_row(&table, r));
+            assert_eq!(h, hash_row(&table.row(r).unwrap()));
+        }
     }
 
     #[test]

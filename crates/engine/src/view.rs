@@ -1,7 +1,9 @@
 //! Materialized candidate PJ-views with provenance.
 
-use crate::rowhash::table_hash_set;
+use crate::rowhash::table_row_hashes;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::Arc;
 use ver_common::fxhash::FxHashSet;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_store::table::Table;
@@ -36,10 +38,18 @@ impl Provenance {
 pub struct View {
     /// Identifier assigned by the search stage.
     pub id: ViewId,
-    /// The materialized, deduplicated data.
+    /// The materialized, deduplicated data. A view that needs different
+    /// rows is a new view: build it with [`View::new`], do not assign a
+    /// table here — a DAG-built view carries the row hashes of the table it
+    /// was built with.
     pub table: Table,
     /// How the view was built.
     pub provenance: Provenance,
+    /// `H` of every row, in row order, when the builder already had them
+    /// (the shared sub-join DAG does: they are its dedup hashes). A 4C
+    /// input, not part of the answer — never serialised, never compared.
+    #[serde(skip)]
+    row_hashes: Option<Arc<[u64]>>,
 }
 
 impl View {
@@ -49,7 +59,46 @@ impl View {
             id,
             table,
             provenance,
+            row_hashes: None,
         }
+    }
+
+    /// [`View::new`] for a builder that already holds
+    /// [`hash_table_row`](crate::rowhash::hash_table_row) of every row.
+    pub(crate) fn with_row_hashes(
+        id: ViewId,
+        table: Table,
+        provenance: Provenance,
+        row_hashes: Arc<[u64]>,
+    ) -> Self {
+        View {
+            row_hashes: Some(row_hashes),
+            ..View::new(id, table, provenance)
+        }
+    }
+
+    /// `H` of every row, in row order: the vector the view was built with
+    /// when it has one, hashed from the cells otherwise (`View::new`, CSV,
+    /// views rebuilt from the wire).
+    pub fn row_hashes(&self) -> Cow<'_, [u64]> {
+        match &self.row_hashes {
+            Some(hashes) => {
+                debug_assert_eq!(
+                    hashes.len(),
+                    self.table.row_count(),
+                    "table replaced under stored row hashes; build a new view with View::new"
+                );
+                Cow::Borrowed(hashes)
+            }
+            None => Cow::Owned(table_row_hashes(&self.table)),
+        }
+    }
+
+    /// Drop the stored row hashes (later reads hash the cells again). The
+    /// pipeline calls this once 4C has run, so results parked in a cache or
+    /// sent over the wire carry nothing but the answer.
+    pub fn release_row_hashes(&mut self) {
+        self.row_hashes = None;
     }
 
     /// Number of rows.
@@ -64,15 +113,13 @@ impl View {
 
     /// Row-hash set `H(V)` (Algorithm 3).
     pub fn hash_set(&self) -> FxHashSet<u64> {
-        table_hash_set(&self.table)
+        self.row_hashes().iter().copied().collect()
     }
 
     /// Sorted multiset of row hashes — an order-insensitive but
     /// duplicate-sensitive content fingerprint.
     pub fn row_hash_multiset(&self) -> Vec<u64> {
-        let mut hashes: Vec<u64> = (0..self.table.row_count())
-            .map(|r| crate::rowhash::hash_table_row(&self.table, r))
-            .collect();
+        let mut hashes = self.row_hashes().into_owned();
         hashes.sort_unstable();
         hashes
     }
@@ -103,6 +150,7 @@ impl View {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rowhash::hash_table_row;
     use ver_common::value::Value;
     use ver_store::table::TableBuilder;
 
@@ -153,6 +201,66 @@ mod tests {
     fn hash_set_matches_row_count_when_distinct() {
         let v = view();
         assert_eq!(v.hash_set().len(), 2);
+    }
+
+    #[test]
+    fn views_built_without_hashes_hash_their_cells() {
+        let v = view();
+        let expect: Vec<u64> = (0..2).map(|r| hash_table_row(&v.table, r)).collect();
+        assert_eq!(&*v.row_hashes(), expect.as_slice());
+    }
+
+    #[test]
+    fn stored_row_hashes_are_served_until_released() {
+        // Recognisable stand-ins prove the accessor serves the stored
+        // vector instead of re-hashing.
+        let plain = view();
+        let mut v = View::with_row_hashes(
+            plain.id,
+            plain.table.clone(),
+            plain.provenance.clone(),
+            vec![11, 22].into(),
+        );
+        assert_eq!(&*v.row_hashes(), &[11, 22]);
+        assert_eq!(&*v.clone().row_hashes(), &[11, 22], "clones share them");
+        v.release_row_hashes();
+        assert_eq!(v.row_hashes(), plain.row_hashes());
+    }
+
+    #[test]
+    fn a_changed_table_is_a_new_view_with_fresh_hashes() {
+        let plain = view();
+        let stored = View::with_row_hashes(
+            plain.id,
+            plain.table.clone(),
+            plain.provenance.clone(),
+            vec![11, 22].into(),
+        );
+        let mut b = TableBuilder::new("v", &["state", "pop"]);
+        b.push_row(vec!["Texas".into(), Value::Int(3)]).unwrap();
+        let edited = View::new(stored.id, b.build(), stored.provenance.clone());
+        assert_eq!(
+            &*edited.row_hashes(),
+            &[hash_table_row(&edited.table, 0)],
+            "View::new never inherits a hash vector"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "table replaced under stored row hashes")]
+    fn assigning_a_table_under_stored_hashes_is_caught_in_debug() {
+        let plain = view();
+        let mut v = View::with_row_hashes(
+            plain.id,
+            plain.table.clone(),
+            plain.provenance.clone(),
+            vec![11, 22].into(),
+        );
+        let mut b = TableBuilder::new("v", &["state", "pop"]);
+        b.push_row(vec!["Texas".into(), Value::Int(3)]).unwrap();
+        v.table = b.build();
+        let _ = v.row_hashes();
     }
 
     #[test]

@@ -22,6 +22,17 @@ pub struct JoinableEdge {
     pub score: f32,
 }
 
+/// One column edge as seen from table `from`: `a` is the column in `from`,
+/// `b` the joinable column in the neighbour table `to`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TableEdge {
+    from: TableId,
+    to: TableId,
+    a: ColumnId,
+    b: ColumnId,
+    score: f32,
+}
+
 /// Column-level join graph with a table-level projection.
 ///
 /// Equality compares the full adjacency structure (including scores) —
@@ -35,6 +46,15 @@ pub struct JoinHypergraph {
     adj: Vec<Vec<(ColumnId, f32)>>,
     /// Total undirected edges.
     edge_count: usize,
+    /// Table-level adjacency derived from `adj` by [`finalize`] and never
+    /// persisted: every column edge from both of its sides, sorted by
+    /// `(from, to)` and within a table pair by `(a, b)` — the order a scan
+    /// of `adj` emits them in. Join-path enumeration reads a table's
+    /// neighbours and edges as sub-slices of this instead of scanning every
+    /// column of the lake per visited table.
+    ///
+    /// [`finalize`]: JoinHypergraph::finalize
+    table_adj: Vec<TableEdge>,
 }
 
 impl JoinHypergraph {
@@ -46,6 +66,7 @@ impl JoinHypergraph {
             col_table,
             adj: vec![Vec::new(); n],
             edge_count: 0,
+            table_adj: Vec::new(),
         }
     }
 
@@ -66,8 +87,11 @@ impl JoinHypergraph {
     }
 
     /// Add an undirected edge. Duplicate edges update the score to the max.
+    /// Invalidates the table-level adjacency until the next
+    /// [`finalize`](Self::finalize).
     pub fn add_edge(&mut self, a: ColumnId, b: ColumnId, score: f32) {
         assert!(a != b, "self-edges are meaningless");
+        self.table_adj.clear();
         if let Some(slot) = self.adj[a.idx()].iter_mut().find(|(n, _)| *n == b) {
             slot.1 = slot.1.max(score);
             if let Some(slot) = self.adj[b.idx()].iter_mut().find(|(n, _)| *n == a) {
@@ -80,11 +104,44 @@ impl JoinHypergraph {
         self.edge_count += 1;
     }
 
-    /// Finish construction: sort adjacency lists for determinism.
+    /// Finish construction: sort adjacency lists for determinism and build
+    /// the table-level adjacency that [`table_neighbors`] and
+    /// [`edges_between`] read.
+    ///
+    /// [`table_neighbors`]: Self::table_neighbors
+    /// [`edges_between`]: Self::edges_between
     pub fn finalize(&mut self) {
         for list in &mut self.adj {
             list.sort_unstable_by_key(|(n, _)| *n);
         }
+        let col_table = &self.col_table;
+        self.table_adj = self
+            .adj
+            .iter()
+            .enumerate()
+            .flat_map(|(i, list)| {
+                list.iter().map(move |&(b, score)| TableEdge {
+                    from: col_table[i],
+                    to: col_table[b.idx()],
+                    a: ColumnId(i as u32),
+                    b,
+                    score,
+                })
+            })
+            .collect();
+        // Stable: a table pair's edges stay in ascending (a, b) order.
+        self.table_adj.sort_by_key(|e| (e.from, e.to));
+    }
+
+    /// Table `t`'s slice of the table-level adjacency, sorted by neighbour.
+    fn table_edges(&self, t: TableId) -> &[TableEdge] {
+        debug_assert!(
+            self.edge_count == 0 || !self.table_adj.is_empty(),
+            "table-level reads need finalize() after the last add_edge()"
+        );
+        let lo = self.table_adj.partition_point(|e| e.from < t);
+        let len = self.table_adj[lo..].partition_point(|e| e.from == t);
+        &self.table_adj[lo..lo + len]
     }
 
     /// NEIGHBORS: columns joinable with `c` at containment ≥ `threshold`.
@@ -101,8 +158,52 @@ impl JoinHypergraph {
     }
 
     /// All column edges between tables `ta` and `tb` at ≥ `threshold`,
-    /// as `(column in ta, column in tb, score)`.
+    /// as `(column in ta, column in tb, score)`, in ascending column order.
+    /// Valid after [`finalize`](Self::finalize).
     pub fn edges_between(
+        &self,
+        ta: TableId,
+        tb: TableId,
+        threshold: f64,
+    ) -> impl Iterator<Item = (ColumnId, ColumnId, f32)> + '_ {
+        let edges = self.table_edges(ta);
+        edges[edges.partition_point(|e| e.to < tb)..]
+            .iter()
+            .take_while(move |e| e.to == tb)
+            .filter(move |e| e.score as f64 >= threshold)
+            .map(|e| (e.a, e.b, e.score))
+    }
+
+    /// Distinct neighbor tables of table `t` at ≥ `threshold` (ascending).
+    /// Valid after [`finalize`](Self::finalize).
+    pub fn table_neighbors(
+        &self,
+        t: TableId,
+        threshold: f64,
+    ) -> impl Iterator<Item = TableId> + '_ {
+        let mut last = None;
+        self.table_edges(t)
+            .iter()
+            .filter(move |e| e.to != t && e.score as f64 >= threshold)
+            .filter_map(move |e| (last.replace(e.to) != Some(e.to)).then_some(e.to))
+    }
+
+    /// Iterate all undirected edges once (`a < b`).
+    pub fn edges(&self) -> impl Iterator<Item = JoinableEdge> + '_ {
+        self.adj.iter().enumerate().flat_map(move |(i, list)| {
+            let a = ColumnId(i as u32);
+            list.iter()
+                .filter(move |(b, _)| a < *b)
+                .map(move |&(b, score)| JoinableEdge { a, b, score })
+        })
+    }
+}
+
+/// The full-scan table-level reads the derived adjacency replaced, kept as
+/// the reference the differential tests compare it against.
+#[cfg(test)]
+impl JoinHypergraph {
+    pub(crate) fn edges_between_scan(
         &self,
         ta: TableId,
         tb: TableId,
@@ -123,8 +224,7 @@ impl JoinHypergraph {
         out
     }
 
-    /// Distinct neighbor tables of table `t` at ≥ `threshold` (sorted).
-    pub fn table_neighbors(&self, t: TableId, threshold: f64) -> Vec<TableId> {
+    pub(crate) fn table_neighbors_scan(&self, t: TableId, threshold: f64) -> Vec<TableId> {
         let mut out: Vec<TableId> = Vec::new();
         for (i, list) in self.adj.iter().enumerate() {
             if self.col_table[i] != t {
@@ -142,16 +242,6 @@ impl JoinHypergraph {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Iterate all undirected edges once (`a < b`).
-    pub fn edges(&self) -> impl Iterator<Item = JoinableEdge> + '_ {
-        self.adj.iter().enumerate().flat_map(move |(i, list)| {
-            let a = ColumnId(i as u32);
-            list.iter()
-                .filter(move |(b, _)| a < *b)
-                .map(move |&(b, score)| JoinableEdge { a, b, score })
-        })
     }
 }
 
@@ -188,22 +278,30 @@ mod tests {
     #[test]
     fn edges_between_tables() {
         let g = graph();
-        let e = g.edges_between(TableId(0), TableId(1), 0.8);
+        let e: Vec<_> = g.edges_between(TableId(0), TableId(1), 0.8).collect();
         assert_eq!(e, vec![(ColumnId(1), ColumnId(2), 0.95)]);
         // direction matters for which side is reported first
-        let e = g.edges_between(TableId(1), TableId(0), 0.8);
+        let e: Vec<_> = g.edges_between(TableId(1), TableId(0), 0.8).collect();
         assert_eq!(e, vec![(ColumnId(2), ColumnId(1), 0.95)]);
-        assert!(g.edges_between(TableId(0), TableId(2), 0.8).is_empty());
+        assert_eq!(g.edges_between(TableId(0), TableId(2), 0.8).count(), 0);
     }
 
     #[test]
     fn table_neighbors_respect_threshold() {
         let g = graph();
-        assert_eq!(g.table_neighbors(TableId(0), 0.8), vec![TableId(1)]);
-        assert_eq!(
-            g.table_neighbors(TableId(0), 0.5),
-            vec![TableId(1), TableId(2)]
-        );
+        let at = |thr| g.table_neighbors(TableId(0), thr).collect::<Vec<_>>();
+        assert_eq!(at(0.8), vec![TableId(1)]);
+        assert_eq!(at(0.5), vec![TableId(1), TableId(2)]);
+    }
+
+    #[test]
+    fn add_edge_after_finalize_needs_a_new_finalize() {
+        let mut g = graph();
+        g.add_edge(ColumnId(1), ColumnId(4), 0.9);
+        g.finalize();
+        let n: Vec<_> = g.table_neighbors(TableId(0), 0.8).collect();
+        assert_eq!(n, vec![TableId(1), TableId(2)]);
+        assert_eq!(n, g.table_neighbors_scan(TableId(0), 0.8));
     }
 
     #[test]

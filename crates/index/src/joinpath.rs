@@ -67,20 +67,18 @@ impl JoinGraph {
         out.dedup();
         out
     }
+}
 
-    /// Canonical form for deduplication: sorted (min, max) column-id pairs.
-    fn canon(&self) -> Vec<(u32, u32)> {
-        let mut v: Vec<(u32, u32)> = self
-            .edges
-            .iter()
-            .map(|e| {
-                let (a, b) = (e.left.0, e.right.0);
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        v.sort_unstable();
-        v
-    }
+/// Canonical form for deduplication — sorted (min, max) column-id pairs —
+/// written into `out` (cleared first) so the enumeration loop reuses one
+/// buffer.
+fn canon_into(edges: &[JoinGraphEdge], out: &mut Vec<(u32, u32)>) {
+    out.clear();
+    out.extend(edges.iter().map(|e| {
+        let (a, b) = (e.left.0, e.right.0);
+        (a.min(b), a.max(b))
+    }));
+    out.sort_unstable();
 }
 
 /// A path between two required tables: a sequence of column edges.
@@ -96,6 +94,7 @@ fn paths_between(
     threshold: f64,
     cap: usize,
 ) -> Vec<Path> {
+    debug_assert_ne!(from, to, "callers dedup the required tables");
     let mut out = Vec::new();
     let mut stack: Vec<JoinGraphEdge> = Vec::new();
     let mut visited: Vec<TableId> = vec![from];
@@ -129,20 +128,16 @@ fn dfs(
         return;
     }
     // Direct edges first (shorter paths enumerate earlier).
-    for next in g.table_neighbors(cur, threshold) {
-        if next == to {
-            for (ca, cb, s) in g.edges_between(cur, to, threshold) {
-                stack.push(JoinGraphEdge {
-                    left: ca,
-                    right: cb,
-                    score: s,
-                });
-                out.push(stack.clone());
-                stack.pop();
-                if out.len() >= cap {
-                    return;
-                }
-            }
+    for (ca, cb, s) in g.edges_between(cur, to, threshold) {
+        stack.push(JoinGraphEdge {
+            left: ca,
+            right: cb,
+            score: s,
+        });
+        out.push(stack.clone());
+        stack.pop();
+        if out.len() >= cap {
+            return;
         }
     }
     if hops_left == 1 {
@@ -287,6 +282,11 @@ pub fn generate_join_graphs(
 
     let mut out: Vec<JoinGraph> = Vec::new();
     let mut seen: FxHashSet<Vec<(u32, u32)>> = FxHashSet::default();
+    // Scratch reused by every candidate of the product; only an accepted
+    // graph allocates (its edge list and its dedup key).
+    let mut edges: Vec<JoinGraphEdge> = Vec::new();
+    let mut canon: Vec<(u32, u32)> = Vec::new();
+    let (mut tables, mut parent) = (Vec::new(), Vec::new());
 
     for tree in labelled_trees(n) {
         // Every tree edge needs at least one path.
@@ -297,15 +297,17 @@ pub fn generate_join_graphs(
         let mut choice = vec![0usize; tree.len()];
         'product: loop {
             // Assemble candidate graph.
-            let mut edges: Vec<JoinGraphEdge> = Vec::new();
+            edges.clear();
             for (e, &(i, j)) in tree.iter().enumerate() {
-                edges.extend(pair_paths[i][j][choice[e]].iter().copied());
+                edges.extend_from_slice(&pair_paths[i][j][choice[e]]);
             }
-            let candidate = JoinGraph { edges };
-            if is_tree(g, &candidate) {
-                let canon = candidate.canon();
-                if seen.insert(canon) {
-                    out.push(candidate);
+            if is_tree(g, &edges, &mut tables, &mut parent) {
+                canon_into(&edges, &mut canon);
+                if !seen.contains(canon.as_slice()) {
+                    seen.insert(canon.clone());
+                    out.push(JoinGraph {
+                        edges: edges.clone(),
+                    });
                     if out.len() >= opts.max_graphs {
                         return out;
                     }
@@ -326,18 +328,33 @@ pub fn generate_join_graphs(
 }
 
 /// A join graph is valid iff its edges form a tree over its tables:
-/// `#tables == #edges + 1` and connected.
-fn is_tree(g: &JoinHypergraph, jg: &JoinGraph) -> bool {
-    let tables = jg.tables(g);
+/// `#tables == #edges + 1` and connected. `tables` (the candidate's sorted
+/// distinct tables) and `parent` (union-find over them) are caller-owned
+/// scratch, overwritten on every call.
+fn is_tree(
+    g: &JoinHypergraph,
+    edges: &[JoinGraphEdge],
+    tables: &mut Vec<TableId>,
+    parent: &mut Vec<usize>,
+) -> bool {
+    tables.clear();
+    tables.extend(
+        edges
+            .iter()
+            .flat_map(|e| [g.table_of(e.left), g.table_of(e.right)]),
+    );
+    tables.sort_unstable();
+    tables.dedup();
     if tables.is_empty() {
-        return jg.edges.is_empty();
+        return edges.is_empty();
     }
-    if tables.len() != jg.edges.len() + 1 {
+    if tables.len() != edges.len() + 1 {
         return false;
     }
     // Union-find connectivity.
-    let mut parent: Vec<usize> = (0..tables.len()).collect();
-    fn find(p: &mut Vec<usize>, x: usize) -> usize {
+    parent.clear();
+    parent.extend(0..tables.len());
+    fn find(p: &mut [usize], x: usize) -> usize {
         if p[x] != x {
             let r = find(p, p[x]);
             p[x] = r;
@@ -346,9 +363,9 @@ fn is_tree(g: &JoinHypergraph, jg: &JoinGraph) -> bool {
     }
     let idx_of = |t: TableId| tables.binary_search(&t).expect("table in list");
     let mut merges = 0;
-    for e in &jg.edges {
+    for e in edges {
         let (a, b) = (idx_of(g.table_of(e.left)), idx_of(g.table_of(e.right)));
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+        let (ra, rb) = (find(parent, a), find(parent, b));
         if ra == rb {
             return false; // cycle
         }
@@ -370,6 +387,7 @@ pub fn unjoinable(g: &JoinHypergraph, a: TableId, b: TableId, opts: JoinGraphOpt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// T0{C0,C1} T1{C2,C3} T2{C4,C5} T3{C6}:
     /// C1-C2 (T0-T1), C3-C4 (T1-T2), C0-C5 (T0-T2), C6 isolated in T3.
@@ -457,7 +475,14 @@ mod tests {
     fn graphs_are_deduplicated() {
         let g = graph();
         let jgs = generate_join_graphs(&g, &[TableId(0), TableId(1), TableId(2)], opts());
-        let mut canons: Vec<Vec<(u32, u32)>> = jgs.iter().map(|j| j.canon()).collect();
+        let mut canons: Vec<Vec<(u32, u32)>> = jgs
+            .iter()
+            .map(|j| {
+                let mut c = Vec::new();
+                canon_into(&j.edges, &mut c);
+                c
+            })
+            .collect();
         canons.sort();
         canons.dedup();
         assert_eq!(canons.len(), jgs.len());
@@ -496,6 +521,306 @@ mod tests {
         assert_eq!(labelled_trees(4).len(), 16);
         // Every tree on 4 nodes has exactly 3 edges.
         assert!(labelled_trees(4).iter().all(|t| t.len() == 3));
+    }
+
+    // --- Differential suite: the table-indexed enumeration against the ---
+    // --- full-scan enumeration it replaced, kept here as the reference. ---
+
+    #[allow(clippy::too_many_arguments)]
+    fn dfs_scan(
+        g: &JoinHypergraph,
+        cur: TableId,
+        to: TableId,
+        hops_left: usize,
+        threshold: f64,
+        cap: usize,
+        stack: &mut Vec<JoinGraphEdge>,
+        visited: &mut Vec<TableId>,
+        out: &mut Vec<Path>,
+    ) {
+        if out.len() >= cap || hops_left == 0 {
+            return;
+        }
+        let edge = |(left, right, score)| JoinGraphEdge { left, right, score };
+        for next in g.table_neighbors_scan(cur, threshold) {
+            if next == to {
+                for e in g.edges_between_scan(cur, to, threshold) {
+                    stack.push(edge(e));
+                    out.push(stack.clone());
+                    stack.pop();
+                    if out.len() >= cap {
+                        return;
+                    }
+                }
+            }
+        }
+        if hops_left == 1 {
+            return;
+        }
+        for next in g.table_neighbors_scan(cur, threshold) {
+            if next == to || visited.contains(&next) {
+                continue;
+            }
+            for e in g.edges_between_scan(cur, next, threshold) {
+                stack.push(edge(e));
+                visited.push(next);
+                dfs_scan(
+                    g,
+                    next,
+                    to,
+                    hops_left - 1,
+                    threshold,
+                    cap,
+                    stack,
+                    visited,
+                    out,
+                );
+                visited.pop();
+                stack.pop();
+                if out.len() >= cap {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The pre-index `generate_join_graphs`: per-candidate allocations and
+    /// all, over the full-scan hypergraph reads.
+    fn generate_join_graphs_scan(
+        g: &JoinHypergraph,
+        tables: &[TableId],
+        opts: JoinGraphOptions,
+    ) -> Vec<JoinGraph> {
+        let mut required: Vec<TableId> = tables.to_vec();
+        required.sort_unstable();
+        required.dedup();
+        let n = required.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        if n == 1 {
+            return vec![JoinGraph::default()];
+        }
+        let mut pair_paths: Vec<Vec<Vec<Path>>> = vec![vec![Vec::new(); n]; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let mut out = Vec::new();
+                dfs_scan(
+                    g,
+                    required[i],
+                    required[j],
+                    opts.max_hops,
+                    opts.threshold,
+                    opts.max_graphs,
+                    &mut Vec::new(),
+                    &mut vec![required[i]],
+                    &mut out,
+                );
+                pair_paths[i][j] = out;
+            }
+        }
+        let mut out: Vec<JoinGraph> = Vec::new();
+        let mut seen: FxHashSet<Vec<(u32, u32)>> = FxHashSet::default();
+        for tree in labelled_trees(n) {
+            if tree.iter().any(|&(i, j)| pair_paths[i][j].is_empty()) {
+                continue;
+            }
+            let mut choice = vec![0usize; tree.len()];
+            'product: loop {
+                let mut edges: Vec<JoinGraphEdge> = Vec::new();
+                for (e, &(i, j)) in tree.iter().enumerate() {
+                    edges.extend(pair_paths[i][j][choice[e]].iter().copied());
+                }
+                let candidate = JoinGraph { edges };
+                let tables = candidate.tables(g);
+                let is_tree = tables.len() == candidate.edges.len() + 1 && {
+                    // Connected iff growing from one table reaches them all.
+                    let mut reached = vec![tables[0]];
+                    let mut grew = true;
+                    while grew {
+                        grew = false;
+                        for e in &candidate.edges {
+                            let (a, b) = (g.table_of(e.left), g.table_of(e.right));
+                            for (x, y) in [(a, b), (b, a)] {
+                                if reached.contains(&x) && !reached.contains(&y) {
+                                    reached.push(y);
+                                    grew = true;
+                                }
+                            }
+                        }
+                    }
+                    reached.len() == tables.len()
+                };
+                if is_tree {
+                    let mut canon = Vec::new();
+                    canon_into(&candidate.edges, &mut canon);
+                    if seen.insert(canon) {
+                        out.push(candidate);
+                        if out.len() >= opts.max_graphs {
+                            return out;
+                        }
+                    }
+                }
+                for e in 0..tree.len() {
+                    choice[e] += 1;
+                    if choice[e] < pair_paths[tree[e].0][tree[e].1].len() {
+                        continue 'product;
+                    }
+                    choice[e] = 0;
+                }
+                break;
+            }
+        }
+        out
+    }
+
+    /// Every table-level read and every small required set, indexed vs
+    /// full scan, element for element and in order.
+    fn assert_indexed_equals_scan(g: &JoinHypergraph) {
+        let mut tables: Vec<TableId> = (0..g.column_count())
+            .map(|i| g.table_of(ColumnId(i as u32)))
+            .collect();
+        tables.sort_unstable();
+        tables.dedup();
+        for threshold in [0.0, 0.75, 0.9] {
+            for &ta in &tables {
+                assert_eq!(
+                    g.table_neighbors(ta, threshold).collect::<Vec<_>>(),
+                    g.table_neighbors_scan(ta, threshold),
+                    "table_neighbors({ta:?}, {threshold})"
+                );
+                for &tb in &tables {
+                    assert_eq!(
+                        g.edges_between(ta, tb, threshold).collect::<Vec<_>>(),
+                        g.edges_between_scan(ta, tb, threshold),
+                        "edges_between({ta:?}, {tb:?}, {threshold})"
+                    );
+                }
+            }
+            for (max_hops, max_graphs) in [(1, 1000), (2, 1000), (3, 1000), (2, 3)] {
+                let opts = JoinGraphOptions {
+                    max_hops,
+                    threshold,
+                    max_graphs,
+                };
+                for (i, &a) in tables.iter().enumerate() {
+                    for (j, &b) in tables.iter().enumerate().skip(i + 1) {
+                        assert_eq!(
+                            generate_join_graphs(g, &[b, a], opts),
+                            generate_join_graphs_scan(g, &[b, a], opts),
+                            "pair {a:?},{b:?} {opts:?}"
+                        );
+                        if let Some(&c) = tables.get(j + 1) {
+                            assert_eq!(
+                                generate_join_graphs(g, &[a, b, c, a], opts),
+                                generate_join_graphs_scan(g, &[a, b, c, a], opts),
+                                "triple {a:?},{b:?},{c:?} {opts:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random hypergraphs: 2–6 tables of 1–3 columns (the last table id is
+    /// skipped over, so ids are sparse), up to 24 edges — parallel edges
+    /// between a table pair, intra-table edges and repeats included — with
+    /// scores straddling the thresholds under test.
+    fn hypergraph_strategy() -> impl Strategy<Value = JoinHypergraph> {
+        (
+            prop::collection::vec(1..4usize, 2..7),
+            prop::collection::vec((0..64usize, 0..64usize, 0..5usize), 0..24),
+        )
+            .prop_map(|(widths, raw_edges)| {
+                let last = widths.len() - 1;
+                let col_table: Vec<TableId> = widths
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(t, &w)| {
+                        let id = if t == last { t as u32 + 3 } else { t as u32 };
+                        std::iter::repeat_n(TableId(id), w)
+                    })
+                    .collect();
+                let n = col_table.len();
+                let mut g = JoinHypergraph::new(col_table);
+                for (a, b, s) in raw_edges {
+                    let (a, b) = (a % n, b % n);
+                    if a != b {
+                        let score = [0.5, 0.75, 0.8, 0.9, 1.0][s];
+                        g.add_edge(ColumnId(a as u32), ColumnId(b as u32), score);
+                    }
+                }
+                g.finalize();
+                g
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+        #[test]
+        fn indexed_reads_equal_the_full_scan(g in hypergraph_strategy()) {
+            assert_indexed_equals_scan(&g);
+        }
+
+        #[test]
+        fn table_adjacency_is_rebuilt_not_persisted(g in hypergraph_strategy()) {
+            let bytes = crate::persist::hypergraph_to_bytes(&g);
+            // Magic, column table, edge count, 12 B per undirected edge:
+            // nothing of the derived adjacency reaches the file.
+            prop_assert_eq!(
+                bytes.len(),
+                8 + 4 + 4 * g.column_count() + 8 + 12 * g.joinable_pairs()
+            );
+            let loaded = crate::persist::hypergraph_from_bytes(&bytes).unwrap();
+            prop_assert_eq!(&loaded, &g);
+            prop_assert_eq!(crate::persist::hypergraph_to_bytes(&loaded), bytes);
+            assert_indexed_equals_scan(&loaded);
+        }
+    }
+
+    #[test]
+    fn indexed_reads_survive_save_load_and_partition_merge() {
+        use ver_common::value::Value;
+        use ver_store::table::TableBuilder;
+        // Six tables sharing two key domains, so table pairs are linked by
+        // one, two or no column edges and 2-hop paths exist.
+        let mut cat = ver_store::catalog::TableCatalog::new();
+        for t in 0..6usize {
+            let mut b = TableBuilder::new(format!("t{t}"), &["k", "alt", "payload"]);
+            for i in 0..40 {
+                let alt = if t % 2 == 0 { i } else { i + 1000 };
+                b.push_row(vec![
+                    Value::text(format!("key_{i}")),
+                    Value::text(format!("alt_{alt}")),
+                    Value::Int((t * 1000 + i) as i64),
+                ])
+                .unwrap();
+            }
+            cat.add_table(b.build()).unwrap();
+        }
+        let config = crate::builder::IndexConfig {
+            threads: 1,
+            verify_exact: true,
+            ..Default::default()
+        };
+        let index = crate::builder::build_index(&cat, config).unwrap();
+        assert!(index.hypergraph().joinable_pairs() > 6);
+        assert_indexed_equals_scan(index.hypergraph());
+
+        let bytes = crate::persist::index_to_bytes(&index);
+        let loaded = crate::persist::index_from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.hypergraph(), index.hypergraph());
+        assert_eq!(crate::persist::index_to_bytes(&loaded), bytes);
+        assert_indexed_equals_scan(loaded.hypergraph());
+
+        for count in 1..4 {
+            let shards = crate::shard::partition_index(&index, count);
+            let merged = crate::shard::merge_shards(&shards).unwrap();
+            assert_eq!(merged.hypergraph(), index.hypergraph(), "count={count}");
+            assert_indexed_equals_scan(merged.hypergraph());
+        }
     }
 
     #[test]
