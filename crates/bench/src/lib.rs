@@ -26,26 +26,6 @@ use ver_select::baselines::{select_all, select_best};
 use ver_select::{column_selection, SelectionConfig};
 use ver_store::catalog::TableCatalog;
 
-/// The bench host's hardware context as a one-line JSON object:
-/// hardware-thread count, detected CPU features, and the sketching-kernel
-/// backend in use. Embedded in every `BENCH_*.json` so the perf trajectory
-/// is machine-comparable — a "1-thread container" run or a forced-scalar
-/// run identifies itself instead of relying on tribal knowledge.
-pub fn hardware_json() -> String {
-    let features = ver_common::simd::detected_cpu_features()
-        .iter()
-        .map(|f| format!("\"{f}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"hardware_threads\": {}, \"cpu_features\": [{}], \"simd_backend\": \"{}\", \"simd_forced_scalar\": {}}}",
-        ver_common::pool::resolve_threads(0),
-        features,
-        ver_common::simd::active_backend().name(),
-        ver_common::simd::forced_scalar(),
-    )
-}
-
 /// A corpus prepared for evaluation: system + ground truths with attached
 /// noise columns.
 pub struct EvalSetup {
@@ -125,20 +105,15 @@ pub fn setup_opendata(portion: f64) -> EvalSetup {
     })
 }
 
-/// Exact verification only for corpora small enough to afford it; the
-/// open-data corpus relies on Lazo estimation (that is what the sketches
-/// are for at scale). Shared by the eval setups and `exp_bench_report` so
-/// the recorded perf trajectory times the same build mode the harness uses.
-pub fn verify_exact_for(cat: &TableCatalog) -> bool {
-    cat.table_count() <= 300
-}
-
 fn build_setup(
     label: &'static str,
     cat: TableCatalog,
     gts_fn: impl Fn(&TableCatalog) -> Vec<GroundTruth>,
 ) -> EvalSetup {
-    let verify_exact = verify_exact_for(&cat);
+    // Exact verification only for corpora small enough to afford it; the
+    // open-data corpus relies on Lazo estimation (that is what the sketches
+    // are for at scale).
+    let verify_exact = cat.table_count() <= 300;
     let config = VerConfig {
         index: ver_index::IndexConfig {
             threads: 0, // auto: one worker per hardware thread

@@ -18,6 +18,9 @@
 //! * [`simd`] — fixed-width `u64` lane blocks and runtime backend dispatch
 //!   for the MinHash/LSH sketching kernels (`VER_SIMD=0` forces the scalar
 //!   reference path; output is bit-identical either way).
+//! * [`codec`] — the bounds-checked little-endian [`codec::Reader`], its
+//!   `put_*` writers and the seeded checksum fold that the three binary
+//!   formats (`VERIDX`, `VERSHD`, `VERNET`) are all written on.
 //! * [`cache`] — thread-safe LRU and memoization caches with hit/miss
 //!   counters, the substrate of the `ver-serve` serving layer.
 //! * [`budget`] — per-query wall-clock deadlines and work caps, checked
@@ -39,6 +42,7 @@
 
 pub mod budget;
 pub mod cache;
+pub mod codec;
 pub mod env;
 pub mod error;
 pub mod fault;

@@ -25,6 +25,30 @@ pub enum DataType {
     Unknown,
 }
 
+impl DataType {
+    /// Stable one-byte code of the type in the persisted-index and wire
+    /// formats.
+    pub fn code(self) -> u8 {
+        match self {
+            DataType::Int => 0,
+            DataType::Float => 1,
+            DataType::Text => 2,
+            DataType::Unknown => 3,
+        }
+    }
+
+    /// Inverse of [`DataType::code`]; `None` for a code no type has.
+    pub fn from_code(code: u8) -> Option<DataType> {
+        match code {
+            0 => Some(DataType::Int),
+            1 => Some(DataType::Float),
+            2 => Some(DataType::Text),
+            3 => Some(DataType::Unknown),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -231,6 +255,21 @@ impl From<String> for Value {
 mod tests {
     use super::*;
     use crate::fxhash::fx_hash_u64;
+
+    #[test]
+    fn data_type_codes_are_the_persisted_ones() {
+        let types = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Text,
+            DataType::Unknown,
+        ];
+        for (code, t) in types.into_iter().enumerate() {
+            assert_eq!(t.code(), code as u8);
+            assert_eq!(DataType::from_code(code as u8), Some(t));
+        }
+        assert_eq!(DataType::from_code(4), None);
+    }
 
     #[test]
     fn parse_inference() {

@@ -323,8 +323,7 @@ pub fn hashed_containment(a: &[u64], b: &[u64]) -> f64 {
 
 /// [`hashed_containment`] on the scalar reference merge, regardless of the
 /// active SIMD backend. Exposed for equivalence tests and the
-/// `exp_bench_report` kernel microbenchmarks; always equals
-/// [`hashed_containment`].
+/// `sketch_kernels` bench group; always equals [`hashed_containment`].
 pub fn hashed_containment_scalar(a: &[u64], b: &[u64]) -> f64 {
     if a.is_empty() {
         return 0.0;

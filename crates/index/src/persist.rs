@@ -1,8 +1,10 @@
 //! Binary persistence of the offline pass's products.
 //!
-//! Two formats live here, both hand-rolled on the `bytes` crate (the serde
-//! stand-in under `vendor/` is a no-op, so persistence cannot lean on
-//! derives):
+//! Two formats live here, both hand-rolled on the byte-level kit in
+//! [`ver_common::codec`] (the serde stand-in under `vendor/` is a no-op, so
+//! persistence cannot lean on derives); this module owns the layouts and
+//! the codecs of the index's own types, the kit the integers, strings,
+//! counts and the checksum fold:
 //!
 //! * the **hypergraph format** (`VERIDX\x01`) — just the join hypergraph,
 //!   the original persistence surface kept for compatibility and tooling;
@@ -55,11 +57,15 @@
 
 use crate::builder::IndexConfig;
 use crate::engine::DiscoveryIndex;
-use crate::hypergraph::JoinHypergraph;
+use crate::hypergraph::{JoinHypergraph, JoinableEdge};
 use crate::minhash::{MinHashSignature, MinHasher};
 use crate::valueindex::KeywordIndex;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use ver_common::codec::{
+    checksum_fold, put_f32, put_f64, put_string, put_u16, put_u32, put_u64, Reader,
+};
 use ver_common::error::{Result, VerError};
+use ver_common::fxhash::fx_step;
 use ver_common::ids::{ColumnId, ColumnRef, TableId};
 use ver_common::value::DataType;
 use ver_store::profile::ColumnProfile;
@@ -71,163 +77,62 @@ const MAGIC_FULL_V3: &[u8; 8] = b"VERIDX\x03\x00";
 /// checksum-mismatch errors.
 const SECTIONS: [&str; 5] = ["config", "profiles", "signatures", "keyword", "hypergraph"];
 
-/// xxhash-style checksum, hand-rolled on the workspace fxhash primitive:
-/// seed with the section index, fold the payload as little-endian 64-bit
-/// words (zero-padded tail), and close over the length so zero-extension
-/// cannot collide. Not cryptographic — it detects the accidents that
-/// matter here: bit rot, truncation, torn writes, and swapped sections.
+/// Section checksum: [`checksum_fold`] seeded with the artifact constant
+/// and the section index, so swapped sections cannot pass for each other.
 pub(crate) fn checksum(section: u64, payload: &[u8]) -> u64 {
-    use ver_common::fxhash::fx_step;
-    let mut h = fx_step(0xc3a5_c85c_97cb_3127, section);
-    let mut words = payload.chunks_exact(8);
-    for w in &mut words {
-        h = fx_step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-    }
-    let rem = words.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = fx_step(h, u64::from_le_bytes(tail));
-    }
-    fx_step(h, payload.len() as u64)
+    checksum_fold(fx_step(0xc3a5_c85c_97cb_3127, section), payload)
 }
 
-// ---------------------------------------------------------------------------
-// Bounds-checked reading.
-
-/// A cursor over input bytes whose reads are all length-checked: every
-/// decoder path returns `VerError::Serde` on truncated input rather than
-/// panicking inside the `bytes` crate.
-pub(crate) struct Cursor<'a> {
-    data: &'a [u8],
+/// A kit reader over artifact bytes: every malformed read is
+/// [`VerError::Serde`] — a file on disk rotted.
+fn reader(data: &[u8]) -> Reader<'_> {
+    Reader::new(data, VerError::Serde)
 }
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        Cursor { data }
-    }
-
-    fn need(&self, n: usize, what: &str) -> Result<()> {
-        if self.data.remaining() < n {
-            return Err(VerError::Serde(format!("truncated {what}")));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        self.need(1, what)?;
-        Ok(self.data.get_u8())
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        self.need(2, what)?;
-        Ok(self.data.get_u16_le())
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32> {
-        self.need(4, what)?;
-        Ok(self.data.get_u32_le())
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64> {
-        self.need(8, what)?;
-        Ok(self.data.get_u64_le())
-    }
-
-    pub(crate) fn f32(&mut self, what: &str) -> Result<f32> {
-        self.need(4, what)?;
-        Ok(self.data.get_f32_le())
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        self.need(8, what)?;
-        Ok(self.data.get_f64_le())
-    }
-
-    /// A `u32` length prefix, validated so that `len * item_bytes` items can
-    /// actually follow (blocks huge bogus allocations from corrupt input).
-    pub(crate) fn len(&mut self, item_bytes: usize, what: &str) -> Result<usize> {
-        let n = self.u32(what)? as usize;
-        self.need(n.saturating_mul(item_bytes), what)?;
-        Ok(n)
-    }
-
-    fn string(&mut self, what: &str) -> Result<String> {
-        let n = self.len(1, what)?;
-        let (head, tail) = self.data.split_at(n);
-        let s = std::str::from_utf8(head)
-            .map_err(|_| VerError::Serde(format!("non-utf8 {what}")))?
-            .to_string();
-        self.data = tail;
-        Ok(s)
-    }
-
-    fn u64_vec(&mut self, what: &str) -> Result<Vec<u64>> {
-        let n = self.len(8, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.data.get_u64_le());
-        }
-        Ok(out)
-    }
-
-    fn column_ids(&mut self, what: &str) -> Result<Vec<ColumnId>> {
-        let n = self.len(4, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(ColumnId(self.data.get_u32_le()));
-        }
-        Ok(out)
-    }
-
-    /// Take the next `n` raw bytes (used to slice out framed sections).
-    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        self.need(n, what)?;
-        let (head, tail) = self.data.split_at(n);
-        self.data = tail;
-        Ok(head)
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.data.remaining() == 0
-    }
+/// Decode one section with `read`, which must consume the payload exactly.
+pub(crate) fn section<T>(
+    payload: &[u8],
+    name: &str,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T>,
+) -> Result<T> {
+    let mut r = reader(payload);
+    let value = read(&mut r)?;
+    r.finish(name)?;
+    Ok(value)
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_u64_slice(buf: &mut BytesMut, v: &[u64]) {
-    buf.put_u32_le(v.len() as u32);
+fn put_u64_slice(buf: &mut Vec<u8>, v: &[u64]) {
+    put_u32(buf, v.len() as u32);
     for &x in v {
-        buf.put_u64_le(x);
+        put_u64(buf, x);
     }
 }
 
-fn put_column_ids(buf: &mut BytesMut, v: &[ColumnId]) {
-    buf.put_u32_le(v.len() as u32);
+fn u64_vec(r: &mut Reader<'_>, what: &str) -> Result<Vec<u64>> {
+    r.seq(8, what, |r| r.u64(what))
+}
+
+fn put_column_ids(buf: &mut Vec<u8>, v: &[ColumnId]) {
+    put_u32(buf, v.len() as u32);
     for c in v {
-        buf.put_u32_le(c.0);
+        put_u32(buf, c.0);
     }
 }
 
-fn dtype_code(t: DataType) -> u8 {
-    match t {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Text => 2,
-        DataType::Unknown => 3,
-    }
-}
-
-fn dtype_of(code: u8) -> Result<DataType> {
-    Ok(match code {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Text,
-        3 => DataType::Unknown,
-        other => return Err(VerError::Serde(format!("unknown dtype code {other}"))),
+/// A posting list. Postings index into the profile/signature tables at
+/// query time (`DiscoveryIndex::profile`/`signature` are plain `Vec`
+/// lookups), so every id is validated against `ncols` here — an
+/// out-of-range posting in a corrupt artifact must fail the load, not
+/// panic the first query.
+fn column_ids(r: &mut Reader<'_>, ncols: usize, what: &str) -> Result<Vec<ColumnId>> {
+    r.seq(4, what, |r| {
+        let c = ColumnId(r.u32(what)?);
+        if c.idx() >= ncols {
+            return Err(VerError::Serde(format!(
+                "{what} references column {c:?} but only {ncols} exist"
+            )));
+        }
+        Ok(c)
     })
 }
 
@@ -236,10 +141,10 @@ fn dtype_of(code: u8) -> Result<DataType> {
 
 /// Serialise a hypergraph to bytes.
 pub fn hypergraph_to_bytes(g: &JoinHypergraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + g.column_count() * 4 + g.joinable_pairs() * 12);
-    buf.put_slice(MAGIC);
+    let mut buf = Vec::with_capacity(16 + g.column_count() * 4 + g.joinable_pairs() * 12);
+    buf.extend_from_slice(MAGIC);
     put_hypergraph(&mut buf, g);
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Deserialise a hypergraph from bytes produced by [`hypergraph_to_bytes`].
@@ -247,41 +152,58 @@ pub fn hypergraph_from_bytes(data: &[u8]) -> Result<JoinHypergraph> {
     if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
         return Err(VerError::Serde("bad magic header".into()));
     }
-    let mut cur = Cursor::new(&data[MAGIC.len()..]);
-    read_hypergraph(&mut cur)
+    read_hypergraph(&mut reader(&data[MAGIC.len()..]))
 }
 
 /// Hypergraph section shared by both formats (no magic).
-fn put_hypergraph(buf: &mut BytesMut, g: &JoinHypergraph) {
-    buf.put_u32_le(g.column_count() as u32);
+fn put_hypergraph(buf: &mut Vec<u8>, g: &JoinHypergraph) {
+    put_u32(buf, g.column_count() as u32);
     for i in 0..g.column_count() {
-        buf.put_u32_le(g.table_of(ColumnId(i as u32)).0);
+        put_u32(buf, g.table_of(ColumnId(i as u32)).0);
     }
-    buf.put_u64_le(g.joinable_pairs() as u64);
-    for e in g.edges() {
-        buf.put_u32_le(e.a.0);
-        buf.put_u32_le(e.b.0);
-        buf.put_f32_le(e.score);
+    put_edges(buf, g.joinable_pairs(), g.edges());
+}
+
+/// The edge list that closes a graph section: `n u64 × (u32, u32, f32)`.
+pub(crate) fn put_edges(buf: &mut Vec<u8>, n: usize, edges: impl Iterator<Item = JoinableEdge>) {
+    put_u64(buf, n as u64);
+    for e in edges {
+        put_u32(buf, e.a.0);
+        put_u32(buf, e.b.0);
+        put_f32(buf, e.score);
     }
 }
 
-fn read_hypergraph(cur: &mut Cursor<'_>) -> Result<JoinHypergraph> {
-    let ncols = cur.len(4, "column table")?;
-    let mut col_table = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        col_table.push(TableId(cur.u32("column table")?));
+/// A graph section (full index, hypergraph file or shard): the
+/// column→table map, then edges validated against it.
+pub(crate) fn read_graph(r: &mut Reader<'_>) -> Result<(Vec<TableId>, Vec<JoinableEdge>)> {
+    let col_table = r.seq(4, "column table", |r| Ok(TableId(r.u32("column table")?)))?;
+    let ncols = col_table.len();
+    let nedges = r.u64("edge count")? as usize;
+    if nedges.saturating_mul(12) > r.remaining() {
+        return Err(VerError::Serde(format!(
+            "edge count {nedges} exceeds the {} bytes that remain",
+            r.remaining()
+        )));
     }
-    let nedges = cur.u64("edge count")? as usize;
-    cur.need(nedges.saturating_mul(12), "edge list")?;
-    let mut g = JoinHypergraph::new(col_table);
+    let mut edges = Vec::with_capacity(nedges);
     for _ in 0..nedges {
-        let a = ColumnId(cur.u32("edge")?);
-        let b = ColumnId(cur.u32("edge")?);
-        let score = cur.f32("edge")?;
+        let a = ColumnId(r.u32("edge")?);
+        let b = ColumnId(r.u32("edge")?);
+        let score = r.f32("edge")?;
         if a.idx() >= ncols || b.idx() >= ncols || a == b {
             return Err(VerError::Serde(format!("invalid edge {a:?}-{b:?}")));
         }
-        g.add_edge(a, b, score);
+        edges.push(JoinableEdge { a, b, score });
+    }
+    Ok((col_table, edges))
+}
+
+fn read_hypergraph(r: &mut Reader<'_>) -> Result<JoinHypergraph> {
+    let (col_table, edges) = read_graph(r)?;
+    let mut g = JoinHypergraph::new(col_table);
+    for e in edges {
+        g.add_edge(e.a, e.b, e.score);
     }
     g.finalize();
     Ok(g)
@@ -304,26 +226,26 @@ pub fn load_hypergraph(path: &std::path::Path) -> Result<JoinHypergraph> {
 /// Config section (the MinHash family is derived from k + seed on load).
 /// `threads` is canonicalised to `0` (auto): the build-time worker count
 /// is not index content.
-pub(crate) fn put_config(buf: &mut BytesMut, c: &IndexConfig) {
-    buf.put_u32_le(c.minhash_k as u32);
-    buf.put_f64_le(c.containment_threshold);
-    buf.put_u8(u8::from(c.verify_exact));
-    buf.put_u64_le(c.sample_cap as u64);
-    buf.put_u32_le(0);
-    buf.put_u64_le(c.seed);
-    buf.put_u64_le(c.value_index_cap as u64);
+pub(crate) fn put_config(buf: &mut Vec<u8>, c: &IndexConfig) {
+    put_u32(buf, c.minhash_k as u32);
+    put_f64(buf, c.containment_threshold);
+    buf.push(u8::from(c.verify_exact));
+    put_u64(buf, c.sample_cap as u64);
+    put_u32(buf, 0);
+    put_u64(buf, c.seed);
+    put_u64(buf, c.value_index_cap as u64);
 }
 
 /// One column profile (shared by the full-index and shard formats).
-pub(crate) fn put_profile(buf: &mut BytesMut, p: &ColumnProfile) {
-    buf.put_u32_le(p.id.0);
-    buf.put_u32_le(p.cref.table.0);
-    buf.put_u16_le(p.cref.ordinal);
-    buf.put_u8(dtype_code(p.dtype));
-    buf.put_u64_le(p.rows as u64);
-    buf.put_u64_le(p.nulls as u64);
-    buf.put_u64_le(p.distinct as u64);
-    buf.put_u32_le(p.sample.len() as u32);
+pub(crate) fn put_profile(buf: &mut Vec<u8>, p: &ColumnProfile) {
+    put_u32(buf, p.id.0);
+    put_u32(buf, p.cref.table.0);
+    put_u16(buf, p.cref.ordinal);
+    buf.push(p.dtype.code());
+    put_u64(buf, p.rows as u64);
+    put_u64(buf, p.nulls as u64);
+    put_u64(buf, p.distinct as u64);
+    put_u32(buf, p.sample.len() as u32);
     for s in &p.sample {
         put_string(buf, s);
     }
@@ -331,48 +253,48 @@ pub(crate) fn put_profile(buf: &mut BytesMut, p: &ColumnProfile) {
 }
 
 /// Column-profile section.
-fn put_profiles(buf: &mut BytesMut, index: &DiscoveryIndex) {
-    buf.put_u32_le(index.profiles().len() as u32);
+fn put_profiles(buf: &mut Vec<u8>, index: &DiscoveryIndex) {
+    put_u32(buf, index.profiles().len() as u32);
     for p in index.profiles() {
         put_profile(buf, p);
     }
 }
 
 /// One MinHash signature (shared by the full-index and shard formats).
-pub(crate) fn put_signature(buf: &mut BytesMut, sig: &MinHashSignature) {
-    buf.put_u64_le(sig.cardinality as u64);
+pub(crate) fn put_signature(buf: &mut Vec<u8>, sig: &MinHashSignature) {
+    put_u64(buf, sig.cardinality as u64);
     put_u64_slice(buf, &sig.sig);
 }
 
 /// MinHash-signature section.
-fn put_signatures(buf: &mut BytesMut, index: &DiscoveryIndex) {
-    buf.put_u32_le(index.profiles().len() as u32);
+fn put_signatures(buf: &mut Vec<u8>, index: &DiscoveryIndex) {
+    put_u32(buf, index.profiles().len() as u32);
     for i in 0..index.profiles().len() {
         put_signature(buf, index.signature(ColumnId(i as u32)));
     }
 }
 
 /// Keyword-index section, key-sorted for canonical bytes.
-pub(crate) fn put_keyword(buf: &mut BytesMut, keyword: &KeywordIndex) {
+pub(crate) fn put_keyword(buf: &mut Vec<u8>, keyword: &KeywordIndex) {
     let (values, attributes, table_names, table_columns) = keyword.persist_parts();
-    buf.put_u32_le(values.len() as u32);
+    put_u32(buf, values.len() as u32);
     for (value, cols) in values {
         put_string(buf, value);
         put_column_ids(buf, cols);
     }
-    buf.put_u32_le(attributes.len() as u32);
+    put_u32(buf, attributes.len() as u32);
     for (name, cols) in attributes {
         put_string(buf, name);
         put_column_ids(buf, cols);
     }
-    buf.put_u32_le(table_names.len() as u32);
+    put_u32(buf, table_names.len() as u32);
     for (name, table) in table_names {
         put_string(buf, name);
-        buf.put_u32_le(table.0);
+        put_u32(buf, table.0);
     }
-    buf.put_u32_le(table_columns.len() as u32);
+    put_u32(buf, table_columns.len() as u32);
     for (table, cols) in table_columns {
-        buf.put_u32_le(table.0);
+        put_u32(buf, table.0);
         put_column_ids(buf, cols);
     }
 }
@@ -386,7 +308,7 @@ pub(crate) fn put_keyword(buf: &mut BytesMut, keyword: &KeywordIndex) {
 /// canonicalised to `0`), so persisted artifacts can be compared
 /// byte-for-byte across builds and thread counts.
 pub fn index_to_bytes(index: &DiscoveryIndex) -> Bytes {
-    let mut sections: [BytesMut; 5] = Default::default();
+    let mut sections: [Vec<u8>; 5] = Default::default();
     put_config(&mut sections[0], index.config());
     put_profiles(&mut sections[1], index);
     put_signatures(&mut sections[2], index);
@@ -400,18 +322,18 @@ pub fn index_to_bytes(index: &DiscoveryIndex) -> Bytes {
 /// section as `len u64 · payload · checksum u64`, then a whole-file trailer
 /// checksum (trailer pseudo-section index = number of sections, so a
 /// section checksum can never masquerade as the trailer).
-pub(crate) fn frame_sections(magic: &[u8; 8], sections: &[BytesMut]) -> Bytes {
+pub(crate) fn frame_sections(magic: &[u8; 8], sections: &[Vec<u8>]) -> Bytes {
     let total: usize = sections.iter().map(|s| s.len() + 16).sum();
-    let mut buf = BytesMut::with_capacity(magic.len() + total + 8);
-    buf.put_slice(magic);
+    let mut buf = Vec::with_capacity(magic.len() + total + 8);
+    buf.extend_from_slice(magic);
     for (i, payload) in sections.iter().enumerate() {
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(payload);
-        buf.put_u64_le(checksum(i as u64, payload));
+        put_u64(&mut buf, payload.len() as u64);
+        buf.extend_from_slice(payload);
+        put_u64(&mut buf, checksum(i as u64, payload));
     }
     let trailer = checksum(sections.len() as u64, &buf);
-    buf.put_u64_le(trailer);
-    buf.freeze()
+    put_u64(&mut buf, trailer);
+    Bytes::from(buf)
 }
 
 /// Decode a [`frame_sections`] artifact: verify the whole-file trailer over
@@ -438,20 +360,18 @@ pub(crate) fn read_framed_sections<'a>(
     if &body[..magic.len()] != magic {
         return Err(VerError::Serde("bad magic header".into()));
     }
-    let mut cur = Cursor::new(&body[magic.len()..]);
+    let mut r = reader(&body[magic.len()..]);
     let mut payloads = Vec::with_capacity(names.len());
     for (i, name) in names.iter().enumerate() {
-        let len = cur.u64(&format!("{name} section length"))? as usize;
-        let payload = cur.bytes(len, &format!("{name} section"))?;
-        let sum = cur.u64(&format!("{name} section checksum"))?;
+        let len = r.u64(name)? as usize;
+        let payload = r.bytes(len, name)?;
+        let sum = r.u64(name)?;
         if checksum(i as u64, payload) != sum {
             return Err(VerError::Serde(format!("{name} section checksum mismatch")));
         }
         payloads.push(payload);
     }
-    if !cur.is_empty() {
-        return Err(VerError::Serde("trailing bytes after sections".into()));
-    }
+    r.finish("sections")?;
     Ok(payloads)
 }
 
@@ -476,30 +396,15 @@ pub fn index_from_bytes(data: &[u8]) -> Result<DiscoveryIndex> {
     }
     let payloads = read_framed_sections(data, MAGIC_FULL_V3, &SECTIONS)?;
 
-    let section = |i: usize| -> Cursor<'_> { Cursor::new(payloads[i]) };
-    let done = |cur: &Cursor<'_>, name: &str| -> Result<()> {
-        if cur.is_empty() {
-            Ok(())
-        } else {
-            Err(VerError::Serde(format!("trailing bytes in {name} section")))
-        }
-    };
-
-    let mut cur = section(0);
-    let config = read_config(&mut cur)?;
-    done(&cur, "config")?;
-    let mut cur = section(1);
-    let profiles = read_profiles(&mut cur)?;
-    done(&cur, "profiles")?;
-    let mut cur = section(2);
-    let signatures = read_signatures(&mut cur, profiles.len(), config.minhash_k)?;
-    done(&cur, "signatures")?;
-    let mut cur = section(3);
-    let keyword = read_keyword(&mut cur, profiles.len())?;
-    done(&cur, "keyword")?;
-    let mut cur = section(4);
-    let hypergraph = read_hypergraph(&mut cur)?;
-    done(&cur, "hypergraph")?;
+    let config = section(payloads[0], "config section", read_config)?;
+    let profiles = section(payloads[1], "profiles section", read_profiles)?;
+    let signatures = section(payloads[2], "signatures section", |r| {
+        read_signatures(r, profiles.len(), config.minhash_k)
+    })?;
+    let keyword = section(payloads[3], "keyword section", |r| {
+        read_keyword(r, profiles.len())
+    })?;
+    let hypergraph = section(payloads[4], "hypergraph section", read_hypergraph)?;
 
     if hypergraph.column_count() != profiles.len() {
         return Err(VerError::Serde(format!(
@@ -514,15 +419,15 @@ pub fn index_from_bytes(data: &[u8]) -> Result<DiscoveryIndex> {
     ))
 }
 
-pub(crate) fn read_config(cur: &mut Cursor<'_>) -> Result<IndexConfig> {
+pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<IndexConfig> {
     let config = IndexConfig {
-        minhash_k: cur.u32("config")? as usize,
-        containment_threshold: cur.f64("config")?,
-        verify_exact: cur.u8("config")? != 0,
-        sample_cap: cur.u64("config")? as usize,
-        threads: cur.u32("config")? as usize,
-        seed: cur.u64("config")?,
-        value_index_cap: cur.u64("config")? as usize,
+        minhash_k: r.u32("config")? as usize,
+        containment_threshold: r.f64("config")?,
+        verify_exact: r.u8("config")? != 0,
+        sample_cap: r.u64("config")? as usize,
+        threads: r.u32("config")? as usize,
+        seed: r.u64("config")?,
+        value_index_cap: r.u64("config")? as usize,
     };
     if config.minhash_k == 0 || config.minhash_k > 1 << 20 {
         return Err(VerError::Serde(format!(
@@ -536,11 +441,11 @@ pub(crate) fn read_config(cur: &mut Cursor<'_>) -> Result<IndexConfig> {
 /// Profiles (each ≥ 34 bytes fixed header). Profile ids must be the
 /// sequence 0..n — that is what the builder produces and what every
 /// `Vec`-indexed lookup downstream assumes.
-fn read_profiles(cur: &mut Cursor<'_>) -> Result<Vec<ColumnProfile>> {
-    let nprofiles = cur.len(34, "profile table")?;
+fn read_profiles(r: &mut Reader<'_>) -> Result<Vec<ColumnProfile>> {
+    let nprofiles = r.count(34, "profile table")?;
     let mut profiles = Vec::with_capacity(nprofiles);
     for expected in 0..nprofiles {
-        let p = read_profile(cur)?;
+        let p = read_profile(r)?;
         if p.id.idx() != expected {
             return Err(VerError::Serde(format!(
                 "profile id {:?} out of sequence (expected {expected})",
@@ -555,22 +460,20 @@ fn read_profiles(cur: &mut Cursor<'_>) -> Result<Vec<ColumnProfile>> {
 /// One column profile (shared by the full-index and shard decoders; id
 /// sequencing is the caller's concern — the full format requires the dense
 /// sequence `0..n`, a shard a strictly increasing subsequence).
-pub(crate) fn read_profile(cur: &mut Cursor<'_>) -> Result<ColumnProfile> {
-    let id = ColumnId(cur.u32("profile id")?);
+pub(crate) fn read_profile(r: &mut Reader<'_>) -> Result<ColumnProfile> {
+    let id = ColumnId(r.u32("profile id")?);
     let cref = ColumnRef {
-        table: TableId(cur.u32("profile cref")?),
-        ordinal: cur.u16("profile cref")?,
+        table: TableId(r.u32("profile cref")?),
+        ordinal: r.u16("profile cref")?,
     };
-    let dtype = dtype_of(cur.u8("profile dtype")?)?;
-    let rows = cur.u64("profile rows")? as usize;
-    let nulls = cur.u64("profile nulls")? as usize;
-    let distinct = cur.u64("profile distinct")? as usize;
-    let nsample = cur.len(4, "profile sample")?;
-    let mut sample = Vec::with_capacity(nsample);
-    for _ in 0..nsample {
-        sample.push(cur.string("profile sample value")?);
-    }
-    let hashes = cur.u64_vec("profile hashes")?;
+    let code = r.u8("profile dtype")?;
+    let dtype = DataType::from_code(code)
+        .ok_or_else(|| VerError::Serde(format!("unknown dtype code {code}")))?;
+    let rows = r.u64("profile rows")? as usize;
+    let nulls = r.u64("profile nulls")? as usize;
+    let distinct = r.u64("profile distinct")? as usize;
+    let sample = r.seq(4, "profile sample", |r| r.string("profile sample value"))?;
+    let hashes = u64_vec(r, "profile hashes")?;
     Ok(ColumnProfile {
         id,
         cref,
@@ -584,9 +487,9 @@ pub(crate) fn read_profile(cur: &mut Cursor<'_>) -> Result<ColumnProfile> {
 }
 
 /// One MinHash signature (shared by the full-index and shard decoders).
-pub(crate) fn read_signature(cur: &mut Cursor<'_>, minhash_k: usize) -> Result<MinHashSignature> {
-    let cardinality = cur.u64("signature cardinality")? as usize;
-    let sig = cur.u64_vec("signature")?;
+pub(crate) fn read_signature(r: &mut Reader<'_>, minhash_k: usize) -> Result<MinHashSignature> {
+    let cardinality = r.u64("signature cardinality")? as usize;
+    let sig = u64_vec(r, "signature")?;
     if sig.len() != minhash_k {
         return Err(VerError::Serde(format!(
             "signature length {} != minhash_k {minhash_k}",
@@ -597,66 +500,36 @@ pub(crate) fn read_signature(cur: &mut Cursor<'_>, minhash_k: usize) -> Result<M
 }
 
 fn read_signatures(
-    cur: &mut Cursor<'_>,
+    r: &mut Reader<'_>,
     nprofiles: usize,
     minhash_k: usize,
 ) -> Result<Vec<MinHashSignature>> {
-    let nsigs = cur.len(12, "signature table")?;
+    let nsigs = r.count(12, "signature table")?;
     if nsigs != nprofiles {
         return Err(VerError::Serde(format!(
             "signature count {nsigs} != profile count {nprofiles}"
         )));
     }
-    let mut signatures = Vec::with_capacity(nsigs);
-    for _ in 0..nsigs {
-        signatures.push(read_signature(cur, minhash_k)?);
-    }
-    Ok(signatures)
+    (0..nsigs).map(|_| read_signature(r, minhash_k)).collect()
 }
 
-pub(crate) fn read_keyword(cur: &mut Cursor<'_>, nprofiles: usize) -> Result<KeywordIndex> {
-    // Keyword postings index into the profile/signature tables at query
-    // time (`DiscoveryIndex::profile`/`signature` are plain `Vec` lookups),
-    // so every ColumnId must be validated here — an out-of-range posting in
-    // a corrupt artifact must fail the load, not panic the first query.
-    let check_cols = |cols: &[ColumnId], what: &str| -> Result<()> {
-        match cols.iter().find(|c| c.idx() >= nprofiles) {
-            Some(bad) => Err(VerError::Serde(format!(
-                "{what} references column {bad:?} but only {nprofiles} profiles exist"
-            ))),
-            None => Ok(()),
-        }
-    };
-    let nvalues = cur.len(8, "keyword values")?;
-    let mut values = Vec::with_capacity(nvalues);
-    for _ in 0..nvalues {
-        let value = cur.string("keyword value")?;
-        let cols = cur.column_ids("keyword postings")?;
-        check_cols(&cols, "keyword posting")?;
-        values.push((value, cols));
-    }
-    let nattrs = cur.len(8, "keyword attributes")?;
-    let mut attributes = Vec::with_capacity(nattrs);
-    for _ in 0..nattrs {
-        let name = cur.string("attribute name")?;
-        let cols = cur.column_ids("attribute postings")?;
-        check_cols(&cols, "attribute posting")?;
-        attributes.push((name, cols));
-    }
-    let ntables = cur.len(8, "table names")?;
-    let mut table_names = Vec::with_capacity(ntables);
-    for _ in 0..ntables {
-        let name = cur.string("table name")?;
-        table_names.push((name, TableId(cur.u32("table id")?)));
-    }
-    let ntcols = cur.len(8, "table columns")?;
-    let mut table_columns = Vec::with_capacity(ntcols);
-    for _ in 0..ntcols {
-        let table = TableId(cur.u32("table id")?);
-        let cols = cur.column_ids("table column list")?;
-        check_cols(&cols, "table column list")?;
-        table_columns.push((table, cols));
-    }
+pub(crate) fn read_keyword(r: &mut Reader<'_>, nprofiles: usize) -> Result<KeywordIndex> {
+    let values = r.seq(8, "keyword values", |r| {
+        let value = r.string("keyword value")?;
+        Ok((value, column_ids(r, nprofiles, "keyword posting")?))
+    })?;
+    let attributes = r.seq(8, "keyword attributes", |r| {
+        let name = r.string("attribute name")?;
+        Ok((name, column_ids(r, nprofiles, "attribute posting")?))
+    })?;
+    let table_names = r.seq(8, "table names", |r| {
+        let name = r.string("table name")?;
+        Ok((name, TableId(r.u32("table id")?)))
+    })?;
+    let table_columns = r.seq(8, "table columns", |r| {
+        let table = TableId(r.u32("table id")?);
+        Ok((table, column_ids(r, nprofiles, "table column list")?))
+    })?;
     Ok(KeywordIndex::from_persist_parts(
         values,
         attributes,
@@ -1100,9 +973,9 @@ mod tests {
         // valid and the length validation itself is exercised (a bit flip
         // in a real artifact would be rejected at the trailer first).
         let idx = build(false);
-        let mut sections: [BytesMut; 5] = Default::default();
+        let mut sections: [Vec<u8>; 5] = Default::default();
         put_config(&mut sections[0], idx.config());
-        sections[1].put_u32_le(u32::MAX);
+        put_u32(&mut sections[1], u32::MAX);
         put_signatures(&mut sections[2], &idx);
         put_keyword(&mut sections[3], idx.keyword_index());
         put_hypergraph(&mut sections[4], idx.hypergraph());

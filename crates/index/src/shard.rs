@@ -27,7 +27,8 @@ use crate::hypergraph::{JoinHypergraph, JoinableEdge};
 use crate::minhash::{MinHashSignature, MinHasher};
 use crate::persist;
 use crate::valueindex::KeywordIndex;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use ver_common::codec::put_u32;
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::fx_step;
 use ver_common::ids::{ColumnId, TableId};
@@ -294,30 +295,29 @@ pub fn merge_shards(shards: &[IndexShard]) -> Result<DiscoveryIndex> {
 /// for the same reason `VERIDX\x03` is: keyword maps key-sorted, the
 /// build-time `threads` knob canonicalised to `0`.
 pub fn shard_to_bytes(shard: &IndexShard) -> Bytes {
-    let mut sections: [BytesMut; 6] = Default::default();
+    let mut sections: [Vec<u8>; 6] = Default::default();
     persist::put_config(&mut sections[0], &shard.config);
-    sections[1].put_u32_le(shard.shard);
-    sections[1].put_u32_le(shard.count);
-    sections[2].put_u32_le(shard.profiles.len() as u32);
+    put_u32(&mut sections[1], shard.shard);
+    put_u32(&mut sections[1], shard.count);
+    put_u32(&mut sections[2], shard.profiles.len() as u32);
     for p in &shard.profiles {
         persist::put_profile(&mut sections[2], p);
     }
-    sections[3].put_u32_le(shard.signatures.len() as u32);
+    put_u32(&mut sections[3], shard.signatures.len() as u32);
     for (c, sig) in &shard.signatures {
-        sections[3].put_u32_le(c.0);
+        put_u32(&mut sections[3], c.0);
         persist::put_signature(&mut sections[3], sig);
     }
     persist::put_keyword(&mut sections[4], &shard.keyword);
-    sections[5].put_u32_le(shard.col_table.len() as u32);
+    put_u32(&mut sections[5], shard.col_table.len() as u32);
     for t in &shard.col_table {
-        sections[5].put_u32_le(t.0);
+        put_u32(&mut sections[5], t.0);
     }
-    sections[5].put_u64_le(shard.edges.len() as u64);
-    for e in &shard.edges {
-        sections[5].put_u32_le(e.a.0);
-        sections[5].put_u32_le(e.b.0);
-        sections[5].put_f32_le(e.score);
-    }
+    persist::put_edges(
+        &mut sections[5],
+        shard.edges.len(),
+        shard.edges.iter().copied(),
+    );
     persist::frame_sections(MAGIC_SHARD, &sections)
 }
 
@@ -328,95 +328,66 @@ pub fn shard_to_bytes(shard: &IndexShard) -> Bytes {
 /// aligned with profiles, postings and edges within the column table).
 pub fn shard_from_bytes(data: &[u8]) -> Result<IndexShard> {
     let payloads = persist::read_framed_sections(data, MAGIC_SHARD, &SHARD_SECTIONS)?;
-    let section = |i: usize| persist::Cursor::new(payloads[i]);
-    let done = |cur: &persist::Cursor<'_>, name: &str| -> Result<()> {
-        if cur.is_empty() {
-            Ok(())
-        } else {
-            Err(VerError::Serde(format!("trailing bytes in {name} section")))
-        }
-    };
 
-    let mut cur = section(0);
-    let config = persist::read_config(&mut cur)?;
-    done(&cur, "config")?;
-
-    let mut cur = section(1);
-    let shard = cur.u32("shard id")?;
-    let count = cur.u32("shard count")?;
-    done(&cur, "shard")?;
+    let config = persist::section(payloads[0], "config section", persist::read_config)?;
+    let (shard, count) = persist::section(payloads[1], "shard section", |r| {
+        Ok((r.u32("shard id")?, r.u32("shard count")?))
+    })?;
     if count == 0 || shard >= count {
         return Err(VerError::Serde(format!(
             "shard id {shard} out of range for {count} shards"
         )));
     }
-
-    let mut cur = section(5);
-    let ncols = cur.len(4, "column table")?;
-    let mut col_table = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        col_table.push(TableId(cur.u32("column table")?));
-    }
-    let nedges = cur.u64("edge count")? as usize;
-    let mut edges = Vec::with_capacity(nedges.min(1 << 20));
-    for _ in 0..nedges {
-        let a = ColumnId(cur.u32("edge")?);
-        let b = ColumnId(cur.u32("edge")?);
-        let score = cur.f32("edge")?;
-        if a.idx() >= ncols || b.idx() >= ncols || a == b {
-            return Err(VerError::Serde(format!("invalid shard edge {a:?}-{b:?}")));
-        }
-        edges.push(JoinableEdge { a, b, score });
-    }
-    done(&cur, "hypergraph")?;
-
+    let (col_table, edges) =
+        persist::section(payloads[5], "hypergraph section", persist::read_graph)?;
+    let ncols = col_table.len();
     let owned = |c: ColumnId| shard_of_table(col_table[c.idx()], count as usize) == shard as usize;
 
-    let mut cur = section(2);
-    let nprofiles = cur.len(34, "shard profile table")?;
-    let mut profiles: Vec<ColumnProfile> = Vec::with_capacity(nprofiles);
-    for _ in 0..nprofiles {
-        let p = persist::read_profile(&mut cur)?;
-        if p.id.idx() >= ncols || !owned(p.id) {
+    let profiles = persist::section(payloads[2], "profiles section", |r| {
+        let nprofiles = r.count(34, "shard profile table")?;
+        let mut profiles: Vec<ColumnProfile> = Vec::with_capacity(nprofiles);
+        for _ in 0..nprofiles {
+            let p = persist::read_profile(r)?;
+            if p.id.idx() >= ncols || !owned(p.id) {
+                return Err(VerError::Serde(format!(
+                    "profile {:?} is not owned by shard {shard}/{count}",
+                    p.id
+                )));
+            }
+            if profiles.last().is_some_and(|prev| prev.id >= p.id) {
+                return Err(VerError::Serde(format!(
+                    "shard profile ids not strictly increasing at {:?}",
+                    p.id
+                )));
+            }
+            profiles.push(p);
+        }
+        Ok(profiles)
+    })?;
+    let signatures = persist::section(payloads[3], "signatures section", |r| {
+        let nsigs = r.count(16, "shard signature table")?;
+        if nsigs != profiles.len() {
             return Err(VerError::Serde(format!(
-                "profile {:?} is not owned by shard {shard}/{count}",
-                p.id
+                "shard holds {nsigs} signatures but {} profiles",
+                profiles.len()
             )));
         }
-        if profiles.last().is_some_and(|prev| prev.id >= p.id) {
-            return Err(VerError::Serde(format!(
-                "shard profile ids not strictly increasing at {:?}",
-                p.id
-            )));
+        let mut signatures = Vec::with_capacity(nsigs);
+        for p in &profiles {
+            let c = ColumnId(r.u32("signature column")?);
+            if c != p.id {
+                return Err(VerError::Serde(format!(
+                    "signature column {c:?} misaligned with profile {:?}",
+                    p.id
+                )));
+            }
+            signatures.push((c, persist::read_signature(r, config.minhash_k)?));
         }
-        profiles.push(p);
-    }
-    done(&cur, "profiles")?;
-
-    let mut cur = section(3);
-    let nsigs = cur.len(16, "shard signature table")?;
-    if nsigs != profiles.len() {
-        return Err(VerError::Serde(format!(
-            "shard holds {nsigs} signatures but {} profiles",
-            profiles.len()
-        )));
-    }
-    let mut signatures = Vec::with_capacity(nsigs);
-    for p in &profiles {
-        let c = ColumnId(cur.u32("signature column")?);
-        if c != p.id {
-            return Err(VerError::Serde(format!(
-                "signature column {c:?} misaligned with profile {:?}",
-                p.id
-            )));
-        }
-        signatures.push((c, persist::read_signature(&mut cur, config.minhash_k)?));
-    }
-    done(&cur, "signatures")?;
-
-    let mut cur = section(4);
-    let keyword = persist::read_keyword(&mut cur, ncols)?;
-    done(&cur, "keyword")?;
+        Ok(signatures)
+    })?;
+    let keyword = persist::section(payloads[4], "keyword section", |r| {
+        persist::read_keyword(r, ncols)
+    })?;
 
     Ok(IndexShard {
         config,

@@ -1,21 +1,24 @@
-//! Corruption suite for the persisted index artifact (`VERIDX\x03`).
+//! Corruption suite for the persisted artifacts: the full index
+//! (`VERIDX\x03`) and a shard of it (`VERSHD\x01`), which share one
+//! section framing.
 //!
 //! The crash-safety contract under test: **any** single-byte flip and
-//! **any** truncation of a saved index must come back from
-//! [`index_from_bytes`] as `VerError::Serde` — never a panic, never a
-//! successfully-loaded wrong index. The whole-file trailer checksum is
-//! verified before any parsing, which is what makes the property hold at
-//! *every* offset (payloads, length fields, section checksums, the trailer
-//! itself, even the magic — a damaged magic falls through to the
-//! bad-magic error, still `Serde`). Alongside the properties, the retired
-//! `VERIDX\x02` layout is pinned as *rejected*: typed error naming the
-//! magic, never a panic, never a partial index.
+//! **any** truncation of a saved artifact must come back from its loader
+//! ([`index_from_bytes`] / [`shard_from_bytes`]) as `VerError::Serde` —
+//! never a panic, never a successfully-loaded wrong index. The whole-file
+//! trailer checksum is verified before any parsing, which is what makes
+//! the property hold at *every* offset (payloads, length fields, section
+//! checksums, the trailer itself, even the magic — a damaged magic falls
+//! through to the bad-magic error, still `Serde`). Alongside the
+//! properties, the retired `VERIDX\x02` layout is pinned as *rejected*:
+//! typed error naming the magic, never a panic, never a partial index.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use ver_common::error::VerError;
 use ver_common::value::Value;
 use ver_index::persist::{index_from_bytes, index_to_bytes};
+use ver_index::shard::{partition_index, shard_from_bytes, shard_to_bytes};
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
@@ -68,19 +71,35 @@ fn v3_bytes() -> &'static [u8] {
     BYTES.get_or_init(|| index_to_bytes(index()).to_vec())
 }
 
+/// An artifact and its loader, reduced to "did it load".
+type Artifact = (&'static [u8], fn(&[u8]) -> Result<(), VerError>);
+
+/// The inputs every property runs over: the full index, and shard 0 of a
+/// two-way partition of it.
+fn artifact(shard: bool) -> Artifact {
+    static SHARD: OnceLock<Vec<u8>> = OnceLock::new();
+    if shard {
+        let bytes = SHARD.get_or_init(|| shard_to_bytes(&partition_index(index(), 2)[0]).to_vec());
+        (bytes, |b| shard_from_bytes(b).map(drop))
+    } else {
+        (v3_bytes(), |b| index_from_bytes(b).map(drop))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
     #[test]
     fn any_single_byte_flip_fails_with_serde(
+        shard in any::<bool>(),
         offset_seed in any::<u64>(),
         bit in 0u32..8,
     ) {
-        let bytes = v3_bytes();
+        let (bytes, load) = artifact(shard);
         let offset = (offset_seed % bytes.len() as u64) as usize;
         let mut bad = bytes.to_vec();
         bad[offset] ^= 1u8 << bit;
-        match index_from_bytes(&bad) {
+        match load(&bad) {
             Err(VerError::Serde(_)) => {}
             Ok(_) => prop_assert!(
                 false,
@@ -94,11 +113,11 @@ proptest! {
     }
 
     #[test]
-    fn any_truncation_fails_with_serde(len_seed in any::<u64>()) {
-        let bytes = v3_bytes();
+    fn any_truncation_fails_with_serde(shard in any::<bool>(), len_seed in any::<u64>()) {
+        let (bytes, load) = artifact(shard);
         // Every proper prefix, including the empty one.
         let keep = (len_seed % bytes.len() as u64) as usize;
-        match index_from_bytes(&bytes[..keep]) {
+        match load(&bytes[..keep]) {
             Err(VerError::Serde(_)) => {}
             Ok(_) => prop_assert!(false, "truncation to {keep} bytes loaded"),
             Err(e) => prop_assert!(false, "truncation to {keep}: non-Serde {e:?}"),
@@ -107,21 +126,22 @@ proptest! {
 
     #[test]
     fn any_two_byte_swap_fails_or_is_identity(
+        shard in any::<bool>(),
         a_seed in any::<u64>(),
         b_seed in any::<u64>(),
     ) {
         // Transpositions model a different physical failure than flips;
         // swapping two unequal bytes must also be caught by the trailer.
-        let bytes = v3_bytes();
+        let (bytes, load) = artifact(shard);
         let a = (a_seed % bytes.len() as u64) as usize;
         let b = (b_seed % bytes.len() as u64) as usize;
         let mut bad = bytes.to_vec();
         bad.swap(a, b);
         if bad == bytes {
             // Swapped equal bytes: still the intact artifact.
-            prop_assert!(index_from_bytes(&bad).is_ok());
+            prop_assert!(load(&bad).is_ok());
         } else {
-            match index_from_bytes(&bad) {
+            match load(&bad) {
                 Err(VerError::Serde(_)) => {}
                 Ok(_) => prop_assert!(false, "swap ({a},{b}) loaded"),
                 Err(e) => prop_assert!(false, "swap ({a},{b}): non-Serde {e:?}"),

@@ -121,8 +121,8 @@ pub fn plan_from_join_graph(
 
 /// Counters from one [`MaterializePlanner::plan_batch`] call — how much
 /// join work the shared sub-join DAG saved. Reported per query in
-/// [`SearchOutput::dag`](crate::search::SearchOutput) and aggregated by
-/// `exp_bench_report`'s `materialize_dag` section.
+/// [`SearchOutput::dag`](crate::search::SearchOutput); the repo benchmark
+/// reads them as `engine.dag_distinct_steps` / `engine.dag_shared_ratio`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaterializeStats {
     /// Candidate plans executed by the batch (cache hits never reach it).

@@ -13,11 +13,10 @@ use std::time::Duration;
 
 use ver_common::error::{Result, VerError};
 use ver_qbe::ViewSpec;
+use ver_search::ShardSearchOutput;
 
 use super::frame::{read_frame, write_frame, ReadOutcome};
-use super::wire::{
-    HealthReply, Page, QueryHead, Request, Response, StatsReply, WireResult, WireShardOutput,
-};
+use super::wire::{HealthReply, Page, QueryHead, Request, Response, StatsReply, WireResult};
 
 /// Blocking `verd` client over one TCP connection.
 ///
@@ -180,7 +179,7 @@ impl Client {
         shard: u32,
         shard_count: u32,
         budget_ms: u64,
-    ) -> Result<WireShardOutput> {
+    ) -> Result<ShardSearchOutput> {
         match self.call(&Request::ShardQuery {
             spec: spec.clone(),
             shard,

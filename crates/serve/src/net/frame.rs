@@ -9,12 +9,10 @@
 //!         checksum u64 LE         fxhash fold over the payload
 //! ```
 //!
-//! The checksum follows the `ver-index::persist` convention: seed with a
-//! section constant, fold the payload as little-endian 64-bit words with a
-//! zero-padded tail, and close over the length so zero-extension cannot
-//! collide. Not cryptographic — it catches the accidents that matter on a
-//! socket: truncation, a peer that lost frame sync, and bit rot on the
-//! path.
+//! The checksum is [`ver_common::codec::checksum_fold`] under a seed of
+//! this format's own. Not cryptographic — it catches the accidents that
+//! matter on a socket: truncation, a peer that lost frame sync, and bit rot
+//! on the path.
 //!
 //! **Failure typing.** Every malformed input — bad preamble, oversized
 //! length prefix, truncated frame, checksum mismatch — decodes to
@@ -27,6 +25,7 @@
 //! died (`NetStats`).
 
 use std::io::{Read, Write};
+use ver_common::codec::checksum_fold;
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::fx_step;
 
@@ -38,25 +37,14 @@ pub const MAGIC: &[u8; 7] = b"VERNET\x01";
 /// length prefix cannot make the peer allocate unbounded memory.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// Checksum seed — distinct from every `ver-index::persist` section seed
-/// so a persisted-index section can never masquerade as a wire frame.
+/// Checksum seed — distinct from the persisted-artifact seed, so an
+/// artifact section can never masquerade as a wire frame.
 const FRAME_SEED: u64 = 0x7E52_4E45_5401_C3A5;
 
-/// Frame checksum: the `persist` convention (seeded fxhash fold over LE
-/// 64-bit words, zero-padded tail, closed over the length).
+/// Frame checksum: the seed's first word is the payload length, which the
+/// fold then closes over a second time.
 pub fn frame_checksum(payload: &[u8]) -> u64 {
-    let mut h = fx_step(FRAME_SEED, payload.len() as u64);
-    let mut words = payload.chunks_exact(8);
-    for w in &mut words {
-        h = fx_step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-    }
-    let rem = words.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = fx_step(h, u64::from_le_bytes(tail));
-    }
-    fx_step(h, payload.len() as u64)
+    checksum_fold(fx_step(FRAME_SEED, payload.len() as u64), payload)
 }
 
 /// Encode one frame around `payload`.

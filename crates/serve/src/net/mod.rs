@@ -6,7 +6,8 @@
 //! blocking [`Client`]. The module tree:
 //!
 //! * [`frame`] — `VERNET\x01` framing: magic, u32 LE length, payload,
-//!   u64 LE checksum (the `ver-index::persist` conventions, on a socket).
+//!   u64 LE checksum (the fold of [`ver_common::codec`], under this
+//!   format's own seed).
 //! * [`wire`] — request/response codecs: `Query`, `FetchPage`, `Stats`,
 //!   `Health`, `Shutdown`; materialized views travel whole so clients
 //!   can verify invariant 12 (over-the-wire ≡ in-process) byte-for-byte.
@@ -14,8 +15,8 @@
 //!   knobs (warn-once-and-fall-back, like every other knob).
 //! * [`server`] — the accept loop, connection cap, timeouts, pagination
 //!   cursors, and [`NetStats`] counters behind the `verd` binary.
-//! * [`client`] — the blocking [`Client`] used by tests, benches, and
-//!   the load harness.
+//! * [`client`] — the blocking [`Client`] used by tests and the repo
+//!   benchmark.
 //! * [`resilient`] — the [`ResilientClient`] remote-leg envelope:
 //!   per-attempt timeouts, reconnect-on-error, jittered exponential
 //!   backoff with a retry budget, and a per-leg circuit breaker
@@ -41,5 +42,5 @@ pub use resilient::{backoff_delay, Breaker, BreakerState, ResilientClient, Retry
 pub use server::{Backend, Server, ServerHandle};
 pub use wire::{
     HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireSearchStats, WireShardOutput, WireShardView, WireView, PROTOCOL_VERSION,
+    WireRouterLeg, WireView, PROTOCOL_VERSION,
 };

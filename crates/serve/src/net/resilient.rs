@@ -37,9 +37,10 @@ use ver_common::error::{Result, VerError};
 use ver_common::fault;
 use ver_common::fxhash::fx_hash_u64;
 use ver_qbe::ViewSpec;
+use ver_search::ShardSearchOutput;
 
 use super::client::Client;
-use super::wire::{HealthReply, WireShardOutput};
+use super::wire::HealthReply;
 
 /// Extra attempts per call when `VER_RETRIES` is unset.
 pub const DEFAULT_RETRIES: u32 = 2;
@@ -316,7 +317,7 @@ impl ResilientClient {
         shard: u32,
         shard_count: u32,
         budget: &QueryBudget,
-    ) -> Result<WireShardOutput> {
+    ) -> Result<ShardSearchOutput> {
         self.call(budget, |client, budget_ms| {
             client.shard_query(spec, shard, shard_count, budget_ms)
         })

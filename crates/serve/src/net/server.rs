@@ -34,7 +34,7 @@ use super::config::NetConfig;
 use super::frame::{read_frame, write_frame, ReadOutcome};
 use super::wire::{
     HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireShardOutput, WireView, PROTOCOL_VERSION,
+    WireRouterLeg, WireView, PROTOCOL_VERSION,
 };
 use crate::{Engine, MissBackend, RouterEngine, ServeEngine, ShardedEngine};
 
@@ -415,7 +415,7 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
             match engine.shard_query(&spec, shard as usize, shard_count as usize, &budget) {
                 Ok(out) => {
                     c.queries_ok.fetch_add(1, Ordering::Relaxed);
-                    Response::ShardOutput(WireShardOutput::from_output(&out))
+                    Response::ShardOutput(out)
                 }
                 Err(e) => {
                     c.queries_err.fetch_add(1, Ordering::Relaxed);

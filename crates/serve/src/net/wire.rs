@@ -1,11 +1,13 @@
 //! Request/response codecs for the `verd` protocol.
 //!
 //! Everything here is hand-rolled little-endian binary on plain byte
-//! buffers, following the `ver-index::persist` conventions: explicit
-//! length prefixes, tagged unions, a bounds-checked [`Reader`] that turns
-//! every malformed payload into a typed error instead of a panic, and no
-//! reliance on untrusted counts for allocation sizing. Payloads produced
-//! here travel inside the checksummed frames of [`super::frame`].
+//! buffers, written on the byte-level kit in [`ver_common::codec`]:
+//! explicit length prefixes, tagged unions, a bounds-checked reader that
+//! turns every malformed payload into [`VerError::Protocol`] instead of a
+//! panic (a short read here means a peer sent garbage), and no reliance on
+//! untrusted counts for allocation sizing. This module owns the message
+//! layouts and the codecs of the types they carry; payloads produced here
+//! travel inside the checksummed frames of [`super::frame`].
 //!
 //! The response side ships *materialized view data* — schemas and rows —
 //! not just metadata, so a client can reassemble a byte-identical replica
@@ -17,10 +19,17 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use ver_common::codec::{put_opt_string, put_string, put_u16, put_u32, put_u64, Reader};
 use ver_common::error::{Result, VerError};
-use ver_common::value::Value;
+use ver_common::ids::{ColumnRef, TableId, ViewId};
+use ver_common::value::{DataType, Value};
+use ver_core::engine::{Provenance, View};
 use ver_core::QueryResult;
 use ver_qbe::{ExampleQuery, QueryColumn, ViewSpec};
+use ver_search::{SearchStats, ShardSearchOutput, ShardView};
+use ver_store::column::Column;
+use ver_store::schema::{ColumnMeta, TableSchema};
+use ver_store::table::Table;
 
 use crate::ServeStats;
 
@@ -31,151 +40,13 @@ use crate::ServeStats;
 /// per-leg router stats appended to `Stats` replies.
 pub const PROTOCOL_VERSION: u32 = 2;
 
+fn reader(payload: &[u8]) -> Reader<'_> {
+    Reader::new(payload, VerError::Protocol)
+}
+
 // ---------------------------------------------------------------------
-// bounds-checked reader + write helpers
+// cells and row blocks
 // ---------------------------------------------------------------------
-
-/// Bounds-checked little-endian reader over an untrusted payload.
-///
-/// Mirrors the `ver-index::persist` cursor, but types failures as
-/// [`VerError::Protocol`]: a short read here means a peer sent garbage,
-/// not that a file on disk rotted.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn need(&self, n: usize, what: &str) -> Result<()> {
-        if self.buf.len() - self.pos < n {
-            return Err(VerError::Protocol(format!(
-                "payload truncated reading {what} at offset {}",
-                self.pos
-            )));
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        self.need(n, what)?;
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub fn u16(&mut self, what: &str) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    pub fn u32(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    pub fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A `u32` collection count, sanity-capped against the bytes that
-    /// remain: every element occupies at least `min_elem_bytes`, so a
-    /// count that could not possibly fit is rejected *before* any loop
-    /// or allocation.
-    pub fn count(&mut self, min_elem_bytes: usize, what: &str) -> Result<usize> {
-        let n = self.u32(what)? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-            return Err(VerError::Protocol(format!(
-                "count {n} for {what} exceeds remaining payload"
-            )));
-        }
-        Ok(n)
-    }
-
-    pub fn string(&mut self, what: &str) -> Result<String> {
-        let len = self.count(1, what)?;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| VerError::Protocol(format!("invalid utf-8 in {what}")))
-    }
-
-    pub fn opt_string(&mut self, what: &str) -> Result<Option<String>> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string(what)?)),
-            t => Err(VerError::Protocol(format!("bad option tag {t} for {what}"))),
-        }
-    }
-
-    pub fn bool(&mut self, what: &str) -> Result<bool> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(VerError::Protocol(format!("bad bool tag {t} for {what}"))),
-        }
-    }
-
-    pub fn value(&mut self, what: &str) -> Result<Value> {
-        match self.u8(what)? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.u64(what)? as i64)),
-            2 => Ok(Value::Float(f64::from_bits(self.u64(what)?))),
-            3 => Ok(Value::Text(Arc::from(self.string(what)?.as_str()))),
-            t => Err(VerError::Protocol(format!("bad value tag {t} for {what}"))),
-        }
-    }
-
-    /// Decoding must consume the payload exactly — trailing bytes mean
-    /// the peer and we disagree about the format.
-    pub fn finish(self, what: &str) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(VerError::Protocol(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_string(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_string(out, s);
-        }
-    }
-}
 
 fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
@@ -193,6 +64,32 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
             put_string(out, t);
         }
     }
+}
+
+fn read_value(r: &mut Reader<'_>, what: &str) -> Result<Value> {
+    match r.u8(what)? {
+        0 => Ok(Value::Null),
+        1 => Ok(Value::Int(r.u64(what)? as i64)),
+        2 => Ok(Value::Float(f64::from_bits(r.u64(what)?))),
+        3 => Ok(Value::Text(Arc::from(r.string(what)?.as_str()))),
+        t => Err(VerError::Protocol(format!("bad value tag {t} for {what}"))),
+    }
+}
+
+/// The row count that opens a view's row block (`nrows u32`, then
+/// `nrows × ncols` cells, row-major), checked against the bytes that
+/// remain at one byte per cell. A table with no columns has no rows, so a
+/// row count on a zero-column view is rejected here — it would otherwise
+/// let every remaining payload byte claim a row that costs the decoder an
+/// allocation.
+fn read_row_count(r: &mut Reader<'_>, ncols: usize, what: &str) -> Result<usize> {
+    let nrows = r.count(ncols, what)?;
+    if ncols == 0 && nrows > 0 {
+        return Err(VerError::Protocol(format!(
+            "{nrows} rows for {what} of a view with no columns"
+        )));
+    }
+    Ok(nrows)
 }
 
 // ---------------------------------------------------------------------
@@ -214,61 +111,46 @@ fn put_spec(out: &mut Vec<u8>, spec: &ViewSpec) {
         }
         ViewSpec::Keyword(terms) => {
             out.push(1);
-            put_u32(out, terms.len() as u32);
-            for t in terms {
-                put_string(out, t);
-            }
+            put_terms(out, terms);
         }
         ViewSpec::Attribute(terms) => {
             out.push(2);
-            put_u32(out, terms.len() as u32);
-            for t in terms {
-                put_string(out, t);
-            }
+            put_terms(out, terms);
         }
     }
+}
+
+fn put_terms(out: &mut Vec<u8>, terms: &[String]) {
+    put_u32(out, terms.len() as u32);
+    for t in terms {
+        put_string(out, t);
+    }
+}
+
+fn read_terms(r: &mut Reader<'_>, what: &str) -> Result<Vec<String>> {
+    r.seq(4, what, |r| r.string(what))
 }
 
 fn read_spec(r: &mut Reader<'_>) -> Result<ViewSpec> {
     match r.u8("spec tag")? {
         0 => {
-            let ncols = r.count(1, "qbe columns")?;
-            let mut columns = Vec::new();
-            for _ in 0..ncols {
+            let columns = r.seq(1, "qbe columns", |r| {
                 let name_hint = r.opt_string("qbe name hint")?;
-                let nex = r.count(1, "qbe examples")?;
-                let mut examples = Vec::new();
-                for _ in 0..nex {
-                    examples.push(r.value("qbe example")?);
-                }
-                let mut col = QueryColumn::of_values(examples);
-                if let Some(h) = name_hint {
-                    col = col.named(h);
-                }
-                columns.push(col);
-            }
+                let examples = r.seq(1, "qbe examples", |r| read_value(r, "qbe example"))?;
+                let col = QueryColumn::of_values(examples);
+                Ok(match name_hint {
+                    Some(h) => col.named(h),
+                    None => col,
+                })
+            })?;
             // Re-validate: a hostile peer can encode a spec the public
             // constructor would reject (zero columns, all-empty column).
             let q = ExampleQuery::new(columns)
                 .map_err(|e| VerError::Protocol(format!("invalid qbe spec on wire: {e}")))?;
             Ok(ViewSpec::Qbe(q))
         }
-        1 => {
-            let n = r.count(1, "keyword terms")?;
-            let mut terms = Vec::new();
-            for _ in 0..n {
-                terms.push(r.string("keyword term")?);
-            }
-            Ok(ViewSpec::Keyword(terms))
-        }
-        2 => {
-            let n = r.count(1, "attribute terms")?;
-            let mut terms = Vec::new();
-            for _ in 0..n {
-                terms.push(r.string("attribute term")?);
-            }
-            Ok(ViewSpec::Attribute(terms))
-        }
+        1 => Ok(ViewSpec::Keyword(read_terms(r, "keyword terms")?)),
+        2 => Ok(ViewSpec::Attribute(read_terms(r, "attribute terms")?)),
         t => Err(VerError::Protocol(format!("bad spec tag {t}"))),
     }
 }
@@ -358,7 +240,7 @@ impl Request {
     }
 
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut r = Reader::new(payload);
+        let mut r = reader(payload);
         let req = match r.u8("request tag")? {
             REQ_QUERY => {
                 let spec = read_spec(&mut r)?;
@@ -470,22 +352,15 @@ impl WireView {
         let id = r.u32("view id")?;
         let score_bits = r.u64("view score")?;
         let hops = r.u32("view hops")?;
-        let ntables = r.count(4, "view tables")?;
-        let mut source_tables = Vec::new();
-        for _ in 0..ntables {
-            source_tables.push(r.u32("view table id")?);
-        }
-        let ncols = r.count(1, "view columns")?;
-        let mut columns = Vec::new();
-        for _ in 0..ncols {
-            columns.push(r.opt_string("view column name")?);
-        }
-        let nrows = r.count(ncols.max(1), "view rows")?;
+        let source_tables = r.seq(4, "view tables", |r| r.u32("view table id"))?;
+        let columns = r.seq(1, "view columns", |r| r.opt_string("view column name"))?;
+        let ncols = columns.len();
+        let nrows = read_row_count(r, ncols, "view rows")?;
         let mut rows = Vec::new();
         for _ in 0..nrows {
             let mut row = Vec::new();
             for _ in 0..ncols {
-                row.push(r.value("view cell")?);
+                row.push(read_value(r, "view cell")?);
             }
             rows.push(row);
         }
@@ -500,377 +375,176 @@ impl WireView {
     }
 }
 
-/// `ver_search::SearchStats` on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireSearchStats {
-    pub combinations: u64,
-    pub skipped_by_cache: u64,
-    pub joinable_groups: u64,
-    pub join_graphs: u64,
-    pub views: u64,
+fn put_search_stats(out: &mut Vec<u8>, s: &SearchStats) {
+    put_u64(out, s.combinations as u64);
+    put_u64(out, s.skipped_by_cache as u64);
+    put_u64(out, s.joinable_groups as u64);
+    put_u64(out, s.join_graphs as u64);
+    put_u64(out, s.views as u64);
 }
 
-impl WireSearchStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.combinations);
-        put_u64(out, self.skipped_by_cache);
-        put_u64(out, self.joinable_groups);
-        put_u64(out, self.join_graphs);
-        put_u64(out, self.views);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WireSearchStats> {
-        Ok(WireSearchStats {
-            combinations: r.u64("stats combinations")?,
-            skipped_by_cache: r.u64("stats skipped")?,
-            joinable_groups: r.u64("stats groups")?,
-            join_graphs: r.u64("stats graphs")?,
-            views: r.u64("stats views")?,
-        })
-    }
-}
-
-fn dtype_tag(d: ver_common::value::DataType) -> u8 {
-    match d {
-        ver_common::value::DataType::Int => 0,
-        ver_common::value::DataType::Float => 1,
-        ver_common::value::DataType::Text => 2,
-        ver_common::value::DataType::Unknown => 3,
-    }
-}
-
-fn dtype_from_tag(t: u8, what: &str) -> Result<ver_common::value::DataType> {
-    Ok(match t {
-        0 => ver_common::value::DataType::Int,
-        1 => ver_common::value::DataType::Float,
-        2 => ver_common::value::DataType::Text,
-        3 => ver_common::value::DataType::Unknown,
-        _ => return Err(VerError::Protocol(format!("bad dtype tag {t} for {what}"))),
+fn read_search_stats(r: &mut Reader<'_>) -> Result<SearchStats> {
+    Ok(SearchStats {
+        combinations: r.u64("stats combinations")? as usize,
+        skipped_by_cache: r.u64("stats skipped")? as usize,
+        joinable_groups: r.u64("stats groups")? as usize,
+        join_graphs: r.u64("stats graphs")? as usize,
+        views: r.u64("stats views")? as usize,
     })
+}
+
+// ---------------------------------------------------------------------
+// shard-leg output
+// ---------------------------------------------------------------------
+
+fn put_cref(out: &mut Vec<u8>, c: &ColumnRef) {
+    put_u32(out, c.table.0);
+    put_u16(out, c.ordinal);
+}
+
+fn read_cref(r: &mut Reader<'_>, what: &str) -> Result<ColumnRef> {
+    Ok(ColumnRef {
+        table: TableId(r.u32(what)?),
+        ordinal: r.u16(what)?,
+    })
+}
+
+fn put_crefs(out: &mut Vec<u8>, crefs: &[ColumnRef]) {
+    put_u32(out, crefs.len() as u32);
+    for c in crefs {
+        put_cref(out, c);
+    }
+}
+
+fn read_crefs(r: &mut Reader<'_>, what: &str) -> Result<Vec<ColumnRef>> {
+    r.seq(6, what, |r| read_cref(r, what))
 }
 
 /// One view of a shard leg's output, shipped with its **rank keys**
 /// (score, canonical edge form, projection) and *full-fidelity* view data
-/// — schema metadata, provenance, rows — so the router can reconstruct
-/// the exact `ShardView` the in-process scatter would have produced and
-/// merge legs bit-identically (invariant 13).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireShardView {
-    /// Rank key, primary: candidate join score as IEEE-754 bits.
-    pub score_bits: u64,
-    /// Rank key, secondary: canonical edge form of the join graph.
-    pub canon: Vec<(u32, u32)>,
-    /// Rank key, tie-break: projection columns as `(table, ordinal)`.
-    pub projection: Vec<(u32, u16)>,
-    /// `ViewId` ordinal (not final until the router's merge renumbers).
-    pub view_id: u32,
-    /// Materialized table: catalog id, name, per-column metadata, rows.
-    pub table_id: u32,
-    pub table_name: String,
-    /// `(header, dtype tag)` per column; `None` models a missing header.
-    pub columns: Vec<(Option<String>, u8)>,
-    pub rows: Vec<Vec<Value>>,
-    /// Provenance: join edges, source tables, projection, join score bits.
-    pub join_edges: Vec<((u32, u16), (u32, u16))>,
-    pub source_tables: Vec<u32>,
-    pub prov_projection: Vec<(u32, u16)>,
-    pub join_score_bits: u64,
+/// — schema metadata, provenance, rows — so the router rebuilds the exact
+/// [`ShardView`] the in-process scatter would have produced and merges
+/// legs bit-identically (invariant 13). Rows stream straight out of the
+/// columnar table, row-major.
+fn put_shard_view(out: &mut Vec<u8>, v: &ShardView) {
+    put_u64(out, v.score.to_bits());
+    put_u32(out, v.canon.len() as u32);
+    for (a, b) in &v.canon {
+        put_u32(out, *a);
+        put_u32(out, *b);
+    }
+    put_crefs(out, &v.projection);
+    put_u32(out, v.view.id.0);
+    let table = &v.view.table;
+    put_u32(out, table.id.0);
+    put_string(out, table.name());
+    put_u32(out, table.column_count() as u32);
+    for c in &table.schema.columns {
+        put_opt_string(out, c.name.as_deref());
+        out.push(c.dtype.code());
+    }
+    put_u32(out, table.row_count() as u32);
+    for row in 0..table.row_count() {
+        for col in table.columns() {
+            put_value(out, &col.values()[row]);
+        }
+    }
+    let prov = &v.view.provenance;
+    put_u32(out, prov.join_edges.len() as u32);
+    for (a, b) in &prov.join_edges {
+        put_cref(out, a);
+        put_cref(out, b);
+    }
+    put_u32(out, prov.source_tables.len() as u32);
+    for t in &prov.source_tables {
+        put_u32(out, t.0);
+    }
+    put_crefs(out, &prov.projection);
+    put_u64(out, prov.join_score.to_bits());
 }
 
-impl WireShardView {
-    pub fn from_shard_view(v: &ver_search::ShardView) -> WireShardView {
-        let cref = |c: &ver_common::ids::ColumnRef| (c.table.0, c.ordinal);
-        WireShardView {
-            score_bits: v.score.to_bits(),
-            canon: v.canon.clone(),
-            projection: v.projection.iter().map(cref).collect(),
-            view_id: v.view.id.0,
-            table_id: v.view.table.id.0,
-            table_name: v.view.table.name().to_string(),
-            columns: v
-                .view
-                .table
-                .schema
-                .columns
-                .iter()
-                .map(|c| (c.name.as_deref().map(str::to_string), dtype_tag(c.dtype)))
-                .collect(),
-            rows: v.view.table.iter_rows().collect(),
-            join_edges: v
-                .view
-                .provenance
-                .join_edges
-                .iter()
-                .map(|(a, b)| (cref(a), cref(b)))
-                .collect(),
-            source_tables: v
-                .view
-                .provenance
-                .source_tables
-                .iter()
-                .map(|t| t.0)
-                .collect(),
-            prov_projection: v.view.provenance.projection.iter().map(cref).collect(),
-            join_score_bits: v.view.provenance.join_score.to_bits(),
-        }
-    }
-
-    /// Rebuild the in-process `ShardView` this was encoded from. A
-    /// payload that decoded cleanly can still describe an impossible
-    /// table (hostile peer); those surface as [`VerError::Protocol`].
-    pub fn into_shard_view(self) -> Result<ver_search::ShardView> {
-        use ver_common::ids::{ColumnRef, TableId, ViewId};
-        let cref = |(t, o): (u32, u16)| ColumnRef {
-            table: TableId(t),
-            ordinal: o,
-        };
-        let metas: Vec<ver_store::schema::ColumnMeta> = self
-            .columns
-            .iter()
-            .map(|(name, tag)| {
-                Ok(ver_store::schema::ColumnMeta {
-                    name: name.as_deref().map(Arc::from),
-                    dtype: dtype_from_tag(*tag, "shard view column")?,
-                })
-            })
-            .collect::<Result<_>>()?;
-        // Transpose the row-major wire form back into columns.
-        let ncols = metas.len();
-        let mut cols: Vec<Vec<Value>> = (0..ncols).map(|_| Vec::new()).collect();
-        for row in self.rows {
-            debug_assert_eq!(row.len(), ncols, "decoder reads exactly ncols per row");
-            for (c, v) in row.into_iter().enumerate() {
-                cols[c].push(v);
-            }
-        }
-        let schema = ver_store::schema::TableSchema::new(self.table_name, metas);
-        let columns = cols
-            .into_iter()
-            .map(ver_store::column::Column::from_values)
-            .collect();
-        let mut table = ver_store::table::Table::new(schema, columns)
-            .map_err(|e| VerError::Protocol(format!("shard view table on wire: {e}")))?;
-        table.id = TableId(self.table_id);
-        let provenance = ver_core::engine::Provenance {
-            join_edges: self
-                .join_edges
-                .into_iter()
-                .map(|(a, b)| (cref(a), cref(b)))
-                .collect(),
-            source_tables: self.source_tables.into_iter().map(TableId).collect(),
-            projection: self.prov_projection.into_iter().map(cref).collect(),
-            join_score: f64::from_bits(self.join_score_bits),
-        };
-        Ok(ver_search::ShardView {
-            score: f64::from_bits(self.score_bits),
-            canon: self.canon,
-            projection: self.projection.into_iter().map(cref).collect(),
-            view: ver_core::engine::View::new(ViewId(self.view_id), table, provenance),
+/// Decode one shard view straight into columns → [`Table::new`] →
+/// [`View::new`]. A payload that parses cleanly can still describe an
+/// impossible table (hostile peer); that too is [`VerError::Protocol`].
+fn read_shard_view(r: &mut Reader<'_>) -> Result<ShardView> {
+    let score = f64::from_bits(r.u64("shard view score")?);
+    let canon = r.seq(8, "shard view canon", |r| {
+        Ok((r.u32("canon edge")?, r.u32("canon edge")?))
+    })?;
+    let projection = read_crefs(r, "shard view projection")?;
+    let view_id = ViewId(r.u32("shard view id")?);
+    let table_id = TableId(r.u32("shard view table id")?);
+    let table_name = r.string("shard view table name")?;
+    let metas = r.seq(2, "shard view columns", |r| {
+        let name = r.opt_string("shard view column name")?;
+        let tag = r.u8("shard view column dtype")?;
+        let dtype = DataType::from_code(tag).ok_or_else(|| {
+            VerError::Protocol(format!("bad dtype tag {tag} for shard view column"))
+        })?;
+        Ok(ColumnMeta {
+            name: name.as_deref().map(Arc::from),
+            dtype,
         })
+    })?;
+    let nrows = read_row_count(r, metas.len(), "shard view rows")?;
+    let mut cols: Vec<Vec<Value>> = metas.iter().map(|_| Vec::new()).collect();
+    for _ in 0..nrows {
+        for col in &mut cols {
+            col.push(read_value(r, "shard view cell")?);
+        }
     }
+    let provenance = Provenance {
+        join_edges: r.seq(12, "shard view join edges", |r| {
+            Ok((read_cref(r, "join edge")?, read_cref(r, "join edge")?))
+        })?,
+        source_tables: r.seq(4, "shard view source tables", |r| {
+            Ok(TableId(r.u32("source table")?))
+        })?,
+        projection: read_crefs(r, "shard view prov projection")?,
+        join_score: f64::from_bits(r.u64("shard view join score")?),
+    };
+    let columns = cols.into_iter().map(Column::from_values).collect();
+    let mut table = Table::new(TableSchema::new(table_name, metas), columns)
+        .map_err(|e| VerError::Protocol(format!("shard view table on wire: {e}")))?;
+    table.id = table_id;
+    Ok(ShardView {
+        score,
+        canon,
+        projection: projection.into(),
+        view: View::new(view_id, table, provenance),
+    })
+}
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.score_bits);
-        put_u32(out, self.canon.len() as u32);
-        for (a, b) in &self.canon {
-            put_u32(out, *a);
-            put_u32(out, *b);
-        }
-        put_u32(out, self.projection.len() as u32);
-        for (t, o) in &self.projection {
-            put_u32(out, *t);
-            put_u16(out, *o);
-        }
-        put_u32(out, self.view_id);
-        put_u32(out, self.table_id);
-        put_string(out, &self.table_name);
-        put_u32(out, self.columns.len() as u32);
-        for (name, tag) in &self.columns {
-            put_opt_string(out, name.as_deref());
-            out.push(*tag);
-        }
-        put_u32(out, self.rows.len() as u32);
-        for row in &self.rows {
-            for v in row {
-                put_value(out, v);
-            }
-        }
-        put_u32(out, self.join_edges.len() as u32);
-        for ((at, ao), (bt, bo)) in &self.join_edges {
-            put_u32(out, *at);
-            put_u16(out, *ao);
-            put_u32(out, *bt);
-            put_u16(out, *bo);
-        }
-        put_u32(out, self.source_tables.len() as u32);
-        for t in &self.source_tables {
-            put_u32(out, *t);
-        }
-        put_u32(out, self.prov_projection.len() as u32);
-        for (t, o) in &self.prov_projection {
-            put_u32(out, *t);
-            put_u16(out, *o);
-        }
-        put_u64(out, self.join_score_bits);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WireShardView> {
-        let score_bits = r.u64("shard view score")?;
-        let ncanon = r.count(8, "shard view canon")?;
-        let mut canon = Vec::new();
-        for _ in 0..ncanon {
-            canon.push((r.u32("canon edge")?, r.u32("canon edge")?));
-        }
-        let nproj = r.count(6, "shard view projection")?;
-        let mut projection = Vec::new();
-        for _ in 0..nproj {
-            projection.push((r.u32("projection table")?, r.u16("projection ordinal")?));
-        }
-        let view_id = r.u32("shard view id")?;
-        let table_id = r.u32("shard view table id")?;
-        let table_name = r.string("shard view table name")?;
-        let ncols = r.count(2, "shard view columns")?;
-        let mut columns = Vec::new();
-        for _ in 0..ncols {
-            let name = r.opt_string("shard view column name")?;
-            let tag = r.u8("shard view column dtype")?;
-            dtype_from_tag(tag, "shard view column")?;
-            columns.push((name, tag));
-        }
-        let nrows = r.count(ncols.max(1), "shard view rows")?;
-        let mut rows = Vec::new();
-        for _ in 0..nrows {
-            let mut row = Vec::new();
-            for _ in 0..ncols {
-                row.push(r.value("shard view cell")?);
-            }
-            rows.push(row);
-        }
-        let nedges = r.count(12, "shard view join edges")?;
-        let mut join_edges = Vec::new();
-        for _ in 0..nedges {
-            let a = (r.u32("edge table")?, r.u16("edge ordinal")?);
-            let b = (r.u32("edge table")?, r.u16("edge ordinal")?);
-            join_edges.push((a, b));
-        }
-        let ntables = r.count(4, "shard view source tables")?;
-        let mut source_tables = Vec::new();
-        for _ in 0..ntables {
-            source_tables.push(r.u32("source table")?);
-        }
-        let npproj = r.count(6, "shard view prov projection")?;
-        let mut prov_projection = Vec::new();
-        for _ in 0..npproj {
-            prov_projection.push((r.u32("prov table")?, r.u16("prov ordinal")?));
-        }
-        let join_score_bits = r.u64("shard view join score")?;
-        Ok(WireShardView {
-            score_bits,
-            canon,
-            projection,
-            view_id,
-            table_id,
-            table_name,
-            columns,
-            rows,
-            join_edges,
-            source_tables,
-            prov_projection,
-            join_score_bits,
-        })
+/// One whole shard leg's output: this shard's owned slice of the global
+/// ranking. The leg's DAG counters and stage timers stay server-side —
+/// they never influence merged *results* (only local diagnostics), so
+/// shipping them would buy nothing but bytes; the decoder resets them.
+fn put_shard_output(out: &mut Vec<u8>, o: &ShardSearchOutput) {
+    put_u32(out, o.shard as u32);
+    put_u32(out, o.shard_count as u32);
+    out.push(o.partial as u8);
+    put_search_stats(out, &o.stats);
+    put_u32(out, o.views.len() as u32);
+    for v in &o.views {
+        put_shard_view(out, v);
     }
 }
 
-/// One whole shard leg's output on the wire: this shard's owned slice of
-/// the global ranking. The leg's DAG counters and stage timers stay
-/// server-side — they never influence merged *results* (only local
-/// diagnostics), so shipping them would buy nothing but bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireShardOutput {
-    pub shard: u32,
-    pub shard_count: u32,
-    /// `true` when the leg's slice was trimmed by the budget.
-    pub partial: bool,
-    pub stats: WireSearchStats,
-    pub views: Vec<WireShardView>,
-}
-
-impl WireShardOutput {
-    pub fn from_output(out: &ver_search::ShardSearchOutput) -> WireShardOutput {
-        let s = &out.stats;
-        WireShardOutput {
-            shard: out.shard as u32,
-            shard_count: out.shard_count as u32,
-            partial: out.partial,
-            stats: WireSearchStats {
-                combinations: s.combinations as u64,
-                skipped_by_cache: s.skipped_by_cache as u64,
-                joinable_groups: s.joinable_groups as u64,
-                join_graphs: s.join_graphs as u64,
-                views: s.views as u64,
-            },
-            views: out
-                .views
-                .iter()
-                .map(WireShardView::from_shard_view)
-                .collect(),
-        }
-    }
-
-    /// Rebuild the in-process leg output (timers and DAG counters reset —
-    /// they are per-process diagnostics, not merge inputs).
-    pub fn into_output(self) -> Result<ver_search::ShardSearchOutput> {
-        let views: Vec<ver_search::ShardView> = self
-            .views
-            .into_iter()
-            .map(WireShardView::into_shard_view)
-            .collect::<Result<_>>()?;
-        Ok(ver_search::ShardSearchOutput {
-            shard: self.shard as usize,
-            shard_count: self.shard_count as usize,
-            views,
-            stats: ver_search::SearchStats {
-                combinations: self.stats.combinations as usize,
-                skipped_by_cache: self.stats.skipped_by_cache as usize,
-                joinable_groups: self.stats.joinable_groups as usize,
-                join_graphs: self.stats.join_graphs as usize,
-                views: self.stats.views as usize,
-            },
-            dag: ver_search::MaterializeStats::default(),
-            timer: ver_common::timer::PhaseTimer::new(),
-            partial: self.partial,
-        })
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.shard);
-        put_u32(out, self.shard_count);
-        out.push(self.partial as u8);
-        self.stats.encode(out);
-        put_u32(out, self.views.len() as u32);
-        for v in &self.views {
-            v.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WireShardOutput> {
-        let shard = r.u32("shard")?;
-        let shard_count = r.u32("shard count")?;
-        let partial = r.bool("shard partial")?;
-        let stats = WireSearchStats::decode(r)?;
-        let nviews = r.count(40, "shard views")?;
-        let mut views = Vec::new();
-        for _ in 0..nviews {
-            views.push(WireShardView::decode(r)?);
-        }
-        Ok(WireShardOutput {
-            shard,
-            shard_count,
-            partial,
-            stats,
-            views,
-        })
-    }
+fn read_shard_output(r: &mut Reader<'_>) -> Result<ShardSearchOutput> {
+    let shard = r.u32("shard")? as usize;
+    let shard_count = r.u32("shard count")? as usize;
+    let partial = r.bool("shard partial")?;
+    let stats = read_search_stats(r)?;
+    let views = r.seq(40, "shard views", read_shard_view)?;
+    Ok(ShardSearchOutput {
+        shard,
+        shard_count,
+        views,
+        stats,
+        dag: ver_search::MaterializeStats::default(),
+        timer: ver_common::timer::PhaseTimer::new(),
+        partial,
+    })
 }
 
 /// The head of a query response: result-level facts plus the first page
@@ -879,7 +553,7 @@ impl WireShardOutput {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryHead {
     pub partial: bool,
-    pub stats: WireSearchStats,
+    pub stats: SearchStats,
     /// C2 survivor `ViewId` ordinals (distillation output).
     pub survivors_c2: Vec<u32>,
     /// Ranked `(ViewId ordinal, overlap score)` pairs.
@@ -1081,11 +755,7 @@ impl StatsReply {
             in_flight: r.u64("in flight")? as usize,
         };
         let net = NetStats::decode(r)?;
-        let nlegs = r.count(37, "router legs")?;
-        let mut router = Vec::new();
-        for _ in 0..nlegs {
-            router.push(WireRouterLeg::decode(r)?);
-        }
+        let router = r.seq(37, "router legs", WireRouterLeg::decode)?;
         Ok(StatsReply { serve, net, router })
     }
 }
@@ -1129,7 +799,7 @@ impl HealthReply {
 // ---------------------------------------------------------------------
 
 /// A server→client message.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum Response {
     Query(QueryHead),
     Page(Page),
@@ -1137,7 +807,7 @@ pub enum Response {
     Health(HealthReply),
     ShutdownAck,
     /// One shard leg's raw output (reply to [`Request::ShardQuery`]).
-    ShardOutput(WireShardOutput),
+    ShardOutput(ShardSearchOutput),
     /// Typed failure: `code` is [`VerError::wire_code`], `message` the
     /// error's inner message. The client rebuilds the `VerError` with
     /// [`VerError::from_wire`].
@@ -1163,12 +833,7 @@ fn put_views(out: &mut Vec<u8>, views: &[WireView]) {
 }
 
 fn read_views(r: &mut Reader<'_>) -> Result<Vec<WireView>> {
-    let n = r.count(20, "views")?;
-    let mut views = Vec::new();
-    for _ in 0..n {
-        views.push(WireView::decode(r)?);
-    }
-    Ok(views)
+    r.seq(20, "views", WireView::decode)
 }
 
 impl Response {
@@ -1178,7 +843,7 @@ impl Response {
             Response::Query(head) => {
                 out.push(RESP_QUERY);
                 out.push(head.partial as u8);
-                head.stats.encode(&mut out);
+                put_search_stats(&mut out, &head.stats);
                 put_u32(&mut out, head.survivors_c2.len() as u32);
                 for v in &head.survivors_c2 {
                     put_u32(&mut out, *v);
@@ -1211,7 +876,7 @@ impl Response {
             Response::ShutdownAck => out.push(RESP_SHUTDOWN_ACK),
             Response::ShardOutput(o) => {
                 out.push(RESP_SHARD_OUTPUT);
-                o.encode(&mut out);
+                put_shard_output(&mut out, o);
             }
             Response::Error { code, message } => {
                 out.push(RESP_ERROR);
@@ -1223,23 +888,15 @@ impl Response {
     }
 
     pub fn decode(payload: &[u8]) -> Result<Response> {
-        let mut r = Reader::new(payload);
+        let mut r = reader(payload);
         let resp = match r.u8("response tag")? {
             RESP_QUERY => {
                 let partial = r.bool("partial flag")?;
-                let stats = WireSearchStats::decode(&mut r)?;
-                let nsurv = r.count(4, "survivors")?;
-                let mut survivors_c2 = Vec::new();
-                for _ in 0..nsurv {
-                    survivors_c2.push(r.u32("survivor id")?);
-                }
-                let nranked = r.count(12, "ranked")?;
-                let mut ranked = Vec::new();
-                for _ in 0..nranked {
-                    let v = r.u32("ranked id")?;
-                    let s = r.u64("ranked score")?;
-                    ranked.push((v, s));
-                }
+                let stats = read_search_stats(&mut r)?;
+                let survivors_c2 = r.seq(4, "survivors", |r| r.u32("survivor id"))?;
+                let ranked = r.seq(12, "ranked", |r| {
+                    Ok((r.u32("ranked id")?, r.u64("ranked score")?))
+                })?;
                 let total_views = r.u32("total views")?;
                 let page_size = r.u32("page size")?;
                 let cursor = r.u64("cursor")?;
@@ -1270,7 +927,7 @@ impl Response {
             RESP_STATS => Response::Stats(StatsReply::decode(&mut r)?),
             RESP_HEALTH => Response::Health(HealthReply::decode(&mut r)?),
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
-            RESP_SHARD_OUTPUT => Response::ShardOutput(WireShardOutput::decode(&mut r)?),
+            RESP_SHARD_OUTPUT => Response::ShardOutput(read_shard_output(&mut r)?),
             RESP_ERROR => {
                 let code = r.u16("error code")?;
                 let message = r.string("error message")?;
@@ -1293,7 +950,7 @@ impl Response {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireResult {
     pub partial: bool,
-    pub stats: WireSearchStats,
+    pub stats: SearchStats,
     pub survivors_c2: Vec<u32>,
     pub ranked: Vec<(u32, u64)>,
     pub views: Vec<WireView>,
@@ -1304,16 +961,9 @@ impl WireResult {
     /// test pins `render` of this against `render` of a client-fetched
     /// copy *and* against the in-process snapshot file.
     pub fn from_query_result(result: &QueryResult) -> WireResult {
-        let s = &result.search_stats;
         WireResult {
             partial: result.partial,
-            stats: WireSearchStats {
-                combinations: s.combinations as u64,
-                skipped_by_cache: s.skipped_by_cache as u64,
-                joinable_groups: s.joinable_groups as u64,
-                join_graphs: s.join_graphs as u64,
-                views: s.views as u64,
-            },
+            stats: result.search_stats,
             survivors_c2: result.distill.survivors_c2.iter().map(|v| v.0).collect(),
             ranked: result
                 .ranked
@@ -1392,23 +1042,52 @@ mod tests {
         }
     }
 
-    fn sample_shard_view() -> WireShardView {
-        WireShardView {
-            score_bits: 0.75f64.to_bits(),
-            canon: vec![(1, 9), (2, 4)],
-            projection: vec![(0, 1), (3, 0)],
-            view_id: 5,
-            table_id: 3,
-            table_name: "joined".into(),
-            columns: vec![(Some("a".into()), 2), (None, 0)],
-            rows: vec![
-                vec![Value::text("x"), Value::Int(-1)],
-                vec![Value::Null, Value::Int(7)],
+    fn cref(table: u32, ordinal: u16) -> ColumnRef {
+        ColumnRef {
+            table: TableId(table),
+            ordinal,
+        }
+    }
+
+    fn sample_shard_output() -> ShardSearchOutput {
+        let schema = TableSchema::new(
+            "joined",
+            vec![
+                ColumnMeta::named("a", DataType::Text),
+                ColumnMeta::anonymous(DataType::Int),
             ],
-            join_edges: vec![((0, 1), (3, 0))],
-            source_tables: vec![0, 3],
-            prov_projection: vec![(0, 0), (3, 1)],
-            join_score_bits: 0.75f64.to_bits(),
+        );
+        let columns = vec![
+            Column::from_values(vec![Value::text("x"), Value::Null]),
+            Column::from_values(vec![Value::Int(-1), Value::Int(7)]),
+        ];
+        let mut table = Table::new(schema, columns).unwrap();
+        table.id = TableId(3);
+        let provenance = Provenance {
+            join_edges: vec![(cref(0, 1), cref(3, 0))],
+            source_tables: vec![TableId(0), TableId(3)],
+            projection: vec![cref(0, 0), cref(3, 1)],
+            join_score: 0.75,
+        };
+        ShardSearchOutput {
+            shard: 1,
+            shard_count: 2,
+            views: vec![ShardView {
+                score: 0.75,
+                canon: vec![(1, 9), (2, 4)],
+                projection: vec![cref(0, 1), cref(3, 0)].into(),
+                view: View::new(ViewId(5), table, provenance),
+            }],
+            stats: SearchStats {
+                combinations: 5,
+                skipped_by_cache: 0,
+                joinable_groups: 5,
+                join_graphs: 9,
+                views: 1,
+            },
+            dag: ver_search::MaterializeStats::default(),
+            timer: ver_common::timer::PhaseTimer::new(),
+            partial: true,
         }
     }
 
@@ -1458,109 +1137,36 @@ mod tests {
 
     #[test]
     fn shard_view_reconstruction_is_lossless() {
-        // wire → in-process → wire must be the identity: the router's
-        // merge works on reconstructed `ShardView`s, so any loss here
-        // would silently break invariant 13.
-        let wire = sample_shard_view();
-        let sv = wire.clone().into_shard_view().unwrap();
+        // in-process → wire → in-process → wire must be the identity: the
+        // router's merge works on reconstructed `ShardView`s, so any loss
+        // here would silently break invariant 13.
+        let bytes = Response::ShardOutput(sample_shard_output()).encode();
+        let back = Response::decode(&bytes).unwrap();
+        let Response::ShardOutput(out) = &back else {
+            panic!("expected ShardOutput, got {back:?}");
+        };
+        let sv = &out.views[0];
         assert_eq!(sv.view.table.row_count(), 2);
         assert_eq!(sv.view.table.schema.columns[0].name.as_deref(), Some("a"));
+        assert_eq!(sv.view.table.cell(1, 1), Some(&Value::Int(7)));
         assert_eq!(sv.view.provenance.join_edges.len(), 1);
-        let back = WireShardView::from_shard_view(&sv);
-        assert_eq!(back, wire);
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
-    fn shard_view_with_bad_dtype_tag_is_a_protocol_error() {
-        let mut wire = sample_shard_view();
-        wire.columns[0].1 = 9;
-        let resp = Response::ShardOutput(WireShardOutput {
-            shard: 0,
-            shard_count: 1,
-            partial: false,
-            stats: WireSearchStats::default(),
-            views: vec![wire],
-        });
+    fn shard_view_with_an_unknown_dtype_is_a_protocol_error() {
+        let mut bytes = Response::ShardOutput(sample_shard_output()).encode();
+        // Column "a": option tag, length-prefixed name, then its dtype code.
+        let column = [1, 1, 0, 0, 0, b'a', DataType::Text.code()];
+        let at = bytes
+            .windows(column.len())
+            .position(|w| w == column)
+            .expect("column header in payload");
+        bytes[at + column.len() - 1] = 9;
         assert!(matches!(
-            Response::decode(&resp.encode()),
+            Response::decode(&bytes),
             Err(VerError::Protocol(_))
         ));
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let resps = vec![
-            Response::Query(QueryHead {
-                partial: true,
-                stats: WireSearchStats {
-                    combinations: 21,
-                    skipped_by_cache: 2,
-                    joinable_groups: 21,
-                    join_graphs: 402,
-                    views: 402,
-                },
-                survivors_c2: vec![0, 2, 5],
-                ranked: vec![(2, 10), (0, 4)],
-                total_views: 3,
-                page_size: 2,
-                cursor: 17,
-                views: vec![sample_view()],
-            }),
-            Response::Page(Page {
-                cursor: 17,
-                page: 1,
-                last: true,
-                views: vec![sample_view(), sample_view()],
-            }),
-            Response::Stats(StatsReply {
-                serve: ServeStats::default(),
-                net: NetStats {
-                    accepted: 4,
-                    dropped_conns: 1,
-                    ..NetStats::default()
-                },
-                router: vec![
-                    WireRouterLeg {
-                        addr: "127.0.0.1:7201".into(),
-                        attempts: 12,
-                        retries: 3,
-                        failures: 3,
-                        failovers: 1,
-                        breaker: 1,
-                    },
-                    WireRouterLeg::default(),
-                ],
-            }),
-            Response::ShardOutput(WireShardOutput {
-                shard: 1,
-                shard_count: 2,
-                partial: true,
-                stats: WireSearchStats {
-                    combinations: 5,
-                    skipped_by_cache: 0,
-                    joinable_groups: 5,
-                    join_graphs: 9,
-                    views: 1,
-                },
-                views: vec![sample_shard_view()],
-            }),
-            Response::Health(HealthReply {
-                protocol_version: PROTOCOL_VERSION,
-                tables: 60,
-                columns: 240,
-                shards: 2,
-                uptime_ms: 1234,
-            }),
-            Response::ShutdownAck,
-            Response::Error {
-                code: VerError::Overloaded("busy".into()).wire_code(),
-                message: "busy".into(),
-            },
-        ];
-        for resp in resps {
-            let enc = resp.encode();
-            assert_eq!(Response::decode(&enc).unwrap(), resp);
-        }
     }
 
     #[test]

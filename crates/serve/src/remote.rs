@@ -111,19 +111,19 @@ impl ShardBackend for RemoteLeg {
         shard_count: usize,
         budget: &QueryBudget,
     ) -> Result<ShardSearchOutput> {
-        let wire = lock_unpoisoned(&self.client).shard_query(
+        let out = lock_unpoisoned(&self.client).shard_query(
             spec,
             shard as u32,
             shard_count as u32,
             budget,
         )?;
-        if (wire.shard, wire.shard_count) != (shard as u32, shard_count as u32) {
+        if (out.shard, out.shard_count) != (shard, shard_count) {
             return Err(VerError::Protocol(format!(
                 "leg {} answered for shard {}/{} but was asked {shard}/{shard_count}",
-                self.addr, wire.shard, wire.shard_count
+                self.addr, out.shard, out.shard_count
             )));
         }
-        wire.into_output()
+        Ok(out)
     }
 
     /// Remote legs degrade on everything the local scatter drops **plus**

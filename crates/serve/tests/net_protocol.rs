@@ -14,16 +14,22 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use ver_common::error::VerError;
-use ver_common::value::Value;
+use ver_common::ids::{ColumnRef, TableId, ViewId};
+use ver_common::value::{DataType, Value};
+use ver_core::engine::{Provenance, View};
 use ver_qbe::{ExampleQuery, QueryColumn, ViewSpec};
+use ver_search::{SearchStats, ShardSearchOutput, ShardView};
 use ver_serve::net::frame::{
     decode_frame, encode_frame, read_frame, write_frame, ReadOutcome, MAGIC,
 };
 use ver_serve::net::{
     Client, HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireSearchStats, WireShardOutput, WireShardView, WireView, PROTOCOL_VERSION,
+    WireRouterLeg, WireView, PROTOCOL_VERSION,
 };
 use ver_serve::ServeStats;
+use ver_store::column::Column;
+use ver_store::schema::{ColumnMeta, TableSchema};
+use ver_store::table::Table;
 
 fn sample_view(id: u32) -> WireView {
     WireView {
@@ -80,23 +86,35 @@ fn request_corpus() -> Vec<Request> {
     ]
 }
 
-fn sample_shard_view(id: u32) -> WireShardView {
-    WireShardView {
-        score_bits: (0.5 + id as f64).to_bits(),
-        canon: vec![(0, id + 1), (id + 1, 2)],
-        projection: vec![(0, 0), (id + 1, 1)],
-        view_id: id,
-        table_id: 40 + id,
-        table_name: format!("view_{id}"),
-        columns: vec![(Some("state".into()), 2), (None, 0)],
-        rows: vec![
-            vec![Value::text(format!("state_{id}")), Value::Int(id as i64)],
-            vec![Value::Null, Value::Int(-1)],
+fn sample_shard_view(id: u32) -> ShardView {
+    let cref = |table: u32, ordinal: u16| ColumnRef {
+        table: TableId(table),
+        ordinal,
+    };
+    let schema = TableSchema::new(
+        format!("view_{id}"),
+        vec![
+            ColumnMeta::named("state", DataType::Text),
+            ColumnMeta::anonymous(DataType::Int),
         ],
-        join_edges: vec![((0, 0), (id + 1, 1))],
-        source_tables: vec![0, id + 1],
-        prov_projection: vec![(0, 0)],
-        join_score_bits: (0.25 * id as f64).to_bits(),
+    );
+    let columns = vec![
+        Column::from_values(vec![Value::text(format!("state_{id}")), Value::Null]),
+        Column::from_values(vec![Value::Int(id as i64), Value::Int(-1)]),
+    ];
+    let mut table = Table::new(schema, columns).unwrap();
+    table.id = TableId(40 + id);
+    let provenance = Provenance {
+        join_edges: vec![(cref(0, 0), cref(id + 1, 1))],
+        source_tables: vec![TableId(0), TableId(id + 1)],
+        projection: vec![cref(0, 0)],
+        join_score: 0.25 * id as f64,
+    };
+    ShardView {
+        score: 0.5 + id as f64,
+        canon: vec![(0, id + 1), (id + 1, 2)],
+        projection: vec![cref(0, 0), cref(id + 1, 1)].into(),
+        view: View::new(ViewId(id), table, provenance),
     }
 }
 
@@ -105,7 +123,7 @@ fn response_corpus() -> Vec<Response> {
     vec![
         Response::Query(QueryHead {
             partial: true,
-            stats: WireSearchStats {
+            stats: SearchStats {
                 combinations: 21,
                 skipped_by_cache: 3,
                 joinable_groups: 21,
@@ -152,18 +170,20 @@ fn response_corpus() -> Vec<Response> {
                 },
             ],
         }),
-        Response::ShardOutput(WireShardOutput {
+        Response::ShardOutput(ShardSearchOutput {
             shard: 3,
             shard_count: 4,
-            partial: true,
-            stats: WireSearchStats {
+            views: vec![sample_shard_view(0), sample_shard_view(5)],
+            stats: SearchStats {
                 combinations: 7,
                 skipped_by_cache: 1,
                 joinable_groups: 6,
                 join_graphs: 12,
                 views: 2,
             },
-            views: vec![sample_shard_view(0), sample_shard_view(5)],
+            dag: ver_search::MaterializeStats::default(),
+            timer: ver_common::timer::PhaseTimer::new(),
+            partial: true,
         }),
         Response::Health(HealthReply {
             protocol_version: PROTOCOL_VERSION,
@@ -202,12 +222,49 @@ fn every_request_type_round_trips() {
     }
 }
 
+/// `Response` carries a `ShardSearchOutput`, which has no `PartialEq`:
+/// compare every other variant structurally and a leg output by everything
+/// the merge reads.
+fn assert_same_response(a: &Response, b: &Response) {
+    match (a, b) {
+        (Response::Query(a), Response::Query(b)) => assert_eq!(a, b),
+        (Response::Page(a), Response::Page(b)) => assert_eq!(a, b),
+        (Response::Stats(a), Response::Stats(b)) => assert_eq!(a, b),
+        (Response::Health(a), Response::Health(b)) => assert_eq!(a, b),
+        (Response::ShutdownAck, Response::ShutdownAck) => {}
+        (
+            Response::Error { code, message },
+            Response::Error {
+                code: c,
+                message: m,
+            },
+        ) => assert_eq!((code, message), (c, m)),
+        (Response::ShardOutput(a), Response::ShardOutput(b)) => {
+            assert_eq!(
+                (a.shard, a.shard_count, a.partial, a.stats),
+                (b.shard, b.shard_count, b.partial, b.stats)
+            );
+            assert_eq!(a.views.len(), b.views.len());
+            for (x, y) in a.views.iter().zip(&b.views) {
+                assert_eq!(x.score.to_bits(), y.score.to_bits());
+                assert_eq!((&x.canon, &x.projection), (&y.canon, &y.projection));
+                assert_eq!(x.view.table.id, y.view.table.id);
+                assert_eq!(x.view.table.name(), y.view.table.name());
+                assert!(x.view.same_contents(&y.view), "{x:?} != {y:?}");
+            }
+        }
+        _ => panic!("{a:?} is not a {b:?}"),
+    }
+}
+
 #[test]
 fn every_response_type_round_trips() {
     for resp in response_corpus() {
         let framed = encode_frame(&resp.encode());
         let payload = decode_frame(&framed).unwrap();
-        assert_eq!(Response::decode(&payload).unwrap(), resp);
+        let back = Response::decode(&payload).unwrap();
+        assert_same_response(&back, &resp);
+        assert_eq!(back.encode(), payload);
     }
 }
 
@@ -350,6 +407,33 @@ proptest! {
                 prop_assert!(count > 0);
             }
         }
+
+        // A view that claims no columns may not claim rows: each would
+        // cost the decoder an allocation for no payload bytes at all. The
+        // error must come from the row count itself, before any row is
+        // built — not from the trailing-bytes check after all of them
+        // (the padding lets the count pass the remaining-bytes bound).
+        let rows = (count % 4096).max(1);
+        let mut payload = Response::Page(Page {
+            cursor: 1,
+            page: 0,
+            last: false,
+            views: vec![WireView {
+                columns: vec![],
+                rows: vec![],
+                ..sample_view(0)
+            }],
+        })
+        .encode();
+        let n = payload.len();
+        payload[n - 4..].copy_from_slice(&rows.to_le_bytes());
+        payload.resize(n + rows as usize, 0);
+        match Response::decode(&payload) {
+            Err(VerError::Protocol(m)) => {
+                prop_assert!(m.contains(&format!("{rows} ")) && !m.contains("trailing"), "{m}")
+            }
+            other => prop_assert!(false, "zero-column view with {rows} rows: {other:?}"),
+        }
     }
 }
 
@@ -383,7 +467,7 @@ fn zero_progress_pagination_is_a_typed_error_not_an_infinite_loop() {
         read_frame(&mut s).unwrap();
         let head = Response::Query(QueryHead {
             partial: false,
-            stats: WireSearchStats {
+            stats: SearchStats {
                 combinations: 1,
                 skipped_by_cache: 0,
                 joinable_groups: 1,
@@ -478,7 +562,7 @@ fn render_matches_the_golden_format_shape() {
     // snapshot file, this pins the shape without an engine.
     let result = WireResult {
         partial: false,
-        stats: WireSearchStats {
+        stats: SearchStats {
             combinations: 2,
             skipped_by_cache: 0,
             joinable_groups: 2,

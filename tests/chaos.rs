@@ -826,6 +826,71 @@ fn killing_a_leg_process_degrades_to_partial_and_recovery_is_byte_identical() {
 }
 
 #[test]
+fn concurrent_clients_over_a_router_with_a_dead_leg_all_get_partial_answers() {
+    let _g = guard();
+    fault::reset();
+    let fix = proc_fixture();
+
+    // A router front end over two leg processes, one of them killed
+    // before any traffic: every scatter loses leg 1 for good.
+    let leg0 = spawn_leg("127.0.0.1:0", &[]);
+    let mut leg1 = spawn_leg("127.0.0.1:0", &[]);
+    let router = router_over(&[leg0.addr, leg1.addr]);
+    leg1.kill9();
+    let mut handle = Server::bind(
+        Backend::Router(Arc::new(router)),
+        NetConfig {
+            addr: "127.0.0.1:0".parse().expect("addr"),
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind router front end")
+    .spawn();
+
+    // Never-seen keyword specs (one per distinct column header of the
+    // corpus), so every request is a result-cache miss that scatters.
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 3;
+    let mut terms: Vec<String> = fix
+        .catalog
+        .tables()
+        .iter()
+        .flat_map(|t| t.schema.columns.iter())
+        .filter_map(|c| c.name.as_deref().map(str::to_string))
+        .collect();
+    terms.sort();
+    terms.dedup();
+    assert!(terms.len() >= CLIENTS * PER_CLIENT, "{} terms", terms.len());
+
+    let addr = handle.addr();
+    std::thread::scope(|s| {
+        for mine in terms.chunks(PER_CLIENT).take(CLIENTS) {
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect to router");
+                for term in mine {
+                    let result = client
+                        .query(&ViewSpec::Keyword(vec![term.clone()]), 0, 0)
+                        .expect("a dead leg must degrade the answer, never fail it");
+                    assert!(result.partial, "{term}: dead leg must flag partial");
+                }
+            });
+        }
+    });
+
+    let stats = Client::connect(addr)
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    assert_eq!(stats.serve.partial_results, (CLIENTS * PER_CLIENT) as u64);
+    assert_eq!(stats.net.protocol_errors, 0, "{:?}", stats.net);
+    assert_eq!(stats.net.dropped_conns, 0, "{:?}", stats.net);
+    assert_eq!(stats.net.handler_panics, 0, "{:?}", stats.net);
+    assert!(stats.router[1].failovers > 0, "{:?}", stats.router);
+    assert_eq!(stats.router[0].failovers, 0, "{:?}", stats.router);
+    handle.stop();
+}
+
+#[test]
 fn a_transient_leg_connection_fault_is_retried_not_degraded() {
     let _g = guard();
     fault::reset();

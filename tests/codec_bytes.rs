@@ -19,7 +19,7 @@ use ver_index::shard::{partition_index, shard_to_bytes};
 use ver_serve::net::frame::encode_frame;
 use ver_serve::net::{
     HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireShardOutput, PROTOCOL_VERSION,
+    WireRouterLeg, PROTOCOL_VERSION,
 };
 use ver_serve::ServeStats;
 
@@ -110,7 +110,7 @@ fn pins() -> Vec<(String, usize, u64)> {
                 .expect("leg run");
             pin_msg(
                 &format!("{name} leg {shard}/2"),
-                Response::ShardOutput(WireShardOutput::from_output(&leg)).encode(),
+                Response::ShardOutput(leg).encode(),
             );
         }
         pin_msg(

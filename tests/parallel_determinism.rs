@@ -231,7 +231,7 @@ fn shard_leg_outputs_survive_the_wire_codec_bit_identically() {
     // copies. The result must be bit-identical to the single-engine run —
     // the wire is allowed to drop per-process diagnostics (timers, DAG
     // counters), never anything that feeds the merge.
-    use ver_serve::net::{Response, WireShardOutput};
+    use ver_serve::net::Response;
 
     let cat = corpus();
     let gts = wdc_ground_truths(&cat).expect("wdc ground truths");
@@ -252,11 +252,9 @@ fn shard_leg_outputs_survive_the_wire_codec_bit_identically() {
                         .run_shard_leg(&spec, None, &budget, shard, count)
                         .expect("leg run");
                     assert!(!out.partial, "{}: leg {shard}/{count} partial", gt.name);
-                    let bytes = Response::ShardOutput(WireShardOutput::from_output(&out)).encode();
+                    let bytes = Response::ShardOutput(out).encode();
                     match Response::decode(&bytes).expect("decode leg output") {
-                        Response::ShardOutput(wire) => {
-                            wire.into_output().expect("rebuild leg output")
-                        }
+                        Response::ShardOutput(out) => out,
                         other => panic!("expected ShardOutput, got {other:?}"),
                     }
                 })
