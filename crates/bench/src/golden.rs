@@ -67,7 +67,7 @@ pub fn render_query(out: &mut String, name: &str, result: &QueryResult) {
             v.id,
             v.provenance.join_score,
             v.row_count(),
-            v.table.column_count(),
+            v.schema().arity(),
             v.provenance.hops(),
             tables.join(",")
         );
@@ -107,4 +107,33 @@ where
         render_query(&mut out, name, result.borrow());
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ver_common::ids::ViewId;
+    use ver_core::{Ver, VerConfig};
+
+    #[test]
+    fn ranked_ids_resolve_by_binary_search_to_what_a_scan_finds() {
+        let catalog = golden_catalog();
+        let queries = golden_queries(&catalog);
+        let ver = Ver::build(catalog, VerConfig::default()).expect("index build");
+        for (name, spec) in &queries {
+            let result = ver.run(spec).expect("pipeline run");
+            assert!(!result.ranked.is_empty(), "{name}: nothing ranked");
+            let by_scan = result.ranked.iter().map(|&(id, _)| {
+                let found = result.views.iter().find(|v| v.id == id);
+                found.expect("ranked view is a candidate")
+            });
+            let resolved = result.distilled_views();
+            assert_eq!(resolved.len(), result.ranked.len(), "{name}");
+            for (by_search, by_scan) in resolved.into_iter().zip(by_scan) {
+                assert!(std::ptr::eq(by_search, by_scan), "{name}: {}", by_scan.id);
+            }
+            assert!(result.view(ViewId(result.views.len() as u32)).is_none());
+            assert!(result.view(ViewId(u32::MAX)).is_none());
+        }
+    }
 }

@@ -53,18 +53,16 @@ mod tests {
         assert_eq!(*lock_unpoisoned(&m), vec![1, 2, 3, 4]);
     }
 
-    /// Lint: no non-test source in the workspace takes a `Mutex` with
-    /// `.lock().unwrap()` / `.lock().expect(..)` — every one goes through
-    /// [`lock_unpoisoned`], or one panic under the lock bricks the process.
-    /// Scans `crates/*/src/**/*.rs` above each file's first `#[cfg(test)]`,
-    /// with whitespace removed so a call split across lines still matches.
-    #[test]
-    fn no_raw_mutex_unwrap_outside_tests() {
-        fn visit(dir: &std::path::Path, offenders: &mut Vec<String>) {
+    /// Every non-test source of the workspace — `crates/*/src/**/*.rs`
+    /// above each file's first `#[cfg(test)]`, comment lines dropped — as
+    /// `(path, code)` with whitespace removed, so a call split across lines
+    /// still matches a pattern.
+    fn non_test_sources() -> Vec<(String, String)> {
+        fn visit(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
             for entry in std::fs::read_dir(dir).expect("readable source dir") {
                 let path = entry.expect("dir entry").path();
                 if path.is_dir() {
-                    visit(&path, offenders);
+                    visit(&path, out);
                 } else if path.extension().is_some_and(|x| x == "rs") {
                     let source = std::fs::read_to_string(&path).expect("utf-8 source");
                     let code: String = source
@@ -75,26 +73,78 @@ mod tests {
                         .filter(|l| !l.trim_start().starts_with("//"))
                         .flat_map(|l| l.chars().filter(|c| !c.is_whitespace()))
                         .collect();
-                    if code.contains(".lock().unwrap()") || code.contains(".lock().expect(") {
-                        offenders.push(path.display().to_string());
-                    }
+                    out.push((path.display().to_string(), code));
                 }
             }
         }
         let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-        let mut offenders = Vec::new();
+        let mut sources = Vec::new();
         let mut scanned = 0;
         for krate in std::fs::read_dir(&crates).expect("crates dir") {
             let src = krate.expect("dir entry").path().join("src");
             if src.is_dir() {
                 scanned += 1;
-                visit(&src, &mut offenders);
+                visit(&src, &mut sources);
             }
         }
         assert!(scanned >= 10, "lint walked {scanned} crates — wrong root?");
+        sources
+    }
+
+    /// Lint: no non-test source in the workspace takes a `Mutex` with
+    /// `.lock().unwrap()` / `.lock().expect(..)` — every one goes through
+    /// [`lock_unpoisoned`], or one panic under the lock bricks the process.
+    #[test]
+    fn no_raw_mutex_unwrap_outside_tests() {
+        let offenders: Vec<String> = non_test_sources()
+            .into_iter()
+            .filter(|(_, code)| {
+                code.contains(".lock().unwrap()") || code.contains(".lock().expect(")
+            })
+            .map(|(path, _)| path)
+            .collect();
         assert!(
             offenders.is_empty(),
             "use ver_common::sync::lock_unpoisoned instead of .lock().unwrap()/.expect() in: {offenders:?}"
+        );
+    }
+
+    /// Lint: forcing a view's gather is never an accident. A view's
+    /// `.table` dereferences to its `Table` and copies every cell out of
+    /// the base tables on first read, so in non-test source `.table` on a
+    /// view means "I need cells" (each such site says why in a comment).
+    /// Row count, schema and name go through `View::row_count`,
+    /// `View::schema` and `View::name`, which never gather — spelled
+    /// through `.table`, whether they do depends on method resolution the
+    /// reader cannot see. `ver_engine::view` defines those accessors and is
+    /// the one exempt file.
+    #[test]
+    fn no_view_metadata_read_through_the_table_outside_tests() {
+        const FORBIDDEN: [&str; 4] = [
+            ".table.row_count()",
+            ".table.name()",
+            ".table.column_count()",
+            ".table.schema",
+        ];
+        let mut offenders = Vec::new();
+        for (path, code) in non_test_sources() {
+            if path.ends_with("engine/src/view.rs") {
+                continue;
+            }
+            for pattern in FORBIDDEN {
+                // `0..table.row_count()` is a range over a plain `Table`,
+                // and `.table.schema()` is the accessor, not the field.
+                let hit = code.match_indices(pattern).any(|(at, _)| {
+                    !code[..at].ends_with('.') && !code[at + pattern.len()..].starts_with('(')
+                });
+                if hit {
+                    offenders.push(format!("{path}: {pattern}"));
+                }
+            }
+        }
+        assert!(
+            offenders.is_empty(),
+            "read view metadata through View::row_count/schema/name, not through .table: {offenders:?}"
         );
     }
 }

@@ -59,11 +59,20 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
+    /// The candidate view with this id (`views` is sorted by id: the search
+    /// stage numbers them sequentially).
+    pub fn view(&self, id: ViewId) -> Option<&View> {
+        self.views
+            .binary_search_by_key(&id, |v| v.id)
+            .ok()
+            .map(|i| &self.views[i])
+    }
+
     /// Views surviving distillation, in ranked order.
     pub fn distilled_views(&self) -> Vec<&View> {
         self.ranked
             .iter()
-            .filter_map(|&(id, _)| self.views.iter().find(|v| v.id == id))
+            .filter_map(|&(id, _)| self.view(id))
             .collect()
     }
 }
@@ -450,10 +459,11 @@ fn roundtrip_views(views: &[View]) -> Result<Vec<View>> {
     for v in views {
         let path = dir.join(format!("view_{}.csv", v.id.0));
         let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        // Forces the gather: the simulated I/O writes every cell.
         ver_store::csv::write_csv(&v.table, &mut file)?;
         drop(file);
         let file = std::fs::File::open(&path)?;
-        let mut table = ver_store::csv::read_csv(v.table.name(), file, true)?;
+        let mut table = ver_store::csv::read_csv(v.name(), file, true)?;
         table.infer_types();
         out.push(View::new(v.id, table, v.provenance.clone()));
         std::fs::remove_file(&path).ok();

@@ -253,13 +253,15 @@ pub fn find_ground_truth_view(views: &[View], gt_view: &View) -> Option<ver_comm
     if gt_set.is_empty() {
         return None;
     }
-    let arity = gt_view.table.column_count();
+    let arity = gt_view.schema().arity();
     // Prefer exact row-set equality, then superset containment.
     let mut superset: Option<ver_common::ids::ViewId> = None;
     for v in views {
-        if v.table.column_count() != arity {
+        if v.schema().arity() != arity {
             continue;
         }
+        // Forces the gather on a view whose row hashes were released (any
+        // finished `QueryResult`): the set is then hashed from the cells.
         let set = v.hash_set();
         if set == gt_set {
             return Some(v.id);

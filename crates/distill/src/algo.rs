@@ -207,6 +207,7 @@ pub fn distill_budgeted(
         let found = pool.try_par_map(&survivors_c2, |&vi| {
             ver_common::fault::hit(ver_common::fault::points::DISTILL_VIEW)?;
             budget.check("distill.view")?;
+            // Forces the gather: key uniqueness is counted over cells.
             Ok(find_candidate_keys(
                 &views[vi].table,
                 config.key_epsilon,
@@ -275,6 +276,8 @@ pub fn distill_budgeted(
                 .collect();
             let hashed: Vec<Vec<(u64, u64)>> = pool.par_map(&tasks, |&(ki, oi)| {
                 let (key, owners) = &shared_keys[ki];
+                // Reads cells (`key_value_hash`); every owner is a C2
+                // survivor, gathered by key discovery above.
                 let table = &views[owners[oi]].table;
                 // key value → set of full-row hashes (sorted → stable hash)
                 let mut per_value: FxHashMap<u64, Vec<u64>> = FxHashMap::default();

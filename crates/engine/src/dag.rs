@@ -11,11 +11,15 @@
 //! This module factors the executor into a value-free core: a [`JoinState`]
 //! holds, for each joined table, a flat `Vec<u32>` of *source row indices*
 //! — one entry per output row of the partial join. Executing a
-//! [`JoinStep`] only touches the two key columns; no payload value is
-//! cloned until a final projection gathers exactly the projected columns
-//! ([`materialize_state`]). Because a state is a pure value, it can be
-//! shared by every plan with the same oriented step prefix — the shared
-//! sub-join DAG that `ver_search::materialize::MaterializePlanner` builds.
+//! [`JoinStep`] only touches the two key columns, and the final projection
+//! ([`materialize_state`]) stays value-free too: it deduplicates through
+//! the row indices and hands the [`View`] the kept source rows plus their
+//! row hashes. No payload value is cloned anywhere in this module — a
+//! view's cells are copied out of the base tables at most once, on first
+//! read, by its [`ViewTable`]. Because a state is a
+//! pure value, it can be shared by every plan with the same oriented step
+//! prefix — the shared sub-join DAG that
+//! `ver_search::materialize::MaterializePlanner` builds.
 //!
 //! **Bit-identity contract**: for any valid plan,
 //! [`execute_plan_shared`] returns exactly what `execute_plan` returns —
@@ -34,14 +38,13 @@
 
 use crate::plan::{JoinStep, PjPlan};
 use crate::rowhash::{cell_hash, mix};
-use crate::view::{Provenance, View};
+use crate::view::{Provenance, SourceColumn, View, ViewTable};
 use std::sync::Arc;
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_common::value::Value;
 use ver_store::catalog::TableCatalog;
-use ver_store::column::Column;
 use ver_store::schema::TableSchema;
 use ver_store::table::Table;
 
@@ -535,13 +538,16 @@ impl JoinState {
     }
 }
 
-/// Gather the projected columns out of a finished [`JoinState`] and wrap
-/// them as a [`View`] — the value-materialising tail of plan execution.
+/// Project a finished [`JoinState`] and wrap it as a [`View`] — the tail of
+/// plan execution.
 ///
-/// Produces exactly what [`execute_plan`](crate::exec::execute_plan) would
-/// for the same plan: the chained `base⋈t1⋈t2` table name, the source
-/// tables' column metadata, stable first-occurrence deduplication, and the
-/// same [`Provenance`]. The returned view has `ViewId::default()`.
+/// The view reads exactly as what [`execute_plan`](crate::exec::execute_plan)
+/// would produce for the same plan: the chained `base⋈t1⋈t2` table name,
+/// the source tables' column metadata, stable first-occurrence
+/// deduplication, and the same [`Provenance`]. Its cells, however, stay in
+/// the base tables until they are first read (see [`crate::view`]): what is
+/// computed here is which source rows survive dedup, and their row hashes.
+/// The returned view has `ViewId::default()`.
 pub fn materialize_state(
     catalog: &TableCatalog,
     state: &JoinState,
@@ -555,12 +561,11 @@ pub fn materialize_state(
 /// projected columns present in the cache skip re-hashing during
 /// deduplication. Output is identical for any cache contents.
 ///
-/// Deduplication happens *before* gathering: rows are bucketed by a
-/// combined hash of their source-cell hashes and verified by typed
-/// [`Value`] equality through the row indices, so only the surviving rows
-/// are ever cloned out of the source columns. This keeps first
-/// occurrences in row order — exactly what
-/// [`dedup_rows`](crate::dedup::dedup_rows) does after a full gather.
+/// Deduplication needs no gathered row: rows are bucketed by a combined
+/// hash of their source-cell hashes and verified by typed [`Value`]
+/// equality through the row indices. This keeps first occurrences in row
+/// order — exactly what [`dedup_rows`](crate::dedup::dedup_rows) does after
+/// a full gather.
 pub fn materialize_state_hashed(
     catalog: &TableCatalog,
     state: &JoinState,
@@ -578,6 +583,19 @@ pub fn materialize_state_hashed(
     )
 }
 
+/// One projected column while its candidate is deduplicated.
+struct Projected<'a> {
+    /// The base table holding the column, and the column's ordinal in it.
+    table: &'a Arc<Table>,
+    ordinal: u16,
+    /// The column's values.
+    vals: &'a [Value],
+    /// Position of `table` among the state's joined tables, and the
+    /// state's row-index column for it.
+    ti: usize,
+    idx: &'a [u32],
+}
+
 /// [`materialize_state_hashed`] with the view name supplied by the caller.
 ///
 /// `name` must equal [`JoinState::joined_name`] for `state` — batch
@@ -592,8 +610,7 @@ pub fn materialize_state_named(
     hashes: &ColumnHashes,
     name: Arc<str>,
 ) -> Result<View> {
-    // Resolve each projected column once (source values + the state's
-    // row-index column for its table), folding its per-row cell hashes
+    // Resolve each projected column once, folding its per-row cell hashes
     // into the row hash as it is resolved — column-outer for locality, and
     // no per-candidate hash-slice bookkeeping. The fold is `rowhash`'s `H`,
     // so a kept row's dedup hash is `hash_table_row` of the gathered row
@@ -606,8 +623,8 @@ pub fn materialize_state_named(
         state.len()
     };
     let mut metas = Vec::with_capacity(plan.projection.len());
-    let mut cols: Vec<(&[Value], &[u32])> = Vec::with_capacity(plan.projection.len());
-    type Kept = (Vec<Column>, Arc<[u64]>);
+    let mut cols: Vec<Projected<'_>> = Vec::with_capacity(plan.projection.len());
+    type Kept = (Vec<SourceColumn>, Arc<[u64]>);
     let (columns, row_hashes) = DEDUP_SCRATCH.with(|scratch| -> Result<Kept> {
         let (rowh, slots, arena, keep) = &mut *scratch.borrow_mut();
         rowh.clear();
@@ -620,7 +637,7 @@ pub fn materialize_state_named(
                 .ok_or_else(|| {
                     VerError::JoinError(format!("projected table {} not in plan", p.table))
                 })?;
-            let table = catalog.table(p.table)?;
+            let table = catalog.table_shared(p.table)?;
             let col = table.column(p.ordinal as usize).ok_or_else(|| {
                 VerError::InvalidQuery(format!(
                     "projection ordinal {} out of range for '{}' (arity {})",
@@ -643,17 +660,22 @@ pub fn materialize_state_named(
             for (h, &src) in rowh.iter_mut().zip(idx.iter()) {
                 *h = mix(*h, ch[src as usize]);
             }
-            cols.push((vals, idx));
+            cols.push(Projected {
+                table,
+                ordinal: p.ordinal,
+                vals,
+                ti,
+                idx,
+            });
         }
 
-        // Keep-first dedup over row indices, then gather only survivors.
-        // Kept rows sharing a hash chain through a flat arena (true 64-bit
-        // collisions are rare, so chains are almost always length 1); a
-        // new row is a duplicate iff it value-equals some kept row on its
-        // chain.
+        // Keep-first dedup over row indices. Kept rows sharing a hash
+        // chain through a flat arena (true 64-bit collisions are rare, so
+        // chains are almost always length 1); a new row is a duplicate iff
+        // it value-equals some kept row on its chain.
         let rows_equal = |a: usize, b: usize| {
             cols.iter()
-                .all(|(vals, idx)| vals[idx[a] as usize] == vals[idx[b] as usize])
+                .all(|c| c.vals[c.idx[a] as usize] == c.vals[c.idx[b] as usize])
         };
         slots.reset(n_rows);
         arena.clear();
@@ -682,20 +704,26 @@ pub fn materialize_state_named(
             keep.push(r as u32);
         }
 
-        let columns = cols
-            .iter()
-            .map(|(vals, idx)| {
-                keep.iter()
-                    .map(|&r| vals[idx[r as usize] as usize].clone())
-                    .collect::<Column>()
-            })
-            .collect();
+        // The view is the kept rows' source indices — one vector per joined
+        // table, shared by the columns projected from it. No cell leaves a
+        // base column here: `ViewTable` copies them out on first read.
+        let mut columns: Vec<SourceColumn> = Vec::with_capacity(cols.len());
+        for (i, c) in cols.iter().enumerate() {
+            let rows = match cols[..i].iter().position(|earlier| earlier.ti == c.ti) {
+                Some(j) => Arc::clone(&columns[j].rows),
+                None => keep.iter().map(|&r| c.idx[r as usize]).collect(),
+            };
+            columns.push(SourceColumn {
+                table: Arc::clone(c.table),
+                ordinal: c.ordinal,
+                rows,
+            });
+        }
         Ok((columns, keep.iter().map(|&r| rowh[r as usize]).collect()))
     })?;
-    let projected = Table::new(TableSchema::new(name, metas), columns)?;
     Ok(View::with_row_hashes(
         ViewId::default(),
-        projected,
+        ViewTable::lazy(TableSchema::new(name, metas), row_hashes.len(), columns),
         Provenance {
             join_edges: plan.joins.iter().map(|j| (j.left, j.right)).collect(),
             source_tables: plan.tables(),
@@ -837,6 +865,9 @@ mod tests {
         for (i, plan) in plans.iter().enumerate() {
             let a = execute_plan(&cat, plan, 0.7).unwrap();
             let b = execute_plan_shared(&cat, plan, 0.7).unwrap();
+            assert_eq!(a.row_count(), b.row_count(), "plan {i}: row counts differ");
+            assert_eq!(a.schema(), b.schema(), "plan {i}: schemas differ");
+            assert!(!b.table.is_gathered(), "plan {i}: gathered before any read");
             assert_eq!(a.table, b.table, "plan {i}: tables differ");
             assert_eq!(a.provenance, b.provenance, "plan {i}: provenance differs");
             assert_eq!(a.table.name(), b.table.name(), "plan {i}: name differs");

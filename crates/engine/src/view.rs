@@ -1,11 +1,37 @@
-//! Materialized candidate PJ-views with provenance.
+//! Candidate PJ-views with provenance, passed by handle.
+//!
+//! A [`View`] is a cheap handle: its data ([`ViewTable`]) and its
+//! [`Provenance`] sit behind `Arc`s, so cloning a view — into the view LRU,
+//! out of it on a hit, into a ranked answer, a session or a cursor — copies
+//! no cell and allocates nothing, and every clone shares one immutable
+//! body. A view built by the shared sub-join DAG ([`crate::dag`]) does not
+//! hold cells at all until someone reads them: the body records, per
+//! projected column, the base column and the source rows that survived
+//! dedup, and copies the cells out of the base tables **at most once, on
+//! first read**. Row count, schema and name are known without that copy, and
+//! so are the row hashes 4C's C1/C2 run on; the ≈ 96 % of candidates 4C
+//! discards are never gathered.
+//!
+//! What forces the gather: dereferencing [`View::table`] to a [`Table`]
+//! (`view.table.columns()`, `.cell(..)`, `.iter_rows()`, `==`), or saying
+//! so with [`ViewTable::gather`]. What never does: [`View::row_count`], [`View::schema`], [`View::name`],
+//! [`View::schema_signature`], [`View::attribute_names`],
+//! [`ViewTable::is_gathered`], [`ViewTable::ptr_eq`], and
+//! [`View::row_hashes`] on a view that carries its hashes.
+//!
+//! (The vendored `serde` derives are no-ops. A registry `serde` must
+//! serialise a [`ViewTable`] as its gathered [`Table`] and an
+//! `Arc<Provenance>` as the `Provenance`.)
 
 use crate::rowhash::table_row_hashes;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use ver_common::fxhash::FxHashSet;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
+use ver_store::column::Column;
+use ver_store::schema::TableSchema;
 use ver_store::table::Table;
 
 /// How a view was produced: the join edges of its join graph, the source
@@ -33,32 +59,190 @@ impl Provenance {
     }
 }
 
-/// A materialized candidate PJ-view: deduplicated rows plus provenance.
+/// One projected column of a view that has not been gathered yet: the base
+/// table holding the cells, the column's ordinal in it, and the source row
+/// behind each of the view's rows. Columns projected from one base table
+/// share one `rows` vector.
+#[derive(Debug)]
+pub(crate) struct SourceColumn {
+    pub(crate) table: Arc<Table>,
+    pub(crate) ordinal: u16,
+    pub(crate) rows: Arc<[u32]>,
+}
+
+/// Where an ungathered view's cells are: everything [`Table`] knows except
+/// the cells themselves.
+#[derive(Debug)]
+struct Source {
+    schema: TableSchema,
+    rows: usize,
+    columns: Vec<SourceColumn>,
+}
+
+impl Source {
+    /// The one place a cell is copied out of a base column.
+    fn gather(&self) -> Table {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| {
+                let values = c.table.columns()[c.ordinal as usize].values();
+                c.rows
+                    .iter()
+                    .map(|&r| values[r as usize].clone())
+                    .collect::<Column>()
+            })
+            .collect();
+        Table::new(self.schema.clone(), columns)
+            .expect("one source column per schema column, one source row per view row")
+    }
+}
+
+/// The shared, immutable body behind [`ViewTable`] handles.
+#[derive(Debug)]
+enum Body {
+    /// A table that was built elsewhere (`View::new`, CSV, the wire).
+    Built(Table),
+    /// Cells still in the base tables until `table` is first read.
+    Lazy {
+        source: Source,
+        table: OnceLock<Table>,
+    },
+}
+
+/// A view's data: a handle on a shared, immutable body that either wraps a
+/// built [`Table`] or gathers one out of the base tables the first time it
+/// is dereferenced. Clones share the body, so a gather through one handle
+/// is visible through all of them, and concurrent first reads gather once.
+#[derive(Clone)]
+pub struct ViewTable(Arc<Body>);
+
+impl ViewTable {
+    /// A body whose cells stay in the base tables until first read.
+    pub(crate) fn lazy(schema: TableSchema, rows: usize, columns: Vec<SourceColumn>) -> Self {
+        debug_assert_eq!(schema.arity(), columns.len());
+        debug_assert!(columns.iter().all(|c| c.rows.len() == rows));
+        ViewTable(Arc::new(Body::Lazy {
+            source: Source {
+                schema,
+                rows,
+                columns,
+            },
+            table: OnceLock::new(),
+        }))
+    }
+
+    /// Number of rows, without gathering.
+    pub fn row_count(&self) -> usize {
+        match &*self.0 {
+            Body::Built(table) => table.row_count(),
+            Body::Lazy { source, .. } => source.rows,
+        }
+    }
+
+    /// Schema (name + column metadata), without gathering.
+    pub fn schema(&self) -> &TableSchema {
+        match &*self.0 {
+            Body::Built(table) => &table.schema,
+            Body::Lazy { source, .. } => &source.schema,
+        }
+    }
+
+    /// Table name, without gathering.
+    pub fn name(&self) -> &str {
+        &self.schema().name
+    }
+
+    /// Whether the cells have been copied out of the base tables (always
+    /// true for a handle made from a built [`Table`]).
+    pub fn is_gathered(&self) -> bool {
+        match &*self.0 {
+            Body::Built(_) => true,
+            Body::Lazy { table, .. } => table.get().is_some(),
+        }
+    }
+
+    /// Whether two handles share one body.
+    pub fn ptr_eq(&self, other: &ViewTable) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The table, its cells copied out of the base tables by the first
+    /// call. What `Deref` does, by name — for a reader of many views that
+    /// wants them gathered before it starts allocating on its own account.
+    pub fn gather(&self) -> &Table {
+        match &*self.0 {
+            Body::Built(table) => table,
+            Body::Lazy { source, table } => table.get_or_init(|| source.gather()),
+        }
+    }
+}
+
+impl Deref for ViewTable {
+    type Target = Table;
+
+    fn deref(&self) -> &Table {
+        self.gather()
+    }
+}
+
+impl From<Table> for ViewTable {
+    fn from(table: Table) -> Self {
+        ViewTable(Arc::new(Body::Built(table)))
+    }
+}
+
+/// Equality of the gathered tables (forces both sides).
+impl PartialEq for ViewTable {
+    fn eq(&self, other: &ViewTable) -> bool {
+        self.ptr_eq(other) || **self == **other
+    }
+}
+
+impl std::fmt::Debug for ViewTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.is_gathered() {
+            return (**self).fmt(f);
+        }
+        f.debug_struct("ViewTable")
+            .field("schema", self.schema())
+            .field("rows", &self.row_count())
+            .field("gathered", &false)
+            .finish()
+    }
+}
+
+/// A candidate PJ-view: deduplicated rows plus provenance, held by handle
+/// (see the module docs for what a clone shares and what reads the cells).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct View {
     /// Identifier assigned by the search stage.
     pub id: ViewId,
-    /// The materialized, deduplicated data. A view that needs different
-    /// rows is a new view: build it with [`View::new`], do not assign a
-    /// table here — a DAG-built view carries the row hashes of the table it
-    /// was built with.
-    pub table: Table,
+    /// The deduplicated data. Dereferences to the [`Table`], gathering it
+    /// on first read; a view that needs different rows is a new view
+    /// ([`View::new`]).
+    pub table: ViewTable,
     /// How the view was built.
-    pub provenance: Provenance,
+    pub provenance: Arc<Provenance>,
     /// `H` of every row, in row order, when the builder already had them
     /// (the shared sub-join DAG does: they are its dedup hashes). A 4C
-    /// input, not part of the answer — never serialised, never compared.
+    /// input, not part of the answer — never serialised, never compared,
+    /// and held per handle: releasing them here leaves other clones theirs.
     #[serde(skip)]
     row_hashes: Option<Arc<[u64]>>,
 }
 
 impl View {
-    /// Wrap a table as a view.
-    pub fn new(id: ViewId, table: Table, provenance: Provenance) -> Self {
+    /// Wrap a table (or share another view's [`ViewTable`]) as a view.
+    pub fn new(
+        id: ViewId,
+        table: impl Into<ViewTable>,
+        provenance: impl Into<Arc<Provenance>>,
+    ) -> Self {
         View {
             id,
-            table,
-            provenance,
+            table: table.into(),
+            provenance: provenance.into(),
             row_hashes: None,
         }
     }
@@ -67,8 +251,8 @@ impl View {
     /// [`hash_table_row`](crate::rowhash::hash_table_row) of every row.
     pub(crate) fn with_row_hashes(
         id: ViewId,
-        table: Table,
-        provenance: Provenance,
+        table: impl Into<ViewTable>,
+        provenance: impl Into<Arc<Provenance>>,
         row_hashes: Arc<[u64]>,
     ) -> Self {
         View {
@@ -79,24 +263,27 @@ impl View {
 
     /// `H` of every row, in row order: the vector the view was built with
     /// when it has one, hashed from the cells otherwise (`View::new`, CSV,
-    /// views rebuilt from the wire).
+    /// views rebuilt from the wire, and any handle after
+    /// [`View::release_row_hashes`]).
     pub fn row_hashes(&self) -> Cow<'_, [u64]> {
         match &self.row_hashes {
             Some(hashes) => {
                 debug_assert_eq!(
                     hashes.len(),
-                    self.table.row_count(),
+                    self.row_count(),
                     "table replaced under stored row hashes; build a new view with View::new"
                 );
                 Cow::Borrowed(hashes)
             }
+            // No stored vector: hashing needs the cells.
             None => Cow::Owned(table_row_hashes(&self.table)),
         }
     }
 
-    /// Drop the stored row hashes (later reads hash the cells again). The
-    /// pipeline calls this once 4C has run, so results parked in a cache or
-    /// sent over the wire carry nothing but the answer.
+    /// Drop this handle's stored row hashes (later reads through it hash
+    /// the cells again; clones keep theirs). The pipeline calls this once
+    /// 4C has run, so results parked in a cache or sent over the wire carry
+    /// nothing but the answer.
     pub fn release_row_hashes(&mut self) {
         self.row_hashes = None;
     }
@@ -106,9 +293,19 @@ impl View {
         self.table.row_count()
     }
 
+    /// Schema (name + column metadata).
+    pub fn schema(&self) -> &TableSchema {
+        self.table.schema()
+    }
+
+    /// Table name: the chained `base⋈t1⋈t2` for a joined view.
+    pub fn name(&self) -> &str {
+        self.table.name()
+    }
+
     /// Schema signature (used for SCHEMA-BASED-BLOCKS).
     pub fn schema_signature(&self) -> String {
-        self.table.schema.signature()
+        self.schema().signature()
     }
 
     /// Row-hash set `H(V)` (Algorithm 3).
@@ -137,8 +334,7 @@ impl View {
 
     /// Display names of the view's attributes.
     pub fn attribute_names(&self) -> Vec<String> {
-        self.table
-            .schema
+        self.schema()
             .columns
             .iter()
             .enumerate()
@@ -247,20 +443,24 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "table replaced under stored row hashes")]
-    fn assigning_a_table_under_stored_hashes_is_caught_in_debug() {
+    fn a_view_over_a_different_table_is_a_different_body_with_fresh_hashes() {
         let plain = view();
-        let mut v = View::with_row_hashes(
+        let stored = View::with_row_hashes(
             plain.id,
             plain.table.clone(),
             plain.provenance.clone(),
             vec![11, 22].into(),
         );
+        assert!(stored.table.ptr_eq(&plain.table), "a handle, not a copy");
+        assert!(stored.clone().table.ptr_eq(&stored.table));
         let mut b = TableBuilder::new("v", &["state", "pop"]);
         b.push_row(vec!["Texas".into(), Value::Int(3)]).unwrap();
-        v.table = b.build();
-        let _ = v.row_hashes();
+        let other = View::new(stored.id, b.build(), stored.provenance.clone());
+        assert!(!other.table.ptr_eq(&stored.table));
+        assert_eq!(&*other.row_hashes(), &[hash_table_row(&other.table, 0)]);
+        // The body the hashes were stored for is untouched.
+        assert_eq!(stored.table, plain.table);
+        assert_eq!(&*stored.row_hashes(), &[11, 22]);
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub fn fasttopk_rank(views: &[View], query: &ExampleQuery) -> Vec<(ViewId, usize
 /// Number of distinct query example values present anywhere in the view.
 pub fn overlap_score(view: &View, examples: &[String]) -> usize {
     let mut values: FxHashSet<String> = FxHashSet::default();
+    // Forces the gather: overlap is counted over cell values.
     for col in view.table.columns() {
         for v in col.non_null() {
             values.insert(v.normalized());

@@ -20,6 +20,7 @@ pub fn wordcloud_terms(views: &[&View], k: usize) -> Vec<String> {
                 *freq.entry(tok).or_insert(0) += 2;
             }
         }
+        // Forces the gather: the cloud samples cell values.
         for col in v.table.columns() {
             for val in col.values().iter().take(VALUE_SAMPLE_ROWS) {
                 if let ver_common::value::Value::Text(s) = val {

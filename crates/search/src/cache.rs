@@ -9,7 +9,10 @@
 //!   [`PjPlan`] always yields the same view, so an LRU over plans
 //!   short-circuits the MATERIALIZER for candidates that recur across
 //!   queries (the common case: different example queries over the same
-//!   popular tables resolve to the same join graphs);
+//!   popular tables resolve to the same join graphs). A [`View`] is a
+//!   handle on a shared body, so a hit and an insert are refcount bumps
+//!   under the lock, and a view some query gathered stays gathered for
+//!   every later hit;
 //! * **join-graph containment scores** — [`join_score`] folds the
 //!   hypergraph's signature-estimated containments with profile key-ness;
 //!   it is fully determined by the graph's canonical edge form
@@ -183,9 +186,13 @@ mod tests {
         let caches = SearchCaches::new(8);
         let key = view_key(&plan(0, &[((0, 0), (1, 0))]), &projection(&[(0, 0)]));
         assert!(caches.view_get(&key).is_none(), "cold cache misses");
-        caches.view_insert(key.clone(), dummy_view(2));
+        let inserted = dummy_view(2);
+        caches.view_insert(key.clone(), inserted.clone());
         let hit = caches.view_get(&key).expect("warm cache hits");
         assert!(hit.same_contents(&dummy_view(2)));
+        // A hit is a handle on the inserted view's body, not a copy of it.
+        assert!(hit.table.ptr_eq(&inserted.table));
+        assert!(Arc::ptr_eq(&hit.provenance, &inserted.provenance));
         let s = caches.view_stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }

@@ -11,9 +11,10 @@
 //! [`MaterializePlanner::plan_batch`] folds every plan's oriented step
 //! sequence into a prefix trie (the shared sub-join DAG), executes each
 //! distinct step **once** on [`JoinState`] row-index intermediates, and
-//! only gathers values for the final per-candidate projections. Candidates
-//! whose shared prefix matched nothing are pruned without executing their
-//! remaining steps.
+//! projects each candidate to the source rows that survive dedup — no cell
+//! is copied here; a view gathers its own on first read
+//! (`ver_engine::view`). Candidates whose shared prefix matched nothing
+//! are pruned without executing their remaining steps.
 //!
 //! How much is shared depends on the corpus: a step is shared only when
 //! candidates start with the same oriented column edge off the same base,
@@ -22,7 +23,7 @@
 //! tier (`wdc120`: one column edge per table pair, each 2-hop path through
 //! a different middle table) nothing is — 2 485 distinct steps of 2 485,
 //! `engine.dag_shared_ratio` 0 — and the batch's gain is the value-free
-//! execution (row indices, dedup before gather, each base column hashed
+//! execution (row indices, dedup without a gather, each base column hashed
 //! once), not sharing. [`MaterializeStats`] reports the counters per query.
 //!
 //! Output is **bit-identical** to materialising every candidate
@@ -382,7 +383,8 @@ impl<'a> MaterializePlanner<'a> {
             })
             .collect();
         // Project every candidate off its leaf state (order-preserving
-        // fan-out; value gathering is the only per-candidate work left).
+        // fan-out; dedup over row indices is the only per-candidate work
+        // left).
         let idx: Vec<usize> = (0..candidates.len()).collect();
         let views = pool.try_par_map(&idx, |&i| {
             budget.check("dag.project")?;

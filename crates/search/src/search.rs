@@ -358,7 +358,7 @@ impl<'a> SearchContext<'a> {
             TableId,
             Vec<ver_engine::plan::JoinStep>,
         )> = None;
-        let mut plans: Vec<Result<ver_engine::plan::PjPlan>> = scored
+        let plans: Vec<Result<ver_engine::plan::PjPlan>> = scored
             .iter()
             .map(|(_, c)| {
                 let Some(base) = c.projection.first().map(|p| p.table) else {
@@ -381,54 +381,40 @@ impl<'a> SearchContext<'a> {
             .collect();
 
         // Partition into cache hits and the batch of misses, execute the
-        // misses over the shared DAG, then reassemble in rank order.
+        // misses over the shared DAG, then reassemble in rank order. A miss
+        // keeps the key it was looked up under and moves it into
+        // `view_insert`; its plan moves into the batch. A hit is a handle
+        // on the cached view's body, an insert another one.
         let mut results: Vec<Option<Result<View>>> = (0..scored.len()).map(|_| None).collect();
-        let mut miss: Vec<usize> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            match plan {
-                Err(e) => results[i] = Some(Err(e.clone())),
-                Ok(plan) => {
-                    let hit = self.caches.and_then(|cs| {
-                        cs.view_get(&crate::cache::view_key(plan, &scored[i].1.projection))
-                    });
-                    match hit {
-                        Some(view) => results[i] = Some(Ok(view)),
-                        None => miss.push(i),
-                    }
+        let mut miss = Vec::new();
+        let mut batch: Vec<(ver_engine::plan::PjPlan, f64)> = Vec::new();
+        for (i, plan) in plans.into_iter().enumerate() {
+            let plan = match plan {
+                Ok(plan) => plan,
+                Err(e) => {
+                    results[i] = Some(Err(e));
+                    continue;
+                }
+            };
+            let cached = self
+                .caches
+                .map(|cs| (cs, crate::cache::view_key(&plan, &scored[i].1.projection)));
+            match cached.as_ref().and_then(|(cs, key)| cs.view_get(key)) {
+                Some(view) => results[i] = Some(Ok(view)),
+                None => {
+                    miss.push((i, cached));
+                    batch.push((plan, scored[i].0));
                 }
             }
         }
-        // Batch the misses by value. Without caches the plan is moved out
-        // of `plans` (nothing reads it again); with caches it is cloned
-        // because `view_insert` needs it for the key afterwards.
-        let batch: Vec<(ver_engine::plan::PjPlan, f64)> = miss
-            .iter()
-            .map(|&i| {
-                let plan = match self.caches {
-                    Some(_) => plans[i].as_ref().expect("misses are Ok").clone(),
-                    None => std::mem::replace(
-                        &mut plans[i],
-                        Err(ver_common::error::VerError::InvalidQuery(
-                            "plan consumed by batch".into(),
-                        )),
-                    )
-                    .expect("misses are Ok"),
-                };
-                (plan, scored[i].0)
-            })
-            .collect();
         let (views, dag) = planner.plan_batch_budgeted(&batch, pool, &self.budget);
-        for (&i, view) in miss.iter().zip(views) {
-            if let (Some(cs), Ok(view), Ok(plan)) = (self.caches, &view, &plans[i]) {
-                cs.view_insert(
-                    crate::cache::view_key(plan, &scored[i].1.projection),
-                    view.clone(),
-                );
+        for ((i, cached), view) in miss.into_iter().zip(views) {
+            if let (Some((cs, key)), Ok(view)) = (cached, &view) {
+                cs.view_insert(key, view.clone());
             }
             results[i] = Some(view);
         }
 
-        drop(plans);
         let mut views = Vec::with_capacity(results.len());
         for (result, (score, candidate)) in results.into_iter().zip(scored) {
             // Graceful degradation: a candidate that ran out of deadline or

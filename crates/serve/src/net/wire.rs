@@ -318,12 +318,12 @@ impl WireView {
             hops: v.provenance.hops() as u32,
             source_tables: v.provenance.source_tables.iter().map(|t| t.0).collect(),
             columns: v
-                .table
-                .schema
+                .schema()
                 .columns
                 .iter()
                 .map(|c| c.name.as_deref().map(str::to_string))
                 .collect(),
+            // Forces the gather: the wire carries every row.
             rows: v.table.iter_rows().collect(),
         }
     }
@@ -435,7 +435,8 @@ fn put_shard_view(out: &mut Vec<u8>, v: &ShardView) {
     }
     put_crefs(out, &v.projection);
     put_u32(out, v.view.id.0);
-    let table = &v.view.table;
+    // Forces the gather: a leg ships its views' rows to the router.
+    let table: &Table = &v.view.table;
     put_u32(out, table.id.0);
     put_string(out, table.name());
     put_u32(out, table.column_count() as u32);
@@ -961,6 +962,15 @@ impl WireResult {
     /// test pins `render` of this against `render` of a client-fetched
     /// copy *and* against the in-process snapshot file.
     pub fn from_query_result(result: &QueryResult) -> WireResult {
+        // Gather every view before the first wire row is built. The
+        // gathered tables outlive this call — the result LRU and the view
+        // LRU share them — while the wire rows die with the reply. Built
+        // interleaved, the tables end up threaded through the holes the
+        // rows leave behind, and every later read of this result pays for
+        // that (a whole-result hit over the wire: +2 ms of 16).
+        for v in &result.views {
+            v.table.gather();
+        }
         WireResult {
             partial: result.partial,
             stats: result.search_stats,

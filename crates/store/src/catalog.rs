@@ -9,14 +9,20 @@
 use crate::column::Column;
 use crate::table::Table;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::ids::{ColumnId, ColumnRef, TableId};
 
 /// An owned collection of noisy tables with id/name lookup.
+///
+/// Tables are immutable once registered and held behind [`Arc`], so a
+/// candidate view can keep the base tables it was joined from alive past
+/// the `&TableCatalog` borrow it was built under
+/// ([`TableCatalog::table_shared`]) and copy cells out of them later.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct TableCatalog {
-    tables: Vec<Table>,
+    tables: Vec<Arc<Table>>,
     by_name: FxHashMap<String, TableId>,
     /// Flat list mapping `ColumnId` → `ColumnRef` in registration order.
     column_refs: Vec<ColumnRef>,
@@ -51,7 +57,7 @@ impl TableCatalog {
             self.column_refs.push(cref);
             self.ref_to_id.insert(cref, cid);
         }
-        self.tables.push(table);
+        self.tables.push(Arc::new(table));
         self.by_name.insert(name, id);
         Ok(id)
     }
@@ -68,11 +74,17 @@ impl TableCatalog {
 
     /// Total number of rows across all tables.
     pub fn total_rows(&self) -> usize {
-        self.tables.iter().map(Table::row_count).sum()
+        self.tables.iter().map(|t| t.row_count()).sum()
     }
 
     /// Table by id.
     pub fn table(&self, id: TableId) -> Result<&Table> {
+        self.table_shared(id).map(|t| &**t)
+    }
+
+    /// Table by id as its shared handle (clone it to outlive the catalog
+    /// borrow).
+    pub fn table_shared(&self, id: TableId) -> Result<&Arc<Table>> {
         self.tables
             .get(id.idx())
             .ok_or_else(|| VerError::NotFound(format!("table {id}")))
@@ -80,11 +92,11 @@ impl TableCatalog {
 
     /// Table by name (exact, case-sensitive).
     pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.by_name.get(name).map(|id| &self.tables[id.idx()])
+        self.by_name.get(name).map(|id| &*self.tables[id.idx()])
     }
 
     /// All tables in id order.
-    pub fn tables(&self) -> &[Table] {
+    pub fn tables(&self) -> &[Arc<Table>] {
         &self.tables
     }
 

@@ -63,11 +63,7 @@ fn main() -> ver_common::error::Result<()> {
 
     match result.ranked.first() {
         Some((view_id, _)) => {
-            let view = result
-                .views
-                .iter()
-                .find(|v| v.id == *view_id)
-                .expect("ranked view exists");
+            let view = result.view(*view_id).expect("ranked view exists");
             println!(
                 "top view: {:?} with {} training rows via {} join hop(s)",
                 view.attribute_names(),

@@ -47,11 +47,7 @@ fn main() -> ver_common::error::Result<()> {
     println!("candidate views: {}", result.views.len());
     println!("after distillation: {}", result.distill.survivors_c2.len());
     for (view_id, score) in &result.ranked {
-        let view = result
-            .views
-            .iter()
-            .find(|v| v.id == *view_id)
-            .expect("ranked view");
+        let view = result.view(*view_id).expect("ranked view");
         println!(
             "\n#{view_id} (overlap {score}) — attributes {:?}, {} rows, {} join hop(s)",
             view.attribute_names(),
