@@ -136,4 +136,42 @@ mod tests {
             assert!(result.view(ViewId(u32::MAX)).is_none());
         }
     }
+
+    /// Pins how much join work the shared sub-join DAG saves on the golden
+    /// workload, per query: `(candidates, total_steps, distinct_steps,
+    /// shared_hits, empty_pruned)`. Q3 and Q5 share a prefix on 41 % and
+    /// 29 % of their steps; Q1, Q2 and Q4 share nothing. A rewrite of the
+    /// trie that keeps the views but loses the sharing fails here.
+    #[test]
+    fn dag_sharing_on_the_golden_workload_is_pinned() {
+        let catalog = golden_catalog();
+        let queries = golden_queries(&catalog);
+        let config = VerConfig::default();
+        let ver = Ver::build(catalog, config.clone()).expect("index build");
+        let expected = [
+            ("WDC-Q1", (402, 782, 782, 0, 0)),
+            ("WDC-Q2", (374, 728, 728, 0, 0)),
+            ("WDC-Q3", (1050, 2020, 1201, 819, 0)),
+            ("WDC-Q4", (410, 798, 798, 0, 0)),
+            ("WDC-Q5", (521, 1007, 715, 292, 0)),
+        ];
+        assert_eq!(queries.len(), expected.len());
+        for ((name, spec), (want_name, want)) in queries.iter().zip(expected) {
+            assert_eq!(name, want_name);
+            let selection =
+                ver_core::spec_select::select_for_spec(ver.index(), spec, &config.selection);
+            let out = ver_search::SearchContext::new(ver.catalog(), ver.index())
+                .search(&selection, &config.search)
+                .expect("search");
+            let d = out.dag;
+            let got = (
+                d.candidates,
+                d.total_steps,
+                d.distinct_steps,
+                d.shared_hits,
+                d.empty_pruned,
+            );
+            assert_eq!(got, want, "{name}");
+        }
+    }
 }
