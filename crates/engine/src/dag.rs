@@ -2,29 +2,32 @@
 //!
 //! [`execute_plan`](crate::exec::execute_plan) materialises every candidate
 //! independently: it clones the base table and gathers *all* columns of
-//! every intermediate at every step. When candidate PJ-views share join
-//! prefixes (Algorithm 5 enumerates combinations over the same join paths;
-//! how often they do depends on the corpus — see
-//! `ver_search::materialize`), that repeats the identical hash joins and
-//! value copies once per view.
+//! every intermediate at every step. Candidate PJ-views share join
+//! prefixes — Algorithm 5 enumerates combinations over the same join paths,
+//! and on the pinned `wdc120` tier 21.9 % of all join steps repeat a prefix
+//! another candidate already executed (see `ver_search::materialize`) — so
+//! that repeats the identical hash joins and value copies once per view.
 //!
 //! This module factors the executor into a value-free core: a [`JoinState`]
 //! holds, for each joined table, a flat `Vec<u32>` of *source row indices*
-//! — one entry per output row of the partial join. Executing a
-//! [`JoinStep`] only touches the two key columns, and the final projection
+//! — one entry per output row of the partial join. [`JoinState::step`]
+//! only touches the two key columns, and the final projection
 //! ([`materialize_state`]) stays value-free too: it deduplicates through
 //! the row indices and hands the [`View`] the kept source rows plus their
 //! row hashes. No payload value is cloned anywhere in this module — a
 //! view's cells are copied out of the base tables at most once, on first
-//! read, by its [`ViewTable`]. Because a state is a
-//! pure value, it can be shared by every plan with the same oriented step
-//! prefix — the shared sub-join DAG that
-//! `ver_search::materialize::MaterializePlanner` builds.
+//! read, by its [`ViewTable`]. Because a state is a pure value, it can be
+//! shared by every plan with the same oriented step prefix — the shared
+//! sub-join DAG that `ver_search::materialize::materialize_batch` builds.
+//! Both functions read key and cell hashes from a batch-scoped
+//! [`ColumnHashes`], which the caller fills for every plan before it runs
+//! any of them.
 //!
-//! **Bit-identity contract**: for any valid plan,
-//! [`execute_plan_shared`] returns exactly what `execute_plan` returns —
-//! same rows in the same order, same schema, same chained `a⋈b⋈c` view
-//! name, same provenance. The row *order* is what makes this delicate:
+//! **Bit-identity contract**: for any valid plan, [`JoinState::base`],
+//! one [`JoinState::step`] per join and [`materialize_state`] return
+//! exactly what `execute_plan` returns — same rows in the same order, same
+//! schema, same chained `a⋈b⋈c` view name, same provenance. The row
+//! *order* is what makes this delicate:
 //! downstream deduplication keeps first occurrences, and the golden
 //! snapshots are byte-identical renders. Each step therefore replicates
 //! [`hash_join`](crate::join::hash_join)'s observable semantics:
@@ -51,45 +54,52 @@ use ver_store::table::Table;
 /// Batch-scoped cache of per-column [`cell_hash`] arrays.
 ///
 /// Joining and deduplicating hash the same key and projection columns over
-/// and over — once per DAG node and once per candidate. A batch executor
-/// hashes each column **once** up front and shares the `Vec<u64>` across
-/// every step and projection that touches it. Purely an optimisation:
-/// hashes only pre-bucket candidates, every match is verified by typed
-/// [`Value`] equality, so the rows that come out are identical with or
-/// without the cache (and the row hashes a view carries are the same
-/// [`hash_table_row`](crate::rowhash::hash_table_row) either way).
+/// and over — once per DAG node and once per candidate. A batch hashes
+/// each column **once** up front ([`ColumnHashes::ensure`] per plan) and
+/// shares the `Vec<u64>` across every step and projection that touches it.
+/// Hashes only pre-bucket candidates; every match is verified by typed
+/// [`Value`] equality, and a view's row hashes are
+/// [`hash_table_row`](crate::rowhash::hash_table_row) of its rows.
 #[derive(Debug, Default)]
 pub struct ColumnHashes {
     map: FxHashMap<(TableId, u16), Vec<u64>>,
 }
 
 impl ColumnHashes {
-    /// Empty cache (columns fall back to on-the-fly hashing).
+    /// Empty cache: [`ColumnHashes::ensure`] each plan before running it.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Hash `cref`'s column now if it resolves and isn't cached yet.
-    /// Unresolvable refs are ignored — the executor surfaces the proper
-    /// error when it actually touches the column.
-    pub fn ensure(&mut self, catalog: &TableCatalog, cref: ColumnRef) {
-        if self.map.contains_key(&(cref.table, cref.ordinal)) {
-            return;
+    /// Hash every key and projection column of `plan` not cached yet.
+    /// Unresolvable refs are skipped — the executor reports them with the
+    /// proper error before it looks for their hashes.
+    pub fn ensure(&mut self, catalog: &TableCatalog, plan: &PjPlan) {
+        let keys = plan.joins.iter().flat_map(|j| [j.left, j.right]);
+        for cref in keys.chain(plan.projection.iter().copied()) {
+            let key = (cref.table, cref.ordinal);
+            if self.map.contains_key(&key) {
+                continue;
+            }
+            let Ok(table) = catalog.table(cref.table) else {
+                continue;
+            };
+            if let Some(col) = table.column(cref.ordinal as usize) {
+                self.map
+                    .insert(key, col.values().iter().map(cell_hash).collect());
+            }
         }
-        let Ok(table) = catalog.table(cref.table) else {
-            return;
-        };
-        let Some(col) = table.column(cref.ordinal as usize) else {
-            return;
-        };
-        self.map.insert(
-            (cref.table, cref.ordinal),
-            col.values().iter().map(cell_hash).collect(),
-        );
     }
 
-    fn get(&self, cref: ColumnRef) -> Option<&[u64]> {
-        self.map.get(&(cref.table, cref.ordinal)).map(Vec::as_slice)
+    /// `cref`'s hashes. A resolvable column the batch did not
+    /// [`ensure`](ColumnHashes::ensure) is a bug in the caller.
+    fn get(&self, cref: ColumnRef) -> Result<&[u64]> {
+        self.map
+            .get(&(cref.table, cref.ordinal))
+            .map(Vec::as_slice)
+            .ok_or_else(|| {
+                VerError::Internal(format!("column {cref} was not hashed for the batch"))
+            })
     }
 }
 
@@ -305,7 +315,7 @@ thread_local! {
     #[allow(clippy::type_complexity)]
     static JOIN_SCRATCH: std::cell::RefCell<(GroupIndex, Vec<u32>, Vec<u32>)> =
         std::cell::RefCell::new((GroupIndex::empty(), Vec::new(), Vec::new()));
-    /// Per-thread dedup scratch for [`materialize_state_hashed`]:
+    /// Per-thread dedup scratch for [`materialize_state`]:
     /// `(row hashes, hash → arena head slot table, (kept row, next) chain
     /// arena, kept row list)`.
     #[allow(clippy::type_complexity)]
@@ -380,19 +390,13 @@ impl JoinState {
         Ok(name.into())
     }
 
-    /// Execute one join step, attaching `step.right.table`.
+    /// Execute one join step, attaching `step.right.table`, with the key
+    /// hashes read from the batch's `hashes`.
     ///
     /// Mirrors [`hash_join`](crate::join::hash_join) exactly (build side,
     /// match order, null and type semantics) — see the module docs. An
     /// empty state short-circuits: the child is empty without probing.
-    pub fn step(&self, catalog: &TableCatalog, step: JoinStep) -> Result<JoinState> {
-        self.step_hashed(catalog, step, &ColumnHashes::new())
-    }
-
-    /// [`JoinState::step`] with a batch-scoped [`ColumnHashes`] cache —
-    /// key columns present in the cache skip re-hashing. Output is
-    /// identical to [`JoinState::step`] for any cache contents.
-    pub fn step_hashed(
+    pub fn step(
         &self,
         catalog: &TableCatalog,
         step: JoinStep,
@@ -436,26 +440,11 @@ impl JoinState {
         let lrows = self.row_col(li);
         let lvals = lcol.values();
         let rvals = rcol.values();
-        // Per-row key hashes: shared from the batch cache when present,
-        // computed locally otherwise. Hashes only pre-bucket; every match
-        // below is verified by typed Value equality, so the output never
-        // depends on the hash function (or on collisions).
-        let lh_local;
-        let lh: &[u64] = match hashes.get(step.left) {
-            Some(h) => h,
-            None => {
-                lh_local = lvals.iter().map(cell_hash).collect::<Vec<_>>();
-                &lh_local
-            }
-        };
-        let rh_local;
-        let rh: &[u64] = match hashes.get(step.right) {
-            Some(h) => h,
-            None => {
-                rh_local = rvals.iter().map(cell_hash).collect::<Vec<_>>();
-                &rh_local
-            }
-        };
+        // Per-row key hashes from the batch cache. Hashes only pre-bucket;
+        // every match below is verified by typed Value equality, so the
+        // output never depends on the hash function (or on collisions).
+        let lh = hashes.get(step.left)?;
+        let rh = hashes.get(step.right)?;
 
         // Match pairs (accumulated output row, right source row), ordered
         // exactly as hash_join orders them, collected into thread-local
@@ -538,51 +527,6 @@ impl JoinState {
     }
 }
 
-/// Project a finished [`JoinState`] and wrap it as a [`View`] — the tail of
-/// plan execution.
-///
-/// The view reads exactly as what [`execute_plan`](crate::exec::execute_plan)
-/// would produce for the same plan: the chained `base⋈t1⋈t2` table name,
-/// the source tables' column metadata, stable first-occurrence
-/// deduplication, and the same [`Provenance`]. Its cells, however, stay in
-/// the base tables until they are first read (see [`crate::view`]): what is
-/// computed here is which source rows survive dedup, and their row hashes.
-/// The returned view has `ViewId::default()`.
-pub fn materialize_state(
-    catalog: &TableCatalog,
-    state: &JoinState,
-    plan: &PjPlan,
-    join_score: f64,
-) -> Result<View> {
-    materialize_state_hashed(catalog, state, plan, join_score, &ColumnHashes::new())
-}
-
-/// [`materialize_state`] with a batch-scoped [`ColumnHashes`] cache —
-/// projected columns present in the cache skip re-hashing during
-/// deduplication. Output is identical for any cache contents.
-///
-/// Deduplication needs no gathered row: rows are bucketed by a combined
-/// hash of their source-cell hashes and verified by typed [`Value`]
-/// equality through the row indices. This keeps first occurrences in row
-/// order — exactly what [`dedup_rows`](crate::dedup::dedup_rows) does after
-/// a full gather.
-pub fn materialize_state_hashed(
-    catalog: &TableCatalog,
-    state: &JoinState,
-    plan: &PjPlan,
-    join_score: f64,
-    hashes: &ColumnHashes,
-) -> Result<View> {
-    materialize_state_named(
-        catalog,
-        state,
-        plan,
-        join_score,
-        hashes,
-        state.joined_name(catalog)?,
-    )
-}
-
 /// One projected column while its candidate is deduplicated.
 struct Projected<'a> {
     /// The base table holding the column, and the column's ordinal in it.
@@ -596,13 +540,28 @@ struct Projected<'a> {
     idx: &'a [u32],
 }
 
-/// [`materialize_state_hashed`] with the view name supplied by the caller.
+/// Project a finished [`JoinState`] and wrap it as a [`View`] — the tail of
+/// plan execution.
 ///
-/// `name` must equal [`JoinState::joined_name`] for `state` — batch
-/// executors build it once per distinct DAG leaf and hand every candidate
-/// over that leaf the same `Arc<str>`, instead of re-chaining table names
-/// per candidate.
-pub fn materialize_state_named(
+/// The view reads exactly as what [`execute_plan`](crate::exec::execute_plan)
+/// would produce for the same plan: the chained `base⋈t1⋈t2` table name,
+/// the source tables' column metadata, stable first-occurrence
+/// deduplication, and the same [`Provenance`]. Its cells, however, stay in
+/// the base tables until they are first read (see [`crate::view`]): what is
+/// computed here is which source rows survive dedup, and their row hashes.
+/// The returned view has `ViewId::default()`.
+///
+/// `name` must equal [`JoinState::joined_name`] for `state` — a batch
+/// builds it once per distinct DAG leaf and hands every candidate over
+/// that leaf the same `Arc<str>`. Cell hashes come from the batch's
+/// `hashes`.
+///
+/// Deduplication needs no gathered row: rows are bucketed by a combined
+/// hash of their source-cell hashes and verified by typed [`Value`]
+/// equality through the row indices. This keeps first occurrences in row
+/// order — exactly what [`dedup_rows`](crate::dedup::dedup_rows) does after
+/// a full gather.
+pub fn materialize_state(
     catalog: &TableCatalog,
     state: &JoinState,
     plan: &PjPlan,
@@ -615,8 +574,7 @@ pub fn materialize_state_named(
     // no per-candidate hash-slice bookkeeping. The fold is `rowhash`'s `H`,
     // so a kept row's dedup hash is `hash_table_row` of the gathered row
     // and is handed to the view instead of thrown away. For dedup itself it
-    // only pre-buckets: duplicates are confirmed by value equality. Columns
-    // absent from the batch cache hash locally.
+    // only pre-buckets: duplicates are confirmed by value equality.
     let n_rows = if plan.projection.is_empty() {
         0
     } else {
@@ -649,14 +607,7 @@ pub fn materialize_state_named(
             metas.push(table.schema.columns[p.ordinal as usize].clone());
             let vals = col.values();
             let idx = state.row_col(ti);
-            let local;
-            let ch: &[u64] = match hashes.get(*p) {
-                Some(h) => h,
-                None => {
-                    local = vals.iter().map(cell_hash).collect::<Vec<_>>();
-                    &local
-                }
-            };
+            let ch = hashes.get(*p)?;
             for (h, &src) in rowh.iter_mut().zip(idx.iter()) {
                 *h = mix(*h, ch[src as usize]);
             }
@@ -734,19 +685,6 @@ pub fn materialize_state_named(
     ))
 }
 
-/// Execute `plan` through the row-index core: validate, fold the steps
-/// into a [`JoinState`], then project. Single-plan convenience over the
-/// same kernel the shared sub-join DAG runs — output is bit-identical to
-/// [`execute_plan`](crate::exec::execute_plan).
-pub fn execute_plan_shared(catalog: &TableCatalog, plan: &PjPlan, join_score: f64) -> Result<View> {
-    plan.validate()?;
-    let mut state = JoinState::base(catalog, plan.base)?;
-    for step in &plan.joins {
-        state = state.step(catalog, *step)?;
-    }
-    materialize_state(catalog, &state, plan, join_score)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,6 +757,25 @@ mod tests {
         }
     }
 
+    /// Hashes for every column of `plans`, as a batch ensures them.
+    fn hashes_for(cat: &TableCatalog, plans: &[&PjPlan]) -> ColumnHashes {
+        let mut hashes = ColumnHashes::new();
+        plans.iter().for_each(|p| hashes.ensure(cat, p));
+        hashes
+    }
+
+    /// `plan` alone through the row-index core: base, one step per join,
+    /// projection.
+    fn execute_shared(cat: &TableCatalog, plan: &PjPlan, join_score: f64) -> View {
+        let hashes = hashes_for(cat, &[plan]);
+        let mut state = JoinState::base(cat, plan.base).unwrap();
+        for &step in &plan.joins {
+            state = state.step(cat, step, &hashes).unwrap();
+        }
+        let name = state.joined_name(cat).unwrap();
+        materialize_state(cat, &state, plan, join_score, &hashes, name).unwrap()
+    }
+
     /// The contract everything above relies on: the shared-kernel executor
     /// reproduces `execute_plan` *including row order* (Table is PartialEq
     /// over schema and cell values in order).
@@ -864,7 +821,7 @@ mod tests {
         ];
         for (i, plan) in plans.iter().enumerate() {
             let a = execute_plan(&cat, plan, 0.7).unwrap();
-            let b = execute_plan_shared(&cat, plan, 0.7).unwrap();
+            let b = execute_shared(&cat, plan, 0.7);
             assert_eq!(a.row_count(), b.row_count(), "plan {i}: row counts differ");
             assert_eq!(a.schema(), b.schema(), "plan {i}: schemas differ");
             assert!(!b.table.is_gathered(), "plan {i}: gathered before any read");
@@ -903,7 +860,7 @@ mod tests {
         };
         for plan in [&small_base, &large_base] {
             let a = execute_plan(&cat, plan, 1.0).unwrap();
-            let b = execute_plan_shared(&cat, plan, 1.0).unwrap();
+            let b = execute_shared(&cat, plan, 1.0);
             assert_eq!(a.table, b.table);
         }
     }
@@ -929,7 +886,7 @@ mod tests {
             projection: vec![cref(0, 1), cref(1, 1)],
         };
         let a = execute_plan(&cat, &plan, 1.0).unwrap();
-        let b = execute_plan_shared(&cat, &plan, 1.0).unwrap();
+        let b = execute_shared(&cat, &plan, 1.0);
         assert_eq!(a.table, b.table);
         assert_eq!(a.row_count(), 1, "only Int(1) keys join");
     }
@@ -939,18 +896,6 @@ mod tests {
         // Two plans sharing the one-hop prefix: computing the prefix once
         // and branching reproduces both independent executions.
         let cat = catalog();
-        let prefix = JoinState::base(&cat, TableId(0))
-            .unwrap()
-            .step(
-                &cat,
-                JoinStep {
-                    left: cref(0, 1),
-                    right: cref(1, 0),
-                },
-            )
-            .unwrap();
-        assert_eq!(prefix.tables(), &[TableId(0), TableId(1)]);
-
         let plan_a = PjPlan {
             base: TableId(0),
             joins: vec![JoinStep {
@@ -959,13 +904,22 @@ mod tests {
             }],
             projection: vec![cref(0, 0), cref(1, 1)],
         };
-        let via_shared = materialize_state(&cat, &prefix, &plan_a, 0.5).unwrap();
+        let plan_b = chain_plan();
+        let hashes = hashes_for(&cat, &[&plan_a, &plan_b]);
+        let prefix = JoinState::base(&cat, TableId(0))
+            .unwrap()
+            .step(&cat, plan_a.joins[0], &hashes)
+            .unwrap();
+        assert_eq!(prefix.tables(), &[TableId(0), TableId(1)]);
+
+        let name = prefix.joined_name(&cat).unwrap();
+        let via_shared = materialize_state(&cat, &prefix, &plan_a, 0.5, &hashes, name).unwrap();
         let independent = execute_plan(&cat, &plan_a, 0.5).unwrap();
         assert_eq!(via_shared.table, independent.table);
 
-        let plan_b = chain_plan();
-        let extended = prefix.step(&cat, plan_b.joins[1]).unwrap();
-        let via_shared = materialize_state(&cat, &extended, &plan_b, 0.5).unwrap();
+        let extended = prefix.step(&cat, plan_b.joins[1], &hashes).unwrap();
+        let name = extended.joined_name(&cat).unwrap();
+        let via_shared = materialize_state(&cat, &extended, &plan_b, 0.5, &hashes, name).unwrap();
         let independent = execute_plan(&cat, &plan_b, 0.5).unwrap();
         assert_eq!(via_shared.table, independent.table);
     }
@@ -990,15 +944,16 @@ mod tests {
             ],
             projection: vec![cref(3, 0), cref(2, 1)],
         };
+        let hashes = hashes_for(&cat, &[&plan]);
         let state = JoinState::base(&cat, TableId(3))
             .unwrap()
-            .step(&cat, plan.joins[0])
+            .step(&cat, plan.joins[0], &hashes)
             .unwrap();
         assert!(state.is_empty());
-        let tail = state.step(&cat, plan.joins[1]).unwrap();
+        let tail = state.step(&cat, plan.joins[1], &hashes).unwrap();
         assert!(tail.is_empty());
         let a = execute_plan(&cat, &plan, 1.0).unwrap();
-        let b = execute_plan_shared(&cat, &plan, 1.0).unwrap();
+        let b = execute_shared(&cat, &plan, 1.0);
         assert_eq!(a.table, b.table);
         assert_eq!(a.row_count(), 0);
     }
@@ -1007,37 +962,28 @@ mod tests {
     fn step_errors_on_missing_or_duplicate_tables() {
         let cat = catalog();
         let base = JoinState::base(&cat, TableId(0)).unwrap();
+        let step = |left, right| JoinStep { left, right };
+        // Checked before any hash is looked up, so none need exist.
+        let none = ColumnHashes::new();
         // Left table not in the intermediate.
         assert!(base
-            .step(
-                &cat,
-                JoinStep {
-                    left: cref(1, 0),
-                    right: cref(2, 0),
-                },
-            )
+            .step(&cat, step(cref(1, 0), cref(2, 0)), &none)
             .is_err());
         // Right table already present.
         assert!(base
-            .step(
-                &cat,
-                JoinStep {
-                    left: cref(0, 1),
-                    right: cref(0, 0),
-                },
-            )
+            .step(&cat, step(cref(0, 1), cref(0, 0)), &none)
             .is_err());
         // Key ordinal out of range.
         assert!(base
-            .step(
-                &cat,
-                JoinStep {
-                    left: cref(0, 9),
-                    right: cref(1, 0),
-                },
-            )
+            .step(&cat, step(cref(0, 9), cref(1, 0)), &none)
             .is_err());
         // Unknown base table.
         assert!(JoinState::base(&cat, TableId(42)).is_err());
+        // A valid step whose keys the batch never hashed is a caller bug,
+        // reported with the column it missed.
+        match base.step(&cat, step(cref(0, 1), cref(1, 0)), &none) {
+            Err(VerError::Internal(m)) => assert!(m.contains("T0.1"), "{m}"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
     }
 }

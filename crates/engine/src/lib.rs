@@ -8,8 +8,6 @@
 //! * [`project`] — column projection.
 //! * [`dedup`] — set-semantics row deduplication (candidate PJ-views are row
 //!   *sets*; 4C categorisation in the paper compares views as sets of rows).
-//! * [`union`] — schema-aligned union (used when distillation unions
-//!   complementary views).
 //! * [`rowhash`] — the row-wise hash function `H` of Algorithm 3.
 //! * [`plan`] / [`exec`] — PJ plans (a join tree linearised into steps plus a
 //!   projection list) and their executor, producing materialized [`View`]s.
@@ -27,13 +25,9 @@ pub mod join;
 pub mod plan;
 pub mod project;
 pub mod rowhash;
-pub mod union;
 pub mod view;
 
-pub use dag::{
-    execute_plan_shared, materialize_state, materialize_state_hashed, materialize_state_named,
-    ColumnHashes, JoinState,
-};
+pub use dag::{materialize_state, ColumnHashes, JoinState};
 pub use exec::execute_plan;
 pub use plan::{JoinStep, PjPlan};
 pub use view::{Provenance, View};

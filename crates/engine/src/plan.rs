@@ -15,7 +15,7 @@ use ver_common::ids::{ColumnRef, TableId};
 /// `right` a column of the newly attached table.
 ///
 /// `Hash` because an oriented step doubles as a node key in the shared
-/// sub-join DAG (`ver_search::materialize::MaterializePlanner`) and as part
+/// sub-join DAG (`ver_search::materialize::materialize_batch`) and as part
 /// of the plan-derived view-cache key (`ver_search::cache::ViewKey`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct JoinStep {

@@ -6,7 +6,6 @@ use ver_engine::dedup::dedup_rows;
 use ver_engine::join::hash_join;
 use ver_engine::project::project;
 use ver_engine::rowhash::{table_fingerprint, table_hash_set};
-use ver_engine::union::union_tables;
 use ver_store::table::{Table, TableBuilder};
 
 /// Strategy: a (k, v) table with keys in 0..key_space.
@@ -48,28 +47,6 @@ proptest! {
         prop_assert_eq!(once.row_count(), twice.row_count());
         // Dedup preserves the row *set*.
         prop_assert_eq!(table_hash_set(&a), table_hash_set(&once));
-    }
-
-    #[test]
-    fn union_is_commutative_on_row_sets(
-        a in table_strategy(40, 8),
-        b in table_strategy(40, 8),
-    ) {
-        let ab = union_tables(&a, &b).unwrap();
-        let ba = union_tables(&b, &a).unwrap();
-        prop_assert_eq!(table_hash_set(&ab), table_hash_set(&ba));
-        // |A ∪ B| ≥ max(|distinct A|, |distinct B|)
-        let da = dedup_rows(&a).row_count();
-        let db = dedup_rows(&b).row_count();
-        prop_assert!(ab.row_count() >= da.max(db));
-        prop_assert!(ab.row_count() <= da + db);
-    }
-
-    #[test]
-    fn union_with_self_is_identity_on_sets(a in table_strategy(40, 8)) {
-        let u = union_tables(&a, &a).unwrap();
-        prop_assert_eq!(table_hash_set(&u), table_hash_set(&a));
-        prop_assert_eq!(u.row_count(), dedup_rows(&a).row_count());
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl SearchCaches {
 
     /// Cached view for `key`, if present (counts a hit or a miss). The
     /// batched search path partitions candidates with this before handing
-    /// the misses to `MaterializePlanner::plan_batch`.
+    /// the misses to `materialize_batch`.
     pub fn view_get(&self, key: &ViewKey) -> Option<View> {
         self.views.get(key)
     }

@@ -6,25 +6,24 @@
 //! table (the first projected column's table), orienting each edge so
 //! `left` is already materialised.
 //!
-//! The top-k candidates of one query can share join prefixes — Algorithm 5
-//! enumerates combinations over the same join paths.
-//! [`MaterializePlanner::plan_batch`] folds every plan's oriented step
-//! sequence into a prefix trie (the shared sub-join DAG), executes each
+//! The top-k candidates of one query share join prefixes — Algorithm 5
+//! enumerates combinations over the same join paths. [`materialize_batch`]
+//! folds every plan's oriented step sequence into a prefix trie (the
+//! shared sub-join DAG) whose roots are the base tables, executes each
 //! distinct step **once** on [`JoinState`] row-index intermediates, and
 //! projects each candidate to the source rows that survive dedup — no cell
 //! is copied here; a view gathers its own on first read
 //! (`ver_engine::view`). Candidates whose shared prefix matched nothing
 //! are pruned without executing their remaining steps.
 //!
-//! How much is shared depends on the corpus: a step is shared only when
-//! candidates start with the same oriented column edge off the same base,
-//! which takes table pairs linked by several column edges or many
-//! candidates over a common base and first join. On the pinned benchmark
-//! tier (`wdc120`: one column edge per table pair, each 2-hop path through
-//! a different middle table) nothing is — 2 485 distinct steps of 2 485,
-//! `engine.dag_shared_ratio` 0 — and the batch's gain is the value-free
-//! execution (row indices, dedup without a gather, each base column hashed
-//! once), not sharing. [`MaterializeStats`] reports the counters per query.
+//! How much is shared depends on the query: a step is shared when
+//! candidates start with the same oriented column edge off the same base.
+//! Over the 30 pinned `wdc120` specs (ρ = 2, no caches) the DAG answers
+//! 23 829 of 108 644 join steps (21.9 %) from a shared prefix — 41–43 % on
+//! every WDC-Q3 spec, 26 % on WDC-Q5, none on Q1, Q2 and Q4. The golden
+//! workload shares 20.8 %, `chembl70` 17 %, open data at 25 % 49 %, and
+//! ρ = 3 44–48 %. [`MaterializeStats`] reports the counters per query;
+//! `crates/bench/src/golden.rs` pins them for the golden workload.
 //!
 //! Output is **bit-identical** to materialising every candidate
 //! independently through [`execute_plan`](ver_engine::exec::execute_plan)
@@ -40,7 +39,7 @@ use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::ids::{ColumnRef, TableId};
 use ver_common::pool::ThreadPool;
-use ver_engine::dag::{materialize_state_hashed, materialize_state_named, ColumnHashes, JoinState};
+use ver_engine::dag::{materialize_state, ColumnHashes, JoinState};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::view::View;
 use ver_index::JoinGraph;
@@ -120,8 +119,8 @@ pub fn plan_from_join_graph(
     })
 }
 
-/// Counters from one [`MaterializePlanner::plan_batch`] call — how much
-/// join work the shared sub-join DAG saved. Reported per query in
+/// Counters from one [`materialize_batch`] call — how much join work the
+/// shared sub-join DAG saved. Reported per query in
 /// [`SearchOutput::dag`](crate::search::SearchOutput); the repo benchmark
 /// reads them as `engine.dag_distinct_steps` / `engine.dag_shared_ratio`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -153,284 +152,145 @@ impl MaterializeStats {
     }
 }
 
-/// One DAG node: a distinct oriented step applied to a parent prefix.
-struct DagNode {
-    /// Index into the node table; base states are modelled as roots.
-    parent: DagParent,
-    step: JoinStep,
+/// What one DAG node computes: a root is the identity state over a base
+/// table, every other node one distinct oriented step applied to its
+/// parent node's state.
+enum Node {
+    Root(TableId),
+    Step(usize, JoinStep),
 }
 
-#[derive(Clone, Copy)]
-enum DagParent {
-    /// Root: the identity state over a base table.
-    Base(usize),
-    /// Interior: another node's output state.
-    Node(usize),
-}
-
-/// Plans candidate batches onto the shared sub-join DAG and executes them.
+/// Execute a batch of `(plan, join_score)` candidates over the shared
+/// sub-join DAG.
 ///
-/// The planner owns nothing but a catalog reference; construct one per
-/// search invocation. [`MaterializePlanner::plan`] linearises a single
-/// (graph, projection) candidate, [`MaterializePlanner::plan_batch`]
-/// executes many plans with prefix sharing.
-pub struct MaterializePlanner<'a> {
-    catalog: &'a TableCatalog,
-}
-
-impl<'a> MaterializePlanner<'a> {
-    /// Planner over `catalog`.
-    pub fn new(catalog: &'a TableCatalog) -> Self {
-        MaterializePlanner { catalog }
-    }
-
-    /// Linearise one candidate — see [`plan_from_join_graph`].
-    pub fn plan(&self, graph: &JoinGraph, projection: &[ColumnRef]) -> Result<PjPlan> {
-        plan_from_join_graph(self.catalog, graph, projection)
-    }
-
-    /// Execute a batch of `(plan, join_score)` candidates over the shared
-    /// sub-join DAG.
-    ///
-    /// Each distinct oriented step prefix is executed once as a
-    /// [`JoinState`]; every plan sharing it reuses the row-index arrays.
-    /// Prefixes that matched nothing prune all their descendants. Results
-    /// come back in input order, each bit-identical to what
-    /// [`execute_plan`](ver_engine::exec::execute_plan) would produce for
-    /// that plan alone; per-plan failures surface as that plan's `Err`
-    /// without affecting the rest of the batch.
-    ///
-    /// Node execution fans out level-by-level on `pool` (order-preserving,
-    /// pure per-node work), so the output is identical for every thread
-    /// count.
-    pub fn plan_batch(
-        &self,
-        candidates: &[(PjPlan, f64)],
-        pool: ThreadPool,
-    ) -> (Vec<Result<View>>, MaterializeStats) {
-        self.plan_batch_budgeted(candidates, pool, &QueryBudget::none())
-    }
-
-    /// [`plan_batch`](Self::plan_batch) under a [`QueryBudget`]: the
-    /// cooperative deadline is checked at every DAG node execution (the
-    /// per-edge stage boundary) and every final projection. A node that
-    /// trips returns `Err(VerError::DeadlineExceeded)`, which propagates to
-    /// every candidate whose plan depends on it — candidates whose chains
-    /// completed earlier still come back `Ok`, which is what lets the
-    /// search path return partial results. A panic inside node execution
-    /// or projection is likewise confined to the affected candidates as
-    /// `Err(VerError::Internal)`. With an unlimited budget and no injected
-    /// faults this is byte-for-byte `plan_batch` (the checks are a no-op).
-    pub fn plan_batch_budgeted(
-        &self,
-        candidates: &[(PjPlan, f64)],
-        pool: ThreadPool,
-        budget: &QueryBudget,
-    ) -> (Vec<Result<View>>, MaterializeStats) {
-        let mut stats = MaterializeStats {
-            candidates: candidates.len(),
-            ..Default::default()
-        };
-
-        // Build the DAG: a trie over (base table, oriented step sequence).
-        // Sequential over candidates in input (rank) order, so node ids and
-        // level membership are deterministic.
-        let mut bases: Vec<TableId> = Vec::new();
-        let mut base_ids: FxHashMap<TableId, usize> = FxHashMap::default();
-        let mut nodes: Vec<DagNode> = Vec::new();
-        // Trie edges as per-parent adjacency lists of (packed left cref,
-        // packed right cref, child id). Fan-out per prefix is tiny, so a
-        // linear scan of the parent's own list beats hashing into one
-        // global map — this walk runs once per step of every candidate.
-        let pack = |c: ColumnRef| ((c.table.0 as u64) << 16) | c.ordinal as u64;
-        let mut base_children: Vec<Vec<(u64, u64, usize)>> = Vec::new();
-        let mut node_children: Vec<Vec<(u64, u64, usize)>> = Vec::new();
-        // Per-candidate terminal: Err(plan validation error) or the leaf.
-        enum Leaf {
-            Base(usize),
-            Node(usize),
-            Invalid(VerError),
-        }
-        let mut levels: Vec<Vec<usize>> = Vec::new();
-        let leaves: Vec<Leaf> = candidates
-            .iter()
-            .map(|(plan, _)| {
-                if let Err(e) = plan.validate() {
-                    return Leaf::Invalid(e);
-                }
-                stats.total_steps += plan.joins.len();
-                let base_id = *base_ids.entry(plan.base).or_insert_with(|| {
-                    bases.push(plan.base);
-                    base_children.push(Vec::new());
-                    bases.len() - 1
-                });
-                let mut at = Leaf::Base(base_id);
-                for (depth, &step) in plan.joins.iter().enumerate() {
-                    let (l, r) = (pack(step.left), pack(step.right));
-                    let parent = match at {
-                        Leaf::Base(b) => DagParent::Base(b),
-                        Leaf::Node(n) => DagParent::Node(n),
-                        Leaf::Invalid(_) => unreachable!(),
-                    };
-                    let list = match parent {
-                        DagParent::Base(b) => &base_children[b],
-                        DagParent::Node(n) => &node_children[n],
-                    };
-                    let next = match list.iter().find(|&&(el, er, _)| el == l && er == r) {
-                        Some(&(_, _, id)) => id,
-                        None => {
-                            let id = nodes.len();
-                            match parent {
-                                DagParent::Base(b) => base_children[b].push((l, r, id)),
-                                DagParent::Node(n) => node_children[n].push((l, r, id)),
-                            }
-                            nodes.push(DagNode { parent, step });
-                            node_children.push(Vec::new());
-                            if levels.len() <= depth {
-                                levels.push(Vec::new());
-                            }
-                            levels[depth].push(id);
-                            id
-                        }
-                    };
-                    at = Leaf::Node(next);
-                }
-                at
-            })
-            .collect();
-        stats.distinct_steps = nodes.len();
-        stats.shared_hits = stats.total_steps - stats.distinct_steps;
-
-        // Hash every key and projection column the batch touches once up
-        // front; steps and projections share the arrays instead of
-        // re-hashing per node / per candidate. Pure optimisation — hashes
-        // only pre-bucket, matches are value-verified, so output is
-        // unchanged (see `ver_engine::dag::ColumnHashes`).
-        let mut hashes = ColumnHashes::new();
-        for node in &nodes {
-            hashes.ensure(self.catalog, node.step.left);
-            hashes.ensure(self.catalog, node.step.right);
-        }
-        for ((plan, _), leaf) in candidates.iter().zip(&leaves) {
-            if !matches!(leaf, Leaf::Invalid(_)) {
-                for &p in &plan.projection {
-                    hashes.ensure(self.catalog, p);
-                }
-            }
-        }
-
-        // Execute: base states, then one level at a time. Each level's
-        // nodes depend only on completed states, so they fan out on the
-        // pool; par_map is order-preserving and every node is a pure
-        // function of its parent, so results are thread-count independent.
-        let base_states: Vec<Result<JoinState>> =
-            pool.par_map(&bases, |&t| JoinState::base(self.catalog, t));
-        let mut states: Vec<Option<Result<JoinState>>> = (0..nodes.len()).map(|_| None).collect();
-        for level in &levels {
-            // `try_par_map` so an injected (or genuine) panic in one node
-            // degrades to that node's `Err(VerError::Internal)` instead of
-            // unwinding the query; the cooperative deadline and the
-            // `dag.step` fault point sit at the same per-edge boundary.
-            let computed: Vec<(Result<JoinState>, bool)> = pool
-                .try_par_map(level, |&id| {
-                    ver_common::fault::hit(ver_common::fault::points::DAG_STEP)?;
-                    budget.check("dag.step")?;
-                    let node = &nodes[id];
-                    let parent = match node.parent {
-                        DagParent::Base(b) => &base_states[b],
-                        DagParent::Node(n) => states[n].as_ref().expect("parent level completed"),
-                    };
-                    Ok(match parent {
-                        Err(e) => (Err(e.clone()), false),
-                        Ok(state) => (
-                            state.step_hashed(self.catalog, node.step, &hashes),
-                            state.is_empty(),
-                        ),
-                    })
-                })
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|e| (Err(e), false)))
-                .collect();
-            for (&id, (state, pruned)) in level.iter().zip(computed) {
-                states[id] = Some(state);
-                stats.empty_pruned += usize::from(pruned);
-            }
-        }
-
-        // Chain each leaf's `a⋈b⋈c` view name once; every candidate
-        // projecting that leaf shares the `Arc<str>` instead of re-walking
-        // the catalog per candidate.
-        let mut names: FxHashMap<(u8, u32), Arc<str>> = FxHashMap::default();
-        let leaf_names: Vec<Option<Arc<str>>> = leaves
-            .iter()
-            .map(|leaf| {
-                let (key, state) = match leaf {
-                    Leaf::Invalid(_) => return None,
-                    Leaf::Base(b) => ((0u8, *b as u32), &base_states[*b]),
-                    Leaf::Node(n) => (
-                        (1u8, *n as u32),
-                        states[*n].as_ref().expect("leaf level completed"),
-                    ),
-                };
-                let Ok(state) = state else { return None };
-                match names.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => Some(e.get().clone()),
-                    std::collections::hash_map::Entry::Vacant(e) => state
-                        .joined_name(self.catalog)
-                        .ok()
-                        .map(|n| e.insert(n).clone()),
-                }
-            })
-            .collect();
-        // Project every candidate off its leaf state (order-preserving
-        // fan-out; dedup over row indices is the only per-candidate work
-        // left).
-        let idx: Vec<usize> = (0..candidates.len()).collect();
-        let views = pool.try_par_map(&idx, |&i| {
-            budget.check("dag.project")?;
-            let (plan, score) = &candidates[i];
-            let state = match &leaves[i] {
-                Leaf::Invalid(e) => return Err(e.clone()),
-                Leaf::Base(b) => &base_states[*b],
-                Leaf::Node(n) => states[*n].as_ref().expect("leaf level completed"),
-            };
-            match state {
-                Err(e) => Err(e.clone()),
-                Ok(state) => match &leaf_names[i] {
-                    Some(name) => materialize_state_named(
-                        self.catalog,
-                        state,
-                        plan,
-                        *score,
-                        &hashes,
-                        name.clone(),
-                    ),
-                    None => materialize_state_hashed(self.catalog, state, plan, *score, &hashes),
-                },
-            }
-        });
-        (views, stats)
-    }
-}
-
-/// Materialise one join graph into a view.
+/// Each distinct oriented step prefix is executed once as a
+/// [`JoinState`]; every plan sharing it reuses the row-index arrays.
+/// Prefixes that matched nothing prune all their descendants. Results
+/// come back in input order, each bit-identical to what
+/// [`execute_plan`](ver_engine::exec::execute_plan) would produce for
+/// that plan alone; per-plan failures surface as that plan's `Err`
+/// without affecting the rest of the batch.
 ///
-/// Documented shim over [`MaterializePlanner`]: linearises the graph with
-/// [`plan_from_join_graph`] and runs it as a single-candidate
-/// [`MaterializePlanner::plan_batch`] — the same shared-kernel executor the
-/// batched search path uses, which for one plan degenerates to exactly
-/// [`execute_plan`](ver_engine::exec::execute_plan)'s behaviour. Kept as
-/// the single-candidate entrypoint for tests and ground-truth tooling.
-pub fn materialize_join_graph(
+/// Node execution fans out level-by-level on `pool` (order-preserving,
+/// pure per-node work), so the output is identical for every thread
+/// count. The cooperative deadline is checked at every join node (the
+/// per-edge stage boundary) and every final projection. A node that trips
+/// returns `Err(VerError::DeadlineExceeded)`, which propagates to every
+/// candidate whose plan depends on it — candidates whose chains completed
+/// earlier still come back `Ok`, which is what lets the search path return
+/// partial results. A panic inside node execution or projection is
+/// likewise confined to the affected candidates as
+/// `Err(VerError::Internal)`. With an unlimited budget and no injected
+/// faults the checks are a no-op.
+pub fn materialize_batch(
     catalog: &TableCatalog,
-    graph: &JoinGraph,
-    projection: &[ColumnRef],
-    join_score: f64,
-) -> Result<View> {
-    let planner = MaterializePlanner::new(catalog);
-    let plan = planner.plan(graph, projection)?;
-    let (mut views, _) = planner.plan_batch(&[(plan, join_score)], ThreadPool::new(1));
-    views.pop().expect("one candidate in, one result out")
+    candidates: &[(PjPlan, f64)],
+    pool: ThreadPool,
+    budget: &QueryBudget,
+) -> (Vec<Result<View>>, MaterializeStats) {
+    let mut stats = MaterializeStats {
+        candidates: candidates.len(),
+        ..Default::default()
+    };
+
+    // Build the DAG: a trie over (base table, oriented step sequence) in one
+    // node table, roots included. Sequential over candidates in input
+    // (rank) order, so node ids and level membership are deterministic.
+    // Trie edges are per-node lists of (step, child id): fan-out per prefix
+    // is tiny, so a linear scan of the parent's own list beats hashing into
+    // one global map — this walk runs once per step of every candidate.
+    // Every key and projection column is hashed here, before anything runs.
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut children: Vec<Vec<(JoinStep, usize)>> = Vec::new();
+    let mut levels: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut roots: FxHashMap<TableId, usize> = FxHashMap::default();
+    let mut hashes = ColumnHashes::new();
+    let leaves: Vec<Result<usize>> = candidates
+        .iter()
+        .map(|(plan, _)| {
+            plan.validate()?;
+            hashes.ensure(catalog, plan);
+            stats.total_steps += plan.joins.len();
+            let mut at = *roots.entry(plan.base).or_insert_with(|| {
+                nodes.push(Node::Root(plan.base));
+                children.push(Vec::new());
+                levels[0].push(nodes.len() - 1);
+                nodes.len() - 1
+            });
+            for (depth, &step) in plan.joins.iter().enumerate() {
+                at = match children[at].iter().find(|&&(s, _)| s == step) {
+                    Some(&(_, id)) => id,
+                    None => {
+                        let id = nodes.len();
+                        children[at].push((step, id));
+                        nodes.push(Node::Step(at, step));
+                        children.push(Vec::new());
+                        if levels.len() == depth + 1 {
+                            levels.push(Vec::new());
+                        }
+                        levels[depth + 1].push(id);
+                        id
+                    }
+                };
+            }
+            Ok(at)
+        })
+        .collect();
+    stats.distinct_steps = nodes.len() - roots.len();
+    stats.shared_hits = stats.total_steps - stats.distinct_steps;
+
+    // Execute one level at a time, roots first. Each level's nodes depend
+    // only on completed states, so they fan out on the pool; `try_par_map`
+    // is order-preserving and every node is a pure function of its parent,
+    // so results are thread-count independent, and an injected (or
+    // genuine) panic in one node degrades to that node's
+    // `Err(VerError::Internal)` instead of unwinding the query. The
+    // cooperative deadline and the `dag.step` fault point sit at the same
+    // per-edge boundary: join nodes, never roots.
+    let mut states: Vec<Option<Result<JoinState>>> = (0..nodes.len()).map(|_| None).collect();
+    for level in &levels {
+        let computed = pool.try_par_map(level, |&id| {
+            let (parent, step) = match nodes[id] {
+                Node::Root(table) => return Ok((JoinState::base(catalog, table), false)),
+                Node::Step(parent, step) => (parent, step),
+            };
+            ver_common::fault::hit(ver_common::fault::points::DAG_STEP)?;
+            budget.check("dag.step")?;
+            Ok(
+                match states[parent].as_ref().expect("parent level completed") {
+                    Err(e) => (Err(e.clone()), false),
+                    Ok(prefix) => (prefix.step(catalog, step, &hashes), prefix.is_empty()),
+                },
+            )
+        });
+        for (&id, node) in level.iter().zip(computed) {
+            let (state, pruned) = node.unwrap_or_else(|e| (Err(e), false));
+            states[id] = Some(state);
+            stats.empty_pruned += usize::from(pruned);
+        }
+    }
+
+    // Chain each leaf's `a⋈b⋈c` view name once; every candidate projecting
+    // that leaf shares the `Arc<str>` instead of re-walking the catalog.
+    let mut names: Vec<Option<Result<Arc<str>>>> = vec![None; nodes.len()];
+    for &id in leaves.iter().flatten() {
+        if let (None, Some(Ok(state))) = (&names[id], &states[id]) {
+            names[id] = Some(state.joined_name(catalog));
+        }
+    }
+    // Project every candidate off its leaf state (order-preserving fan-out;
+    // dedup over row indices is the only per-candidate work left).
+    let idx: Vec<usize> = (0..candidates.len()).collect();
+    let views = pool.try_par_map(&idx, |&i| {
+        budget.check("dag.project")?;
+        let id = leaves[i].clone()?;
+        let state = states[id].as_ref().expect("leaf level completed");
+        let state = state.as_ref().map_err(VerError::clone)?;
+        let name = names[id].clone().expect("an executed leaf is named")?;
+        let (plan, score) = &candidates[i];
+        materialize_state(catalog, state, plan, *score, &hashes, name)
+    });
+    (views, stats)
 }
 
 #[cfg(test)]
@@ -486,11 +346,32 @@ mod tests {
         }
     }
 
+    /// One join graph through the production path: linearise, then a batch
+    /// of one.
+    fn materialize_one(
+        cat: &TableCatalog,
+        graph: &JoinGraph,
+        projection: &[ColumnRef],
+        join_score: f64,
+    ) -> Result<View> {
+        let plan = plan_from_join_graph(cat, graph, projection)?;
+        let (mut views, _) = batch(cat, &[(plan, join_score)], 1);
+        views.pop().expect("one candidate in, one result out")
+    }
+
+    fn batch(
+        cat: &TableCatalog,
+        plans: &[(PjPlan, f64)],
+        threads: usize,
+    ) -> (Vec<Result<View>>, MaterializeStats) {
+        materialize_batch(cat, plans, ThreadPool::new(threads), &QueryBudget::none())
+    }
+
     #[test]
     fn single_table_graph_materialises_projection() {
         let (cat, _) = setup();
         let graph = JoinGraph::default();
-        let v = materialize_join_graph(&cat, &graph, &[cref(0, 0), cref(0, 1)], 1.0).unwrap();
+        let v = materialize_one(&cat, &graph, &[cref(0, 0), cref(0, 1)], 1.0).unwrap();
         assert_eq!(v.row_count(), 30);
         assert_eq!(v.attribute_names(), vec!["iata", "state"]);
     }
@@ -501,7 +382,7 @@ mod tests {
         let graphs = idx.generate_join_graphs(&[TableId(0), TableId(1)], 2);
         assert!(!graphs.is_empty());
         let direct = graphs.iter().find(|g| g.hops() == 1).expect("direct join");
-        let v = materialize_join_graph(&cat, direct, &[cref(0, 0), cref(1, 1)], 0.9).unwrap();
+        let v = materialize_one(&cat, direct, &[cref(0, 0), cref(1, 1)], 0.9).unwrap();
         assert_eq!(v.row_count(), 30);
         assert_eq!(v.attribute_names(), vec!["iata", "pop"]);
         assert_eq!(v.provenance.join_score, 0.9);
@@ -528,7 +409,7 @@ mod tests {
         assert!(!graphs.is_empty());
         let two_hop = graphs.iter().find(|g| g.hops() == 2);
         if let Some(g) = two_hop {
-            let v = materialize_join_graph(&cat, g, &[cref(0, 0), cref(2, 1)], 0.8).unwrap();
+            let v = materialize_one(&cat, g, &[cref(0, 0), cref(2, 1)], 0.8).unwrap();
             assert_eq!(v.row_count(), 30);
             assert_eq!(v.provenance.hops(), 2);
         }
@@ -552,7 +433,7 @@ mod tests {
         let graphs = idx.generate_join_graphs(&[TableId(0), TableId(2)], 2);
         let direct = graphs.iter().find(|g| g.hops() == 1).unwrap();
         // Project only the region column: 30 rows collapse to 3 regions.
-        let v = materialize_join_graph(&cat, direct, &[cref(2, 1)], 1.0).unwrap();
+        let v = materialize_one(&cat, direct, &[cref(2, 1)], 1.0).unwrap();
         assert_eq!(v.row_count(), 3);
     }
 
@@ -628,8 +509,7 @@ mod tests {
         ];
 
         for threads in [1usize, 2, 0] {
-            let planner = MaterializePlanner::new(&cat);
-            let (views, stats) = planner.plan_batch(&plans, ThreadPool::new(threads));
+            let (views, stats) = batch(&cat, &plans, threads);
             assert_eq!(views.len(), plans.len());
             for ((plan, score), view) in plans.iter().zip(&views) {
                 let independent = execute_plan(&cat, plan, *score).unwrap();
@@ -654,11 +534,7 @@ mod tests {
         let good = PjPlan::single(TableId(0), vec![cref(0, 0)]);
         let invalid = PjPlan::single(TableId(0), vec![]); // fails validate()
         let missing = PjPlan::single(TableId(42), vec![cref(42, 0)]); // no table
-        let planner = MaterializePlanner::new(&cat);
-        let (views, stats) = planner.plan_batch(
-            &[(good, 1.0), (invalid, 1.0), (missing, 1.0)],
-            ThreadPool::new(1),
-        );
+        let (views, stats) = batch(&cat, &[(good, 1.0), (invalid, 1.0), (missing, 1.0)], 1);
         assert!(views[0].is_ok());
         assert!(views[1].is_err());
         assert!(views[2].is_err());
@@ -688,8 +564,7 @@ mod tests {
             ],
             projection: vec![cref(3, 0), cref(2, 1)],
         };
-        let planner = MaterializePlanner::new(&cat);
-        let (views, stats) = planner.plan_batch(&[(plan.clone(), 0.5)], ThreadPool::new(1));
+        let (views, stats) = batch(&cat, &[(plan.clone(), 0.5)], 1);
         let batched = views[0].as_ref().unwrap();
         let independent = execute_plan(&cat, &plan, 0.5).unwrap();
         assert_eq!(batched.table, independent.table);

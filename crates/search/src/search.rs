@@ -7,7 +7,7 @@
 //! an order-preserving [`ThreadPool::par_map`], the rank comparator is a
 //! total order on candidate content ([`rank_order`]), and the top-k
 //! candidates materialise over the shared sub-join DAG
-//! ([`MaterializePlanner::plan_batch`]) whose level-wise fan-out is
+//! ([`materialize_batch`]) whose level-wise fan-out is
 //! likewise order-preserving. Results are therefore bit-identical for
 //! every `threads` value — same views, same [`ViewId`] assignment, same
 //! ranked order — and identical to executing each ranked plan on its own
@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use crate::materialize::{MaterializePlanner, MaterializeStats};
+use crate::materialize::{materialize_batch, plan_from_join_graph, MaterializeStats};
 use crate::rank::{graph_canon, join_score, rank_order};
 use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
@@ -347,7 +347,6 @@ impl<'a> SearchContext<'a> {
         // first error in rank order. Ids are assigned sequentially
         // afterwards so empty-view dropping cannot race id assignment.
         let mat_start = std::time::Instant::now();
-        let planner = MaterializePlanner::new(self.catalog);
         // Linearisation depends only on (graph, base table), and the rank
         // order's canonical-edge + projection tiebreaks put candidates
         // sharing a graph next to each other — so a run of equal graphs
@@ -363,7 +362,7 @@ impl<'a> SearchContext<'a> {
             .map(|(_, c)| {
                 let Some(base) = c.projection.first().map(|p| p.table) else {
                     // Empty projection: let the planner surface its error.
-                    return planner.plan(&c.graph, &c.projection);
+                    return plan_from_join_graph(self.catalog, &c.graph, &c.projection);
                 };
                 if let Some((g, b, joins)) = &prev {
                     if *b == base && *g == &c.graph {
@@ -374,7 +373,7 @@ impl<'a> SearchContext<'a> {
                         });
                     }
                 }
-                let plan = planner.plan(&c.graph, &c.projection)?;
+                let plan = plan_from_join_graph(self.catalog, &c.graph, &c.projection)?;
                 prev = Some((&c.graph, plan.base, plan.joins.clone()));
                 Ok(plan)
             })
@@ -407,7 +406,7 @@ impl<'a> SearchContext<'a> {
                 }
             }
         }
-        let (views, dag) = planner.plan_batch_budgeted(&batch, pool, &self.budget);
+        let (views, dag) = materialize_batch(self.catalog, &batch, pool, &self.budget);
         for ((i, cached), view) in miss.into_iter().zip(views) {
             if let (Some((cs, key)), Ok(view)) = (cached, &view) {
                 cs.view_insert(key, view.clone());

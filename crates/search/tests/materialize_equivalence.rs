@@ -5,7 +5,7 @@
 //!
 //! * **Planner level** — random batches of valid [`PjPlan`]s (overlapping
 //!   prefixes, empty joins, projection-only plans) run through
-//!   [`MaterializePlanner::plan_batch`] must reproduce
+//!   [`materialize_batch`] must reproduce
 //!   [`execute_plan`]'s per-candidate output *exactly* — same rows in the
 //!   same order, same schema, same provenance — for every thread count.
 //! * **Search level** — every ranked view [`SearchContext::search`]
@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use ver_common::budget::QueryBudget;
 use ver_common::ids::{ColumnRef, TableId};
 use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
@@ -25,7 +26,7 @@ use ver_engine::exec::{execute_plan, reexecute};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_qbe::query::{ExampleQuery, QueryColumn};
-use ver_search::{MaterializePlanner, SearchConfig, SearchContext};
+use ver_search::{materialize_batch, SearchConfig, SearchContext};
 use ver_select::{column_selection, SelectionConfig};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
@@ -133,9 +134,9 @@ proptest! {
     ) {
         let cat = random_catalog(seed, n_tables);
         let plans = random_plans(seed, n_tables, n_plans);
-        let planner = MaterializePlanner::new(&cat);
         for threads in [1usize, 2, 0] {
-            let (views, stats) = planner.plan_batch(&plans, ThreadPool::new(threads));
+            let (views, stats) =
+                materialize_batch(&cat, &plans, ThreadPool::new(threads), &QueryBudget::none());
             prop_assert_eq!(views.len(), plans.len());
             prop_assert_eq!(stats.candidates, plans.len());
             prop_assert_eq!(stats.shared_hits, stats.total_steps - stats.distinct_steps);

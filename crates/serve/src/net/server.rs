@@ -470,6 +470,7 @@ fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> 
         let all = Arc::new(wire.views);
         let first: Vec<WireView> = all[..page_size as usize].to_vec();
         let id = shared.next_cursor.fetch_add(1, Ordering::Relaxed);
+        let mut evicted = Vec::new();
         let mut table = lock_unpoisoned(&shared.cursors);
         table.map.insert(
             id,
@@ -481,7 +482,8 @@ fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> 
         table.order.push_back(id);
         while table.map.len() > shared.config.max_cursors.max(1) {
             if let Some(old) = table.order.pop_front() {
-                if table.map.remove(&old).is_some() {
+                if let Some(state) = table.map.remove(&old) {
+                    evicted.push(state);
                     shared
                         .counters
                         .cursors_evicted
@@ -489,6 +491,10 @@ fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> 
                 }
             }
         }
+        // An evicted cursor may hold the last reference to a whole parked
+        // result: free it after the lock, not under it.
+        drop(table);
+        drop(evicted);
         (id, first, page_size)
     };
     QueryHead {
@@ -524,11 +530,14 @@ fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
     let end = (start + page_size).min(total);
     let views = state.views[start..end].to_vec();
     let last = end == total;
+    let mut drained = None;
     if last {
-        table.map.remove(&cursor);
+        drained = table.map.remove(&cursor);
         table.order.retain(|c| *c != cursor);
     }
+    // The drained cursor's parked views are freed after the lock.
     drop(table);
+    drop(drained);
     shared.counters.pages_served.fetch_add(1, Ordering::Relaxed);
     Response::Page(Page {
         cursor,

@@ -17,6 +17,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::borrow::Cow;
 use ver_bench::golden::{golden_catalog, golden_queries};
+use ver_common::budget::QueryBudget;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
@@ -26,7 +27,7 @@ use ver_distill::{distill, DistillConfig, DistillOutput};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::rowhash::hash_table_row;
 use ver_engine::view::View;
-use ver_search::{MaterializePlanner, SearchContext};
+use ver_search::{materialize_batch, SearchContext};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
 
@@ -179,7 +180,8 @@ proptest! {
     ) {
         let cat = random_catalog(seed, n_tables);
         let plans = random_plans(seed, n_tables, n_plans);
-        let (views, _) = MaterializePlanner::new(&cat).plan_batch(&plans, ThreadPool::new(threads));
+        let (views, _) =
+            materialize_batch(&cat, &plans, ThreadPool::new(threads), &QueryBudget::none());
         // Ids as the search stage would assign them (the batch itself
         // leaves every view on the default id).
         let views: Vec<View> = views
