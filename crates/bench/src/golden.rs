@@ -174,4 +174,49 @@ mod tests {
             assert_eq!(got, want, "{name}");
         }
     }
+
+    /// Pins what 4C decides on the golden workload, per query: the counts
+    /// `(original, survivors_c1, survivors_c2, compatible_groups,
+    /// complementary_pairs, contradictions)` and one digest over the
+    /// labelled edges of `G`, the compatible groups, the contradiction
+    /// groups and the complementary pairs. The snapshot pins only C2's
+    /// survivors; a rewrite of C1, the labels or the contradiction index
+    /// that keeps those fails here.
+    #[test]
+    fn distillation_on_the_golden_workload_is_pinned() {
+        use std::hash::{Hash, Hasher};
+        use ver_common::fxhash::FxHasher;
+
+        let catalog = golden_catalog();
+        let queries = golden_queries(&catalog);
+        let ver = Ver::build(catalog, VerConfig::default()).expect("index build");
+        let expected = [
+            ("WDC-Q1", (402, 87, 65, 20, 433, 50), 0x5fd4_bd4c_f0b5_49b8),
+            ("WDC-Q2", (374, 79, 57, 20, 330, 50), 0x1239_4908_066d_2464),
+            ("WDC-Q3", (1050, 52, 6, 52, 15, 5), 0x3f33_0ae0_460f_9c12),
+            ("WDC-Q4", (410, 95, 73, 20, 548, 50), 0x8e63_f323_eb90_c2b2),
+            ("WDC-Q5", (521, 97, 42, 55, 26, 134), 0xdbc4_b9ef_1524_c1b7),
+        ];
+        let mut got = Vec::new();
+        for (name, spec) in &queries {
+            let d = ver.run(spec).expect("pipeline run").distill;
+            let counts = (
+                d.original_count(),
+                d.survivors_c1.len(),
+                d.survivors_c2.len(),
+                d.compatible_groups.len(),
+                d.complementary_pairs.len(),
+                d.contradictions.len(),
+            );
+            let mut h = FxHasher::default();
+            d.graph.edges().hash(&mut h);
+            d.compatible_groups.hash(&mut h);
+            for c in &d.contradictions {
+                (&c.key, &c.groups).hash(&mut h);
+            }
+            d.complementary_pairs.hash(&mut h);
+            got.push((name.as_str(), counts, h.finish()));
+        }
+        assert_eq!(got, expected);
+    }
 }
