@@ -2,7 +2,8 @@
 //! `materialize_batch` over the shared sub-join DAG, the dominant online
 //! cost of Fig. 4(b). Two batches over the same tables and the same number
 //! of join steps: chain plans that all share their first step, and chain
-//! plans that share none.
+//! plans that share none. Plus `rowhash_set`: sorting one joined view's row
+//! hashes into the row set 4C compares.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ver_common::budget::QueryBudget;
@@ -11,7 +12,7 @@ use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
 use ver_engine::join::hash_join;
 use ver_engine::plan::{JoinStep, PjPlan};
-use ver_engine::rowhash::table_hash_set;
+use ver_engine::rowhash::{row_set, table_row_hashes};
 use ver_search::materialize_batch;
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
@@ -84,9 +85,11 @@ fn bench_materializer(c: &mut Criterion) {
             cat.table(TableId(0)).unwrap(),
             cat.table(TableId(1)).unwrap(),
         );
-        let joined = hash_join(t0, 0, t1, 0).unwrap();
+        // The row set 4C compares, from the row hashes a DAG-built view
+        // carries.
+        let hashes = table_row_hashes(&hash_join(t0, 0, t1, 0).unwrap());
         group.bench_with_input(BenchmarkId::new("rowhash_set", rows), &rows, |b, _| {
-            b.iter(|| table_hash_set(&joined))
+            b.iter(|| row_set(&hashes))
         });
     }
     group.finish();

@@ -79,8 +79,8 @@ fn main() {
             .iter()
             .find(|v| v.id == target)
             .expect("target");
-        let target_hashes = target_view.hash_set();
-        let ft_target = ft.views.iter().find(|v| v.hash_set() == target_hashes);
+        let target_hashes = target_view.row_set();
+        let ft_target = ft.views.iter().find(|v| v.row_set() == target_hashes);
         match ft_target {
             Some(t) => {
                 let scan = simulate_scan(&ranked, t.id, scan_budget);

@@ -62,12 +62,6 @@ impl QueryBudget {
         self
     }
 
-    /// Set an absolute deadline (e.g. propagated from an upstream caller).
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Cap the number of candidate join graphs scored (`0` = reject all).
     pub fn with_max_candidates(mut self, cap: usize) -> Self {
         self.max_candidates = Some(cap);
@@ -175,13 +169,6 @@ mod tests {
         // A representable but distant timeout still sets a real deadline.
         let b = QueryBudget::none().with_timeout(Duration::from_secs(3600));
         assert!(b.deadline().is_some());
-    }
-
-    #[test]
-    fn absolute_deadline_round_trips() {
-        let d = Instant::now() + Duration::from_secs(60);
-        let b = QueryBudget::none().with_deadline(d);
-        assert_eq!(b.deadline(), Some(d));
     }
 
     #[test]

@@ -254,41 +254,6 @@ pub fn simd_enabled() -> bool {
     active_backend() != SimdBackend::Scalar
 }
 
-/// CPU features relevant to the sketching kernels that are present at
-/// runtime, in a fixed probe order. Recorded into every `BENCH_*.json` so
-/// perf numbers carry their hardware context.
-pub fn detected_cpu_features() -> Vec<&'static str> {
-    #[allow(unused_mut)]
-    let mut features: Vec<&'static str> = Vec::new();
-    #[cfg(target_arch = "x86_64")]
-    {
-        for (name, present) in [
-            ("sse2", std::arch::is_x86_feature_detected!("sse2")),
-            ("sse4.2", std::arch::is_x86_feature_detected!("sse4.2")),
-            ("avx", std::arch::is_x86_feature_detected!("avx")),
-            ("avx2", std::arch::is_x86_feature_detected!("avx2")),
-            ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
-            ("avx512dq", std::arch::is_x86_feature_detected!("avx512dq")),
-        ] {
-            if present {
-                features.push(name);
-            }
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        for (name, present) in [
-            ("neon", std::arch::is_aarch64_feature_detected!("neon")),
-            ("sve", std::arch::is_aarch64_feature_detected!("sve")),
-        ] {
-            if present {
-                features.push(name);
-            }
-        }
-    }
-    features
-}
-
 /// Define a runtime-multiversioned kernel.
 ///
 /// Expands to a function whose body is compiled twice: once at the build's

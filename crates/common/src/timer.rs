@@ -67,28 +67,6 @@ impl PhaseTimer {
     }
 }
 
-/// RAII guard measuring one scope into a caller-owned slot.
-pub struct ScopedTimer<'a> {
-    start: Instant,
-    slot: &'a mut Duration,
-}
-
-impl<'a> ScopedTimer<'a> {
-    /// Start timing; the elapsed time is added to `slot` on drop.
-    pub fn new(slot: &'a mut Duration) -> Self {
-        ScopedTimer {
-            start: Instant::now(),
-            slot,
-        }
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        *self.slot += self.start.elapsed();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,16 +99,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get("x"), Duration::from_millis(12));
         assert_eq!(a.get("y"), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let mut slot = Duration::ZERO;
-        {
-            let _g = ScopedTimer::new(&mut slot);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(slot >= Duration::from_millis(1));
     }
 
     #[test]

@@ -6,17 +6,8 @@ use ver_present::PresentationConfig;
 use ver_search::SearchConfig;
 use ver_select::SelectionConfig;
 
-/// Automatic vs interactive operation (Algorithm 1's MODE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Return a ranked list (Algorithm 1 line 13: rank by overlap score).
-    Automatic,
-    /// Engage VIEW-PRESENTATION's question loop (lines 10-11).
-    Interactive,
-}
-
 /// Configuration of the whole pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerConfig {
     /// Offline index construction.
     pub index: IndexConfig,
@@ -28,26 +19,10 @@ pub struct VerConfig {
     pub distill: DistillConfig,
     /// VIEW-PRESENTATION (bandit, iteration budget).
     pub presentation: PresentationConfig,
-    /// Operation mode.
-    pub mode: Mode,
     /// Round-trip materialized views through CSV files in a temp directory
     /// before distillation, reproducing the paper's "time to read views
     /// from disk" (the VD-IO bar of Fig. 3/4). Off by default.
     pub simulate_view_io: bool,
-}
-
-impl Default for VerConfig {
-    fn default() -> Self {
-        VerConfig {
-            index: IndexConfig::default(),
-            selection: SelectionConfig::default(),
-            search: SearchConfig::default(),
-            distill: DistillConfig::default(),
-            presentation: PresentationConfig::default(),
-            mode: Mode::Automatic,
-            simulate_view_io: false,
-        }
-    }
 }
 
 impl VerConfig {
@@ -66,12 +41,6 @@ impl VerConfig {
             },
             ..VerConfig::default()
         }
-    }
-
-    /// Paper-default evaluation settings: θ = 1, ρ = 2, k = ∞ (materialise
-    /// every join graph), clustering threshold = containment threshold.
-    pub fn paper() -> Self {
-        VerConfig::default()
     }
 
     /// Pin every parallel stage to `threads` workers at once: the offline
@@ -93,7 +62,7 @@ mod tests {
 
     #[test]
     fn paper_defaults_match_section_vi() {
-        let c = VerConfig::paper();
+        let c = VerConfig::default();
         assert_eq!(c.search.rho, 2, "ρ = 2");
         assert_eq!(c.selection.theta, 1, "θ = 1");
         assert_eq!(c.search.k, usize::MAX, "materialise all join graphs");

@@ -38,7 +38,7 @@ pub mod config;
 pub mod pipeline;
 pub mod spec_select;
 
-pub use config::{Mode, VerConfig};
+pub use config::VerConfig;
 pub use pipeline::{leg_degradable, presentation_query, QueryResult, ShardLeg, Ver};
 
 // Re-export the component crates under one roof for downstream users.

@@ -4,8 +4,10 @@
 //! (JOIN-GRAPH-SEARCH), `materialize` (MATERIALIZER), `vd_io` (reading
 //! views into the distiller) and `4c` (4C categorisation).
 
-use crate::config::{Mode, VerConfig};
+use crate::config::VerConfig;
 use crate::spec_select::select_for_spec;
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
@@ -404,11 +406,6 @@ impl Ver {
         let outcome = session.run(user);
         Ok((result, outcome))
     }
-
-    /// Operation mode configured for this instance.
-    pub fn mode(&self) -> Mode {
-        self.config.mode
-    }
 }
 
 /// Outcome of one scatter leg of [`Ver::scatter_gather`].
@@ -452,24 +449,35 @@ fn undistilled(views: &[View]) -> DistillOutput {
 }
 
 /// Round-trip views through CSV files in a temp dir (VD-IO simulation).
+///
+/// Each call writes into a directory of its own — process id plus a
+/// process-wide call counter — so concurrent queries never read each
+/// other's files, and the directory is removed whether or not the round
+/// trip succeeded.
 fn roundtrip_views(views: &[View]) -> Result<Vec<View>> {
-    let dir = std::env::temp_dir().join(format!("ver_views_{}", std::process::id()));
+    // Relaxed: the counter only has to hand out distinct values.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ver_views_{}_{call}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
-    let mut out = Vec::with_capacity(views.len());
-    for v in views {
-        let path = dir.join(format!("view_{}.csv", v.id.0));
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        // Forces the gather: the simulated I/O writes every cell.
-        ver_store::csv::write_csv(&v.table, &mut file)?;
-        drop(file);
-        let file = std::fs::File::open(&path)?;
-        let mut table = ver_store::csv::read_csv(v.name(), file, true)?;
-        table.infer_types();
-        out.push(View::new(v.id, table, v.provenance.clone()));
-        std::fs::remove_file(&path).ok();
-    }
-    std::fs::remove_dir(&dir).ok();
-    Ok(out)
+    let out = views
+        .iter()
+        .map(|v| {
+            let path = dir.join(format!("view_{}.csv", v.id.0));
+            let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
+            // Forces the gather: the simulated I/O writes every cell.
+            ver_store::csv::write_csv(&v.table, &mut file)?;
+            file.flush()?;
+            drop(file);
+            let file = std::fs::File::open(&path)?;
+            let mut table = ver_store::csv::read_csv(v.name(), file, true)?;
+            table.infer_types();
+            std::fs::remove_file(&path).ok();
+            Ok(View::new(v.id, table, v.provenance.clone()))
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    out
 }
 
 /// Overlap-ranked survivors (only meaningful for QBE specs; keyword and
@@ -510,17 +518,6 @@ pub fn presentation_query(spec: &ViewSpec) -> ExampleQuery {
             })
         }
     }
-}
-
-/// Convenience: assert the pipeline found a non-empty result (used by
-/// examples; returns a descriptive error instead of panicking).
-pub fn expect_views(result: &QueryResult) -> Result<()> {
-    if result.views.is_empty() {
-        return Err(VerError::NotFound(
-            "no candidate views were materialised for this query".into(),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -620,7 +617,51 @@ mod tests {
         let without_io = ver2.run(&spec).unwrap();
         assert_eq!(with_io.views.len(), without_io.views.len());
         for (a, b) in with_io.views.iter().zip(&without_io.views) {
-            assert_eq!(a.hash_set(), b.hash_set(), "IO roundtrip changed rows");
+            assert_eq!(a.row_set(), b.row_set(), "IO roundtrip changed rows");
+        }
+    }
+
+    #[test]
+    fn concurrent_view_io_runs_do_not_share_files() {
+        let mut config = VerConfig::fast();
+        config.simulate_view_io = true;
+        let ver = Ver::build(catalog(), config).unwrap();
+        let specs = [
+            qbe(&[vec!["st1", "1001"], vec!["st2", "1002"]]),
+            qbe(&[vec!["st3", "903"], vec!["st4", "904"]]),
+            ViewSpec::Keyword(vec!["st5".into()]),
+            ViewSpec::Attribute(vec!["pop".into()]),
+        ];
+        let sequential: Vec<QueryResult> = specs.iter().map(|s| ver.run(s).unwrap()).collect();
+        // Every thread writes views numbered from 0 at the same moment: in
+        // a shared directory they read and delete each other's files.
+        let start = std::sync::Barrier::new(specs.len());
+        for round in 0..8 {
+            let concurrent: Vec<Result<QueryResult>> = std::thread::scope(|scope| {
+                let runs: Vec<_> = specs
+                    .iter()
+                    .map(|spec| {
+                        let (ver, start) = (&ver, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            ver.run(spec)
+                        })
+                    })
+                    .collect();
+                runs.into_iter()
+                    .map(|run| run.join().expect("query thread"))
+                    .collect()
+            });
+            for (i, (a, b)) in concurrent.iter().zip(&sequential).enumerate() {
+                let a = a
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("round {round}, spec {i}: {e}"));
+                assert_eq!(a.ranked, b.ranked, "round {round}, spec {i}");
+                assert_eq!(a.views.len(), b.views.len(), "round {round}, spec {i}");
+                for (va, vb) in a.views.iter().zip(&b.views) {
+                    assert!(va.same_contents(vb), "round {round}, spec {i}: {}", va.id);
+                }
+            }
         }
     }
 
@@ -630,7 +671,6 @@ mod tests {
         let spec = qbe(&[vec!["does-not-exist"]]);
         let result = ver.run(&spec).unwrap();
         assert_eq!(result.views.len(), 0);
-        assert!(expect_views(&result).is_err());
     }
 
     #[test]

@@ -10,6 +10,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use ver_common::error::{Result, VerError};
 use ver_common::ids::ColumnRef;
+use ver_engine::rowhash::{relation, SetRelation};
 use ver_engine::view::View;
 use ver_index::DiscoveryIndex;
 use ver_qbe::groundtruth::GroundTruth;
@@ -247,14 +248,16 @@ fn ver_search_plan(
 /// Does any candidate view *hit* the ground truth? A hit is a candidate
 /// whose row set equals — or is a superset of — the ground-truth view's
 /// rows with the same arity (supersets arise when a candidate was built
-/// from a broader but correct join).
+/// from a broader but correct join). Equality is preferred: the first equal
+/// candidate wins, else the first superset. Both are decided by
+/// [`rowhash::relation`](ver_engine::rowhash::relation) over
+/// [`View::row_set`], the relation 4C uses.
 pub fn find_ground_truth_view(views: &[View], gt_view: &View) -> Option<ver_common::ids::ViewId> {
-    let gt_set = gt_view.hash_set();
+    let gt_set = gt_view.row_set();
     if gt_set.is_empty() {
         return None;
     }
     let arity = gt_view.schema().arity();
-    // Prefer exact row-set equality, then superset containment.
     let mut superset: Option<ver_common::ids::ViewId> = None;
     for v in views {
         if v.schema().arity() != arity {
@@ -262,12 +265,10 @@ pub fn find_ground_truth_view(views: &[View], gt_view: &View) -> Option<ver_comm
         }
         // Forces the gather on a view whose row hashes were released (any
         // finished `QueryResult`): the set is then hashed from the cells.
-        let set = v.hash_set();
-        if set == gt_set {
-            return Some(v.id);
-        }
-        if superset.is_none() && gt_set.iter().all(|h| set.contains(h)) {
-            superset = Some(v.id);
+        match relation(&gt_set, &v.row_set()) {
+            SetRelation::Equal => return Some(v.id),
+            SetRelation::LeftInRight if superset.is_none() => superset = Some(v.id),
+            _ => {}
         }
     }
     superset

@@ -7,15 +7,16 @@
 
 use crate::blocks::schema_blocks;
 use crate::categories::{Category, ViewGraph};
-use crate::hashes::{HashCache, SetRelation};
+use crate::hashes::HashCache;
 use crate::keys::{find_candidate_keys, key_value_hash, Key};
 use serde::{Deserialize, Serialize};
-use std::hash::Hash;
+use std::collections::hash_map::Entry;
 use ver_common::budget::QueryBudget;
 use ver_common::error::Result;
 use ver_common::fxhash::{fx_hash_u64, FxHashMap, FxHashSet};
 use ver_common::ids::ViewId;
 use ver_common::timer::PhaseTimer;
+use ver_engine::rowhash::{relation, SetRelation};
 use ver_engine::view::View;
 
 /// Tunables for distillation.
@@ -134,10 +135,10 @@ pub fn distill_budgeted(
     // Phase SP: schema blocks.
     let blocks = timer.time("schema_partition", || schema_blocks(views));
 
-    // Phase Hash + C1: building the row-hash sets fans out per view (views
-    // from the DAG bring their row hashes along, so no cell is hashed);
-    // the compatible sweep over the prefilled cache stays sequential (it
-    // is pure lookups).
+    // Phase Hash + C1: sorting each view's row hashes into its row set fans
+    // out per view (views from the DAG bring their row hashes along, so no
+    // cell is hashed); the compatible sweep over the prefilled cache stays
+    // sequential (it is pure lookups).
     budget.check("distill.hash_c1")?;
     let cache = timer.time("hash_c1", || HashCache::prefill(views, &pool));
     let mut compatible_groups: Vec<Vec<ViewId>> = Vec::new();
@@ -145,7 +146,7 @@ pub fn distill_budgeted(
     timer.time("hash_c1", || -> Result<()> {
         for block in &blocks {
             budget.check("distill.c1")?;
-            let (reps, matches) = compatible_sweep(&block.members, &cache, |i| cache.digest(i));
+            let (reps, matches) = compatible_sweep(&block.members, &cache);
             let mut groups: FxHashMap<usize, Vec<ViewId>> = FxHashMap::default();
             for (rep, vi) in matches {
                 graph.label(views[rep].id, views[vi].id, Category::Compatible);
@@ -177,11 +178,11 @@ pub fn distill_budgeted(
                 .filter(|i| survivors_c1.binary_search(i).is_ok())
                 .collect();
             // Largest first: a view can only be contained in a larger one.
-            members.sort_by_key(|&i| std::cmp::Reverse(cache.get(i).len()));
+            members.sort_by_key(|&i| std::cmp::Reverse(cache.set(i).len()));
             let mut kept: Vec<usize> = Vec::new();
             'next_view: for vi in members {
                 for &big in &kept {
-                    if cache.relation(big, vi) == SetRelation::RightInLeft {
+                    if relation(cache.set(big), cache.set(vi)) == SetRelation::RightInLeft {
                         graph.label(views[big].id, views[vi].id, Category::Contained);
                         continue 'next_view;
                     }
@@ -254,7 +255,7 @@ pub fn distill_budgeted(
                     if shared.is_empty() {
                         continue;
                     }
-                    if cache.relation(a, b) == SetRelation::Overlap {
+                    if relation(cache.set(a), cache.set(b)) == SetRelation::Overlap {
                         graph.label(views[a].id, views[b].id, Category::Complementary);
                         complementary_pairs.push((views[a].id, views[b].id, shared));
                     }
@@ -384,28 +385,23 @@ pub fn distill_budgeted(
 
 /// C1 over one schema block: `(representatives, (representative, member)
 /// matches)`, both in block order — a member joins the first earlier
-/// member with the same row-hash set, or becomes a representative.
+/// member with the same row set, or becomes a representative.
 ///
-/// Equal sets have equal digests, so a member is compared only with the
-/// representatives in its digest bucket: one expected comparison per
-/// member instead of one per representative. Set equality is an
-/// equivalence, so "the bucket's first member with that set" is the same
-/// view a sweep over all representatives would find first. `digest` is a
-/// parameter so tests can force collisions.
-fn compatible_sweep<D: Hash + Eq>(
+/// A map from each row set seen so far to the first member that had it
+/// finds that member in one lookup; set equality is an equivalence, so it
+/// is the same view a sweep over all representatives would find first.
+pub fn compatible_sweep(
     members: &[usize],
     cache: &HashCache<'_>,
-    digest: impl Fn(usize) -> D,
 ) -> (Vec<usize>, Vec<(usize, usize)>) {
     let mut reps: Vec<usize> = Vec::new();
     let mut matches: Vec<(usize, usize)> = Vec::new();
-    let mut buckets: FxHashMap<D, Vec<usize>> = FxHashMap::default();
+    let mut first: FxHashMap<&[u64], usize> = FxHashMap::default();
     for &vi in members {
-        let bucket = buckets.entry(digest(vi)).or_default();
-        match bucket.iter().find(|&&rep| cache.get(rep) == cache.get(vi)) {
-            Some(&rep) => matches.push((rep, vi)),
-            None => {
-                bucket.push(vi);
+        match first.entry(cache.set(vi)) {
+            Entry::Occupied(rep) => matches.push((*rep.get(), vi)),
+            Entry::Vacant(slot) => {
+                slot.insert(vi);
                 reps.push(vi);
             }
         }
@@ -458,7 +454,7 @@ mod tests {
         assert_eq!(out.survivors_c1, vec![ViewId(0), ViewId(2)]);
     }
 
-    /// The pairwise C1 sweep the digest buckets replaced: every member
+    /// The pairwise C1 sweep the first-seen map replaced: every member
     /// against every representative so far. Kept as the reference.
     fn compatible_sweep_pairwise(
         members: &[usize],
@@ -469,7 +465,7 @@ mod tests {
         for &vi in members {
             match reps
                 .iter()
-                .find(|&&rep| cache.relation(rep, vi) == SetRelation::Equal)
+                .find(|&&rep| relation(cache.set(rep), cache.set(vi)) == SetRelation::Equal)
             {
                 Some(&rep) => matches.push((rep, vi)),
                 None => reps.push(vi),
@@ -500,8 +496,7 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
         // Random blocks full of duplicates, subsets and permuted rows:
-        // the one-pass sweep — under the real digest and under digests
-        // forced to collide — equals the pairwise sweep.
+        // the one-pass sweep equals the pairwise sweep.
         #[test]
         fn one_pass_c1_equals_the_pairwise_sweep(
             base in prop::collection::vec(prop::collection::vec((0..6i64, 0..3i64), 0..7), 1..6),
@@ -533,17 +528,7 @@ mod tests {
             let cache = HashCache::prefill(&views, &ver_common::pool::ThreadPool::new(1));
             let members: Vec<usize> = (0..views.len()).collect();
             let expect = c1_outcome(compatible_sweep_pairwise(&members, &cache));
-            prop_assert_eq!(
-                &c1_outcome(compatible_sweep(&members, &cache, |i| cache.digest(i))),
-                &expect
-            );
-            // Everything in one bucket, then buckets that split equal sets'
-            // neighbours arbitrarily (by set size parity).
-            prop_assert_eq!(&c1_outcome(compatible_sweep(&members, &cache, |_| 0u8)), &expect);
-            prop_assert_eq!(
-                &c1_outcome(compatible_sweep(&members, &cache, |i| cache.get(i).len() % 2)),
-                &expect
-            );
+            prop_assert_eq!(c1_outcome(compatible_sweep(&members, &cache)), expect);
         }
     }
 

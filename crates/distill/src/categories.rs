@@ -97,41 +97,6 @@ impl ViewGraph {
     pub fn count(&self, cat: Category) -> usize {
         self.edges.values().filter(|&&c| c == cat).count()
     }
-
-    /// Connected components among `subset` using only edges labelled `cat`.
-    pub fn components_by_category(&self, subset: &[ViewId], cat: Category) -> Vec<Vec<ViewId>> {
-        let idx: FxHashMap<ViewId, usize> =
-            subset.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut parent: Vec<usize> = (0..subset.len()).collect();
-        fn find(p: &mut [usize], mut x: usize) -> usize {
-            while p[x] != x {
-                p[x] = p[p[x]];
-                x = p[x];
-            }
-            x
-        }
-        for (&(a, b), &c) in &self.edges {
-            if c != cat {
-                continue;
-            }
-            if let (Some(&i), Some(&j)) = (idx.get(&a), idx.get(&b)) {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
-                }
-            }
-        }
-        let mut groups: FxHashMap<usize, Vec<ViewId>> = FxHashMap::default();
-        for (i, &v) in subset.iter().enumerate() {
-            groups.entry(find(&mut parent, i)).or_default().push(v);
-        }
-        let mut out: Vec<Vec<ViewId>> = groups.into_values().collect();
-        for g in &mut out {
-            g.sort_unstable();
-        }
-        out.sort_by_key(|g| g[0]);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,19 +145,6 @@ mod tests {
         assert_eq!(g.count(Category::Contained), 0);
         assert_eq!(g.edges().len(), 3);
         assert_eq!(g.edges()[0], (v(0), v(1), Category::Compatible));
-    }
-
-    #[test]
-    fn components_follow_single_category() {
-        let mut g = ViewGraph::new((0..5).map(v).collect());
-        g.label(v(0), v(1), Category::Complementary);
-        g.label(v(1), v(2), Category::Complementary);
-        g.label(v(3), v(4), Category::Contradictory); // different category
-        let subset: Vec<ViewId> = (0..5).map(v).collect();
-        let comps = g.components_by_category(&subset, Category::Complementary);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![v(0), v(1), v(2)]);
-        assert_eq!(comps[1], vec![v(3)]);
     }
 
     #[test]

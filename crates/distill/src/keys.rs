@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
-use ver_common::fxhash::{FxHashSet, FxHasher};
+use ver_common::fxhash::FxHasher;
 use ver_store::table::Table;
 
 /// A candidate key: sorted column ordinals of the view's schema.
@@ -63,11 +63,10 @@ pub fn key_uniqueness(table: &Table, key: &Key) -> f64 {
     if rows == 0 {
         return 1.0;
     }
-    let mut seen: FxHashSet<u64> = FxHashSet::with_capacity_and_hasher(rows, Default::default());
-    for r in 0..rows {
-        seen.insert(key_value_hash(table, r, key));
-    }
-    seen.len() as f64 / rows as f64
+    let mut values: Vec<u64> = (0..rows).map(|r| key_value_hash(table, r, key)).collect();
+    values.sort_unstable();
+    values.dedup();
+    values.len() as f64 / rows as f64
 }
 
 /// Find candidate keys of width ≤ `max_width` with uniqueness ≥
@@ -104,6 +103,7 @@ pub fn find_candidate_keys(table: &Table, epsilon: f64, max_width: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ver_common::fxhash::FxHashSet;
     use ver_common::value::Value;
     use ver_store::table::TableBuilder;
 

@@ -13,10 +13,13 @@
 //! | Contradictory  | same key, key value → different rows (Def. 9)| surface to user |
 //!
 //! Module map: [`categories`] (labels + the view graph `G`), [`keys`]
-//! (candidate-key discovery, Def. 7), [`hashes`] (row-hash sets with the
-//! paper's cache), [`blocks`] (SCHEMA-BASED-BLOCKS), [`algo`] (the two-phase
-//! Algorithm 3 with per-phase timing for Fig. 4a), [`strategy`]
-//! (C1/C2/C3 pruning and the Fig. 2 contradiction-step simulation).
+//! (candidate-key discovery, Def. 7), [`hashes`] (each view's row hashes
+//! and its row set behind the paper's cache), [`blocks`]
+//! (SCHEMA-BASED-BLOCKS), [`algo`] (the two-phase Algorithm 3 with
+//! per-phase timing for Fig. 4a), [`strategy`] (C1/C2/C3 pruning and the
+//! Fig. 2 contradiction-step simulation). The row-set form and the set
+//! relation all four C's use live in `ver_engine::rowhash` (`row_set`,
+//! `relation`).
 //!
 //! Layer 3 of the crate map in the repo-root `ARCHITECTURE.md` — between
 //! the MATERIALIZER and VIEW-PRESENTATION on the online path.

@@ -14,11 +14,12 @@
 
 use crate::algo::DistillOutput;
 use crate::categories::Category;
-use crate::hashes::{HashCache, SetRelation};
+use crate::hashes::HashCache;
 use crate::keys::Key;
 use serde::{Deserialize, Serialize};
 use ver_common::fxhash::{FxHashMap, FxHashSet};
 use ver_common::ids::ViewId;
+use ver_engine::rowhash::{relation, SetRelation};
 use ver_engine::view::View;
 
 /// Which side of a contradiction turns out to be correct.
@@ -105,7 +106,7 @@ pub fn union_complementary(views: &[View], output: &DistillOutput, key: &Key) ->
             if conflict.contains(&(a.id.min(b.id), a.id.max(b.id))) {
                 continue;
             }
-            if cache.relation(i, j) == SetRelation::Overlap {
+            if relation(cache.set(i), cache.set(j)) == SetRelation::Overlap {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
                     parent[ri] = rj;

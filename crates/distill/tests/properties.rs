@@ -2,13 +2,19 @@
 //! definitions for arbitrary view collections.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use ver_common::ids::ViewId;
 use ver_common::value::Value;
 use ver_distill::strategy::{contradiction_steps, distill_counts, CaseChoice};
 use ver_distill::{distill, Category, DistillConfig};
-use ver_engine::rowhash::table_hash_set;
+use ver_engine::rowhash::table_row_hashes;
 use ver_engine::view::{Provenance, View};
-use ver_store::table::TableBuilder;
+use ver_store::table::{Table, TableBuilder};
+
+/// The set of a table's row hashes.
+fn row_hash_set(table: &Table) -> HashSet<u64> {
+    table_row_hashes(table).into_iter().collect()
+}
 
 /// A collection of (k, v) views with keys drawn from a small space so
 /// overlaps, containments and conflicts all occur.
@@ -41,8 +47,8 @@ proptest! {
         for (a, b, cat) in out.graph.edges() {
             let va = views.iter().find(|v| v.id == a).unwrap();
             let vb = views.iter().find(|v| v.id == b).unwrap();
-            let sa = table_hash_set(&va.table);
-            let sb = table_hash_set(&vb.table);
+            let sa = row_hash_set(&va.table);
+            let sb = row_hash_set(&vb.table);
             match cat {
                 Category::Compatible => prop_assert_eq!(&sa, &sb),
                 Category::Contained => {
@@ -93,7 +99,7 @@ proptest! {
         let out = distill(&views, &DistillConfig::default());
         for c in &out.contradictions {
             prop_assert!(c.groups.len() >= 2);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = HashSet::new();
             for g in &c.groups {
                 prop_assert!(!g.is_empty());
                 for v in g {
@@ -122,8 +128,8 @@ proptest! {
             .collect();
         for (i, a) in survivors.iter().enumerate() {
             for b in &survivors[i + 1..] {
-                let sa = table_hash_set(&a.table);
-                let sb = table_hash_set(&b.table);
+                let sa = row_hash_set(&a.table);
+                let sb = row_hash_set(&b.table);
                 prop_assert!(sa != sb, "compatible views must not both survive");
                 if !sa.is_empty() && !sb.is_empty() {
                     let a_in_b = sa.iter().all(|h| sb.contains(h));

@@ -8,7 +8,8 @@
 //! * [`project`] — column projection.
 //! * [`dedup`] — set-semantics row deduplication (candidate PJ-views are row
 //!   *sets*; 4C categorisation in the paper compares views as sets of rows).
-//! * [`rowhash`] — the row-wise hash function `H` of Algorithm 3.
+//! * [`rowhash`] — the row-wise hash function `H` of Algorithm 3, the one
+//!   row-set form (`row_set`) and the one set relation (`relation`).
 //! * [`plan`] / [`exec`] — PJ plans (a join tree linearised into steps plus a
 //!   projection list) and their executor, producing materialized [`View`]s.
 //! * [`dag`] — the row-index join core behind shared sub-join execution:

@@ -1,9 +1,12 @@
-//! Row-wise hashing — the hash function `H` of Algorithm 3.
+//! Row-wise hashing — the hash function `H` of Algorithm 3 — and the one
+//! form of a view's row set.
 //!
 //! `H(V)` maps a view to a *set* of 64-bit values, one per distinct row.
-//! Compatible / contained / overlapping view pairs are detected by set
-//! equality / subset / intersection over these hash sets, exactly as the
-//! paper describes.
+//! Its one representation is [`row_set`]: the row hashes sorted and
+//! deduplicated. Compatible / contained / overlapping view pairs are
+//! detected by set equality / subset / intersection, exactly as the paper
+//! describes, and [`relation`] is the one place that decides which, by a
+//! merge walk over two such slices.
 //!
 //! `H` of a row is a left fold of [`mix`] over the row's [`cell_hash`]es,
 //! starting from zero. A cell hash covers the value's type tag and payload,
@@ -17,7 +20,7 @@
 //! row hashes with it and 4C never hashes a cell again.
 
 use std::hash::{Hash, Hasher};
-use ver_common::fxhash::{fx_step, FxHashSet, FxHasher};
+use ver_common::fxhash::{fx_step, FxHasher};
 use ver_common::value::Value;
 use ver_store::table::Table;
 
@@ -62,19 +65,66 @@ pub fn table_row_hashes(table: &Table) -> Vec<u64> {
     hashes
 }
 
-/// The set `H(V)` for an entire table: one hash per row, duplicates
-/// collapsed (views are row sets).
-pub fn table_hash_set(table: &Table) -> FxHashSet<u64> {
-    table_row_hashes(table).into_iter().collect()
+/// The row set `H(V)` of a view with row hashes `hashes`: sorted, each
+/// hash once (views are row sets).
+pub fn row_set(hashes: &[u64]) -> Vec<u64> {
+    let mut set = hashes.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
-/// Order-insensitive fingerprint of the whole view: XOR-fold of the row-hash
-/// set. Two compatible views (same row set) have equal fingerprints
-/// regardless of row order; used as a cheap pre-filter before set
-/// comparison.
-pub fn table_fingerprint(table: &Table) -> u64 {
-    // XOR over the *set* (not the multiset) so duplicate rows do not cancel.
-    table_hash_set(table).iter().fold(0u64, |acc, h| acc ^ h)
+/// Set relationship between two row sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SetRelation {
+    /// Identical sets.
+    Equal,
+    /// Left strictly inside right.
+    LeftInRight,
+    /// Right strictly inside left.
+    RightInLeft,
+    /// Non-empty intersection, neither contained.
+    Overlap,
+    /// Empty intersection.
+    Disjoint,
+}
+
+/// The [`SetRelation`] between two row sets in [`row_set`] form (sorted,
+/// no repeats). Two empty sets are `Equal`; an empty and a non-empty set
+/// are `Disjoint`.
+///
+/// One merge walk counts the common hashes, and stops as soon as the
+/// answer can only be `Overlap`. The step itself has no data-dependent
+/// branch: most pairs 4C compares are disjoint sets of similar size, whose
+/// hashes interleave at random.
+pub fn relation(a: &[u64], b: &[u64]) -> SetRelation {
+    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "left is not a row set");
+    debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "right is not a row set");
+    if a == b {
+        return SetRelation::Equal;
+    }
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+        common += usize::from(x == y);
+        // A common hash, and one of each side's not common: neither set can
+        // contain the other, whatever the rest holds.
+        if common != 0 && i > common && j > common {
+            return SetRelation::Overlap;
+        }
+    }
+    // Unequal sets: at most one of them can be all common.
+    if common == 0 {
+        SetRelation::Disjoint
+    } else if common == a.len() {
+        SetRelation::LeftInRight
+    } else if common == b.len() {
+        SetRelation::RightInLeft
+    } else {
+        SetRelation::Overlap
+    }
 }
 
 #[cfg(test)]
@@ -134,27 +184,8 @@ mod tests {
     #[test]
     fn hash_set_collapses_duplicates() {
         let table = t(&[("x", 1), ("x", 1), ("y", 2)]);
-        assert_eq!(table_hash_set(&table).len(), 2);
-    }
-
-    #[test]
-    fn fingerprint_is_order_insensitive() {
-        let a = t(&[("x", 1), ("y", 2)]);
-        let b = t(&[("y", 2), ("x", 1)]);
-        assert_eq!(table_fingerprint(&a), table_fingerprint(&b));
-    }
-
-    #[test]
-    fn fingerprint_ignores_duplicate_rows() {
-        let a = t(&[("x", 1), ("y", 2)]);
-        let b = t(&[("x", 1), ("x", 1), ("y", 2)]);
-        assert_eq!(table_fingerprint(&a), table_fingerprint(&b));
-    }
-
-    #[test]
-    fn different_content_different_fingerprint() {
-        let a = t(&[("x", 1)]);
-        let b = t(&[("x", 2)]);
-        assert_ne!(table_fingerprint(&a), table_fingerprint(&b));
+        let set = row_set(&table_row_hashes(&table));
+        assert_eq!(set.len(), 2);
+        assert!(set[0] < set[1]);
     }
 }

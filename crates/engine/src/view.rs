@@ -9,8 +9,8 @@
 //! projected column, the base column and the source rows that survived
 //! dedup, and copies the cells out of the base tables **at most once, on
 //! first read**. Row count, schema and name are known without that copy, and
-//! so are the row hashes 4C's C1/C2 run on; the ≈ 96 % of candidates 4C
-//! discards are never gathered.
+//! so are the row hashes 4C's C1/C2 run on (as [`View::row_set`]); the
+//! ≈ 96 % of candidates 4C discards are never gathered.
 //!
 //! What forces the gather: dereferencing [`View::table`] to a [`Table`]
 //! (`view.table.columns()`, `.cell(..)`, `.iter_rows()`, `==`), or saying
@@ -23,12 +23,11 @@
 //! serialise a [`ViewTable`] as its gathered [`Table`] and an
 //! `Arc<Provenance>` as the `Provenance`.)
 
-use crate::rowhash::table_row_hashes;
+use crate::rowhash::{row_set, table_row_hashes};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
-use ver_common::fxhash::FxHashSet;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_store::column::Column;
 use ver_store::schema::TableSchema;
@@ -308,9 +307,10 @@ impl View {
         self.schema().signature()
     }
 
-    /// Row-hash set `H(V)` (Algorithm 3).
-    pub fn hash_set(&self) -> FxHashSet<u64> {
-        self.row_hashes().iter().copied().collect()
+    /// Row set `H(V)` (Algorithm 3) in its one form,
+    /// [`rowhash::row_set`](crate::rowhash::row_set): sorted, no repeats.
+    pub fn row_set(&self) -> Vec<u64> {
+        row_set(&self.row_hashes())
     }
 
     /// Sorted multiset of row hashes — an order-insensitive but
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn hash_set_matches_row_count_when_distinct() {
         let v = view();
-        assert_eq!(v.hash_set().len(), 2);
+        assert_eq!(v.row_set().len(), 2);
     }
 
     #[test]

@@ -766,16 +766,21 @@ mod tests {
 
         #[test]
         fn table_adjacency_is_rebuilt_not_persisted(g in hypergraph_strategy()) {
-            let bytes = crate::persist::hypergraph_to_bytes(&g);
-            // Magic, column table, edge count, 12 B per undirected edge:
-            // nothing of the derived adjacency reaches the file.
+            use crate::persist::{put_hypergraph, read_hypergraph, section};
+            let mut bytes = Vec::new();
+            put_hypergraph(&mut bytes, &g);
+            // The index file's graph section — column table, edge count,
+            // 12 B per undirected edge: nothing of the derived adjacency
+            // reaches the file.
             prop_assert_eq!(
                 bytes.len(),
-                8 + 4 + 4 * g.column_count() + 8 + 12 * g.joinable_pairs()
+                4 + 4 * g.column_count() + 8 + 12 * g.joinable_pairs()
             );
-            let loaded = crate::persist::hypergraph_from_bytes(&bytes).unwrap();
+            let loaded = section(&bytes, "hypergraph section", read_hypergraph).unwrap();
             prop_assert_eq!(&loaded, &g);
-            prop_assert_eq!(crate::persist::hypergraph_to_bytes(&loaded), bytes);
+            let mut again = Vec::new();
+            put_hypergraph(&mut again, &loaded);
+            prop_assert_eq!(again, bytes);
             assert_indexed_equals_scan(&loaded);
         }
     }

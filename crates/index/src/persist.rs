@@ -1,25 +1,22 @@
 //! Binary persistence of the offline pass's products.
 //!
-//! Two formats live here, both hand-rolled on the byte-level kit in
+//! One format lives here, hand-rolled on the byte-level kit in
 //! [`ver_common::codec`] (the serde stand-in under `vendor/` is a no-op, so
-//! persistence cannot lean on derives); this module owns the layouts and
+//! persistence cannot lean on derives); this module owns the layout and
 //! the codecs of the index's own types, the kit the integers, strings,
-//! counts and the checksum fold:
-//!
-//! * the **hypergraph format** (`VERIDX\x01`) — just the join hypergraph,
-//!   the original persistence surface kept for compatibility and tooling;
-//! * the **checksummed full-index format** (`VERIDX\x03`) — everything
-//!   [`DiscoveryIndex`] holds, as five payload sections (build config,
-//!   column profiles with their distinct-hash vectors, MinHash signatures,
-//!   keyword index, hypergraph), each framed as
-//!   `len u64 · payload · checksum u64`, followed by a whole-file trailer
-//!   checksum. (The unchecksummed `VERIDX\x02` layout it replaced is no
-//!   longer read: such a file fails with a typed bad-magic error.) This is what [`save_index`] writes and
-//!   what the `ver-serve` serving layer warm-starts from: [`load_index`]
-//!   must reproduce the in-memory index **exactly**
-//!   ([`DiscoveryIndex::same_contents`]), so a warm-started engine answers
-//!   queries bit-identically to one that rebuilt the index from the
-//!   catalog. See ARCHITECTURE.md ("Offline → online contract").
+//! counts and the checksum fold: the **checksummed full-index format**
+//! (`VERIDX\x03`) — everything [`DiscoveryIndex`] holds, as five payload
+//! sections (build config, column profiles with their distinct-hash
+//! vectors, MinHash signatures, keyword index, hypergraph), each framed as
+//! `len u64 · payload · checksum u64`, followed by a whole-file trailer
+//! checksum. (The layouts before it — the hypergraph-only `VERIDX\x01` and
+//! the unchecksummed `VERIDX\x02` — are not read: such a file fails with a
+//! typed bad-magic error.) This is what [`save_index`] writes and what the
+//! `ver-serve` serving layer warm-starts from: [`load_index`] must
+//! reproduce the in-memory index **exactly**
+//! ([`DiscoveryIndex::same_contents`]), so a warm-started engine answers
+//! queries bit-identically to one that rebuilt the index from the catalog.
+//! See ARCHITECTURE.md ("Offline → online contract").
 //!
 //! ```text
 //! full index  "VERIDX\x03"
@@ -47,13 +44,12 @@
 //! family is *not* stored: it is a pure
 //! function of `(minhash_k, seed)`, both in the config.
 //!
-//! **Crash safety.** [`save_index`] and [`save_hypergraph`] write through a
-//! temp file in the destination directory, `fsync` it, and atomically
-//! rename it into place — a crash mid-save leaves either the old artifact
-//! or the new one, never a torn hybrid. The writers also host the
-//! `persist.save` / `persist.bytes` fault-injection points
-//! ([`ver_common::fault`]), which the chaos suite uses to prove exactly
-//! that.
+//! **Crash safety.** [`save_index`] writes through a temp file in the
+//! destination directory, `fsync`s it, and atomically renames it into
+//! place — a crash mid-save leaves either the old artifact or the new one,
+//! never a torn hybrid. The writer also hosts the `persist.save` /
+//! `persist.bytes` fault-injection points ([`ver_common::fault`]), which
+//! the chaos suite uses to prove exactly that.
 
 use crate::builder::IndexConfig;
 use crate::engine::DiscoveryIndex;
@@ -70,7 +66,6 @@ use ver_common::ids::{ColumnId, ColumnRef, TableId};
 use ver_common::value::DataType;
 use ver_store::profile::ColumnProfile;
 
-const MAGIC: &[u8; 8] = b"VERIDX\x01\x00";
 const MAGIC_FULL_V3: &[u8; 8] = b"VERIDX\x03\x00";
 
 /// Section names in on-disk order, used to name the damaged section in
@@ -136,27 +131,9 @@ fn column_ids(r: &mut Reader<'_>, ncols: usize, what: &str) -> Result<Vec<Column
     })
 }
 
-// ---------------------------------------------------------------------------
-// Hypergraph format (VERIDX\x01).
-
-/// Serialise a hypergraph to bytes.
-pub fn hypergraph_to_bytes(g: &JoinHypergraph) -> Bytes {
-    let mut buf = Vec::with_capacity(16 + g.column_count() * 4 + g.joinable_pairs() * 12);
-    buf.extend_from_slice(MAGIC);
-    put_hypergraph(&mut buf, g);
-    Bytes::from(buf)
-}
-
-/// Deserialise a hypergraph from bytes produced by [`hypergraph_to_bytes`].
-pub fn hypergraph_from_bytes(data: &[u8]) -> Result<JoinHypergraph> {
-    if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-        return Err(VerError::Serde("bad magic header".into()));
-    }
-    read_hypergraph(&mut reader(&data[MAGIC.len()..]))
-}
-
-/// Hypergraph section shared by both formats (no magic).
-fn put_hypergraph(buf: &mut Vec<u8>, g: &JoinHypergraph) {
+/// The full format's hypergraph section: the column→table map, then the
+/// edges. The table adjacency is derived on load, never stored.
+pub(crate) fn put_hypergraph(buf: &mut Vec<u8>, g: &JoinHypergraph) {
     put_u32(buf, g.column_count() as u32);
     for i in 0..g.column_count() {
         put_u32(buf, g.table_of(ColumnId(i as u32)).0);
@@ -174,7 +151,7 @@ pub(crate) fn put_edges(buf: &mut Vec<u8>, n: usize, edges: impl Iterator<Item =
     }
 }
 
-/// A graph section (full index, hypergraph file or shard): the
+/// A graph section (full index or shard): the
 /// column→table map, then edges validated against it.
 pub(crate) fn read_graph(r: &mut Reader<'_>) -> Result<(Vec<TableId>, Vec<JoinableEdge>)> {
     let col_table = r.seq(4, "column table", |r| Ok(TableId(r.u32("column table")?)))?;
@@ -199,7 +176,8 @@ pub(crate) fn read_graph(r: &mut Reader<'_>) -> Result<(Vec<TableId>, Vec<Joinab
     Ok((col_table, edges))
 }
 
-fn read_hypergraph(r: &mut Reader<'_>) -> Result<JoinHypergraph> {
+/// Decode a [`put_hypergraph`] section into a finalized graph.
+pub(crate) fn read_hypergraph(r: &mut Reader<'_>) -> Result<JoinHypergraph> {
     let (col_table, edges) = read_graph(r)?;
     let mut g = JoinHypergraph::new(col_table);
     for e in edges {
@@ -207,17 +185,6 @@ fn read_hypergraph(r: &mut Reader<'_>) -> Result<JoinHypergraph> {
     }
     g.finalize();
     Ok(g)
-}
-
-/// Persist a hypergraph to a file (atomic temp-file + fsync + rename).
-pub fn save_hypergraph(g: &JoinHypergraph, path: &std::path::Path) -> Result<()> {
-    atomic_write(path, &hypergraph_to_bytes(g))
-}
-
-/// Load a hypergraph from a file.
-pub fn load_hypergraph(path: &std::path::Path) -> Result<JoinHypergraph> {
-    let data = std::fs::read(path)?;
-    hypergraph_from_bytes(&data)
 }
 
 // ---------------------------------------------------------------------------
@@ -603,15 +570,6 @@ mod tests {
     use ver_store::catalog::TableCatalog;
     use ver_store::table::TableBuilder;
 
-    fn graph() -> JoinHypergraph {
-        let col_table = vec![TableId(0), TableId(0), TableId(1), TableId(2)];
-        let mut g = JoinHypergraph::new(col_table);
-        g.add_edge(ColumnId(0), ColumnId(2), 0.9);
-        g.add_edge(ColumnId(1), ColumnId(3), 0.85);
-        g.finalize();
-        g
-    }
-
     /// A catalog exercising every persisted feature: joinable text columns,
     /// numeric columns, nulls, and an unnamed-header table.
     fn catalog() -> TableCatalog {
@@ -649,71 +607,6 @@ mod tests {
             },
         )
         .unwrap()
-    }
-
-    #[test]
-    fn roundtrip_preserves_structure() {
-        let g = graph();
-        let bytes = hypergraph_to_bytes(&g);
-        let g2 = hypergraph_from_bytes(&bytes).unwrap();
-        assert_eq!(g2.column_count(), g.column_count());
-        assert_eq!(g2.joinable_pairs(), g.joinable_pairs());
-        assert_eq!(
-            g2.neighbors(ColumnId(0), 0.0),
-            g.neighbors(ColumnId(0), 0.0)
-        );
-        assert_eq!(g2.table_of(ColumnId(3)), TableId(2));
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = hypergraph_to_bytes(&graph()).to_vec();
-        bytes[0] = b'X';
-        assert!(matches!(
-            hypergraph_from_bytes(&bytes),
-            Err(VerError::Serde(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_input_rejected() {
-        let bytes = hypergraph_to_bytes(&graph());
-        for cut in [4usize, 12, bytes.len() - 3] {
-            assert!(
-                hypergraph_from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_edge_ids_rejected() {
-        let g = graph();
-        let mut bytes = hypergraph_to_bytes(&g).to_vec();
-        // First edge starts after magic(8) + ncols(4) + tabs(16) + nedges(8).
-        let edge_off = 8 + 4 + 16 + 8;
-        bytes[edge_off..edge_off + 4].copy_from_slice(&999u32.to_le_bytes());
-        assert!(hypergraph_from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("ver_index_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("hypergraph.bin");
-        let g = graph();
-        save_hypergraph(&g, &path).unwrap();
-        let g2 = load_hypergraph(&path).unwrap();
-        assert_eq!(g2.joinable_pairs(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn empty_graph_roundtrips() {
-        let g = JoinHypergraph::new(vec![]);
-        let g2 = hypergraph_from_bytes(&hypergraph_to_bytes(&g)).unwrap();
-        assert_eq!(g2.column_count(), 0);
-        assert_eq!(g2.joinable_pairs(), 0);
     }
 
     #[test]
@@ -913,8 +806,8 @@ mod tests {
     fn full_index_rejects_wrong_magic_and_truncation() {
         let idx = build(false);
         let bytes = index_to_bytes(&idx).to_vec();
-        // Hypergraph magic is not a full-index artifact.
-        assert!(index_from_bytes(&hypergraph_to_bytes(idx.hypergraph())).is_err());
+        // The retired hypergraph-only magic is not a full-index artifact.
+        assert!(index_from_bytes(b"VERIDX\x01\x00").is_err());
         // Any truncation point must error, never panic.
         for frac in 1..20 {
             let cut = bytes.len() * frac / 20;
@@ -983,6 +876,38 @@ mod tests {
         match index_from_bytes(&bytes) {
             Err(VerError::Serde(m)) => assert!(m.contains("profile"), "{m}"),
             other => panic!("expected a length error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_edge_ids_rejected() {
+        // A graph section whose checksums are valid but whose edge names a
+        // column past the column table, or joins a column to itself, must
+        // fail the load with a typed error, not build a broken graph.
+        let idx = build(false);
+        let ncols = idx.profiles().len() as u32;
+        for (a, b) in [(ncols + 7, 0), (0, ncols), (1, 1)] {
+            let mut sections: [Vec<u8>; 5] = Default::default();
+            put_config(&mut sections[0], idx.config());
+            put_profiles(&mut sections[1], &idx);
+            put_signatures(&mut sections[2], &idx);
+            put_keyword(&mut sections[3], idx.keyword_index());
+            let g = idx.hypergraph();
+            put_u32(&mut sections[4], ncols);
+            for i in 0..ncols {
+                put_u32(&mut sections[4], g.table_of(ColumnId(i)).0);
+            }
+            let edge = JoinableEdge {
+                a: ColumnId(a),
+                b: ColumnId(b),
+                score: 0.9,
+            };
+            put_edges(&mut sections[4], 1, std::iter::once(edge));
+            let bytes = frame_sections(MAGIC_FULL_V3, &sections);
+            match index_from_bytes(&bytes) {
+                Err(VerError::Serde(m)) => assert!(m.contains("invalid edge"), "{m}"),
+                other => panic!("edge {a}-{b}: expected Serde, got {other:?}"),
+            }
         }
     }
 }

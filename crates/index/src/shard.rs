@@ -108,18 +108,6 @@ impl IndexShard {
         self.profiles.len()
     }
 
-    /// Number of tables owned by this shard.
-    pub fn owned_tables(&self) -> usize {
-        let mut tables: Vec<TableId> = self
-            .col_table
-            .iter()
-            .copied()
-            .filter(|&t| shard_of_table(t, self.count as usize) == self.shard as usize)
-            .collect();
-        tables.dedup();
-        tables.len()
-    }
-
     /// Number of hypergraph edges stored on this shard (cross-shard edges
     /// count once per incident shard).
     pub fn edge_count(&self) -> usize {

@@ -305,20 +305,6 @@ impl KeywordIndex {
         v.sort_unstable();
         v
     }
-
-    /// Tables whose name matches `keyword`.
-    pub fn search_table(&self, keyword: &str, fuzzy: Fuzziness) -> Vec<TableId> {
-        let mut matcher = KeywordMatcher::new(keyword, fuzzy);
-        let mut out: Vec<TableId> = self
-            .table_names
-            .iter()
-            .filter(|(key, _)| matcher.matches(key))
-            .map(|(_, &t)| t)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -382,10 +368,6 @@ mod tests {
         assert_eq!(
             idx.search_keyword("airports", SearchTarget::TableNames, Fuzziness::Exact),
             vec![ColumnId(0), ColumnId(1)]
-        );
-        assert_eq!(
-            idx.search_table("airport", Fuzziness::MaxEdits(1)),
-            vec![TableId(0)]
         );
     }
 

@@ -133,11 +133,6 @@ impl Bandit {
             *self.answered.entry(arm).or_insert(0) += 1;
         }
     }
-
-    /// Questions asked so far across arms.
-    pub fn total_asked(&self) -> usize {
-        self.asked.values().sum()
-    }
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ pub struct SearchConfig {
     /// Worker threads for candidate scoring and top-k materialization
     /// (`0` = one per available hardware thread; default honours the
     /// `VER_THREADS` environment variable). Output is identical for every
-    /// value. Ignored when the [`SearchContext`] carries an explicit pool.
+    /// value.
     pub threads: usize,
 }
 
@@ -104,7 +104,7 @@ pub struct SearchOutput {
 
 /// Everything join-graph search reads, bundled as one borrowing context:
 /// the immutable catalog and discovery index, optional cross-query
-/// [`SearchCaches`], and an optional pre-resolved worker pool.
+/// [`SearchCaches`], and a per-query budget.
 ///
 /// ```
 /// # use ver_search::SearchContext;
@@ -129,8 +129,8 @@ pub struct SearchOutput {
 /// pure functions of the immutable index and catalog. `ver-serve` threads
 /// one [`SearchCaches`] through every query of a long-lived engine.
 ///
-/// When `pool` is set it overrides `config.threads`; otherwise a pool is
-/// resolved per call. Either way the output is thread-count independent.
+/// The worker pool is resolved per call from `config.threads`; the output
+/// is thread-count independent.
 ///
 /// [`SearchCaches`]: crate::cache::SearchCaches
 #[derive(Clone, Copy)]
@@ -138,19 +138,17 @@ pub struct SearchContext<'a> {
     catalog: &'a TableCatalog,
     index: &'a DiscoveryIndex,
     caches: Option<&'a crate::cache::SearchCaches>,
-    pool: Option<ThreadPool>,
     budget: QueryBudget,
 }
 
 impl<'a> SearchContext<'a> {
-    /// Context over an immutable catalog + index, no caches, per-call pool,
-    /// unlimited budget.
+    /// Context over an immutable catalog + index, no caches, unlimited
+    /// budget.
     pub fn new(catalog: &'a TableCatalog, index: &'a DiscoveryIndex) -> Self {
         SearchContext {
             catalog,
             index,
             caches: None,
-            pool: None,
             budget: QueryBudget::none(),
         }
     }
@@ -158,12 +156,6 @@ impl<'a> SearchContext<'a> {
     /// Attach cross-query caches (hits stay bit-identical to misses).
     pub fn with_caches(mut self, caches: &'a crate::cache::SearchCaches) -> Self {
         self.caches = Some(caches);
-        self
-    }
-
-    /// Use a pre-resolved worker pool instead of `config.threads`.
-    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -271,7 +263,7 @@ impl<'a> SearchContext<'a> {
         bool,
     )> {
         let mut timer = ver_common::timer::PhaseTimer::new();
-        let pool = self.pool.unwrap_or_else(|| ThreadPool::new(config.threads));
+        let pool = ThreadPool::new(config.threads);
         let jgs_start = std::time::Instant::now();
         let enumeration = crate::enumerate::enumerate_combinations(
             self.index,
@@ -950,27 +942,6 @@ mod tests {
             .expect("deadline exhaustion degrades, it does not error");
         assert!(out.partial);
         assert!(out.views.is_empty());
-    }
-
-    #[test]
-    fn explicit_pool_overrides_config_threads() {
-        let (cat, idx) = setup();
-        let q = ExampleQuery::new(vec![
-            QueryColumn::of_strs(&["st1", "st2"]),
-            QueryColumn::of_strs(&["1001", "2002"]),
-        ])
-        .unwrap();
-        let sel = select(&idx, &q);
-        let cfg = SearchConfig::default();
-        let base = SearchContext::new(&cat, &idx).search(&sel, &cfg).unwrap();
-        let pooled = SearchContext::new(&cat, &idx)
-            .with_pool(ThreadPool::new(2))
-            .search(&sel, &cfg)
-            .unwrap();
-        assert_eq!(pooled.stats, base.stats);
-        for (a, b) in pooled.views.iter().zip(&base.views) {
-            assert!(a.same_contents(b));
-        }
     }
 
     #[test]

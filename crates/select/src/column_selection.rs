@@ -61,12 +61,6 @@ pub struct SelectionResult {
 }
 
 impl SelectionResult {
-    /// True if some attribute ended up with zero candidates (ill-specified
-    /// query — Algorithm 4's "rationale" calls this detection out).
-    pub fn has_empty_attribute(&self) -> bool {
-        self.per_attribute.iter().any(|a| a.candidates.is_empty())
-    }
-
     /// Total selected columns across attributes.
     pub fn total_selected(&self) -> usize {
         self.per_attribute.iter().map(|a| a.candidates.len()).sum()
@@ -282,7 +276,7 @@ mod tests {
         let idx = setup();
         let q = query(&["nonexistent1", "nonexistent2"]);
         let res = column_selection(&idx, &q, &SelectionConfig::default());
-        assert!(res.has_empty_attribute());
+        assert!(res.per_attribute.iter().all(|a| a.candidates.is_empty()));
         assert_eq!(res.total_selected(), 0);
     }
 

@@ -132,22 +132,6 @@ impl TableCatalog {
             .map(|(i, &cref)| (ColumnId(i as u32), cref))
     }
 
-    /// Display name (`table.column`) for a column reference.
-    pub fn qualified_name(&self, cref: ColumnRef) -> String {
-        match self.table(cref.table) {
-            Ok(t) => {
-                let col = t
-                    .schema
-                    .columns
-                    .get(cref.ordinal as usize)
-                    .map(|c| c.display_name(cref.ordinal as usize))
-                    .unwrap_or_else(|| format!("_col{}", cref.ordinal));
-                format!("{}.{}", t.name(), col)
-            }
-            Err(_) => cref.to_string(),
-        }
-    }
-
     /// Approximate in-memory size in bytes (for Table I style reporting).
     pub fn approx_bytes(&self) -> usize {
         use ver_common::value::Value;
@@ -227,16 +211,6 @@ mod tests {
             cat.column_ref(ColumnId(99)),
             Err(VerError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn qualified_names() {
-        let cat = catalog();
-        let cref = ColumnRef {
-            table: TableId(1),
-            ordinal: 1,
-        };
-        assert_eq!(cat.qualified_name(cref), "states.pop");
     }
 
     #[test]

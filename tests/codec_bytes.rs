@@ -14,7 +14,7 @@ use ver_common::budget::QueryBudget;
 use ver_common::error::VerError;
 use ver_common::fxhash::fx_hash_bytes;
 use ver_core::{Ver, VerConfig};
-use ver_index::persist::{hypergraph_to_bytes, index_to_bytes};
+use ver_index::persist::index_to_bytes;
 use ver_index::shard::{partition_index, shard_to_bytes};
 use ver_serve::net::frame::encode_frame;
 use ver_serve::net::{
@@ -63,7 +63,6 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("health request", 20, 0xebc2ebc26a10d004),
     ("shutdown request", 20, 0xa280ec77c039946f),
     ("VERIDX\\x03 index", 227971, 0xc9a48cf3fbd97c81),
-    ("VERIDX\\x01 hypergraph", 5952, 0x9fc27325c92bb31c),
     ("VERSHD\\x01 shard 0/2", 134652, 0x92ddcc8603edb9f9),
     ("VERSHD\\x01 shard 1/2", 101505, 0x867ad23eae1c83fc),
 ];
@@ -221,10 +220,6 @@ fn pins() -> Vec<(String, usize, u64)> {
 
     let index = ver.index();
     pin("VERIDX\\x03 index".into(), &index_to_bytes(index));
-    pin(
-        "VERIDX\\x01 hypergraph".into(),
-        &hypergraph_to_bytes(index.hypergraph()),
-    );
     for (i, shard) in partition_index(index, 2).iter().enumerate() {
         pin(format!("VERSHD\\x01 shard {i}/2"), &shard_to_bytes(shard));
     }

@@ -7,7 +7,7 @@ use ver_common::value::Value;
 use ver_index::minhash::{
     estimated_containment, estimated_jaccard, exact_containment, exact_jaccard, MinHasher,
 };
-use ver_index::persist::{hypergraph_from_bytes, hypergraph_to_bytes};
+use ver_index::persist::{index_from_bytes, index_to_bytes};
 use ver_index::{build_index, IndexConfig};
 use ver_store::catalog::TableCatalog;
 use ver_store::column::Column;
@@ -113,7 +113,8 @@ proptest! {
             ..Default::default()
         }).unwrap();
         let g = idx.hypergraph();
-        let restored = hypergraph_from_bytes(&hypergraph_to_bytes(g)).unwrap();
+        let loaded = index_from_bytes(&index_to_bytes(&idx)).unwrap();
+        let restored = loaded.hypergraph();
         prop_assert_eq!(restored.column_count(), g.column_count());
         prop_assert_eq!(restored.joinable_pairs(), g.joinable_pairs());
         for c in 0..g.column_count() {

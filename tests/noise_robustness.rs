@@ -56,7 +56,7 @@ proptest! {
 
         // Views are deduplicated row sets.
         for v in &result.views {
-            prop_assert_eq!(v.hash_set().len(), v.row_count());
+            prop_assert_eq!(v.row_set().len(), v.row_count());
         }
 
         // Search stats consistency.
