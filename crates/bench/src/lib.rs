@@ -1,17 +1,18 @@
-//! Shared harness for the experiment binaries (`src/bin/exp_*.rs`) and the
-//! Criterion benchmarks.
+//! The paper's evaluation and the workloads the tests and benches share.
 //!
-//! Every table and figure of the paper's evaluation has a binary that
-//! regenerates its rows/series (see DESIGN.md §3 for the index). This
-//! module centralises corpus construction, the three column-retrieval
-//! strategies of RQ3, and plain-text table formatting so each binary stays
-//! focused on its experiment.
+//! Every table and figure of the paper's evaluation is a function of
+//! [`experiments`], printed by the `exp` binary (`exp <name>`, `exp all`)
+//! and pinned by `tests/paper_claims.rs`; the README's "Paper experiments"
+//! indexes them. This module holds what they share: corpus construction
+//! and the three column-retrieval strategies of RQ3.
 //!
 //! Layer 6 of the crate map in the repo-root `ARCHITECTURE.md`: the
 //! experiment harness; also hosts the repo-root integration tests that
 //! pin the determinism invariants.
 
+pub mod experiments;
 pub mod golden;
+pub mod stats;
 
 use ver_core::{Ver, VerConfig};
 use ver_datagen::chembl::{generate_chembl, ChemblConfig};
@@ -186,41 +187,6 @@ pub fn eval_search_config() -> SearchConfig {
         max_combinations: 20_000,
         ..SearchConfig::default()
     }
-}
-
-/// Plain-text table printer: pads cells, draws a header rule.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let header_cells: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&header_cells));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
-}
-
-/// Milliseconds with 2 decimals.
-pub fn ms(d: std::time::Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]

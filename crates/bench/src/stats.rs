@@ -1,4 +1,4 @@
-//! Summary statistics for the experiment harness.
+//! Summary statistics for the paper experiments.
 //!
 //! The paper reports boxplot-style distributions (min / 25th / median / 75th /
 //! max) for runtimes and view counts (Fig. 3, Fig. 4). [`Summary`] computes

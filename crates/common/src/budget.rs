@@ -46,11 +46,6 @@ impl QueryBudget {
         QueryBudget::default()
     }
 
-    /// Whether this budget can ever constrain anything.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_candidates.is_none() && self.max_views.is_none()
-    }
-
     /// Set a wall-clock deadline `timeout` from now.
     ///
     /// A timeout too large for the monotonic clock to represent (e.g.
@@ -132,7 +127,10 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = QueryBudget::none();
-        assert!(b.is_unlimited());
+        assert_eq!(
+            (b.deadline(), b.max_candidates(), b.max_views()),
+            (None, None, None)
+        );
         assert!(!b.expired());
         assert!(b.check("any").is_ok());
         assert_eq!(b.cap_candidates(17), 17);
@@ -154,7 +152,7 @@ mod tests {
         let b = QueryBudget::none().with_timeout(Duration::from_secs(3600));
         assert!(!b.expired());
         assert!(b.check("search.score").is_ok());
-        assert!(!b.is_unlimited());
+        assert!(b.deadline().is_some());
     }
 
     #[test]

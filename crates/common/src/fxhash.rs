@@ -3,7 +3,7 @@
 //! Row hashing, MinHash signatures and the inverted indexes hash millions of
 //! short keys; SipHash (std's default) is measurably slower for those
 //! workloads. The algorithm is ~30 lines, so we implement it here instead of
-//! adding a dependency (see DESIGN.md §5).
+//! adding a dependency (see the README's "Vendored dependencies").
 //!
 //! Not DoS-resistant — fine for this system, which never hashes untrusted
 //! network input.

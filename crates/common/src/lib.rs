@@ -32,8 +32,6 @@
 //!   abort.
 //! * [`sync`] — [`sync::lock_unpoisoned`], the workspace-wide policy that
 //!   a panicked lock holder must never brick a cache or registry.
-//! * [`stats`] — tiny summary-statistics helpers used by the experiment
-//!   harness (median / percentiles for boxplot-style reporting).
 //! * [`timer`] — phase timers used to reproduce the paper's runtime
 //!   breakdowns (Fig. 3 and Fig. 4).
 //!
@@ -50,7 +48,6 @@ pub mod fxhash;
 pub mod ids;
 pub mod pool;
 pub mod simd;
-pub mod stats;
 pub mod sync;
 pub mod text;
 pub mod timer;

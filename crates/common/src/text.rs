@@ -4,7 +4,7 @@
 //! The paper uses pre-trained word2vec embeddings to compute question/query
 //! distances; offline we substitute deterministic lexical distances (token
 //! Jaccard + character-trigram cosine) that exercise the same prioritisation
-//! machinery (see DESIGN.md §2).
+//! machinery (see the README's "Paper experiments").
 
 use crate::fxhash::FxHashMap;
 

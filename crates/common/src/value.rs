@@ -132,27 +132,6 @@ impl Value {
             Value::Text(s) => s.trim().to_lowercase(),
         }
     }
-
-    /// Stable byte encoding used for hashing (row hashes, MinHash). Includes
-    /// a type tag so `Int(1)` and `Text("1")` hash differently while two
-    /// equal values always hash equally.
-    pub fn write_hash_bytes(&self, out: &mut Vec<u8>) {
-        match self {
-            Value::Null => out.push(0),
-            Value::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                out.push(2);
-                out.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            Value::Text(s) => {
-                out.push(3);
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -298,15 +277,6 @@ mod tests {
         assert_eq!(fx_hash_u64(&nan1), fx_hash_u64(&nan2));
         // +0.0 and -0.0 have different bits → different values here.
         assert_ne!(Value::Float(0.0), Value::Float(-0.0));
-    }
-
-    #[test]
-    fn typed_hash_bytes_distinguish_types() {
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        Value::Int(1).write_hash_bytes(&mut a);
-        Value::text("1").write_hash_bytes(&mut b);
-        assert_ne!(a, b);
     }
 
     #[test]

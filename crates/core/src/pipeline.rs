@@ -396,15 +396,22 @@ impl Ver {
         user: &mut dyn SimulatedUser,
     ) -> Result<(QueryResult, SessionOutcome)> {
         let result = self.run(spec)?;
-        let query = presentation_query(spec);
-        let mut session = PresentationSession::new(
-            &result.views,
-            &result.distill,
-            &query,
-            self.config.presentation.clone(),
-        );
-        let outcome = session.run(user);
+        let outcome = self.present(spec, &result, user);
         Ok((result, outcome))
+    }
+
+    /// VIEW-PRESENTATION's question loop (Algorithm 1 lines 10-11) over a
+    /// result `spec` already produced, so several users can be driven
+    /// over one pipeline run.
+    pub fn present(
+        &self,
+        spec: &ViewSpec,
+        result: &QueryResult,
+        user: &mut dyn SimulatedUser,
+    ) -> SessionOutcome {
+        let query = presentation_query(spec);
+        let config = self.config.presentation.clone();
+        PresentationSession::new(&result.views, &result.distill, &query, config).run(user)
     }
 }
 

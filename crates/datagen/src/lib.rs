@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on ChEMBL, a WDC web-table sample, and 69K open-data
 //! tables — none of which ship with this repository. Per the substitution
-//! policy in DESIGN.md §2, this crate generates corpora that preserve the
+//! policy in the README's "Paper experiments", this crate generates corpora that preserve the
 //! *structural* properties each experiment depends on:
 //!
 //! * [`chembl`] — ~70 relational tables with shared FK-like key columns, a

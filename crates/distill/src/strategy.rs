@@ -13,7 +13,6 @@
 //!   case (the largest group → minimal pruning).
 
 use crate::algo::DistillOutput;
-use crate::categories::Category;
 use crate::hashes::HashCache;
 use crate::keys::Key;
 use serde::{Deserialize, Serialize};
@@ -222,19 +221,6 @@ pub fn distilled_views<'a>(views: &'a [View], output: &DistillOutput) -> Vec<&'a
     surviving_views(views, output)
 }
 
-/// Count of views that participate in at least one labelled 4C edge of the
-/// given category (diagnostics for the harness).
-pub fn views_in_category(output: &DistillOutput, cat: Category) -> usize {
-    let mut seen: FxHashSet<ViewId> = FxHashSet::default();
-    for (a, b, c) in output.graph.edges() {
-        if c == cat {
-            seen.insert(a);
-            seen.insert(b);
-        }
-    }
-    seen.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,17 +326,5 @@ mod tests {
         let out = distill(&views, &DistillConfig::default());
         let steps = contradiction_steps(&out, CaseChoice::Best, 10);
         assert_eq!(steps, vec![2]);
-    }
-
-    #[test]
-    fn category_participation_counts() {
-        let views = vec![
-            view(0, &[("IN", 1)]),
-            view(1, &[("IN", 1)]), // compatible
-            view(2, &[("IN", 2)]), // contradicts both (but 1 deduped first)
-        ];
-        let out = distill(&views, &DistillConfig::default());
-        assert_eq!(views_in_category(&out, Category::Compatible), 2);
-        assert!(views_in_category(&out, Category::Contradictory) >= 2);
     }
 }

@@ -48,27 +48,6 @@ impl LshIndex {
         }
     }
 
-    /// Pick a banding for signature length `k` targeting a similarity
-    /// threshold `t` (the band/row split whose S-curve threshold
-    /// `(1/b)^(1/r)` lands closest to `t`).
-    pub fn for_threshold(k: usize, t: f64) -> Self {
-        let mut best = (1usize, k.max(1));
-        let mut best_err = f64::INFINITY;
-        for rows in 1..=k.max(1) {
-            if !k.is_multiple_of(rows) {
-                continue;
-            }
-            let bands = k / rows;
-            let threshold = (1.0 / bands as f64).powf(1.0 / rows as f64);
-            let err = (threshold - t).abs();
-            if err < best_err {
-                best_err = err;
-                best = (bands, rows);
-            }
-        }
-        LshIndex::new(best.0, best.1)
-    }
-
     /// Number of bands.
     pub fn bands(&self) -> usize {
         self.bands
@@ -241,7 +220,8 @@ mod tests {
     #[test]
     fn near_duplicates_collide_disjoint_do_not() {
         let h = MinHasher::new(128, 11);
-        let mut idx = LshIndex::for_threshold(128, 0.8);
+        // 8 bands × 16 rows: S-curve threshold (1/8)^(1/16) ≈ 0.88.
+        let mut idx = LshIndex::new(8, 16);
         let a = h.signature_of_column(&col(0..1000));
         let b = h.signature_of_column(&col(0..990)); // ~0.99 similar
         let c = h.signature_of_column(&col(50_000..51_000)); // disjoint
@@ -257,15 +237,6 @@ mod tests {
             !cands.contains(&ColumnId(2)),
             "disjoint column must not be candidate"
         );
-    }
-
-    #[test]
-    fn for_threshold_respects_k() {
-        let idx = LshIndex::for_threshold(128, 0.8);
-        assert_eq!(idx.bands() * idx.rows(), 128);
-        // Threshold of the chosen banding is near the target.
-        let t = (1.0 / idx.bands() as f64).powf(1.0 / idx.rows() as f64);
-        assert!((t - 0.8).abs() < 0.2, "banding threshold {t}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`ranking`] — the expected-utility view ranking;
 //! * [`session`] — Algorithm 2's interaction loop;
 //! * [`user`] — simulated users (the substitution for the paper's 18-person
-//!   IRB study; see DESIGN.md §2);
+//!   IRB study; see the README's "Paper experiments");
 //! * [`fasttopk`] — the FastTopK overlap-ranking baseline the user study
 //!   compares against;
 //! * [`wordcloud`] — term summaries for the summary interface.

@@ -1,5 +1,5 @@
 //! Simulated users — the substitution for the paper's 18-participant IRB
-//! user study (see DESIGN.md §2).
+//! user study (see the README's "Paper experiments").
 //!
 //! [`OracleUser`] answers every question correctly with respect to a known
 //! target view (the paper's §VI-C1 "we simulated the user to answer

@@ -40,27 +40,6 @@ impl ViewSpec {
             ViewSpec::Attribute(_) => "Attribute",
         }
     }
-
-    /// The search terms this spec contributes for column retrieval, one
-    /// group per output attribute.
-    pub fn term_groups(&self) -> Vec<Vec<String>> {
-        match self {
-            ViewSpec::Qbe(q) => q
-                .columns
-                .iter()
-                .map(|c| {
-                    let mut terms: Vec<String> = c.non_null().map(|v| v.normalized()).collect();
-                    terms.sort();
-                    terms.dedup();
-                    terms
-                })
-                .collect(),
-            ViewSpec::Keyword(terms) | ViewSpec::Attribute(terms) => terms
-                .iter()
-                .map(|t| vec![t.trim().to_lowercase()])
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,23 +59,6 @@ mod tests {
         assert_eq!(
             ViewSpec::Attribute(vec!["state".into(), "iata".into()]).arity(),
             2
-        );
-    }
-
-    #[test]
-    fn term_groups_qbe_are_normalized_values() {
-        let groups = qbe().term_groups();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0], vec!["georgia", "indiana"]);
-        assert_eq!(groups[1], vec!["atl", "ind"]);
-    }
-
-    #[test]
-    fn term_groups_keyword_one_per_term() {
-        let spec = ViewSpec::Keyword(vec![" Population ".into(), "Country".into()]);
-        assert_eq!(
-            spec.term_groups(),
-            vec![vec!["population".to_string()], vec!["country".to_string()]]
         );
     }
 

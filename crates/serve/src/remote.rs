@@ -100,10 +100,6 @@ impl RemoteLeg {
 }
 
 impl ShardBackend for RemoteLeg {
-    fn describe(&self) -> String {
-        self.addr.to_string()
-    }
-
     fn leg_query(
         &self,
         spec: &ViewSpec,

@@ -63,9 +63,6 @@ pub fn default_shards() -> usize {
 /// and 13) holds for any mix, because every backend computes the same
 /// pure function of (index, spec, shard identity, budget).
 pub trait ShardBackend: Send + Sync {
-    /// Human-readable identity for stats and logs (an address, "local").
-    fn describe(&self) -> String;
-
     /// Run one scatter leg: shard `shard` of `shard_count` under `budget`.
     fn leg_query(
         &self,
@@ -101,10 +98,6 @@ impl LocalLeg {
 }
 
 impl ShardBackend for LocalLeg {
-    fn describe(&self) -> String {
-        "local".into()
-    }
-
     fn leg_query(
         &self,
         spec: &ViewSpec,

@@ -3,7 +3,7 @@
 //! narrows hundreds of candidates to the one the user wants.
 //!
 //! The "user" here is a simulated persona (the paper's study had 18 human
-//! participants; see DESIGN.md §2 for the substitution).
+//! participants; see the README's "Paper experiments" for the substitution).
 //!
 //! ```text
 //! cargo run -p ver-core --example interactive_session
