@@ -16,8 +16,8 @@
 //!   `par_for_each` over scoped threads) shared by the offline build paths;
 //!   `threads: 0` means "use every available hardware thread".
 //! * [`simd`] — fixed-width `u64` lane blocks and runtime backend dispatch
-//!   for the MinHash/LSH sketching kernels (`VER_SIMD=0` forces the scalar
-//!   reference path; output is bit-identical either way).
+//!   for the MinHash/LSH sketching kernels, chosen by CPU detection alone;
+//!   output is bit-identical to the scalar references.
 //! * [`codec`] — the bounds-checked little-endian [`codec::Reader`], its
 //!   `put_*` writers and the seeded checksum fold that the three binary
 //!   formats (`VERIDX`, `VERSHD`, `VERNET`) are all written on.
@@ -26,10 +26,8 @@
 //! * [`budget`] — per-query wall-clock deadlines and work caps, checked
 //!   cooperatively at stage boundaries ([`budget::QueryBudget`]).
 //! * [`fault`] — the named-injection-point chaos harness (`VER_FAULT`);
-//!   one relaxed atomic load when disarmed.
-//! * [`mod@env`] — warn-once `VER_*` environment-knob resolution
-//!   ([`env::EnvKnob`]); malformed knobs warn once and fall back, never
-//!   abort.
+//!   one relaxed atomic load when disarmed, and the only environment
+//!   variable the library reads: every config default is a constant.
 //! * [`sync`] — [`sync::lock_unpoisoned`], the workspace-wide policy that
 //!   a panicked lock holder must never brick a cache or registry.
 //! * [`timer`] — phase timers used to reproduce the paper's runtime
@@ -41,7 +39,6 @@
 pub mod budget;
 pub mod cache;
 pub mod codec;
-pub mod env;
 pub mod error;
 pub mod fault;
 pub mod fxhash;
@@ -58,6 +55,6 @@ pub use error::{Result, VerError};
 pub use fxhash::{fx_hash_bytes, fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ColumnId, ColumnRef, TableId, ViewId};
 pub use pool::{par_for_each, par_map, resolve_threads, ThreadPool};
-pub use simd::{active_backend, simd_enabled, SimdBackend};
+pub use simd::{active_backend, SimdBackend};
 pub use sync::lock_unpoisoned;
 pub use value::{DataType, Value};

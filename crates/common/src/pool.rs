@@ -19,7 +19,9 @@
 //! Workers are scoped threads ([`std::thread::scope`]), so closures may
 //! borrow non-`'static` data (catalogs, hashers) without `Arc` plumbing.
 //! The convention across the workspace is `threads: 0` = use
-//! [`std::thread::available_parallelism`]; see [`resolve_threads`].
+//! [`std::thread::available_parallelism`]; see [`resolve_threads`]. It is
+//! also every config's default — a caller that wants a fixed degree of
+//! parallelism sets the `threads` field.
 
 use crate::error::{Result, VerError};
 use crate::sync::lock_unpoisoned;
@@ -27,33 +29,6 @@ use std::any::Any;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-
-/// Workspace-wide default worker count for `threads` knobs: the
-/// `VER_THREADS` environment variable when set (parsed as a count, with
-/// `0` = auto), otherwise `0` (auto). Lets CI and operators pin every
-/// stage — offline build, online search fan-out, 4C distillation — to a
-/// fixed degree of parallelism without touching per-stage configs; the
-/// determinism guarantee makes all values produce identical output.
-///
-/// A malformed value logs one stderr warning and falls back to auto: a
-/// long-running service must not abort at query time because an operator
-/// exported a typo'd knob, and the determinism guarantee means the
-/// fallback still computes identical output (only the schedule differs).
-pub fn default_threads() -> usize {
-    static KNOB: crate::env::EnvKnob<usize> =
-        crate::env::EnvKnob::new("VER_THREADS", "want a thread count, 0 = auto");
-    KNOB.get(
-        // An exported-but-empty variable means auto, same as unset.
-        |v| {
-            if v.trim().is_empty() {
-                Some(0)
-            } else {
-                v.trim().parse().ok()
-            }
-        },
-        0,
-    )
-}
 
 /// Resolve a configured thread count: `0` means "auto" (one worker per
 /// available hardware thread); any other value is taken literally.
@@ -379,21 +354,6 @@ mod tests {
         assert_eq!(resolve_threads(3), 3);
         assert_eq!(ThreadPool::new(0).threads(), resolve_threads(0));
         assert_eq!(ThreadPool::new(5).threads(), 5);
-    }
-
-    #[test]
-    fn default_threads_reads_env_or_auto() {
-        // Whatever VER_THREADS says (CI runs the suite under both unset and
-        // "1"), the result must be a valid knob value for resolve_threads.
-        let d = default_threads();
-        assert!(resolve_threads(d) >= 1);
-        match std::env::var("VER_THREADS") {
-            Ok(v) if v.trim().is_empty() => assert_eq!(d, 0),
-            // Valid values parse; garbage falls back to auto (0) with a
-            // stderr warning rather than panicking.
-            Ok(v) => assert_eq!(d, v.trim().parse::<usize>().unwrap_or(0)),
-            Err(_) => assert_eq!(d, 0, "unset VER_THREADS means auto"),
-        }
     }
 
     #[test]

@@ -16,17 +16,18 @@
 //! * [`mix64x8`] / [`fx_step_x8`] — eight-lane versions of the two scalar
 //!   hash primitives in [`crate::fxhash`], **bit-identical per lane** to
 //!   [`mix64`](crate::fxhash::mix64) and [`fx_step`](crate::fxhash::fx_step).
-//! * [`active_backend`] — cached runtime dispatch: `VER_SIMD=0` forces the
-//!   scalar reference kernels everywhere (the escape hatch CI exercises),
-//!   otherwise x86-64 probes for AVX2 via `std::arch` feature detection and
-//!   aarch64 uses NEON (part of the baseline target).
+//! * [`active_backend`] — cached runtime dispatch: x86-64 probes for
+//!   AVX-512 and AVX2 via `std::arch` feature detection, aarch64 uses NEON
+//!   (part of the baseline target), anything else runs the portable
+//!   instantiation. CPU detection and input size are the only inputs.
 //!
 //! **Determinism invariant (ARCHITECTURE.md §invariant 8):** every kernel
 //! built on these lanes must produce output bit-identical to its scalar
 //! reference. The lane ops here only re-associate commutative reductions
 //! (min, equality counts) or evaluate identical per-lane arithmetic, so the
 //! invariant holds by construction; `tests/simd_properties.rs` and the
-//! `ver-index` equivalence suites pin it.
+//! `ver-index` equivalence suites pin it in-process against the scalar
+//! references.
 
 use crate::fxhash::{FX_SEED, MIX64_INC, MIX64_M1, MIX64_M2};
 use std::sync::OnceLock;
@@ -177,8 +178,6 @@ pub fn fx_step_x8(hash: U64x8, word: U64x8) -> U64x8 {
 /// The kernel implementation selected at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
-    /// `VER_SIMD=0`: every dispatching kernel runs its scalar reference.
-    Scalar,
     /// Blocked lane kernels compiled at the build's baseline target
     /// (x86-64 without AVX2, or any other architecture).
     Portable,
@@ -197,7 +196,6 @@ impl SimdBackend {
     /// Stable lower-case name for logs and bench reports.
     pub fn name(self) -> &'static str {
         match self {
-            SimdBackend::Scalar => "scalar",
             SimdBackend::Portable => "portable",
             SimdBackend::Avx2 => "avx2",
             SimdBackend::Avx512 => "avx512",
@@ -207,9 +205,6 @@ impl SimdBackend {
 }
 
 fn detect_backend() -> SimdBackend {
-    if forced_scalar() {
-        return SimdBackend::Scalar;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f")
@@ -230,28 +225,10 @@ fn detect_backend() -> SimdBackend {
     SimdBackend::Portable
 }
 
-/// `true` when `VER_SIMD` requests the scalar reference kernels
-/// (`0`, `off`, or `false`; any other value, or unset, enables SIMD).
-pub fn forced_scalar() -> bool {
-    match std::env::var("VER_SIMD") {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false"
-        ),
-        Err(_) => false,
-    }
-}
-
-/// The backend every dispatching kernel uses, detected once per process
-/// (`VER_SIMD=0` forces [`SimdBackend::Scalar`]).
+/// The backend every dispatching kernel uses, detected once per process.
 pub fn active_backend() -> SimdBackend {
     static BACKEND: OnceLock<SimdBackend> = OnceLock::new();
     *BACKEND.get_or_init(detect_backend)
-}
-
-/// `true` when blocked kernels are in use (anything but forced scalar).
-pub fn simd_enabled() -> bool {
-    active_backend() != SimdBackend::Scalar
 }
 
 /// Define a runtime-multiversioned kernel.
@@ -366,10 +343,6 @@ mod tests {
     fn backend_is_cached_and_consistent() {
         let b = active_backend();
         assert_eq!(b, active_backend(), "must be stable per process");
-        assert_eq!(simd_enabled(), b != SimdBackend::Scalar);
-        if forced_scalar() {
-            assert_eq!(b, SimdBackend::Scalar);
-        }
         assert!(!b.name().is_empty());
     }
 

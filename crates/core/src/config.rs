@@ -80,13 +80,10 @@ mod tests {
     fn default_build_uses_auto_threads() {
         // `0` is the workspace-wide "one worker per hardware thread"
         // convention; resolution happens inside the pool at build time.
-        // Defaults honour VER_THREADS (CI runs the suite under both unset
-        // and "1"), so compare against the env-derived default.
         let c = VerConfig::default();
-        let expected = ver_common::pool::default_threads();
-        assert_eq!(c.index.threads, expected);
-        assert_eq!(c.search.threads, expected);
-        assert_eq!(c.distill.threads, expected);
+        assert_eq!(c.index.threads, 0);
+        assert_eq!(c.search.threads, 0);
+        assert_eq!(c.distill.threads, 0);
         assert!(ver_common::pool::resolve_threads(c.index.threads) >= 1);
     }
 

@@ -28,8 +28,7 @@ pub struct DistillConfig {
     pub max_key_width: usize,
     /// Worker threads for the per-view work — row hashing, candidate-key
     /// discovery, per-key contradiction hashing (`0` = one per available
-    /// hardware thread; default honours the `VER_THREADS` environment
-    /// variable). Output is identical for every value.
+    /// hardware thread, the default). Output is identical for every value.
     pub threads: usize,
 }
 
@@ -38,7 +37,7 @@ impl Default for DistillConfig {
         DistillConfig {
             key_epsilon: 0.0,
             max_key_width: 2,
-            threads: ver_common::pool::default_threads(),
+            threads: 0,
         }
     }
 }

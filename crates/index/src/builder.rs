@@ -51,9 +51,8 @@ pub struct IndexConfig {
     /// Distinct-value sample cap per column profile.
     pub sample_cap: usize,
     /// Worker threads for the offline build (`0` = one per available
-    /// hardware thread, `1` = sequential; the default honours the
-    /// `VER_THREADS` environment variable). The built index is identical
-    /// for every value.
+    /// hardware thread, the default; `1` = sequential). The built index is
+    /// identical for every value.
     pub threads: usize,
     /// Seed for the MinHash family.
     pub seed: u64,
@@ -69,7 +68,7 @@ impl Default for IndexConfig {
             containment_threshold: 0.8,
             verify_exact: false,
             sample_cap: 64,
-            threads: ver_common::pool::default_threads(),
+            threads: 0,
             seed: 0x5eed,
             value_index_cap: 1_000_000,
         }

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use ver_common::fxhash::{fx_hash_u64, fx_step, FxHashMap, FxHashSet};
 use ver_common::ids::ColumnId;
 use ver_common::pool::ThreadPool;
-use ver_common::simd::{self, fx_step_x8, U64x8, LANES};
+use ver_common::simd::{fx_step_x8, U64x8, LANES};
 use ver_common::simd_multiversion;
 
 /// Banded LSH index over column signatures.
@@ -66,7 +66,7 @@ impl LshIndex {
     }
 
     /// All band hashes of one signature in band order, computed by the
-    /// batched kernel (scalar reference under `VER_SIMD=0`). The returned
+    /// batched kernel (scalar reference below [`LANES`] bands). The returned
     /// vector has exactly [`LshIndex::bands`] entries.
     pub fn band_hashes(&self, sig: &MinHashSignature) -> Vec<u64> {
         let mut out = Vec::new();
@@ -85,7 +85,7 @@ impl LshIndex {
         );
         out.clear();
         out.resize(self.bands, 0);
-        if simd::simd_enabled() && self.bands >= LANES {
+        if self.bands >= LANES {
             band_hashes_blocked(&sig.sig, self.rows, out);
         } else {
             for (band, slot) in out.iter_mut().enumerate() {

@@ -18,15 +18,15 @@
 //! The sketch kernel is vectorized: [`MinHasher::signature_of_hash_slice`]
 //! streams values in cache-sized batches and updates eight seed lanes at a
 //! time with branchless minima ([`ver_common::simd`]), dispatched at runtime
-//! (AVX-512/AVX2/NEON when detected, `VER_SIMD=0` forces the scalar
-//! reference).
+//! (AVX-512/AVX2/NEON when detected; inputs too small to fill a lane block
+//! take the scalar reference).
 //! MinHash minima are order- and batching-independent, so the blocked kernel
 //! is **bit-identical** to [`MinHasher::signature_of_hashes_scalar`] — the
 //! determinism invariant the equivalence suite and golden snapshots pin.
 
 use serde::{Deserialize, Serialize};
 use ver_common::fxhash::mix64;
-use ver_common::simd::{self, mix64x8, U64x8, LANES};
+use ver_common::simd::{mix64x8, U64x8, LANES};
 use ver_common::simd_multiversion;
 use ver_store::column::Column;
 
@@ -116,7 +116,7 @@ impl MinHasher {
     /// result is bit-identical to the scalar reference for any batching —
     /// pinned by the `minhash_equivalence` proptest suite.
     pub fn signature_of_hash_slice(&self, hashes: &[u64], cardinality: usize) -> MinHashSignature {
-        if !simd::simd_enabled() || self.seeds.len() < LANES || hashes.is_empty() {
+        if self.seeds.len() < LANES || hashes.is_empty() {
             return self.signature_of_hashes_scalar(hashes.iter().copied(), cardinality);
         }
         let mut sig = vec![u64::MAX; self.seeds.len()];
@@ -285,12 +285,12 @@ simd_multiversion! {
     }
 }
 
-/// Intersection count dispatch: scalar reference under `VER_SIMD=0`,
+/// Intersection count dispatch: scalar reference for tiny inputs,
 /// galloping for skewed cardinalities, blocked merge otherwise. All three
 /// count the same set, so the result — and every containment score built on
 /// it — is identical whichever path runs.
 fn merge_intersection(a: &[u64], b: &[u64]) -> usize {
-    if !simd::simd_enabled() || a.len() + b.len() < 64 {
+    if a.len() + b.len() < 64 {
         // Tiny inputs: the plain merge is already optimal and the blocked
         // paths' bookkeeping would only add overhead.
         return merge_intersection_scalar(a, b);
@@ -400,12 +400,7 @@ pub fn estimated_jaccard(a: &MinHashSignature, b: &MinHashSignature) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let matches = if simd::simd_enabled() {
-        count_agreements(&a.sig, &b.sig)
-    } else {
-        a.sig.iter().zip(&b.sig).filter(|(x, y)| x == y).count()
-    };
-    matches as f64 / a.sig.len() as f64
+    count_agreements(&a.sig, &b.sig) as f64 / a.sig.len() as f64
 }
 
 /// Lazo estimate of `|A ∩ B|` from the similarity estimate and exact

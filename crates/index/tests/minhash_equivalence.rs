@@ -2,9 +2,11 @@
 //! SIMD kernels must be **bit-identical** to their scalar references for
 //! every input shape — arbitrary k (including k not a multiple of the lane
 //! width), empty columns, all-duplicate columns, skewed cardinalities.
-//! Together with `tests/parallel_determinism.rs` and the golden snapshots
-//! this pins determinism invariant #8 (ARCHITECTURE.md): `VER_SIMD=0` and
-//! the auto backend build identical indexes.
+//! Every comparison runs in one process against the scalar reference
+//! (`signature_of_hashes_scalar`, a plain merge, a `zip` agreement count,
+//! `fx_hash_u64` per band), so together with `common/tests/simd_properties.rs`
+//! this pins determinism invariant #8 (ARCHITECTURE.md) on whichever
+//! backend the CPU selects.
 
 use proptest::prelude::*;
 use ver_common::fxhash::fx_hash_u64;

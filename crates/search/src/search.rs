@@ -47,9 +47,8 @@ pub struct SearchConfig {
     /// carry no information for the user).
     pub drop_empty_views: bool,
     /// Worker threads for candidate scoring and top-k materialization
-    /// (`0` = one per available hardware thread; default honours the
-    /// `VER_THREADS` environment variable). Output is identical for every
-    /// value.
+    /// (`0` = one per available hardware thread, the default). Output is
+    /// identical for every value.
     pub threads: usize,
 }
 
@@ -60,7 +59,7 @@ impl Default for SearchConfig {
             k: usize::MAX,
             max_combinations: 100_000,
             drop_empty_views: true,
-            threads: ver_common::pool::default_threads(),
+            threads: 0,
         }
     }
 }

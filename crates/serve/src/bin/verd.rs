@@ -17,12 +17,11 @@
 //!   exists; otherwise cold-build
 //! * `--save-index` — after a cold build, persist the index to the
 //!   `--index` path for the next start
-//! * `--addr HOST:PORT` — bind address (default: `VER_ADDR` knob, then
-//!   127.0.0.1:7117; use port 0 for ephemeral)
-//! * `--max-conns N` — connection cap, 0 = uncapped (default:
-//!   `VER_MAX_CONNS` knob, then 64)
-//! * `--shards N` — index shards: 1 = single engine, 0 = auto (the
-//!   `VER_SHARDS` knob), >1 = in-process scatter/gather
+//! * `--addr HOST:PORT` — bind address (default 127.0.0.1:7117; use port
+//!   0 for ephemeral)
+//! * `--max-conns N` — connection cap, 0 = uncapped (default 64)
+//! * `--shards N` — index shards: 1 = single engine (the default), >1 =
+//!   in-process scatter/gather; 0 is refused with the usage message
 //! * `--route ADDR,ADDR,...` — router mode: fan each query out over
 //!   these remote shard-leg `verd` processes (one address per shard, in
 //!   shard order) and merge centrally; `--data`/`--index` still describe
@@ -101,10 +100,14 @@ fn parse_args() -> Args {
             }
             "--shards" => {
                 let raw = value("--shards");
-                args.shards = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("verd: bad --shards {raw:?}");
-                    usage()
-                })
+                args.shards = raw
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| {
+                        eprintln!("verd: bad --shards {raw:?} (want at least 1)");
+                        usage()
+                    })
             }
             "--route" => args.route = Some(value("--route")),
             "--shard-leg" => args.shard_leg = true,

@@ -13,7 +13,6 @@
 //! [`RouterEngine`]: crate::RouterEngine
 
 use crate::remote::RouterLegStats;
-use crate::session::{Session, SessionId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ver_common::budget::QueryBudget;
@@ -21,7 +20,7 @@ use ver_common::cache::{CacheStats, LruCache};
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::sync::lock_unpoisoned;
-use ver_core::{presentation_query, QueryResult, Ver, VerConfig};
+use ver_core::{QueryResult, Ver, VerConfig};
 use ver_index::persist::{load_index, save_index};
 use ver_index::DiscoveryIndex;
 use ver_present::{SessionOutcome, SimulatedUser};
@@ -176,6 +175,16 @@ impl MissBackend for InProcess {
     }
 }
 
+/// Opaque handle to an open interactive session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SessionId(pub u64);
+
+impl std::fmt::Display for SessionId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "S{}", self.0)
+    }
+}
+
 /// A long-lived, concurrently shareable serving engine over miss backend
 /// `B`.
 ///
@@ -188,7 +197,8 @@ pub struct Engine<B> {
     /// Whole-result cache keyed by the canonical query form.
     results: LruCache<String, Arc<QueryResult>>,
     pub(crate) miss: B,
-    sessions: Mutex<FxHashMap<SessionId, Session>>,
+    /// Open sessions: each one's spec and its (shared) query result.
+    sessions: Mutex<FxHashMap<SessionId, (ViewSpec, Arc<QueryResult>)>>,
     next_session: AtomicU64,
     queries: AtomicU64,
     sessions_opened: AtomicU64,
@@ -417,37 +427,35 @@ impl<B: MissBackend> Engine<B> {
     }
 
     /// Open an interactive QBE session: run (or reuse) the query and
-    /// register a session over its distilled candidates.
+    /// register a session over its distilled candidates. Sessions over the
+    /// same query share one materialization through the result cache.
     pub fn open_session(&self, spec: &ViewSpec) -> Result<SessionId> {
         let result = self.query(spec)?;
-        let session = Session {
-            result,
-            query: presentation_query(spec),
-            presentation: self.config.pipeline.presentation.clone(),
-        };
         let id = SessionId(self.next_session.fetch_add(1, Ordering::Relaxed));
-        lock_unpoisoned(&self.sessions).insert(id, session);
+        lock_unpoisoned(&self.sessions).insert(id, (spec.clone(), result));
         self.sessions_opened.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
-    /// Drive session `id`'s question loop (Algorithm 2) with `user`. The
-    /// loop runs outside the registry lock, so any number of sessions can
-    /// interact concurrently.
+    /// Drive session `id`'s question loop (Algorithm 2) with `user` via
+    /// [`Ver::present`]; each run starts from the distilled candidate set.
+    /// The loop runs outside the registry lock, so any number of sessions
+    /// can interact concurrently.
     pub fn interact(&self, id: SessionId, user: &mut dyn SimulatedUser) -> Result<SessionOutcome> {
-        let session = lock_unpoisoned(&self.sessions)
+        let (spec, result) = lock_unpoisoned(&self.sessions)
             .get(&id)
             .cloned()
             .ok_or_else(|| VerError::NotFound(format!("session {id}")))?;
         self.interactions.fetch_add(1, Ordering::Relaxed);
-        Ok(session.interact(user))
+        Ok(self.ver.present(&spec, &result, user))
     }
 
-    /// Number of candidate views session `id` starts from.
+    /// Number of candidate views session `id` starts from (distillation
+    /// survivors) — what the first question will range over.
     pub fn session_candidates(&self, id: SessionId) -> Result<usize> {
         lock_unpoisoned(&self.sessions)
             .get(&id)
-            .map(Session::candidates)
+            .map(|(_, result)| result.distill.survivors_c2.len())
             .ok_or_else(|| VerError::NotFound(format!("session {id}")))
     }
 

@@ -78,13 +78,11 @@
 pub mod engine;
 pub mod net;
 pub mod remote;
-pub mod session;
 pub mod sharded;
 
-pub use engine::{Engine, InProcess, MissBackend, ServeConfig, ServeEngine, ServeStats};
+pub use engine::{Engine, InProcess, MissBackend, ServeConfig, ServeEngine, ServeStats, SessionId};
 pub use remote::{RemoteLeg, RouterEngine, RouterLegStats};
-pub use session::SessionId;
-pub use sharded::{default_shards, LocalLeg, Scatter, ShardBackend, ShardStats, ShardedEngine};
+pub use sharded::{LocalLeg, Scatter, ShardBackend, ShardStats, ShardedEngine};
 
 /// The one unit-test fixture every engine flavour is exercised on.
 #[cfg(test)]

@@ -11,16 +11,16 @@
 //! * [`wire`] — request/response codecs: `Query`, `FetchPage`, `Stats`,
 //!   `Health`, `Shutdown`; materialized views travel whole so clients
 //!   can verify invariant 12 (over-the-wire ≡ in-process) byte-for-byte.
-//! * [`config`] — [`NetConfig`] plus the `VER_ADDR` / `VER_MAX_CONNS`
-//!   knobs (warn-once-and-fall-back, like every other knob).
+//! * [`config`] — [`NetConfig`], whose defaults are the constants
+//!   [`DEFAULT_ADDR`] / [`DEFAULT_MAX_CONNS`].
 //! * [`server`] — the accept loop, connection cap, timeouts, pagination
 //!   cursors, and [`NetStats`] counters behind the `verd` binary.
 //! * [`client`] — the blocking [`Client`] used by tests and the repo
 //!   benchmark.
 //! * [`resilient`] — the [`ResilientClient`] remote-leg envelope:
 //!   per-attempt timeouts, reconnect-on-error, jittered exponential
-//!   backoff with a retry budget, and a per-leg circuit breaker
-//!   (`VER_RETRIES` / `VER_BACKOFF_MS` / `VER_BREAKER`).
+//!   backoff with a retry budget, and a per-leg circuit breaker, all
+//!   tuned by the fields of [`RetryPolicy`].
 //!
 //! Error surface on the wire: every [`VerError`](ver_common::error::VerError)
 //! maps to a stable status code ([`VerError::wire_code`](ver_common::error::VerError::wire_code)) in an `Error`
@@ -37,7 +37,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use config::{default_addr, default_max_conns, NetConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS};
+pub use config::{NetConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS};
 pub use resilient::{backoff_delay, Breaker, BreakerState, ResilientClient, RetryPolicy};
 pub use server::{Backend, Server, ServerHandle};
 pub use wire::{

@@ -19,10 +19,9 @@
 //!   caller is admitted as a half-open probe (a cheap `Health` exchange)
 //!   that either closes the breaker or re-opens it.
 //!
-//! Knobs (warn-once-and-fall-back like every other `VER_*` knob):
-//! `VER_RETRIES` (extra attempts per call, default 2), `VER_BACKOFF_MS`
-//! (base backoff, default 50), `VER_BREAKER` (consecutive failures that
-//! trip the breaker, default 4).
+//! Every tunable is a [`RetryPolicy`] field; its defaults are constants
+//! ([`DEFAULT_RETRIES`], [`DEFAULT_BACKOFF_MS`],
+//! [`DEFAULT_BREAKER_THRESHOLD`]).
 //!
 //! What the envelope does **not** decide: whether a failed leg degrades
 //! the query to a partial result or fails it — that is the router's merge
@@ -32,7 +31,6 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use ver_common::budget::QueryBudget;
-use ver_common::env::EnvKnob;
 use ver_common::error::{Result, VerError};
 use ver_common::fault;
 use ver_common::fxhash::fx_hash_u64;
@@ -42,44 +40,21 @@ use ver_search::ShardSearchOutput;
 use super::client::Client;
 use super::wire::HealthReply;
 
-/// Extra attempts per call when `VER_RETRIES` is unset.
+/// Default extra attempts per call.
 pub const DEFAULT_RETRIES: u32 = 2;
-/// Base backoff when `VER_BACKOFF_MS` is unset.
+/// Default base backoff, in milliseconds.
 pub const DEFAULT_BACKOFF_MS: u64 = 50;
-/// Breaker threshold when `VER_BREAKER` is unset.
+/// Default breaker threshold.
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 4;
-
-/// `VER_RETRIES`: extra attempts after the first, per call. `0` disables
-/// retries entirely (one attempt per call).
-pub fn default_retries() -> u32 {
-    static KNOB: EnvKnob<u32> = EnvKnob::new("VER_RETRIES", "want a non-negative retry count");
-    KNOB.get(|v| v.trim().parse().ok(), DEFAULT_RETRIES)
-}
-
-/// `VER_BACKOFF_MS`: base backoff before the first retry; doubles per
-/// retry up to [`RetryPolicy::backoff_cap`]. `0` retries immediately.
-pub fn default_backoff() -> Duration {
-    static KNOB: EnvKnob<u64> = EnvKnob::new("VER_BACKOFF_MS", "want milliseconds");
-    Duration::from_millis(KNOB.get(|v| v.trim().parse().ok(), DEFAULT_BACKOFF_MS))
-}
-
-/// `VER_BREAKER`: consecutive failures that open the circuit breaker.
-/// Must be at least 1 — a breaker that opens on zero failures would never
-/// admit anything.
-pub fn default_breaker_threshold() -> u32 {
-    static KNOB: EnvKnob<u32> = EnvKnob::new("VER_BREAKER", "want a positive failure count");
-    KNOB.get(
-        |v| v.trim().parse().ok().filter(|&k| k >= 1),
-        DEFAULT_BREAKER_THRESHOLD,
-    )
-}
 
 /// Retry/backoff/breaker tunables for one remote leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Extra attempts after the first, per call (`2` ⇒ at most 3 attempts).
+    /// Extra attempts after the first, per call (`2` ⇒ at most 3 attempts;
+    /// `0` disables retries).
     pub retries: u32,
-    /// Base backoff before the first retry; doubles per retry.
+    /// Base backoff before the first retry; doubles per retry up to
+    /// `backoff_cap`. Zero retries immediately.
     pub backoff: Duration,
     /// Ceiling on any single backoff sleep.
     pub backoff_cap: Duration,
@@ -92,14 +67,13 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Resolves `VER_RETRIES` / `VER_BACKOFF_MS` / `VER_BREAKER`; the
-    /// un-knobbed fields get fixed defaults suited to a LAN deployment.
+    /// Fixed defaults suited to a LAN deployment.
     fn default() -> Self {
         RetryPolicy {
-            retries: default_retries(),
-            backoff: default_backoff(),
+            retries: DEFAULT_RETRIES,
+            backoff: Duration::from_millis(DEFAULT_BACKOFF_MS),
             backoff_cap: Duration::from_secs(2),
-            breaker_threshold: default_breaker_threshold(),
+            breaker_threshold: DEFAULT_BREAKER_THRESHOLD,
             cooldown: Duration::from_millis(500),
             attempt_timeout: Duration::from_secs(10),
         }

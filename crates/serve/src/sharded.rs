@@ -23,9 +23,8 @@
 //! caches a partial result. Per-shard health is visible in
 //! [`Engine::shard_stats`].
 //!
-//! The shard count comes from the constructor, or from the `VER_SHARDS`
-//! environment knob when `0` (auto) is passed — same contract as
-//! `VER_THREADS`: malformed values warn once and fall back to `1`.
+//! The shard count comes from the constructor and must be at least 1; `0`
+//! is a [`VerError::Config`], not a default.
 
 use crate::engine::{Engine, MissBackend, ServeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,24 +36,6 @@ use ver_index::DiscoveryIndex;
 use ver_qbe::ViewSpec;
 use ver_search::{SearchCaches, ShardSearchOutput};
 use ver_store::catalog::TableCatalog;
-
-/// Parse a `VER_SHARDS`-style value: a positive shard count.
-fn parse_shards(raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
-}
-
-/// Default shard count: the `VER_SHARDS` environment variable, or `1`
-/// (unsharded) when unset. A malformed value warns on stderr once per
-/// process and falls back to `1` — a typo'd knob must not change results,
-/// and invariant 11 means the fallback computes identical output anyway.
-pub fn default_shards() -> usize {
-    static KNOB: ver_common::env::EnvKnob<usize> =
-        ver_common::env::EnvKnob::new("VER_SHARDS", "want a positive integer");
-    KNOB.get(parse_shards, 1)
-}
 
 /// One scatter leg's executor: where shard `shard` of `shard_count`
 /// actually runs. The in-process [`LocalLeg`] answers on this process's
@@ -225,8 +206,7 @@ pub type ShardedEngine = Engine<Scatter<LocalLeg>>;
 
 impl ShardedEngine {
     /// Cold start: profile the catalog and build the discovery index in
-    /// process. `shard_count = 0` means auto ([`default_shards`], i.e. the
-    /// `VER_SHARDS` knob).
+    /// process. `shard_count = 0` is a [`VerError::Config`].
     pub fn build(
         catalog: TableCatalog,
         config: ServeConfig,
@@ -250,11 +230,11 @@ impl ShardedEngine {
     }
 
     fn over_local_legs(ver: Ver, config: ServeConfig, shard_count: usize) -> Result<ShardedEngine> {
-        let shard_count = if shard_count == 0 {
-            default_shards()
-        } else {
-            shard_count
-        };
+        if shard_count == 0 {
+            return Err(VerError::Config(
+                "a sharded engine needs at least one shard".into(),
+            ));
+        }
         let caches = Arc::new(SearchCaches::new(config.view_cache_capacity));
         // One local backend serves every shard index — `leg_query` takes
         // the shard identity per call, so the instance is shared.
@@ -349,15 +329,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_knob_parses_like_the_thread_knob() {
-        assert_eq!(parse_shards("4"), Some(4));
-        assert_eq!(parse_shards(" 2 "), Some(2));
-        assert_eq!(parse_shards("1"), Some(1));
-        assert_eq!(parse_shards("0"), None, "zero shards is malformed");
-        assert_eq!(parse_shards("-1"), None);
-        assert_eq!(parse_shards("two"), None);
-        assert_eq!(parse_shards(""), None);
-        // The process default is in range regardless of the environment.
-        assert!(default_shards() >= 1);
+    fn zero_shards_is_a_config_error() {
+        // A scatter with no legs would panic on its first miss; both
+        // constructors refuse to build one.
+        let cold = ShardedEngine::build(catalog(), config(), 0);
+        assert!(matches!(cold, Err(VerError::Config(_))));
+        let one = ShardedEngine::build(catalog(), config(), 1).unwrap();
+        let warm = ShardedEngine::warm_start(one.catalog_shared(), one.index_shared(), config(), 0);
+        assert!(matches!(warm, Err(VerError::Config(_))));
     }
 }

@@ -6,9 +6,8 @@
 //! TCP server + blocking client on an ephemeral port and pins the
 //! client-side rendering against `tests/golden/online_snapshot.txt` —
 //! cold caches, warm caches, 4 concurrent clients, paginated fetches
-//! reassembled page by page, and a 2-shard scatter/gather backend. The
-//! CI `net` job additionally re-runs this whole file under
-//! `VER_SHARDS=2`.
+//! reassembled page by page, and a 2-shard scatter/gather backend. Every
+//! backend shape is built explicitly here, so one run covers them all.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
