@@ -1,30 +1,29 @@
-//! Regression: malformed `VER_ADDR` / `VER_MAX_CONNS` values must warn
-//! once and fall back — never panic, never take the server down. Same
-//! contract as `VER_THREADS` / `VER_SHARDS` / `VER_SIMD` (PR 8).
-//!
-//! This lives in its own integration-test binary because the knobs
-//! resolve once per process (`OnceLock`): the environment must be set
-//! before the first resolution, with no other test racing it.
+//! Regression: malformed `VER_ADDR` / `VER_MAX_CONNS` values can neither
+//! panic nor move the server defaults, which are the `DEFAULT_*`
+//! constants whatever the environment says. A malformed `--addr` is
+//! rejected by [`parse_addr`] (`verd` prints it with its usage and
+//! exits). Its own test binary, so the variables are set before anything
+//! in the process builds a config.
 
-use ver_serve::net::{default_addr, default_max_conns, NetConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS};
+use std::net::SocketAddr;
+use ver_serve::net::config::parse_addr;
+use ver_serve::net::{NetConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS};
 
 #[test]
 fn malformed_net_knobs_warn_and_fall_back() {
     std::env::set_var("VER_ADDR", "not-an-address:maybe");
     std::env::set_var("VER_MAX_CONNS", "lots");
 
-    let fallback_addr: std::net::SocketAddr = DEFAULT_ADDR.parse().unwrap();
-    assert_eq!(default_addr(), fallback_addr);
-    assert_eq!(default_max_conns(), DEFAULT_MAX_CONNS);
+    let fallback_addr: SocketAddr = DEFAULT_ADDR.parse().unwrap();
+    let config = NetConfig::default();
+    assert_eq!(config.addr, fallback_addr);
+    assert_eq!(config.max_conns, DEFAULT_MAX_CONNS);
 
-    // Once resolved, the process sticks with the fallback (warn-once):
-    // later reads — even after the environment is fixed — don't flip.
+    assert_eq!(parse_addr("not-an-address:maybe"), None);
+
+    // Fixing the environment later changes nothing either.
     std::env::set_var("VER_ADDR", "10.0.0.1:9999");
     std::env::set_var("VER_MAX_CONNS", "3");
-    assert_eq!(default_addr(), fallback_addr);
-    assert_eq!(default_max_conns(), DEFAULT_MAX_CONNS);
-
-    // And the server config builder sees the same resolution.
     let config = NetConfig::default();
     assert_eq!(config.addr, fallback_addr);
     assert_eq!(config.max_conns, DEFAULT_MAX_CONNS);
