@@ -12,9 +12,11 @@
 //! * [`text`] — Levenshtein distance (fuzzy keyword search), tokenisation and
 //!   n-gram similarity (question prioritisation distances).
 //! * [`ids`] — newtype identifiers for tables, columns and views.
-//! * [`pool`] — a chunk-stealing parallel runtime (`par_map` /
-//!   `par_for_each` over scoped threads) shared by the offline build paths;
-//!   `threads: 0` means "use every available hardware thread".
+//! * [`pool`] — [`pool::ThreadPool`], an order-preserving parallel map
+//!   (`par_map` / `try_par_map` over scoped threads, grains claimed from
+//!   one shared counter) that the index build, search, materialization, 4C
+//!   and the shard scatter all fan out on; `threads: 0` means "use every
+//!   available hardware thread".
 //! * [`simd`] — fixed-width `u64` lane blocks and runtime backend dispatch
 //!   for the MinHash/LSH sketching kernels, chosen by CPU detection alone;
 //!   output is bit-identical to the scalar references.
@@ -54,7 +56,7 @@ pub use budget::QueryBudget;
 pub use error::{Result, VerError};
 pub use fxhash::{fx_hash_bytes, fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ColumnId, ColumnRef, TableId, ViewId};
-pub use pool::{par_for_each, par_map, resolve_threads, ThreadPool};
+pub use pool::ThreadPool;
 pub use simd::{active_backend, SimdBackend};
 pub use sync::lock_unpoisoned;
 pub use value::{DataType, Value};

@@ -1,8 +1,7 @@
 //! Poison-tolerant synchronisation helpers.
 //!
 //! Every `Mutex` in this workspace guards data whose invariants hold at
-//! each individual lock release: the pool deques store a single half-open
-//! range updated in one assignment, the caches mutate standard maps whose
+//! each individual lock release: the caches mutate standard maps whose
 //! memory safety is unconditional, and the session registry inserts or
 //! removes whole entries. A panic inside a critical section therefore
 //! cannot leave *logically* torn state behind — the worst a panicking
@@ -145,6 +144,22 @@ mod tests {
         assert!(
             offenders.is_empty(),
             "read view metadata through View::row_count/schema/name, not through .table: {offenders:?}"
+        );
+    }
+
+    /// Lint: the workspace is safe Rust outside `ver_common::simd`, whose
+    /// target-feature kernels (`simd_multiversion!`) are the one place
+    /// `unsafe` buys something safe code has no operation for.
+    #[test]
+    fn no_unsafe_outside_simd() {
+        let offenders: Vec<String> = non_test_sources()
+            .into_iter()
+            .filter(|(path, code)| !path.ends_with("common/src/simd.rs") && code.contains("unsafe"))
+            .map(|(path, _)| path)
+            .collect();
+        assert!(
+            offenders.is_empty(),
+            "unsafe outside ver_common::simd in: {offenders:?}"
         );
     }
 }

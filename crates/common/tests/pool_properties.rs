@@ -1,9 +1,9 @@
-//! Property tests for the work-stealing runtime: order preservation and
+//! Property tests for the parallel map: order preservation and
 //! exactly-once visitation under arbitrary input sizes and thread counts.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use ver_common::pool::{par_for_each, par_map, ThreadPool};
+use ver_common::pool::ThreadPool;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
@@ -13,7 +13,7 @@ proptest! {
         items in prop::collection::vec(any::<u32>(), 0..600),
         threads in 0usize..9,
     ) {
-        let out = par_map(&items, threads, |&x| x as u64 + 1);
+        let out = ThreadPool::new(threads).par_map(&items, |&x| x as u64 + 1);
         let expected: Vec<u64> = items.iter().map(|&x| x as u64 + 1).collect();
         prop_assert_eq!(out, expected);
     }
@@ -25,26 +25,11 @@ proptest! {
     ) {
         let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..n).collect();
-        let out = par_map(&items, threads, |&i| {
+        let out = ThreadPool::new(threads).par_map(&items, |&i| {
             counts[i].fetch_add(1, Ordering::Relaxed);
             i
         });
         prop_assert_eq!(out.len(), n);
-        for (i, c) in counts.iter().enumerate() {
-            prop_assert_eq!(c.load(Ordering::Relaxed), 1, "item {} visit count", i);
-        }
-    }
-
-    #[test]
-    fn par_for_each_matches_par_map_coverage(
-        n in 0usize..400,
-        threads in 0usize..9,
-    ) {
-        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let items: Vec<usize> = (0..n).collect();
-        par_for_each(&items, threads, |&i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
         for (i, c) in counts.iter().enumerate() {
             prop_assert_eq!(c.load(Ordering::Relaxed), 1, "item {} visit count", i);
         }

@@ -84,7 +84,7 @@ mod tests {
         assert_eq!(c.index.threads, 0);
         assert_eq!(c.search.threads, 0);
         assert_eq!(c.distill.threads, 0);
-        assert!(ver_common::pool::resolve_threads(c.index.threads) >= 1);
+        assert!(ver_common::pool::ThreadPool::new(c.index.threads).threads() >= 1);
     }
 
     #[test]

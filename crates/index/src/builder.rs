@@ -10,11 +10,12 @@
 //!    verified by estimated (or optionally exact) containment at
 //!    `containment_threshold`.
 //!
-//! Every stage runs on the work-stealing runtime in [`ver_common::pool`]
-//! (`threads: 0` = one worker per hardware thread), which balances the
-//! heavy-tailed column sizes of pathless collections better than the static
-//! chunking used previously. All stages are order-preserving, so the built
-//! index is **bit-identical across thread counts**.
+//! Every stage runs on one [`ThreadPool`] from [`ver_common::pool`]
+//! (`threads: 0` = one worker per hardware thread), whose workers claim
+//! small grains from a shared counter — that keeps the heavy-tailed column
+//! sizes of pathless collections from idling threads behind one static
+//! share. All stages are order-preserving, so the built index is
+//! **bit-identical across thread counts**.
 
 use crate::engine::DiscoveryIndex;
 use crate::hypergraph::JoinHypergraph;
@@ -29,7 +30,7 @@ use ver_common::ids::ColumnId;
 use ver_common::pool::ThreadPool;
 use ver_common::value::DataType;
 use ver_store::catalog::TableCatalog;
-use ver_store::profile::{profile_catalog_parallel, ColumnProfile};
+use ver_store::profile::{profile_catalog, ColumnProfile};
 use ver_store::table::Table;
 
 /// Tunables for index construction.
@@ -78,7 +79,7 @@ impl Default for IndexConfig {
 /// Build the discovery index for `catalog`.
 pub fn build_index(catalog: &TableCatalog, config: IndexConfig) -> Result<DiscoveryIndex> {
     let pool = ThreadPool::new(config.threads);
-    let mut profiles = profile_catalog_parallel(catalog, config.sample_cap, pool.threads());
+    let mut profiles = profile_catalog(catalog, config.sample_cap, &pool);
     let hasher = MinHasher::new(config.minhash_k, config.seed);
     let signatures = compute_signatures(&profiles, &hasher, &pool);
     if !config.verify_exact {
@@ -338,7 +339,7 @@ mod tests {
     fn parallel_and_sequential_signatures_agree() {
         let cat = catalog();
         let h = MinHasher::new(64, 1);
-        let profiles = profile_catalog_parallel(&cat, 64, 1);
+        let profiles = profile_catalog(&cat, 64, &ThreadPool::new(1));
         let seq = compute_signatures(&profiles, &h, &ThreadPool::new(1));
         let par = compute_signatures(&profiles, &h, &ThreadPool::new(4));
         assert_eq!(seq, par);

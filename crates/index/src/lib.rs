@@ -13,8 +13,8 @@
 //!
 //! Containment is estimated Lazo-style from MinHash signatures
 //! ([`minhash`]), with LSH banding ([`lsh`]) keeping candidate generation
-//! sub-quadratic. [`builder`] runs the offline pass on the work-stealing
-//! runtime in `ver_common::pool` (profiles, signatures, keyword indexing
+//! sub-quadratic. [`builder`] runs the offline pass on one
+//! `ver_common::pool::ThreadPool` (profiles, signatures, keyword indexing
 //! and candidate verification all fan out; results are bit-identical for
 //! any thread count) and [`engine`] is the online façade. [`persist`]
 //! serialises the hypergraph — the expensive offline product — to a

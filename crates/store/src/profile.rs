@@ -11,7 +11,7 @@ use crate::column::Column;
 use serde::{Deserialize, Serialize};
 use ver_common::fxhash::FxHashSet;
 use ver_common::ids::{ColumnId, ColumnRef};
-use ver_common::pool::par_map;
+use ver_common::pool::ThreadPool;
 use ver_common::value::DataType;
 
 /// Statistics and a bounded sample for one column.
@@ -82,24 +82,18 @@ impl ColumnProfile {
 ///
 /// Profiling hashes and sorts each column's distinct set, so it is the
 /// second-heaviest offline pass after signature computation; the work is
-/// spread over `threads` workers (`0` = auto) with results in `ColumnId`
-/// order regardless of thread count.
-pub fn profile_catalog_parallel(
+/// spread over `pool` with results in `ColumnId` order regardless of
+/// thread count.
+pub fn profile_catalog(
     catalog: &TableCatalog,
     sample_cap: usize,
-    threads: usize,
+    pool: &ThreadPool,
 ) -> Vec<ColumnProfile> {
     let crefs: Vec<(ColumnId, ColumnRef)> = catalog.all_columns().collect();
-    par_map(&crefs, threads, |&(cid, cref)| {
+    pool.par_map(&crefs, |&(cid, cref)| {
         let col = catalog.column(cref).expect("catalog column refs are valid");
         ColumnProfile::of(cid, cref, col, sample_cap)
     })
-}
-
-/// Sequential [`profile_catalog_parallel`] (kept for callers that profile
-/// tiny catalogs where spawning workers is not worth it).
-pub fn profile_catalog(catalog: &TableCatalog, sample_cap: usize) -> Vec<ColumnProfile> {
-    profile_catalog_parallel(catalog, sample_cap, 1)
 }
 
 #[cfg(test)]
@@ -117,7 +111,7 @@ mod tests {
                 .unwrap();
         }
         cat.add_table(b.build()).unwrap();
-        profile_catalog(&cat, 100)
+        profile_catalog(&cat, 100, &ThreadPool::new(1))
     }
 
     #[test]
@@ -144,7 +138,7 @@ mod tests {
             b.push_row(vec![Value::Int(i % 7)]).unwrap();
         }
         cat.add_table(b.build()).unwrap();
-        let ps = profile_catalog(&cat, 5);
+        let ps = profile_catalog(&cat, 5, &ThreadPool::new(1));
         assert_eq!(ps[0].sample.len(), 5);
         assert_eq!(ps[0].distinct, 7);
         let set: FxHashSet<&String> = ps[0].sample.iter().collect();
@@ -170,8 +164,8 @@ mod tests {
             }
             cat.add_table(b.build()).unwrap();
         }
-        let seq = profile_catalog(&cat, 16);
-        let par = profile_catalog_parallel(&cat, 16, 4);
+        let seq = profile_catalog(&cat, 16, &ThreadPool::new(1));
+        let par = profile_catalog(&cat, 16, &ThreadPool::new(4));
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.id, b.id);
@@ -189,7 +183,7 @@ mod tests {
         b.push_row(vec![Value::Null]).unwrap();
         b.push_row(vec![Value::Int(1)]).unwrap();
         cat.add_table(b.build()).unwrap();
-        let ps = profile_catalog(&cat, 10);
+        let ps = profile_catalog(&cat, 10, &ThreadPool::new(1));
         assert_eq!(ps[0].nulls, 1);
         assert_eq!(ps[0].sample, vec!["1".to_string()]);
     }

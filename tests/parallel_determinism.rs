@@ -9,7 +9,7 @@
 //! on 1, 2, or auto worker threads, and whether the top-k candidates
 //! materialise over the shared sub-join DAG (default) or independently
 //! per candidate (invariant 9). Runs over a generated WDC-style corpus so
-//! the skewed column sizes actually exercise work stealing.
+//! the skewed column sizes actually exercise grain claiming.
 
 use ver_core::{QueryResult, Ver, VerConfig};
 use ver_datagen::wdc::{generate_wdc, WdcConfig};
