@@ -143,6 +143,15 @@ impl Client {
             let mut page = 1u32;
             while result.views.len() < total {
                 let p = self.fetch_page(head.cursor, page)?;
+                // A page for another cursor or another page number would
+                // splice someone else's views into this result.
+                if p.cursor != head.cursor || p.page != page {
+                    self.poisoned = true;
+                    return Err(VerError::Protocol(format!(
+                        "asked cursor {} for page {page}, got cursor {} page {}",
+                        head.cursor, p.cursor, p.page
+                    )));
+                }
                 let done = p.last;
                 // A non-final page that adds no views makes no progress
                 // toward `total` — looping again would replay it forever.

@@ -88,11 +88,12 @@ impl Counters {
     }
 }
 
-/// One paginated result parked server-side between `FetchPage`s. The
-/// views are shared (`Arc`), so a cursor costs a map entry, not a copy
-/// of the result.
+/// One paginated result held server-side between `FetchPage`s: a handle
+/// on the very `QueryResult` the engine returned (and its result LRU
+/// holds), not a wire copy of it. Opening a cursor is a refcount bump;
+/// each page converts — and gathers — only its own slice of views.
 struct CursorState {
-    views: Arc<Vec<WireView>>,
+    result: Arc<QueryResult>,
     page_size: u32,
 }
 
@@ -455,53 +456,34 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
 }
 
 /// Split a result into a head (+ optional server-side cursor for the
-/// remaining pages).
-fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> QueryHead {
-    let wire = WireResult::from_query_result(result);
+/// remaining pages). A paginated head converts only its first page; an
+/// inline one converts the whole result, exactly as
+/// [`WireResult::from_query_result`] does.
+fn paginate(shared: &Shared, result: &Arc<QueryResult>, requested_page_size: u32) -> QueryHead {
     let page_size = if requested_page_size == 0 {
         shared.config.default_page_size
     } else {
         requested_page_size
     };
-    let total = wire.views.len() as u32;
-    let (cursor, views, effective) = if page_size == 0 || total <= page_size {
-        (0, wire.views, 0)
+    let total = result.views.len() as u32;
+    let (cursor, effective, shipped) = if page_size == 0 || total <= page_size {
+        (0, 0, total)
     } else {
-        let all = Arc::new(wire.views);
-        let first: Vec<WireView> = all[..page_size as usize].to_vec();
-        let id = shared.next_cursor.fetch_add(1, Ordering::Relaxed);
-        let mut evicted = Vec::new();
-        let mut table = lock_unpoisoned(&shared.cursors);
-        table.map.insert(
-            id,
-            CursorState {
-                views: all,
-                page_size,
-            },
-        );
-        table.order.push_back(id);
-        while table.map.len() > shared.config.max_cursors.max(1) {
-            if let Some(old) = table.order.pop_front() {
-                if let Some(state) = table.map.remove(&old) {
-                    evicted.push(state);
-                    shared
-                        .counters
-                        .cursors_evicted
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        // An evicted cursor may hold the last reference to a whole parked
-        // result: free it after the lock, not under it.
-        drop(table);
-        drop(evicted);
-        (id, first, page_size)
+        (open_cursor(shared, result, page_size), page_size, page_size)
     };
+    let first = WireView::from_views(&result.views[..shipped as usize]);
+    let WireResult {
+        partial,
+        stats,
+        survivors_c2,
+        ranked,
+        views,
+    } = WireResult::with_views(result, first);
     QueryHead {
-        partial: wire.partial,
-        stats: wire.stats,
-        survivors_c2: wire.survivors_c2,
-        ranked: wire.ranked,
+        partial,
+        stats,
+        survivors_c2,
+        ranked,
         total_views: total,
         page_size: effective,
         cursor,
@@ -509,18 +491,50 @@ fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> 
     }
 }
 
-fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
+/// Park a handle on `result` under a fresh cursor id, FIFO-evicting the
+/// oldest cursors past `max_cursors`.
+fn open_cursor(shared: &Shared, result: &Arc<QueryResult>, page_size: u32) -> u64 {
+    let id = shared.next_cursor.fetch_add(1, Ordering::Relaxed);
+    let mut evicted = Vec::new();
     let mut table = lock_unpoisoned(&shared.cursors);
-    let state = match table.map.get(&cursor) {
-        Some(s) => s,
-        None => {
-            return error_response(&VerError::NotFound(format!(
-                "cursor {cursor} (expired, drained, or never issued)"
-            )))
+    table.map.insert(
+        id,
+        CursorState {
+            result: Arc::clone(result),
+            page_size,
+        },
+    );
+    table.order.push_back(id);
+    while table.map.len() > shared.config.max_cursors.max(1) {
+        if let Some(old) = table.order.pop_front() {
+            if let Some(state) = table.map.remove(&old) {
+                evicted.push(state);
+                shared
+                    .counters
+                    .cursors_evicted
+                    .fetch_add(1, Ordering::Relaxed);
+            }
         }
+    }
+    // The result LRU usually still holds an evicted cursor's result, but
+    // when it has let go the cursor holds the last reference: free it
+    // after the lock, not under it.
+    drop(table);
+    drop(evicted);
+    id
+}
+
+fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
+    // Under the lock: look up, bounds-check, take a handle, and retire the
+    // cursor on its last page. No view is gathered or converted here.
+    let mut table = lock_unpoisoned(&shared.cursors);
+    let Some(state) = table.map.get(&cursor) else {
+        return error_response(&VerError::NotFound(format!(
+            "cursor {cursor} (expired, drained, or never issued)"
+        )));
     };
     let page_size = state.page_size as usize;
-    let total = state.views.len();
+    let total = state.result.views.len();
     let start = (page as usize).saturating_mul(page_size);
     if start >= total {
         return error_response(&VerError::InvalidQuery(format!(
@@ -528,16 +542,16 @@ fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
         )));
     }
     let end = (start + page_size).min(total);
-    let views = state.views[start..end].to_vec();
+    let result = Arc::clone(&state.result);
     let last = end == total;
-    let mut drained = None;
     if last {
-        drained = table.map.remove(&cursor);
+        // Dropping the table's handle cannot free the result: `result`
+        // holds one until this page is converted, after the lock.
+        table.map.remove(&cursor);
         table.order.retain(|c| *c != cursor);
     }
-    // The drained cursor's parked views are freed after the lock.
     drop(table);
-    drop(drained);
+    let views = WireView::from_views(&result.views[start..end]);
     shared.counters.pages_served.fetch_add(1, Ordering::Relaxed);
     Response::Page(Page {
         cursor,
@@ -551,6 +565,8 @@ fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
 mod tests {
     use super::*;
     use crate::fixture::{catalog, config, spec};
+    use crate::ServeConfig;
+    use ver_qbe::{ExampleQuery, ViewSpec};
 
     #[test]
     fn a_panic_under_the_cursor_lock_does_not_brick_pagination() {
@@ -578,5 +594,116 @@ mod tests {
         assert_eq!(shared.net_stats().cursors_open, 1);
         let page = fetch_page(shared, head.cursor, 1);
         assert!(matches!(page, Response::Page(ref p) if p.views.len() == 1));
+    }
+
+    fn server_on(engine: Arc<ServeEngine>, max_cursors: usize) -> Server {
+        let net = NetConfig {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            max_cursors,
+            ..NetConfig::default()
+        };
+        Server::bind(Backend::Single(engine), net).unwrap()
+    }
+
+    fn page_views(resp: Response) -> Vec<WireView> {
+        match resp {
+            Response::Page(p) => p.views,
+            other => panic!("expected a page, got {other:?}"),
+        }
+    }
+
+    fn gathered(result: &QueryResult) -> Vec<bool> {
+        result.views.iter().map(|v| v.table.is_gathered()).collect()
+    }
+
+    #[test]
+    fn pages_gather_only_the_views_they_ship() {
+        let engine = Arc::new(ServeEngine::build(catalog(), config()).unwrap());
+        let result = engine.query(&spec()).unwrap();
+        let before = gathered(&result);
+        assert!(
+            before.iter().filter(|g| !**g).count() >= 3,
+            "need ungathered views beyond the two pages served: {before:?}"
+        );
+        let server = server_on(Arc::clone(&engine), 64);
+        let head = paginate(&server.shared, &result, 1);
+        assert_eq!(head.views.len(), 1);
+        assert_eq!(
+            page_views(fetch_page(&server.shared, head.cursor, 1)).len(),
+            1
+        );
+
+        let expected: Vec<bool> = before
+            .iter()
+            .enumerate()
+            .map(|(i, g)| *g || i < 2)
+            .collect();
+        assert_eq!(gathered(&result), expected);
+    }
+
+    #[test]
+    fn a_cursor_is_one_handle_on_the_result() {
+        let engine = Arc::new(ServeEngine::build(catalog(), config()).unwrap());
+        let result = engine.query(&spec()).unwrap();
+        assert!(result.views.len() > 2, "need three pages of two");
+        let base = Arc::strong_count(&result);
+
+        let server = server_on(Arc::clone(&engine), 64);
+        let shared = &server.shared;
+        let cursors: Vec<u64> = (1..=3)
+            .map(|open| {
+                let head = paginate(shared, &result, 2);
+                assert_eq!(Arc::strong_count(&result), base + open);
+                head.cursor
+            })
+            .collect();
+        for (drained, &cursor) in cursors.iter().enumerate() {
+            let mut page = 1;
+            while matches!(fetch_page(shared, cursor, page), Response::Page(ref p) if !p.last) {
+                page += 1;
+            }
+            assert_eq!(Arc::strong_count(&result), base + 2 - drained);
+        }
+
+        // A FIFO eviction lets go of the handle too.
+        let server = server_on(engine, 1);
+        let shared = &server.shared;
+        let first = paginate(shared, &result, 2).cursor;
+        paginate(shared, &result, 2);
+        assert_eq!(Arc::strong_count(&result), base + 1);
+        assert!(matches!(
+            fetch_page(shared, first, 1),
+            Response::Error { .. }
+        ));
+        assert_eq!(shared.net_stats().cursors_evicted, 1);
+    }
+
+    #[test]
+    fn a_cursor_outlives_the_result_lru() {
+        let one_result = ServeConfig {
+            result_cache_capacity: 1,
+            ..config()
+        };
+        let engine = Arc::new(ServeEngine::build(catalog(), one_result).unwrap());
+        let server = server_on(Arc::clone(&engine), 64);
+        let result = engine.query(&spec()).unwrap();
+        let inline = WireResult::from_query_result(&result);
+        let head = paginate(&server.shared, &result, 2);
+        let weak = Arc::downgrade(&result);
+        drop(result);
+
+        // Another spec takes the LRU's only slot: the cursor is now the
+        // result's sole owner.
+        let other = ViewSpec::Qbe(
+            ExampleQuery::from_rows(&[vec!["AP1", "st1"], vec!["AP2", "st2"]]).unwrap(),
+        );
+        engine.query(&other).unwrap();
+        assert_eq!(weak.strong_count(), 1);
+
+        let views = page_views(fetch_page(&server.shared, head.cursor, 1));
+        assert_eq!(views, inline.views[2..4]);
+        let last = page_views(fetch_page(&server.shared, head.cursor, 2));
+        assert_eq!(last, inline.views[4..]);
+        assert_eq!(weak.strong_count(), 0, "the drained cursor frees it");
     }
 }

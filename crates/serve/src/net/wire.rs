@@ -162,8 +162,10 @@ fn read_spec(r: &mut Reader<'_>) -> Result<ViewSpec> {
 /// A client→server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Run a discovery query. `page_size == 0` asks for the whole result
-    /// inline; otherwise the head carries the first page and a cursor for
+    /// Run a discovery query. `page_size == 0` defers to the server's
+    /// default page size (itself 0, the whole result inline, unless
+    /// `verd --page-size` says otherwise); a result longer than the page
+    /// size comes back as a head with the first page and a cursor for
     /// [`Request::FetchPage`]. `timeout_ms == 0` means no deadline.
     Query {
         spec: ViewSpec,
@@ -311,7 +313,7 @@ impl WireView {
         f64::from_bits(self.score_bits)
     }
 
-    pub fn from_view(v: &ver_core::engine::View) -> WireView {
+    pub fn from_view(v: &View) -> WireView {
         WireView {
             id: v.id.0,
             score_bits: v.provenance.join_score.to_bits(),
@@ -326,6 +328,21 @@ impl WireView {
             // Forces the gather: the wire carries every row.
             rows: v.table.iter_rows().collect(),
         }
+    }
+
+    /// Convert a slice of views — a whole result, a head's first page, or
+    /// one `FetchPage` — gathering every view of the slice before the
+    /// first wire row is built. The gathered tables outlive this call —
+    /// the result LRU and the view LRU share them — while the wire rows
+    /// die with the reply. Built interleaved, the tables end up threaded
+    /// through the holes the rows leave behind, and every later read of
+    /// the result pays for that (a whole-result hit over the wire: +2 ms
+    /// of 16). Views outside the slice are not touched.
+    pub(crate) fn from_views(views: &[View]) -> Vec<WireView> {
+        for v in views {
+            v.table.gather();
+        }
+        views.iter().map(WireView::from_view).collect()
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -962,15 +979,13 @@ impl WireResult {
     /// test pins `render` of this against `render` of a client-fetched
     /// copy *and* against the in-process snapshot file.
     pub fn from_query_result(result: &QueryResult) -> WireResult {
-        // Gather every view before the first wire row is built. The
-        // gathered tables outlive this call — the result LRU and the view
-        // LRU share them — while the wire rows die with the reply. Built
-        // interleaved, the tables end up threaded through the holes the
-        // rows leave behind, and every later read of this result pays for
-        // that (a whole-result hit over the wire: +2 ms of 16).
-        for v in &result.views {
-            v.table.gather();
-        }
+        WireResult::with_views(result, WireView::from_views(&result.views))
+    }
+
+    /// `result`'s result-level facts — partial flag, search stats, C2
+    /// survivor ids, ranked pairs — around already-converted `views`. A
+    /// paginated head passes only its first page.
+    pub(crate) fn with_views(result: &QueryResult, views: Vec<WireView>) -> WireResult {
         WireResult {
             partial: result.partial,
             stats: result.search_stats,
@@ -980,7 +995,7 @@ impl WireResult {
                 .iter()
                 .map(|(v, s)| (v.0, *s as u64))
                 .collect(),
-            views: result.views.iter().map(WireView::from_view).collect(),
+            views,
         }
     }
 

@@ -455,6 +455,26 @@ where
     addr
 }
 
+/// A head promising 3 views, delivering 1, with cursor 7 for the rest.
+fn head_of_three_on_cursor_7() -> Response {
+    Response::Query(QueryHead {
+        partial: false,
+        stats: SearchStats {
+            combinations: 1,
+            skipped_by_cache: 0,
+            joinable_groups: 1,
+            join_graphs: 1,
+            views: 3,
+        },
+        survivors_c2: vec![0],
+        ranked: vec![(0, 1)],
+        total_views: 3,
+        page_size: 1,
+        cursor: 7,
+        views: vec![sample_view(0)],
+    })
+}
+
 /// Regression: a server that hands back an empty-but-not-final page used
 /// to spin `Client::query`'s reassembly loop forever (the loop condition
 /// `views.len() < total` never advanced). It must now surface as a typed
@@ -463,25 +483,8 @@ where
 #[test]
 fn zero_progress_pagination_is_a_typed_error_not_an_infinite_loop() {
     let addr = scripted_server(|mut s| {
-        // Query → a head promising 3 views, delivering 1, with a cursor.
         read_frame(&mut s).unwrap();
-        let head = Response::Query(QueryHead {
-            partial: false,
-            stats: SearchStats {
-                combinations: 1,
-                skipped_by_cache: 0,
-                joinable_groups: 1,
-                join_graphs: 1,
-                views: 3,
-            },
-            survivors_c2: vec![0],
-            ranked: vec![(0, 1)],
-            total_views: 3,
-            page_size: 1,
-            cursor: 7,
-            views: vec![sample_view(0)],
-        });
-        write_frame(&mut s, &head.encode()).unwrap();
+        write_frame(&mut s, &head_of_three_on_cursor_7().encode()).unwrap();
         // FetchPage → an empty page that is *not* last: zero progress.
         read_frame(&mut s).unwrap();
         let page = Response::Page(Page {
@@ -505,6 +508,40 @@ fn zero_progress_pagination_is_a_typed_error_not_an_infinite_loop() {
     match client.health() {
         Err(VerError::Protocol(m)) => assert!(m.contains("poisoned"), "{m}"),
         other => panic!("expected poisoned Protocol error, got {other:?}"),
+    }
+}
+
+/// `Client::query` asked cursor 7 for page 1; a page answering for another
+/// page number or another cursor must not be spliced into the result. It
+/// is a typed protocol error, and the connection is poisoned.
+#[test]
+fn a_page_for_another_cursor_or_page_is_a_typed_error() {
+    for (cursor, page) in [(7, 2), (8, 1)] {
+        let addr = scripted_server(move |mut s| {
+            read_frame(&mut s).unwrap();
+            write_frame(&mut s, &head_of_three_on_cursor_7().encode()).unwrap();
+            read_frame(&mut s).unwrap();
+            let reply = Response::Page(Page {
+                cursor,
+                page,
+                last: true,
+                views: vec![sample_view(1), sample_view(2)],
+            });
+            write_frame(&mut s, &reply.encode()).unwrap();
+            let _ = read_frame(&mut s);
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        match client.query(&ViewSpec::Keyword(vec!["x".into()]), 1, 0) {
+            Err(VerError::Protocol(m)) => {
+                assert!(
+                    m.contains(&format!("got cursor {cursor} page {page}")),
+                    "{m}"
+                )
+            }
+            other => panic!("cursor {cursor} page {page}: expected Protocol error, got {other:?}"),
+        }
+        assert!(client.is_poisoned());
     }
 }
 
