@@ -3,6 +3,7 @@
 //! Fig. 4(b).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ver_common::budget::QueryBudget;
 use ver_datagen::wdc::{generate_wdc, WdcConfig};
 use ver_index::{build_index, IndexConfig};
 use ver_qbe::ExampleQuery;
@@ -32,10 +33,10 @@ fn bench_join_graph_search(c: &mut Criterion) {
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.bench_function("enumerate_rho2", |b| {
-        b.iter(|| enumerate_combinations(&idx, &selection, 2, 20_000))
+        b.iter(|| enumerate_combinations(&idx, &selection, 2, 20_000, &QueryBudget::none()))
     });
     group.bench_function("enumerate_rho1", |b| {
-        b.iter(|| enumerate_combinations(&idx, &selection, 1, 20_000))
+        b.iter(|| enumerate_combinations(&idx, &selection, 1, 20_000, &QueryBudget::none()))
     });
     group.bench_function("generate_join_graphs_pairwise", |b| {
         let tables: Vec<_> = (0..cat.table_count().min(4))

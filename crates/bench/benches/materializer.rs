@@ -10,10 +10,9 @@ use ver_common::budget::QueryBudget;
 use ver_common::ids::{ColumnRef, TableId};
 use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
-use ver_engine::join::hash_join;
+use ver_engine::materialize_batch;
 use ver_engine::plan::{JoinStep, PjPlan};
-use ver_engine::rowhash::{row_set, table_row_hashes};
-use ver_search::materialize_batch;
+use ver_engine::rowhash::row_set;
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
 
@@ -81,13 +80,22 @@ fn bench_materializer(c: &mut Criterion) {
                 b.iter(|| materialize_batch(&cat, batch, pool, &QueryBudget::none()))
             });
         }
-        let (t0, t1) = (
-            cat.table(TableId(0)).unwrap(),
-            cat.table(TableId(1)).unwrap(),
-        );
         // The row set 4C compares, from the row hashes a DAG-built view
-        // carries.
-        let hashes = table_row_hashes(&hash_join(t0, 0, t1, 0).unwrap());
+        // carries: `t0 ⋈ t1` projecting every column of both.
+        let cref = |table, ordinal| ColumnRef {
+            table: TableId(table),
+            ordinal,
+        };
+        let join = PjPlan {
+            base: TableId(0),
+            joins: vec![JoinStep {
+                left: cref(0, 0),
+                right: cref(1, 0),
+            }],
+            projection: vec![cref(0, 0), cref(0, 1), cref(1, 0), cref(1, 1)],
+        };
+        let (mut views, _) = materialize_batch(&cat, &[(join, 1.0)], pool, &QueryBudget::none());
+        let hashes = views.pop().unwrap().unwrap().row_hashes().into_owned();
         group.bench_with_input(BenchmarkId::new("rowhash_set", rows), &rows, |b, _| {
             b.iter(|| row_set(&hashes))
         });

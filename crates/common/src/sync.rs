@@ -162,4 +162,37 @@ mod tests {
             "unsafe outside ver_common::simd in: {offenders:?}"
         );
     }
+
+    /// Lint: the reference executor (`ver-oracle`) stays test-only. Every
+    /// other crate may name it under `[dev-dependencies]` and nowhere
+    /// else, so no production build — the pinned benchmark's included —
+    /// ever compiles it.
+    #[test]
+    fn oracle_is_only_a_dev_dependency() {
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut offenders = Vec::new();
+        let mut scanned = 0;
+        for krate in std::fs::read_dir(&crates).expect("crates dir") {
+            let dir = krate.expect("dir entry").path();
+            let manifest = dir.join("Cargo.toml");
+            if dir.ends_with("oracle") || !manifest.is_file() {
+                continue;
+            }
+            scanned += 1;
+            let text = std::fs::read_to_string(&manifest).expect("utf-8 manifest");
+            let mut section = "";
+            for line in text.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    section = line;
+                } else if line.contains("ver-oracle") && section != "[dev-dependencies]" {
+                    offenders.push(format!("{}: {section} {line}", manifest.display()));
+                }
+            }
+        }
+        assert!(scanned >= 10, "lint read {scanned} manifests — wrong root?");
+        assert!(
+            offenders.is_empty(),
+            "ver-oracle outside [dev-dependencies]: {offenders:?}"
+        );
+    }
 }

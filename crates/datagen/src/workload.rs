@@ -8,8 +8,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
 use ver_common::ids::ColumnRef;
+use ver_common::pool::ThreadPool;
+use ver_engine::dag::materialize_batch;
+use ver_engine::plan::PjPlan;
 use ver_engine::rowhash::{relation, SetRelation};
 use ver_engine::view::View;
 use ver_index::DiscoveryIndex;
@@ -173,14 +177,14 @@ pub fn attach_noise_columns(
     gt
 }
 
-/// Materialise the ground-truth view: take the best-scoring join graph over
-/// the ground truth's tables and project its columns.
-pub fn materialize_ground_truth(
+/// The ground truth's plan: the best-scoring join graph over its tables
+/// (mean containment over `1 + hops`), linearised to project its columns.
+pub fn ground_truth_plan(
     catalog: &TableCatalog,
     index: &DiscoveryIndex,
     gt: &GroundTruth,
     rho: usize,
-) -> Result<View> {
+) -> Result<PjPlan> {
     let graphs = index.generate_join_graphs(&gt.tables, rho);
     let best = graphs
         .iter()
@@ -195,54 +199,25 @@ pub fn materialize_ground_truth(
                 gt.name
             ))
         })?;
-    let plan = ver_search_plan(catalog, index, best, &gt.columns)?;
-    ver_engine::exec::execute_plan(catalog, &plan, 1.0)
+    PjPlan::from_edges(&best.column_edges(catalog)?, &gt.columns)
 }
 
-// Local copy of the plan linearisation (avoids a datagen → search
-// dependency cycle: search depends on qbe which datagen also uses).
-fn ver_search_plan(
+/// Materialise the ground-truth view: [`ground_truth_plan`] as a batch of
+/// one through the materializer every candidate view comes from.
+pub fn materialize_ground_truth(
     catalog: &TableCatalog,
-    _index: &DiscoveryIndex,
-    graph: &ver_index::JoinGraph,
-    projection: &[ColumnRef],
-) -> Result<ver_engine::PjPlan> {
-    use ver_engine::plan::{JoinStep, PjPlan};
-    let base = projection
-        .first()
-        .ok_or_else(|| VerError::InvalidQuery("empty projection".into()))?
-        .table;
-    if graph.edges.is_empty() {
-        return Ok(PjPlan::single(base, projection.to_vec()));
-    }
-    let mut joins = Vec::new();
-    let mut present = vec![base];
-    let mut remaining: Vec<(ColumnRef, ColumnRef)> = graph
-        .edges
-        .iter()
-        .map(|e| -> Result<(ColumnRef, ColumnRef)> {
-            Ok((catalog.column_ref(e.left)?, catalog.column_ref(e.right)?))
-        })
-        .collect::<Result<_>>()?;
-    while !remaining.is_empty() {
-        let pos = remaining
-            .iter()
-            .position(|(a, b)| present.contains(&a.table) != present.contains(&b.table))
-            .ok_or_else(|| VerError::JoinError("disconnected join graph".into()))?;
-        let (a, b) = remaining.remove(pos);
-        let (left, right) = if present.contains(&a.table) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        joins.push(JoinStep { left, right });
-        present.push(right.table);
-    }
-    Ok(PjPlan {
-        base,
-        joins,
-        projection: projection.to_vec(),
-    })
+    index: &DiscoveryIndex,
+    gt: &GroundTruth,
+    rho: usize,
+) -> Result<View> {
+    let plan = ground_truth_plan(catalog, index, gt, rho)?;
+    let (mut views, _) = materialize_batch(
+        catalog,
+        &[(plan, 1.0)],
+        ThreadPool::new(1),
+        &QueryBudget::none(),
+    );
+    views.pop().expect("one plan in, one view out")
 }
 
 /// Does any candidate view *hit* the ground truth? A hit is a candidate

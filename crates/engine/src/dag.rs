@@ -1,36 +1,43 @@
-//! Row-index join states for shared sub-join execution.
+//! The materializer: a batch of PJ plans executed over a shared sub-join
+//! DAG of row-index join states.
 //!
-//! [`execute_plan`](crate::exec::execute_plan) materialises every candidate
-//! independently: it clones the base table and gathers *all* columns of
-//! every intermediate at every step. Candidate PJ-views share join
-//! prefixes — Algorithm 5 enumerates combinations over the same join paths,
-//! and on the pinned `wdc120` tier 21.9 % of all join steps repeat a prefix
-//! another candidate already executed (see `ver_search::materialize`) — so
-//! that repeats the identical hash joins and value copies once per view.
+//! [`materialize_batch`] is the one way a [`PjPlan`] becomes a [`View`] —
+//! search candidates, shard legs and the evaluation's ground truth all come
+//! from it. The top-k candidates of one query share join prefixes:
+//! Algorithm 5 enumerates combinations over the same join paths. The batch
+//! folds every plan's oriented step sequence into a prefix trie (the shared
+//! sub-join DAG) whose roots are the base tables, executes each distinct
+//! step **once**, and projects each candidate off its leaf. Candidates whose
+//! shared prefix matched nothing are pruned without executing their
+//! remaining steps.
 //!
-//! This module factors the executor into a value-free core: a [`JoinState`]
-//! holds, for each joined table, a flat `Vec<u32>` of *source row indices*
-//! — one entry per output row of the partial join. [`JoinState::step`]
-//! only touches the two key columns, and the final projection
-//! ([`materialize_state`]) stays value-free too: it deduplicates through
-//! the row indices and hands the [`View`] the kept source rows plus their
-//! row hashes. No payload value is cloned anywhere in this module — a
-//! view's cells are copied out of the base tables at most once, on first
-//! read, by its [`ViewTable`]. Because a state is a pure value, it can be
-//! shared by every plan with the same oriented step prefix — the shared
-//! sub-join DAG that `ver_search::materialize::materialize_batch` builds.
-//! Both functions read key and cell hashes from a batch-scoped
-//! [`ColumnHashes`], which the caller fills for every plan before it runs
-//! any of them.
+//! How much is shared depends on the query: a step is shared when
+//! candidates start with the same oriented column edge off the same base.
+//! Over the 30 pinned `wdc120` specs (ρ = 2, no caches) the DAG answers
+//! 23 829 of 108 644 join steps (21.9 %) from a shared prefix — 41–43 % on
+//! every WDC-Q3 spec, 26 % on WDC-Q5, none on Q1, Q2 and Q4. The golden
+//! workload shares 20.8 %, `chembl70` 17 %, open data at 25 % 49 %, and
+//! ρ = 3 44–48 %. [`MaterializeStats`] reports the counters per batch;
+//! `crates/bench/src/golden.rs` pins them for the golden workload.
 //!
-//! **Bit-identity contract**: for any valid plan, [`JoinState::base`],
-//! one [`JoinState::step`] per join and [`materialize_state`] return
-//! exactly what `execute_plan` returns — same rows in the same order, same
-//! schema, same chained `a⋈b⋈c` view name, same provenance. The row
-//! *order* is what makes this delicate:
-//! downstream deduplication keeps first occurrences, and the golden
-//! snapshots are byte-identical renders. Each step therefore replicates
-//! [`hash_join`](crate::join::hash_join)'s observable semantics:
+//! A DAG node is a `JoinState`: for each joined table, a flat `Vec<u32>` of
+//! *source row indices* — one entry per output row of the partial join. A
+//! step only touches the two key columns, and the final projection stays
+//! value-free too: it deduplicates through the row indices and hands the
+//! [`View`] the kept source rows plus their row hashes. No payload value is
+//! cloned anywhere in this module — a view's cells are copied out of the
+//! base tables at most once, on first read, by its [`ViewTable`]. Key and
+//! cell hashes come from a batch-scoped `ColumnHashes`, filled for every
+//! plan before any of them runs.
+//!
+//! **Bit-identity contract**: for any valid plan, the batch returns exactly
+//! what the independent reference executor returns (the test-only
+//! `ver_oracle` crate: a whole-table hash join per step, then project,
+//! then dedup) — same rows in the same order, same schema, same chained
+//! `a⋈b⋈c` view name, same provenance. The row *order* is what makes this
+//! delicate: downstream deduplication keeps first occurrences, and the
+//! golden snapshots are byte-identical renders. Each step therefore
+//! replicates the reference hash join's observable semantics:
 //!
 //! * the hash index is built over the **smaller** side (accumulated rows
 //!   vs. the attached table), probed with the larger;
@@ -38,14 +45,20 @@
 //!   order within a key bucket;
 //! * null keys never match;
 //! * keys compare as typed [`Value`]s (`Int(1)` ≠ `Text("1")`).
+//!
+//! `ver-oracle`'s differential tests, `crates/search/tests/materialize_equivalence.rs`
+//! and the repo-root determinism suite pin the contract (invariant 9 in the
+//! repo-root `ARCHITECTURE.md`).
 
 use crate::plan::{JoinStep, PjPlan};
 use crate::rowhash::{cell_hash, mix};
 use crate::view::{Provenance, SourceColumn, View, ViewTable};
 use std::sync::Arc;
+use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
+use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
 use ver_store::catalog::TableCatalog;
 use ver_store::schema::TableSchema;
@@ -61,20 +74,20 @@ use ver_store::table::Table;
 /// [`Value`] equality, and a view's row hashes are
 /// [`hash_table_row`](crate::rowhash::hash_table_row) of its rows.
 #[derive(Debug, Default)]
-pub struct ColumnHashes {
+struct ColumnHashes {
     map: FxHashMap<(TableId, u16), Vec<u64>>,
 }
 
 impl ColumnHashes {
     /// Empty cache: [`ColumnHashes::ensure`] each plan before running it.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Hash every key and projection column of `plan` not cached yet.
     /// Unresolvable refs are skipped — the executor reports them with the
     /// proper error before it looks for their hashes.
-    pub fn ensure(&mut self, catalog: &TableCatalog, plan: &PjPlan) {
+    fn ensure(&mut self, catalog: &TableCatalog, plan: &PjPlan) {
         let keys = plan.joins.iter().flat_map(|j| [j.left, j.right]);
         for cref in keys.chain(plan.projection.iter().copied()) {
             let key = (cref.table, cref.ordinal);
@@ -189,7 +202,7 @@ impl SlotTable {
 /// group's key; distinct values colliding on one 64-bit hash live in
 /// separate groups on a per-hash chain, so probes match exactly the rows
 /// an equal-key join matches. Rows inside a group chain in insertion
-/// order — [`hash_join`](crate::join::hash_join)'s within-bucket order.
+/// order — the reference hash join's within-bucket order.
 struct GroupIndex {
     /// Key hash → first group id with that hash.
     table: SlotTable,
@@ -335,7 +348,7 @@ thread_local! {
 /// matters when a batch executes tens of thousands of them. The base
 /// state is the identity mapping over the base table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinState {
+struct JoinState {
     tables: Vec<TableId>,
     /// Output row count.
     n: usize,
@@ -345,7 +358,7 @@ pub struct JoinState {
 
 impl JoinState {
     /// Identity state over `base`: one output row per source row.
-    pub fn base(catalog: &TableCatalog, base: TableId) -> Result<JoinState> {
+    fn base(catalog: &TableCatalog, base: TableId) -> Result<JoinState> {
         let table = catalog.table(base)?;
         let n = table.row_count();
         Ok(JoinState {
@@ -356,7 +369,7 @@ impl JoinState {
     }
 
     /// Number of rows in the partial join.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.n
     }
 
@@ -367,19 +380,19 @@ impl JoinState {
 
     /// True when the partial join matched nothing — every downstream step
     /// and projection of this prefix is empty too, so executors can prune.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Tables joined so far, base first, in join order.
-    pub fn tables(&self) -> &[TableId] {
+    fn tables(&self) -> &[TableId] {
         &self.tables
     }
 
     /// The chained `base⋈t1⋈t2` view name this state materialises under —
     /// shared by every candidate projecting the same state, so batch
     /// executors build it once per distinct leaf.
-    pub fn joined_name(&self, catalog: &TableCatalog) -> Result<Arc<str>> {
+    fn joined_name(&self, catalog: &TableCatalog) -> Result<Arc<str>> {
         let mut name = String::new();
         for (i, &t) in self.tables.iter().enumerate() {
             if i > 0 {
@@ -393,10 +406,10 @@ impl JoinState {
     /// Execute one join step, attaching `step.right.table`, with the key
     /// hashes read from the batch's `hashes`.
     ///
-    /// Mirrors [`hash_join`](crate::join::hash_join) exactly (build side,
-    /// match order, null and type semantics) — see the module docs. An
-    /// empty state short-circuits: the child is empty without probing.
-    pub fn step(
+    /// Mirrors the reference hash join exactly (build side, match order,
+    /// null and type semantics) — see the module docs. An empty state
+    /// short-circuits: the child is empty without probing.
+    fn step(
         &self,
         catalog: &TableCatalog,
         step: JoinStep,
@@ -447,7 +460,7 @@ impl JoinState {
         let rh = hashes.get(step.right)?;
 
         // Match pairs (accumulated output row, right source row), ordered
-        // exactly as hash_join orders them, collected into thread-local
+        // exactly as the reference join orders them, collected into thread-local
         // scratch (contents never cross joins, only capacity does) and then
         // gathered into the child state's flat row storage.
         let mut tables = self.tables.clone();
@@ -543,8 +556,8 @@ struct Projected<'a> {
 /// Project a finished [`JoinState`] and wrap it as a [`View`] — the tail of
 /// plan execution.
 ///
-/// The view reads exactly as what [`execute_plan`](crate::exec::execute_plan)
-/// would produce for the same plan: the chained `base⋈t1⋈t2` table name,
+/// The view reads exactly as what the reference executor would produce
+/// for the same plan: the chained `base⋈t1⋈t2` table name,
 /// the source tables' column metadata, stable first-occurrence
 /// deduplication, and the same [`Provenance`]. Its cells, however, stay in
 /// the base tables until they are first read (see [`crate::view`]): what is
@@ -559,9 +572,8 @@ struct Projected<'a> {
 /// Deduplication needs no gathered row: rows are bucketed by a combined
 /// hash of their source-cell hashes and verified by typed [`Value`]
 /// equality through the row indices. This keeps first occurrences in row
-/// order — exactly what [`dedup_rows`](crate::dedup::dedup_rows) does after
-/// a full gather.
-pub fn materialize_state(
+/// order — exactly what the reference dedup does after a full gather.
+fn materialize_state(
     catalog: &TableCatalog,
     state: &JoinState,
     plan: &PjPlan,
@@ -685,10 +697,183 @@ pub fn materialize_state(
     ))
 }
 
+/// Counters from one [`materialize_batch`] call — how much join work the
+/// shared sub-join DAG saved. Search reports them per query
+/// (`ver_search::SearchOutput::dag`); the repo benchmark reads them as
+/// `engine.dag_distinct_steps` / `engine.dag_shared_ratio`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MaterializeStats {
+    /// Candidate plans executed by the batch (cache hits never reach it).
+    pub candidates: usize,
+    /// Join steps summed over all candidate plans — what the independent
+    /// path would execute.
+    pub total_steps: usize,
+    /// Distinct DAG nodes (unique oriented step prefixes) — what the
+    /// batch actually executed.
+    pub distinct_steps: usize,
+    /// Steps served by a shared prefix instead of re-executed
+    /// (`total_steps − distinct_steps`).
+    pub shared_hits: usize,
+    /// DAG nodes short-circuited because their parent prefix was already
+    /// empty — joins that were never probed at all.
+    pub empty_pruned: usize,
+}
+
+impl MaterializeStats {
+    /// Merge counters from another batch (bench aggregation across queries).
+    pub fn accumulate(&mut self, other: MaterializeStats) {
+        self.candidates += other.candidates;
+        self.total_steps += other.total_steps;
+        self.distinct_steps += other.distinct_steps;
+        self.shared_hits += other.shared_hits;
+        self.empty_pruned += other.empty_pruned;
+    }
+}
+
+/// What one DAG node computes: a root is the identity state over a base
+/// table, every other node one distinct oriented step applied to its
+/// parent node's state.
+enum Node {
+    Root(TableId),
+    Step(usize, JoinStep),
+}
+
+/// Execute a batch of `(plan, join_score)` candidates over the shared
+/// sub-join DAG.
+///
+/// Each distinct oriented step prefix is executed once as a row-index
+/// join state; every plan sharing it reuses the row-index arrays.
+/// Prefixes that matched nothing prune all their descendants. Results
+/// come back in input order, each bit-identical to what the reference
+/// executor would produce for that plan alone (see the module docs);
+/// per-plan failures surface as that plan's `Err` without affecting the
+/// rest of the batch.
+///
+/// Node execution fans out level-by-level on `pool` (order-preserving,
+/// pure per-node work), so the output is identical for every thread
+/// count. The cooperative deadline is checked at every join node (the
+/// per-edge stage boundary) and every final projection. A node that trips
+/// returns `Err(VerError::DeadlineExceeded)`, which propagates to every
+/// candidate whose plan depends on it — candidates whose chains completed
+/// earlier still come back `Ok`, which is what lets the search path return
+/// partial results. A panic inside node execution or projection is
+/// likewise confined to the affected candidates as
+/// `Err(VerError::Internal)`. With an unlimited budget and no injected
+/// faults the checks are a no-op.
+pub fn materialize_batch(
+    catalog: &TableCatalog,
+    candidates: &[(PjPlan, f64)],
+    pool: ThreadPool,
+    budget: &QueryBudget,
+) -> (Vec<Result<View>>, MaterializeStats) {
+    let mut stats = MaterializeStats {
+        candidates: candidates.len(),
+        ..Default::default()
+    };
+
+    // Build the DAG: a trie over (base table, oriented step sequence) in one
+    // node table, roots included. Sequential over candidates in input
+    // (rank) order, so node ids and level membership are deterministic.
+    // Trie edges are per-node lists of (step, child id): fan-out per prefix
+    // is tiny, so a linear scan of the parent's own list beats hashing into
+    // one global map — this walk runs once per step of every candidate.
+    // Every key and projection column is hashed here, before anything runs.
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut children: Vec<Vec<(JoinStep, usize)>> = Vec::new();
+    let mut levels: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut roots: FxHashMap<TableId, usize> = FxHashMap::default();
+    let mut hashes = ColumnHashes::new();
+    let leaves: Vec<Result<usize>> = candidates
+        .iter()
+        .map(|(plan, _)| {
+            plan.validate()?;
+            hashes.ensure(catalog, plan);
+            stats.total_steps += plan.joins.len();
+            let mut at = *roots.entry(plan.base).or_insert_with(|| {
+                nodes.push(Node::Root(plan.base));
+                children.push(Vec::new());
+                levels[0].push(nodes.len() - 1);
+                nodes.len() - 1
+            });
+            for (depth, &step) in plan.joins.iter().enumerate() {
+                at = match children[at].iter().find(|&&(s, _)| s == step) {
+                    Some(&(_, id)) => id,
+                    None => {
+                        let id = nodes.len();
+                        children[at].push((step, id));
+                        nodes.push(Node::Step(at, step));
+                        children.push(Vec::new());
+                        if levels.len() == depth + 1 {
+                            levels.push(Vec::new());
+                        }
+                        levels[depth + 1].push(id);
+                        id
+                    }
+                };
+            }
+            Ok(at)
+        })
+        .collect();
+    stats.distinct_steps = nodes.len() - roots.len();
+    stats.shared_hits = stats.total_steps - stats.distinct_steps;
+
+    // Execute one level at a time, roots first. Each level's nodes depend
+    // only on completed states, so they fan out on the pool; `try_par_map`
+    // is order-preserving and every node is a pure function of its parent,
+    // so results are thread-count independent, and an injected (or
+    // genuine) panic in one node degrades to that node's
+    // `Err(VerError::Internal)` instead of unwinding the query. The
+    // cooperative deadline and the `dag.step` fault point sit at the same
+    // per-edge boundary: join nodes, never roots.
+    let mut states: Vec<Option<Result<JoinState>>> = (0..nodes.len()).map(|_| None).collect();
+    for level in &levels {
+        let computed = pool.try_par_map(level, |&id| {
+            let (parent, step) = match nodes[id] {
+                Node::Root(table) => return Ok((JoinState::base(catalog, table), false)),
+                Node::Step(parent, step) => (parent, step),
+            };
+            ver_common::fault::hit(ver_common::fault::points::DAG_STEP)?;
+            budget.check("dag.step")?;
+            Ok(
+                match states[parent].as_ref().expect("parent level completed") {
+                    Err(e) => (Err(e.clone()), false),
+                    Ok(prefix) => (prefix.step(catalog, step, &hashes), prefix.is_empty()),
+                },
+            )
+        });
+        for (&id, node) in level.iter().zip(computed) {
+            let (state, pruned) = node.unwrap_or_else(|e| (Err(e), false));
+            states[id] = Some(state);
+            stats.empty_pruned += usize::from(pruned);
+        }
+    }
+
+    // Chain each leaf's `a⋈b⋈c` view name once; every candidate projecting
+    // that leaf shares the `Arc<str>` instead of re-walking the catalog.
+    let mut names: Vec<Option<Result<Arc<str>>>> = vec![None; nodes.len()];
+    for &id in leaves.iter().flatten() {
+        if let (None, Some(Ok(state))) = (&names[id], &states[id]) {
+            names[id] = Some(state.joined_name(catalog));
+        }
+    }
+    // Project every candidate off its leaf state (order-preserving fan-out;
+    // dedup over row indices is the only per-candidate work left).
+    let idx: Vec<usize> = (0..candidates.len()).collect();
+    let views = pool.try_par_map(&idx, |&i| {
+        budget.check("dag.project")?;
+        let id = leaves[i].clone()?;
+        let state = states[id].as_ref().expect("leaf level completed");
+        let state = state.as_ref().map_err(VerError::clone)?;
+        let name = names[id].clone().expect("an executed leaf is named")?;
+        let (plan, score) = &candidates[i];
+        materialize_state(catalog, state, plan, *score, &hashes, name)
+    });
+    (views, stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_plan;
     use ver_common::ids::ColumnRef;
     use ver_common::value::Value;
     use ver_store::table::TableBuilder;
@@ -738,224 +923,6 @@ mod tests {
         }
         cat.add_table(b.build()).unwrap();
         cat
-    }
-
-    fn chain_plan() -> PjPlan {
-        PjPlan {
-            base: TableId(0),
-            joins: vec![
-                JoinStep {
-                    left: cref(0, 1),
-                    right: cref(1, 0),
-                },
-                JoinStep {
-                    left: cref(1, 0),
-                    right: cref(2, 0),
-                },
-            ],
-            projection: vec![cref(0, 0), cref(1, 1), cref(2, 1)],
-        }
-    }
-
-    /// Hashes for every column of `plans`, as a batch ensures them.
-    fn hashes_for(cat: &TableCatalog, plans: &[&PjPlan]) -> ColumnHashes {
-        let mut hashes = ColumnHashes::new();
-        plans.iter().for_each(|p| hashes.ensure(cat, p));
-        hashes
-    }
-
-    /// `plan` alone through the row-index core: base, one step per join,
-    /// projection.
-    fn execute_shared(cat: &TableCatalog, plan: &PjPlan, join_score: f64) -> View {
-        let hashes = hashes_for(cat, &[plan]);
-        let mut state = JoinState::base(cat, plan.base).unwrap();
-        for &step in &plan.joins {
-            state = state.step(cat, step, &hashes).unwrap();
-        }
-        let name = state.joined_name(cat).unwrap();
-        materialize_state(cat, &state, plan, join_score, &hashes, name).unwrap()
-    }
-
-    /// The contract everything above relies on: the shared-kernel executor
-    /// reproduces `execute_plan` *including row order* (Table is PartialEq
-    /// over schema and cell values in order).
-    #[test]
-    fn shared_execution_is_bit_identical_to_execute_plan() {
-        let cat = catalog();
-        let plans = [
-            PjPlan::single(TableId(0), vec![cref(0, 1), cref(0, 0)]),
-            PjPlan {
-                base: TableId(0),
-                joins: vec![JoinStep {
-                    left: cref(0, 1),
-                    right: cref(1, 0),
-                }],
-                projection: vec![cref(0, 0), cref(1, 1)],
-            },
-            chain_plan(),
-            // Star: both arms off the base; projection reordered + repeated.
-            PjPlan {
-                base: TableId(0),
-                joins: vec![
-                    JoinStep {
-                        left: cref(0, 1),
-                        right: cref(1, 0),
-                    },
-                    JoinStep {
-                        left: cref(0, 1),
-                        right: cref(2, 0),
-                    },
-                ],
-                projection: vec![cref(2, 1), cref(0, 0), cref(2, 1)],
-            },
-            // Projection collapsing to few distinct rows exercises dedup
-            // order sensitivity.
-            PjPlan {
-                base: TableId(0),
-                joins: vec![JoinStep {
-                    left: cref(0, 1),
-                    right: cref(2, 0),
-                }],
-                projection: vec![cref(2, 1)],
-            },
-        ];
-        for (i, plan) in plans.iter().enumerate() {
-            let a = execute_plan(&cat, plan, 0.7).unwrap();
-            let b = execute_shared(&cat, plan, 0.7);
-            assert_eq!(a.row_count(), b.row_count(), "plan {i}: row counts differ");
-            assert_eq!(a.schema(), b.schema(), "plan {i}: schemas differ");
-            assert!(!b.table.is_gathered(), "plan {i}: gathered before any read");
-            assert_eq!(a.table, b.table, "plan {i}: tables differ");
-            assert_eq!(a.provenance, b.provenance, "plan {i}: provenance differs");
-            assert_eq!(a.table.name(), b.table.name(), "plan {i}: name differs");
-            // The dedup hashes the DAG hands the view are `H` of its rows:
-            // what `execute_plan`'s hash-less view computes from the cells.
-            assert_eq!(b.row_hashes(), a.row_hashes(), "plan {i}: row hashes");
-            for (r, &h) in b.row_hashes().iter().enumerate() {
-                assert_eq!(h, crate::rowhash::hash_table_row(&b.table, r));
-            }
-        }
-    }
-
-    #[test]
-    fn build_side_swap_still_matches_reference() {
-        // Base smaller than attached table AND base larger than attached
-        // table, same data — both sides of hash_join's build-side pivot.
-        let cat = catalog();
-        let small_base = PjPlan {
-            base: TableId(1), // 2 rows, attaches 8-row regions
-            joins: vec![JoinStep {
-                left: cref(1, 0),
-                right: cref(2, 0),
-            }],
-            projection: vec![cref(1, 1), cref(2, 1)],
-        };
-        let large_base = PjPlan {
-            base: TableId(2), // 8 rows, attaches 2-row states
-            joins: vec![JoinStep {
-                left: cref(2, 0),
-                right: cref(1, 0),
-            }],
-            projection: vec![cref(2, 1), cref(1, 1)],
-        };
-        for plan in [&small_base, &large_base] {
-            let a = execute_plan(&cat, plan, 1.0).unwrap();
-            let b = execute_shared(&cat, plan, 1.0);
-            assert_eq!(a.table, b.table);
-        }
-    }
-
-    #[test]
-    fn null_and_typed_keys_match_reference() {
-        let mut cat = TableCatalog::new();
-        let mut b = TableBuilder::new("l", &["k", "x"]);
-        b.push_row(vec![Value::Null, "a".into()]).unwrap();
-        b.push_row(vec![Value::Int(1), "b".into()]).unwrap();
-        b.push_row(vec![Value::text("1"), "c".into()]).unwrap();
-        cat.add_table(b.build()).unwrap();
-        let mut b = TableBuilder::new("r", &["k", "y"]);
-        b.push_row(vec![Value::Int(1), "p".into()]).unwrap();
-        b.push_row(vec![Value::Null, "q".into()]).unwrap();
-        cat.add_table(b.build()).unwrap();
-        let plan = PjPlan {
-            base: TableId(0),
-            joins: vec![JoinStep {
-                left: cref(0, 0),
-                right: cref(1, 0),
-            }],
-            projection: vec![cref(0, 1), cref(1, 1)],
-        };
-        let a = execute_plan(&cat, &plan, 1.0).unwrap();
-        let b = execute_shared(&cat, &plan, 1.0);
-        assert_eq!(a.table, b.table);
-        assert_eq!(a.row_count(), 1, "only Int(1) keys join");
-    }
-
-    #[test]
-    fn states_share_across_prefixes() {
-        // Two plans sharing the one-hop prefix: computing the prefix once
-        // and branching reproduces both independent executions.
-        let cat = catalog();
-        let plan_a = PjPlan {
-            base: TableId(0),
-            joins: vec![JoinStep {
-                left: cref(0, 1),
-                right: cref(1, 0),
-            }],
-            projection: vec![cref(0, 0), cref(1, 1)],
-        };
-        let plan_b = chain_plan();
-        let hashes = hashes_for(&cat, &[&plan_a, &plan_b]);
-        let prefix = JoinState::base(&cat, TableId(0))
-            .unwrap()
-            .step(&cat, plan_a.joins[0], &hashes)
-            .unwrap();
-        assert_eq!(prefix.tables(), &[TableId(0), TableId(1)]);
-
-        let name = prefix.joined_name(&cat).unwrap();
-        let via_shared = materialize_state(&cat, &prefix, &plan_a, 0.5, &hashes, name).unwrap();
-        let independent = execute_plan(&cat, &plan_a, 0.5).unwrap();
-        assert_eq!(via_shared.table, independent.table);
-
-        let extended = prefix.step(&cat, plan_b.joins[1], &hashes).unwrap();
-        let name = extended.joined_name(&cat).unwrap();
-        let via_shared = materialize_state(&cat, &extended, &plan_b, 0.5, &hashes, name).unwrap();
-        let independent = execute_plan(&cat, &plan_b, 0.5).unwrap();
-        assert_eq!(via_shared.table, independent.table);
-    }
-
-    #[test]
-    fn empty_prefix_short_circuits_and_stays_identical() {
-        let mut cat = catalog();
-        let mut b = TableBuilder::new("nomatch", &["state"]);
-        b.push_row(vec!["Nowhere".into()]).unwrap();
-        cat.add_table(b.build()).unwrap();
-        let plan = PjPlan {
-            base: TableId(3),
-            joins: vec![
-                JoinStep {
-                    left: cref(3, 0),
-                    right: cref(1, 0),
-                },
-                JoinStep {
-                    left: cref(1, 0),
-                    right: cref(2, 0),
-                },
-            ],
-            projection: vec![cref(3, 0), cref(2, 1)],
-        };
-        let hashes = hashes_for(&cat, &[&plan]);
-        let state = JoinState::base(&cat, TableId(3))
-            .unwrap()
-            .step(&cat, plan.joins[0], &hashes)
-            .unwrap();
-        assert!(state.is_empty());
-        let tail = state.step(&cat, plan.joins[1], &hashes).unwrap();
-        assert!(tail.is_empty());
-        let a = execute_plan(&cat, &plan, 1.0).unwrap();
-        let b = execute_shared(&cat, &plan, 1.0);
-        assert_eq!(a.table, b.table);
-        assert_eq!(a.row_count(), 0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Project-join plans: a linearised join tree plus a projection list.
 //!
 //! A *join graph* from the discovery engine is a tree over tables whose
-//! edges are inclusion-dependency column pairs. The search stage linearises
-//! it into a [`PjPlan`]: a base table and a sequence of [`JoinStep`]s, each
-//! attaching one new table to the partial result by an equi-join. The plan
-//! validates its own shape (each step's left table already present, right
-//! table new) before execution.
+//! edges are inclusion-dependency column pairs. [`PjPlan::from_edges`]
+//! linearises it into a [`PjPlan`]: a base table and a sequence of
+//! [`JoinStep`]s, each attaching one new table to the partial result by an
+//! equi-join. The plan validates its own shape (each step's left table
+//! already present, right table new) before execution.
 
 use serde::{Deserialize, Serialize};
 use ver_common::error::{Result, VerError};
@@ -15,8 +15,8 @@ use ver_common::ids::{ColumnRef, TableId};
 /// `right` a column of the newly attached table.
 ///
 /// `Hash` because an oriented step doubles as a node key in the shared
-/// sub-join DAG (`ver_search::materialize::materialize_batch`) and as part
-/// of the plan-derived view-cache key (`ver_search::cache::ViewKey`).
+/// sub-join DAG ([`materialize_batch`](crate::dag::materialize_batch)) and
+/// as part of the plan-derived view-cache key (`ver_search::cache::ViewKey`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct JoinStep {
     /// Join column on the accumulated side.
@@ -44,6 +44,48 @@ impl PjPlan {
             joins: Vec::new(),
             projection,
         }
+    }
+
+    /// Linearise a join tree given as resolved column edges into a plan
+    /// projecting `projection` — the one linearisation every join graph
+    /// goes through.
+    ///
+    /// The base table is the first projected column's table; edges are
+    /// consumed BFS-style, each the first remaining edge with exactly one
+    /// endpoint already in the plan, oriented so its `left` endpoint is that
+    /// one. Errors on an empty projection, and when the edges are not a
+    /// connected tree over the base.
+    pub fn from_edges(edges: &[(ColumnRef, ColumnRef)], projection: &[ColumnRef]) -> Result<Self> {
+        let base = projection
+            .first()
+            .ok_or_else(|| VerError::InvalidQuery("empty projection".into()))?
+            .table;
+        let mut joins = Vec::with_capacity(edges.len());
+        let mut present = vec![base];
+        let mut remaining = edges.to_vec();
+        while !remaining.is_empty() {
+            let i = remaining
+                .iter()
+                .position(|(a, b)| present.contains(&a.table) != present.contains(&b.table))
+                .ok_or_else(|| {
+                    VerError::JoinError(
+                        "join graph is not a connected tree over the base table".into(),
+                    )
+                })?;
+            let (a, b) = remaining.remove(i);
+            let (left, right) = if present.contains(&a.table) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            joins.push(JoinStep { left, right });
+            present.push(right.table);
+        }
+        Ok(PjPlan {
+            base,
+            joins,
+            projection: projection.to_vec(),
+        })
     }
 
     /// All tables touched by the plan, base first, in join order.
@@ -176,5 +218,34 @@ mod tests {
             projection: vec![cref(1, 1), cref(2, 1)],
         };
         assert!(plan.validate().is_ok());
+    }
+
+    #[test]
+    fn from_edges_orients_each_edge_off_the_joined_tables() {
+        // 1—0 and 2—1, listed child-first: BFS from base 0 takes 0—1 first,
+        // flipping it, then 1—2.
+        let edges = [(cref(2, 0), cref(1, 2)), (cref(1, 0), cref(0, 1))];
+        let plan = PjPlan::from_edges(&edges, &[cref(0, 0), cref(2, 1)]).unwrap();
+        assert_eq!(plan.base, TableId(0));
+        assert_eq!(
+            plan.joins,
+            vec![
+                JoinStep {
+                    left: cref(0, 1),
+                    right: cref(1, 0),
+                },
+                JoinStep {
+                    left: cref(1, 2),
+                    right: cref(2, 0),
+                },
+            ]
+        );
+        assert!(plan.validate().is_ok());
+        // No edge reaches the base, or nothing to project: errors.
+        assert!(PjPlan::from_edges(&edges[..1], &[cref(0, 0)]).is_err());
+        assert!(PjPlan::from_edges(&edges, &[]).is_err());
+        // No edges: a single-table plan.
+        let single = PjPlan::from_edges(&[], &[cref(3, 1)]).unwrap();
+        assert_eq!(single, PjPlan::single(TableId(3), vec![cref(3, 1)]));
     }
 }

@@ -18,8 +18,10 @@
 
 use crate::hypergraph::JoinHypergraph;
 use serde::{Deserialize, Serialize};
+use ver_common::error::Result;
 use ver_common::fxhash::FxHashSet;
-use ver_common::ids::{ColumnId, TableId};
+use ver_common::ids::{ColumnId, ColumnRef, TableId};
+use ver_store::catalog::TableCatalog;
 
 /// One edge of a join graph: join `left`'s column to `right`'s column.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,6 +68,16 @@ impl JoinGraph {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// The edges as `(left, right)` column refs resolved through `catalog`
+    /// — the input of `ver_engine`'s one linearisation,
+    /// `PjPlan::from_edges`.
+    pub fn column_edges(&self, catalog: &TableCatalog) -> Result<Vec<(ColumnRef, ColumnRef)>> {
+        self.edges
+            .iter()
+            .map(|e| Ok((catalog.column_ref(e.left)?, catalog.column_ref(e.right)?)))
+            .collect()
     }
 }
 

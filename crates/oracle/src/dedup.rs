@@ -6,9 +6,9 @@
 //! equality inside each bucket, so hash collisions cannot merge distinct
 //! rows.
 
-use crate::rowhash::hash_table_row;
 use ver_common::fxhash::FxHashMap;
 use ver_common::value::Value;
+use ver_engine::rowhash::hash_table_row;
 use ver_store::column::Column;
 use ver_store::table::Table;
 

@@ -7,12 +7,12 @@
 
 use crate::dedup::dedup_rows;
 use crate::join::hash_join;
-use crate::plan::{JoinStep, PjPlan};
 use crate::project::project;
-use crate::view::{Provenance, View};
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::ids::{TableId, ViewId};
+use ver_engine::plan::{JoinStep, PjPlan};
+use ver_engine::view::{Provenance, View};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::Table;
 

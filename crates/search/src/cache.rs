@@ -71,8 +71,12 @@ pub struct SearchCaches {
 }
 
 impl SearchCaches {
-    /// Caches with the given view-LRU capacity (`0` disables view caching;
-    /// the score memo is unbounded — scores are 8 bytes per distinct graph).
+    /// Caches with the given view-LRU capacity (`0` disables view caching).
+    /// The score memo is unbounded: each distinct graph costs a map slot
+    /// holding its key's `Vec` header (24 B) and its `f64` score (8 B),
+    /// plus the key's heap buffer of 8 B per canonical edge and the hash
+    /// table's control byte and load-factor slack — roughly 40 B + 8 B per
+    /// edge.
     pub fn new(view_capacity: usize) -> Self {
         SearchCaches {
             views: LruCache::new(view_capacity),

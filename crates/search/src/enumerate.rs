@@ -8,6 +8,7 @@
 //! combination containing it is skipped without touching the index — the
 //! paper's "non-joinable pairs are cached to skip computation".
 
+use ver_common::budget::QueryBudget;
 use ver_common::fxhash::{FxHashMap, FxHashSet};
 use ver_common::ids::{ColumnId, TableId};
 use ver_index::{DiscoveryIndex, JoinGraph};
@@ -35,6 +36,10 @@ pub struct Enumeration {
     pub skipped_by_cache: usize,
     /// Total combinations enumerated (before pruning).
     pub total_combinations: usize,
+    /// `true` when the query's deadline stopped enumeration before the
+    /// product was exhausted: everything above is what was enumerated up
+    /// to that point.
+    pub partial: bool,
 }
 
 impl Enumeration {
@@ -55,12 +60,17 @@ impl Enumeration {
 ///
 /// `max_combinations` bounds the cartesian product (ill-specified queries
 /// can produce millions of combinations; the paper's COLUMN-SELECTION
-/// rationale calls out detecting those).
+/// rationale calls out detecting those). `budget`'s deadline is checked
+/// once before each *new* table group is resolved — resolving a group is
+/// the expensive step — and a trip stops enumeration with what it has,
+/// flagged [`Enumeration::partial`]. A deadline-free budget never reads
+/// the clock.
 pub fn enumerate_combinations(
     index: &DiscoveryIndex,
     selection: &SelectionResult,
     rho: usize,
     max_combinations: usize,
+    budget: &QueryBudget,
 ) -> Enumeration {
     let per_attr: Vec<Vec<ColumnId>> = selection
         .per_attribute
@@ -99,6 +109,10 @@ pub fn enumerate_combinations(
             let gi = match group_index.get(&tables) {
                 Some(&gi) => gi,
                 None => {
+                    if budget.check("search.enumerate").is_err() {
+                        out.partial = true;
+                        break 'outer;
+                    }
                     let graphs = index.generate_join_graphs(&tables, rho);
                     if graphs.is_empty() {
                         // Find and cache the offending pair(s).
@@ -207,7 +221,7 @@ mod tests {
         ])
         .unwrap();
         let sel = select(&idx, &q);
-        let e = enumerate_combinations(&idx, &sel, 2, 10_000);
+        let e = enumerate_combinations(&idx, &sel, 2, 10_000, &QueryBudget::none());
         assert!(e.joinable_group_count() >= 1);
         // The (airports.iata, airports.state) combination is single-table.
         let single = e
@@ -227,7 +241,7 @@ mod tests {
         ])
         .unwrap();
         let sel = select(&idx, &q);
-        let e = enumerate_combinations(&idx, &sel, 2, 10_000);
+        let e = enumerate_combinations(&idx, &sel, 2, 10_000, &QueryBudget::none());
         assert_eq!(e.joinable_group_count(), 1);
         assert!(e.join_graph_count() >= 1);
         let (c, gi) = &e.combinations[0];
@@ -244,7 +258,7 @@ mod tests {
         ])
         .unwrap();
         let sel = select(&idx, &q);
-        let e = enumerate_combinations(&idx, &sel, 2, 10_000);
+        let e = enumerate_combinations(&idx, &sel, 2, 10_000, &QueryBudget::none());
         assert_eq!(e.joinable_group_count(), 0);
         assert!(e.combinations.is_empty());
     }
@@ -262,7 +276,7 @@ mod tests {
         .unwrap();
         let sel = select(&idx, &q);
         assert_eq!(sel.per_attribute[1].candidates.len(), 2);
-        let e = enumerate_combinations(&idx, &sel, 2, 10_000);
+        let e = enumerate_combinations(&idx, &sel, 2, 10_000, &QueryBudget::none());
         assert_eq!(e.skipped_by_cache, 1, "second combination skipped by cache");
         assert!(e.combinations.is_empty());
     }
@@ -272,7 +286,7 @@ mod tests {
         let idx = setup();
         let q = ExampleQuery::new(vec![QueryColumn::of_strs(&["nope"])]).unwrap();
         let sel = select(&idx, &q);
-        let e = enumerate_combinations(&idx, &sel, 2, 10_000);
+        let e = enumerate_combinations(&idx, &sel, 2, 10_000, &QueryBudget::none());
         assert_eq!(e.total_combinations, 0);
         assert!(e.combinations.is_empty());
     }
@@ -286,7 +300,7 @@ mod tests {
         ])
         .unwrap();
         let sel = select(&idx, &q);
-        let e = enumerate_combinations(&idx, &sel, 2, 2);
+        let e = enumerate_combinations(&idx, &sel, 2, 2, &QueryBudget::none());
         assert_eq!(e.total_combinations, 2);
     }
 }

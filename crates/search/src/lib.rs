@@ -13,26 +13,28 @@
 //! * [`enumerate`] — combination & joinable-group enumeration with the
 //!   non-joinable cache (Algorithm 5 step 1);
 //! * [`rank`] — join-score ranking (PK/FK-ness × smaller-is-better);
-//! * [`materialize`] — join graph → [`PjPlan`](ver_engine::PjPlan) →
-//!   materialized [`View`](ver_engine::View): [`plan_from_join_graph`]
-//!   linearises one candidate, [`materialize_batch`] executes the top-k
-//!   over the shared DAG (Algorithm 5 step 2);
 //! * [`search`] — the end-to-end component behind [`SearchContext`], with
 //!   the statistics the paper's figures report (joinable groups / join
-//!   graphs / views).
+//!   graphs / views). Each top-k candidate's join graph is resolved
+//!   ([`JoinGraph::column_edges`](ver_index::JoinGraph::column_edges)),
+//!   linearised ([`PjPlan::from_edges`](ver_engine::PjPlan::from_edges))
+//!   and executed in one
+//!   [`materialize_batch`](ver_engine::dag::materialize_batch) over the
+//!   shared DAG (Algorithm 5 step 2), whose counters come back as
+//!   [`MaterializeStats`].
 //!
 //! Layer 3 of the crate map in the repo-root `ARCHITECTURE.md`; the
 //! [`cache`] module is the serving layer's cross-query reuse point.
 
 pub mod cache;
 pub mod enumerate;
-pub mod materialize;
+mod materialize;
 pub mod rank;
 pub mod search;
 
 pub use cache::{view_key, SearchCaches, ViewKey};
-pub use materialize::{materialize_batch, plan_from_join_graph, MaterializeStats};
 pub use search::{
     merge_shard_outputs, SearchConfig, SearchContext, SearchOutput, SearchStats, ShardSearchOutput,
     ShardView,
 };
+pub use ver_engine::dag::MaterializeStats;

@@ -11,21 +11,21 @@
 //! likewise order-preserving. Results are therefore bit-identical for
 //! every `threads` value — same views, same [`ViewId`] assignment, same
 //! ranked order — and identical to executing each ranked plan on its own
-//! through the reference executor (`ver_engine::exec::execute_plan`,
-//! invariant 9).
+//! through the test-only reference executor (`ver_oracle`, invariant 9).
 //!
 //! Entry point: build a [`SearchContext`] over the catalog and index, then
 //! call [`SearchContext::search`].
 
 use std::sync::Arc;
 
-use crate::materialize::{materialize_batch, plan_from_join_graph, MaterializeStats};
 use crate::rank::{graph_canon, join_score, rank_order};
 use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashSet;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_common::pool::ThreadPool;
+use ver_engine::dag::{materialize_batch, MaterializeStats};
+use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::view::View;
 use ver_index::DiscoveryIndex;
 use ver_select::SelectionResult;
@@ -269,6 +269,7 @@ impl<'a> SearchContext<'a> {
             selection,
             config.rho,
             config.max_combinations,
+            &self.budget,
         );
 
         let stats = SearchStats {
@@ -279,7 +280,7 @@ impl<'a> SearchContext<'a> {
             views: 0,
         };
 
-        let mut partial = false;
+        let mut partial = enumeration.partial;
         let mut candidates = collect_candidates(self.catalog, &enumeration)?;
         // Budget: candidate cap. Generation order is canonical, so the
         // truncation is deterministic for a fixed cap.
@@ -343,28 +344,20 @@ impl<'a> SearchContext<'a> {
         // sharing a graph next to each other — so a run of equal graphs
         // with the same base reuses the previous BFS verbatim instead of
         // re-linearising each of the top-k candidates.
-        let mut prev: Option<(
-            &ver_index::JoinGraph,
-            TableId,
-            Vec<ver_engine::plan::JoinStep>,
-        )> = None;
-        let plans: Vec<Result<ver_engine::plan::PjPlan>> = scored
+        let mut prev: Option<(&ver_index::JoinGraph, TableId, Vec<JoinStep>)> = None;
+        let plans: Vec<Result<PjPlan>> = scored
             .iter()
             .map(|(_, c)| {
-                let Some(base) = c.projection.first().map(|p| p.table) else {
-                    // Empty projection: let the planner surface its error.
-                    return plan_from_join_graph(self.catalog, &c.graph, &c.projection);
-                };
-                if let Some((g, b, joins)) = &prev {
-                    if *b == base && *g == &c.graph {
-                        return Ok(ver_engine::plan::PjPlan {
-                            base,
+                if let (Some((g, base, joins)), Some(p)) = (&prev, c.projection.first()) {
+                    if *base == p.table && *g == &c.graph {
+                        return Ok(PjPlan {
+                            base: *base,
                             joins: joins.clone(),
                             projection: c.projection.to_vec(),
                         });
                     }
                 }
-                let plan = plan_from_join_graph(self.catalog, &c.graph, &c.projection)?;
+                let plan = PjPlan::from_edges(&c.graph.column_edges(self.catalog)?, &c.projection)?;
                 prev = Some((&c.graph, plan.base, plan.joins.clone()));
                 Ok(plan)
             })
@@ -377,7 +370,7 @@ impl<'a> SearchContext<'a> {
         // on the cached view's body, an insert another one.
         let mut results: Vec<Option<Result<View>>> = (0..scored.len()).map(|_| None).collect();
         let mut miss = Vec::new();
-        let mut batch: Vec<(ver_engine::plan::PjPlan, f64)> = Vec::new();
+        let mut batch: Vec<(PjPlan, f64)> = Vec::new();
         for (i, plan) in plans.into_iter().enumerate() {
             let plan = match plan {
                 Ok(plan) => plan,
@@ -774,7 +767,7 @@ mod tests {
         // Invariant 9 at the search surface: every view the batched DAG
         // produced — empties included, so nothing was pruned that the
         // reference would have kept — equals its own plan re-executed
-        // through `execute_plan`, table-exact.
+        // through the reference executor, table-exact.
         let (cat, idx) = setup();
         let q = ExampleQuery::new(vec![
             QueryColumn::of_strs(&["st1", "st2"]),
@@ -794,7 +787,7 @@ mod tests {
         // The DAG actually shared work on this multi-candidate query.
         assert!(all.dag.candidates > 1);
         for v in &all.views {
-            let reference = ver_engine::exec::reexecute(&cat, &v.provenance).unwrap();
+            let reference = ver_oracle::reexecute(&cat, &v.provenance).unwrap();
             assert_eq!(v.table, reference.table, "{} differs from reference", v.id);
             assert_eq!(v.provenance, reference.provenance);
         }
@@ -941,6 +934,7 @@ mod tests {
             .expect("deadline exhaustion degrades, it does not error");
         assert!(out.partial);
         assert!(out.views.is_empty());
+        assert_eq!(out.stats.joinable_groups, 0);
     }
 
     #[test]

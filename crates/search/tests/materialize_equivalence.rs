@@ -22,11 +22,12 @@ use ver_common::budget::QueryBudget;
 use ver_common::ids::{ColumnRef, TableId};
 use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
-use ver_engine::exec::{execute_plan, reexecute};
+use ver_engine::dag::materialize_batch;
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
+use ver_oracle::{execute_plan, reexecute};
 use ver_qbe::query::{ExampleQuery, QueryColumn};
-use ver_search::{materialize_batch, SearchConfig, SearchContext};
+use ver_search::{SearchConfig, SearchContext};
 use ver_select::{column_selection, SelectionConfig};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;

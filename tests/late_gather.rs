@@ -6,7 +6,7 @@
 //!
 //! * a query gathers exactly the views 4C's key discovery and the ranking
 //!   read — the C2 survivors — and no other candidate;
-//! * a forced view is `exec::reexecute`'s table (invariant 9), and the row
+//! * a forced view is `ver_oracle::reexecute`'s table (invariant 9), and the row
 //!   hashes it carried before it had cells are `hash_table_row` of them;
 //! * `View::clone` and a view-LRU hit share one body, so a gather through
 //!   one handle is visible through every other, across queries;
@@ -17,9 +17,9 @@ use std::sync::{Arc, Barrier, OnceLock};
 use ver_bench::golden::{golden_catalog, golden_queries};
 use ver_core::spec_select::select_for_spec;
 use ver_core::{Ver, VerConfig};
-use ver_engine::exec::reexecute;
 use ver_engine::rowhash::hash_table_row;
 use ver_engine::view::View;
+use ver_oracle::reexecute;
 use ver_qbe::ViewSpec;
 use ver_search::{SearchCaches, SearchContext};
 use ver_store::table::Table;

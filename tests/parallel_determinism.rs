@@ -282,7 +282,7 @@ fn shard_leg_outputs_survive_the_wire_codec_bit_identically() {
 fn dag_materialization_is_identical_to_independent_execution() {
     // Invariant 9: the shared sub-join DAG executor produces, for every
     // thread count, exactly what executing each ranked plan on its own
-    // through the reference executor (`ver_engine::exec`) does — over a
+    // through the reference executor (`ver_oracle`) does — over a
     // corpus large enough that candidates actually share join prefixes.
     let cat = corpus();
     let gts = wdc_ground_truths(&cat).expect("wdc ground truths");
@@ -304,7 +304,7 @@ fn dag_materialization_is_identical_to_independent_execution() {
         assert_same_result(&ra, &rd, &format!("{} dag-auto vs dag-seq", gt.name));
         for v in &rd.views {
             let independent =
-                ver_engine::exec::reexecute(&cat, &v.provenance).expect("reference execution");
+                ver_oracle::reexecute(&cat, &v.provenance).expect("reference execution");
             assert_eq!(
                 (&v.table, &v.provenance),
                 (&independent.table, &independent.provenance),

@@ -24,10 +24,11 @@ use ver_common::value::Value;
 use ver_core::spec_select::select_for_spec;
 use ver_core::{Ver, VerConfig};
 use ver_distill::{distill, DistillConfig, DistillOutput};
+use ver_engine::dag::materialize_batch;
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::rowhash::hash_table_row;
 use ver_engine::view::View;
-use ver_search::{materialize_batch, SearchContext};
+use ver_search::SearchContext;
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
 
