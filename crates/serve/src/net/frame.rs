@@ -50,8 +50,9 @@ pub fn frame_checksum(payload: &[u8]) -> u64 {
 /// Encode one frame around `payload`.
 ///
 /// Panics if `payload` exceeds [`MAX_FRAME_LEN`] — producing an
-/// un-decodable frame would be a programming error, not a runtime
-/// condition (the codec layer never builds payloads near the cap).
+/// un-decodable frame would be a programming error. A whole result can
+/// outgrow the cap, so the server checks every reply payload first and
+/// answers an over-cap one with a typed error instead.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     assert!(
         payload.len() <= MAX_FRAME_LEN as usize,

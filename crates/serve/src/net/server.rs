@@ -16,7 +16,7 @@
 //! socket-level chaos tests in `tests/chaos.rs` pin this through the
 //! `net.accept` / `net.read` / `net.write` fault points.
 
-use std::io::Write as _;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,10 +31,10 @@ use ver_common::sync::lock_unpoisoned;
 use ver_core::QueryResult;
 
 use super::config::NetConfig;
-use super::frame::{read_frame, write_frame, ReadOutcome};
+use super::frame::{read_frame, write_frame, ReadOutcome, MAX_FRAME_LEN};
 use super::wire::{
-    HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireView, PROTOCOL_VERSION,
+    encode_page, encode_query_head, HealthReply, NetStats, Request, Response, StatsReply,
+    WireRouterLeg, PROTOCOL_VERSION,
 };
 use crate::{Engine, MissBackend, RouterEngine, ServeEngine, ShardedEngine};
 
@@ -91,7 +91,7 @@ impl Counters {
 /// One paginated result held server-side between `FetchPage`s: a handle
 /// on the very `QueryResult` the engine returned (and its result LRU
 /// holds), not a wire copy of it. Opening a cursor is a refcount bump;
-/// each page converts — and gathers — only its own slice of views.
+/// each page writes — and gathers — only its own slice of views.
 struct CursorState {
     result: Arc<QueryResult>,
     page_size: u32,
@@ -317,7 +317,9 @@ fn serve_conn(stream: &TcpStream, shared: &Shared) {
                 return;
             }
         };
-        let response = match Request::decode(&payload) {
+        let request = Request::decode(&payload);
+        let shutdown_after = matches!(request, Ok(Request::Shutdown));
+        let reply = match request {
             Ok(req) => match &shared.backend {
                 Backend::Single(e) => handle_request(shared, e.as_ref(), req),
                 Backend::Sharded(e) => handle_request(shared, e.as_ref(), req),
@@ -327,15 +329,14 @@ fn serve_conn(stream: &TcpStream, shared: &Shared) {
                 // The frame checksum passed, so framing is still aligned
                 // — report the typed error and keep the connection.
                 c.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                error_response(&e)
+                error_reply(&e)
             }
         };
-        let shutdown_after = matches!(response, Response::ShutdownAck);
         if fault::hit(points::NET_WRITE).is_err() {
             c.dropped_conns.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        match write_frame(&mut &*stream, &response.encode()) {
+        match write_reply(&mut &*stream, c, reply) {
             Ok(()) => {
                 c.frames_out.fetch_add(1, Ordering::Relaxed);
             }
@@ -353,6 +354,27 @@ fn serve_conn(stream: &TcpStream, shared: &Shared) {
     }
 }
 
+/// Whether a reply payload fits in one frame.
+fn fits_frame(payload: &[u8]) -> bool {
+    payload.len() <= MAX_FRAME_LEN as usize
+}
+
+/// Frame and write one reply payload. A payload past [`MAX_FRAME_LEN`]
+/// cannot be framed (the peer could not read it), so the peer gets a typed
+/// `InvalidQuery` in its place, counted in `queries_err`, telling it to
+/// page; the connection stays frame-aligned and open.
+fn write_reply(w: &mut impl Write, c: &Counters, payload: Vec<u8>) -> Result<()> {
+    if fits_frame(&payload) {
+        return write_frame(w, &payload);
+    }
+    c.queries_err.fetch_add(1, Ordering::Relaxed);
+    let e = VerError::InvalidQuery(format!(
+        "reply of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap; request page_size > 0",
+        payload.len()
+    ));
+    write_frame(w, &error_reply(&e))
+}
+
 fn nonzero(d: Duration) -> Option<Duration> {
     if d.is_zero() {
         None
@@ -361,10 +383,10 @@ fn nonzero(d: Duration) -> Option<Duration> {
     }
 }
 
-/// Map a `VerError` onto a typed wire status frame. The message carries
-/// the error's rendered form minus the variant prefix the client will
-/// re-attach via `from_wire` → `Display`.
-fn error_response(e: &VerError) -> Response {
+/// Map a `VerError` onto the payload of a typed wire status frame. The
+/// message carries the error's rendered form minus the variant prefix the
+/// client will re-attach via `from_wire` → `Display`.
+fn error_reply(e: &VerError) -> Vec<u8> {
     let rendered = e.to_string();
     let message = match rendered.split_once(": ") {
         Some((_prefix, m)) => m.to_string(),
@@ -374,9 +396,11 @@ fn error_response(e: &VerError) -> Response {
         code: e.wire_code(),
         message,
     }
+    .encode()
 }
 
-fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Request) -> Response {
+/// Answer one request with the payload to frame.
+fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Request) -> Vec<u8> {
     let c = &shared.counters;
     match req {
         Request::Query {
@@ -391,12 +415,16 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
             };
             match engine.query_with_budget(&spec, &budget) {
                 Ok(result) => {
-                    c.queries_ok.fetch_add(1, Ordering::Relaxed);
-                    Response::Query(paginate(shared, &result, page_size))
+                    let reply = paginate(shared, &result, page_size);
+                    // An over-cap reply is refused, and counted, by `write_reply`.
+                    if fits_frame(&reply) {
+                        c.queries_ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                    reply
                 }
                 Err(e) => {
                     c.queries_err.fetch_add(1, Ordering::Relaxed);
-                    error_response(&e)
+                    error_reply(&e)
                 }
             }
         }
@@ -415,12 +443,15 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
             };
             match engine.shard_query(&spec, shard as usize, shard_count as usize, &budget) {
                 Ok(out) => {
-                    c.queries_ok.fetch_add(1, Ordering::Relaxed);
-                    Response::ShardOutput(out)
+                    let reply = Response::ShardOutput(out).encode();
+                    if fits_frame(&reply) {
+                        c.queries_ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                    reply
                 }
                 Err(e) => {
                     c.queries_err.fetch_add(1, Ordering::Relaxed);
-                    error_response(&e)
+                    error_reply(&e)
                 }
             }
         }
@@ -440,7 +471,8 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
                     breaker: l.breaker.wire_tag(),
                 })
                 .collect(),
-        }),
+        })
+        .encode(),
         Request::Health => {
             let catalog = engine.ver().catalog();
             Response::Health(HealthReply {
@@ -450,16 +482,16 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
                 shards: engine.shard_count() as u32,
                 uptime_ms: shared.started.elapsed().as_millis() as u64,
             })
+            .encode()
         }
-        Request::Shutdown => Response::ShutdownAck,
+        Request::Shutdown => Response::ShutdownAck.encode(),
     }
 }
 
 /// Split a result into a head (+ optional server-side cursor for the
-/// remaining pages). A paginated head converts only its first page; an
-/// inline one converts the whole result, exactly as
-/// [`WireResult::from_query_result`] does.
-fn paginate(shared: &Shared, result: &Arc<QueryResult>, requested_page_size: u32) -> QueryHead {
+/// remaining pages) and write the head's payload. A paginated head writes
+/// only its first page; an inline one the whole result.
+fn paginate(shared: &Shared, result: &Arc<QueryResult>, requested_page_size: u32) -> Vec<u8> {
     let page_size = if requested_page_size == 0 {
         shared.config.default_page_size
     } else {
@@ -471,24 +503,7 @@ fn paginate(shared: &Shared, result: &Arc<QueryResult>, requested_page_size: u32
     } else {
         (open_cursor(shared, result, page_size), page_size, page_size)
     };
-    let first = WireView::from_views(&result.views[..shipped as usize]);
-    let WireResult {
-        partial,
-        stats,
-        survivors_c2,
-        ranked,
-        views,
-    } = WireResult::with_views(result, first);
-    QueryHead {
-        partial,
-        stats,
-        survivors_c2,
-        ranked,
-        total_views: total,
-        page_size: effective,
-        cursor,
-        views,
-    }
+    encode_query_head(result, &result.views[..shipped as usize], effective, cursor)
 }
 
 /// Park a handle on `result` under a fresh cursor id, FIFO-evicting the
@@ -524,12 +539,12 @@ fn open_cursor(shared: &Shared, result: &Arc<QueryResult>, page_size: u32) -> u6
     id
 }
 
-fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
+fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Vec<u8> {
     // Under the lock: look up, bounds-check, take a handle, and retire the
-    // cursor on its last page. No view is gathered or converted here.
+    // cursor on its last page. No view is gathered or written here.
     let mut table = lock_unpoisoned(&shared.cursors);
     let Some(state) = table.map.get(&cursor) else {
-        return error_response(&VerError::NotFound(format!(
+        return error_reply(&VerError::NotFound(format!(
             "cursor {cursor} (expired, drained, or never issued)"
         )));
     };
@@ -537,7 +552,7 @@ fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
     let total = state.result.views.len();
     let start = (page as usize).saturating_mul(page_size);
     if start >= total {
-        return error_response(&VerError::InvalidQuery(format!(
+        return error_reply(&VerError::InvalidQuery(format!(
             "page {page} out of range for cursor {cursor} ({total} views, page size {page_size})"
         )));
     }
@@ -546,25 +561,21 @@ fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
     let last = end == total;
     if last {
         // Dropping the table's handle cannot free the result: `result`
-        // holds one until this page is converted, after the lock.
+        // holds one until this page is written, after the lock.
         table.map.remove(&cursor);
         table.order.retain(|c| *c != cursor);
     }
     drop(table);
-    let views = WireView::from_views(&result.views[start..end]);
+    let reply = encode_page(cursor, page, last, &result.views[start..end]);
     shared.counters.pages_served.fetch_add(1, Ordering::Relaxed);
-    Response::Page(Page {
-        cursor,
-        page,
-        last,
-        views,
-    })
+    reply
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixture::{catalog, config, spec};
+    use crate::net::wire::{QueryHead, WireResult, WireView};
     use crate::ServeConfig;
     use ver_qbe::{ExampleQuery, ViewSpec};
 
@@ -588,11 +599,11 @@ mod tests {
 
         // Later paginated queries still park cursors, pages still serve,
         // and the open-cursor gauge still reads the table.
-        let head = paginate(shared, &result, 1);
+        let head = decode_head(paginate(shared, &result, 1));
         assert_ne!(head.cursor, 0);
         assert_eq!(head.views.len(), 1);
         assert_eq!(shared.net_stats().cursors_open, 1);
-        let page = fetch_page(shared, head.cursor, 1);
+        let page = decode(fetch_page(shared, head.cursor, 1));
         assert!(matches!(page, Response::Page(ref p) if p.views.len() == 1));
     }
 
@@ -603,6 +614,18 @@ mod tests {
             ..NetConfig::default()
         };
         Server::bind(Backend::Single(engine), net).unwrap()
+    }
+
+    /// A reply as the client reads it: the payload the server would frame.
+    fn decode(payload: Vec<u8>) -> Response {
+        Response::decode(&payload).expect("the server writes decodable replies")
+    }
+
+    fn decode_head(payload: Vec<u8>) -> QueryHead {
+        match decode(payload) {
+            Response::Query(head) => head,
+            other => panic!("expected a head, got {other:?}"),
+        }
     }
 
     fn page_views(resp: Response) -> Vec<WireView> {
@@ -626,10 +649,10 @@ mod tests {
             "need ungathered views beyond the two pages served: {before:?}"
         );
         let server = server_on(Arc::clone(&engine), 64);
-        let head = paginate(&server.shared, &result, 1);
+        let head = decode_head(paginate(&server.shared, &result, 1));
         assert_eq!(head.views.len(), 1);
         assert_eq!(
-            page_views(fetch_page(&server.shared, head.cursor, 1)).len(),
+            page_views(decode(fetch_page(&server.shared, head.cursor, 1))).len(),
             1
         );
 
@@ -652,14 +675,15 @@ mod tests {
         let shared = &server.shared;
         let cursors: Vec<u64> = (1..=3)
             .map(|open| {
-                let head = paginate(shared, &result, 2);
+                let head = decode_head(paginate(shared, &result, 2));
                 assert_eq!(Arc::strong_count(&result), base + open);
                 head.cursor
             })
             .collect();
         for (drained, &cursor) in cursors.iter().enumerate() {
             let mut page = 1;
-            while matches!(fetch_page(shared, cursor, page), Response::Page(ref p) if !p.last) {
+            while matches!(decode(fetch_page(shared, cursor, page)), Response::Page(ref p) if !p.last)
+            {
                 page += 1;
             }
             assert_eq!(Arc::strong_count(&result), base + 2 - drained);
@@ -668,11 +692,11 @@ mod tests {
         // A FIFO eviction lets go of the handle too.
         let server = server_on(engine, 1);
         let shared = &server.shared;
-        let first = paginate(shared, &result, 2).cursor;
+        let first = decode_head(paginate(shared, &result, 2)).cursor;
         paginate(shared, &result, 2);
         assert_eq!(Arc::strong_count(&result), base + 1);
         assert!(matches!(
-            fetch_page(shared, first, 1),
+            decode(fetch_page(shared, first, 1)),
             Response::Error { .. }
         ));
         assert_eq!(shared.net_stats().cursors_evicted, 1);
@@ -688,7 +712,7 @@ mod tests {
         let server = server_on(Arc::clone(&engine), 64);
         let result = engine.query(&spec()).unwrap();
         let inline = WireResult::from_query_result(&result);
-        let head = paginate(&server.shared, &result, 2);
+        let head = decode_head(paginate(&server.shared, &result, 2));
         let weak = Arc::downgrade(&result);
         drop(result);
 
@@ -700,10 +724,27 @@ mod tests {
         engine.query(&other).unwrap();
         assert_eq!(weak.strong_count(), 1);
 
-        let views = page_views(fetch_page(&server.shared, head.cursor, 1));
+        let views = page_views(decode(fetch_page(&server.shared, head.cursor, 1)));
         assert_eq!(views, inline.views[2..4]);
-        let last = page_views(fetch_page(&server.shared, head.cursor, 2));
+        let last = page_views(decode(fetch_page(&server.shared, head.cursor, 2)));
         assert_eq!(last, inline.views[4..]);
         assert_eq!(weak.strong_count(), 0, "the drained cursor frees it");
+    }
+
+    #[test]
+    fn an_over_cap_reply_is_a_typed_error_and_the_connection_stays() {
+        let counters = Counters::default();
+        let mut out = Vec::new();
+        write_reply(&mut out, &counters, vec![0; MAX_FRAME_LEN as usize + 1]).unwrap();
+        let payload = crate::net::frame::decode_frame(&out).unwrap();
+        match decode(payload) {
+            Response::Error { code, message } => {
+                assert_eq!(code, VerError::InvalidQuery(String::new()).wire_code());
+                assert!(message.contains("page_size > 0"), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        assert_eq!(counters.queries_err.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.handler_panics.load(Ordering::Relaxed), 0);
     }
 }

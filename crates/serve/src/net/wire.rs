@@ -15,7 +15,21 @@
 //! (invariant 12: over-the-wire result ≡ in-process result).
 //! `f64` scores travel as raw IEEE-754 bits to keep that equivalence
 //! bit-exact.
+//!
+//! Two writers, one layout. [`Response::encode`] writes the public types
+//! ([`QueryHead`], [`Page`], [`WireView`]); the server writes the same
+//! messages straight from a cached result's `&[View]` slice
+//! ([`encode_query_head`], `encode_page`), with no `WireView`, row `Vec`
+//! or text-cell clone in between. Both go through one writer of a head's
+//! fixed fields and one of a view header; only the cell loop differs.
+//!
+//! On the read side, every text cell of one decoded reply goes through a
+//! per-reply intern table keyed by the payload bytes: a repeated string is
+//! a refcount bump on the `Arc<str>` its first occurrence allocated. An
+//! entry is added only after its bytes were read, so the table holds at
+//! most one entry per distinct text cell the payload really carries.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -66,13 +80,49 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn read_value(r: &mut Reader<'_>, what: &str) -> Result<Value> {
+/// The text cells of one decoded message, interned by their payload
+/// bytes: the first occurrence of a byte string is UTF-8-checked and
+/// allocated once, every repeat is a refcount bump on that `Arc<str>`. An
+/// entry is added only after its bytes were read, so the table holds at
+/// most one entry per distinct text cell of the payload. The keys come
+/// from a peer, so the map keeps std's randomly seeded hasher.
+#[derive(Default)]
+struct TextCells<'a>(HashMap<&'a [u8], Arc<str>>);
+
+impl<'a> TextCells<'a> {
+    fn read(&mut self, r: &mut Reader<'a>, what: &str) -> Result<Arc<str>> {
+        let len = r.count(1, what)?;
+        let bytes = r.bytes(len, what)?;
+        if let Some(text) = self.0.get(bytes) {
+            return Ok(Arc::clone(text));
+        }
+        let text: Arc<str> = std::str::from_utf8(bytes)
+            .map_err(|_| VerError::Protocol(format!("invalid utf-8 in {what}")))?
+            .into();
+        self.0.insert(bytes, Arc::clone(&text));
+        Ok(text)
+    }
+}
+
+fn read_value<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>, what: &str) -> Result<Value> {
     match r.u8(what)? {
         0 => Ok(Value::Null),
         1 => Ok(Value::Int(r.u64(what)? as i64)),
         2 => Ok(Value::Float(f64::from_bits(r.u64(what)?))),
-        3 => Ok(Value::Text(Arc::from(r.string(what)?.as_str()))),
+        3 => Ok(Value::Text(text.read(r, what)?)),
         t => Err(VerError::Protocol(format!("bad value tag {t} for {what}"))),
+    }
+}
+
+/// A table's row block straight from its columns: `nrows u32`, then the
+/// `nrows × ncols` cells row-major.
+fn put_rows(out: &mut Vec<u8>, table: &Table) {
+    put_u32(out, table.row_count() as u32);
+    let columns = table.columns();
+    for row in 0..table.row_count() {
+        for col in columns {
+            put_value(out, &col.values()[row]);
+        }
     }
 }
 
@@ -134,9 +184,12 @@ fn read_terms(r: &mut Reader<'_>, what: &str) -> Result<Vec<String>> {
 fn read_spec(r: &mut Reader<'_>) -> Result<ViewSpec> {
     match r.u8("spec tag")? {
         0 => {
+            let mut text = TextCells::default();
             let columns = r.seq(1, "qbe columns", |r| {
                 let name_hint = r.opt_string("qbe name hint")?;
-                let examples = r.seq(1, "qbe examples", |r| read_value(r, "qbe example"))?;
+                let examples = r.seq(1, "qbe examples", |r| {
+                    read_value(r, &mut text, "qbe example")
+                })?;
                 let col = QueryColumn::of_values(examples);
                 Ok(match name_hint {
                     Some(h) => col.named(h),
@@ -330,33 +383,15 @@ impl WireView {
         }
     }
 
-    /// Convert a slice of views — a whole result, a head's first page, or
-    /// one `FetchPage` — gathering every view of the slice before the
-    /// first wire row is built. The gathered tables outlive this call —
-    /// the result LRU and the view LRU share them — while the wire rows
-    /// die with the reply. Built interleaved, the tables end up threaded
-    /// through the holes the rows leave behind, and every later read of
-    /// the result pays for that (a whole-result hit over the wire: +2 ms
-    /// of 16). Views outside the slice are not touched.
-    pub(crate) fn from_views(views: &[View]) -> Vec<WireView> {
-        for v in views {
-            v.table.gather();
-        }
-        views.iter().map(WireView::from_view).collect()
-    }
-
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.id);
-        put_u64(out, self.score_bits);
-        put_u32(out, self.hops);
-        put_u32(out, self.source_tables.len() as u32);
-        for t in &self.source_tables {
-            put_u32(out, *t);
-        }
-        put_u32(out, self.columns.len() as u32);
-        for c in &self.columns {
-            put_opt_string(out, c.as_deref());
-        }
+        put_view_header(
+            out,
+            self.id,
+            self.score_bits,
+            self.hops,
+            self.source_tables.iter().copied(),
+            self.columns.iter().map(Option::as_deref),
+        );
         put_u32(out, self.rows.len() as u32);
         for row in &self.rows {
             for v in row {
@@ -365,7 +400,7 @@ impl WireView {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<WireView> {
+    fn decode<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>) -> Result<WireView> {
         let id = r.u32("view id")?;
         let score_bits = r.u64("view score")?;
         let hops = r.u32("view hops")?;
@@ -375,9 +410,9 @@ impl WireView {
         let nrows = read_row_count(r, ncols, "view rows")?;
         let mut rows = Vec::new();
         for _ in 0..nrows {
-            let mut row = Vec::new();
+            let mut row = Vec::with_capacity(ncols);
             for _ in 0..ncols {
-                row.push(read_value(r, "view cell")?);
+                row.push(read_value(r, text, "view cell")?);
             }
             rows.push(row);
         }
@@ -390,6 +425,57 @@ impl WireView {
             rows,
         })
     }
+}
+
+/// A view's fields before its row block, in wire order — shared by
+/// [`WireView`]'s codec and [`put_cached_view`].
+fn put_view_header<'s>(
+    out: &mut Vec<u8>,
+    id: u32,
+    score_bits: u64,
+    hops: u32,
+    source_tables: impl ExactSizeIterator<Item = u32>,
+    columns: impl ExactSizeIterator<Item = Option<&'s str>>,
+) {
+    put_u32(out, id);
+    put_u64(out, score_bits);
+    put_u32(out, hops);
+    put_u32(out, source_tables.len() as u32);
+    for t in source_tables {
+        put_u32(out, t);
+    }
+    put_u32(out, columns.len() as u32);
+    for c in columns {
+        put_opt_string(out, c);
+    }
+}
+
+/// One cached view in [`WireView`] layout, written from its gathered table:
+/// the bytes [`WireView::from_view`] would encode to.
+fn put_cached_view(out: &mut Vec<u8>, v: &View) {
+    put_view_header(
+        out,
+        v.id.0,
+        v.provenance.join_score.to_bits(),
+        v.provenance.hops() as u32,
+        v.provenance.source_tables.iter().map(|t| t.0),
+        v.schema().columns.iter().map(|c| c.name.as_deref()),
+    );
+    put_rows(out, &v.table);
+}
+
+/// `views`, every one gathered before the caller builds a byte or a row
+/// from the first. The gathered tables outlive the reply — the result LRU
+/// and the view LRU share them — while what is built from them dies with
+/// it. Built interleaved, the tables end up threaded through the holes the
+/// reply leaves behind, and every later read of the result pays for that
+/// (a whole-result hit over the wire: +2 ms of 16). Views outside the
+/// slice are not touched.
+fn gathered(views: &[View]) -> &[View] {
+    for v in views {
+        v.table.gather();
+    }
+    views
 }
 
 fn put_search_stats(out: &mut Vec<u8>, s: &SearchStats) {
@@ -461,12 +547,7 @@ fn put_shard_view(out: &mut Vec<u8>, v: &ShardView) {
         put_opt_string(out, c.name.as_deref());
         out.push(c.dtype.code());
     }
-    put_u32(out, table.row_count() as u32);
-    for row in 0..table.row_count() {
-        for col in table.columns() {
-            put_value(out, &col.values()[row]);
-        }
-    }
+    put_rows(out, table);
     let prov = &v.view.provenance;
     put_u32(out, prov.join_edges.len() as u32);
     for (a, b) in &prov.join_edges {
@@ -484,7 +565,7 @@ fn put_shard_view(out: &mut Vec<u8>, v: &ShardView) {
 /// Decode one shard view straight into columns → [`Table::new`] →
 /// [`View::new`]. A payload that parses cleanly can still describe an
 /// impossible table (hostile peer); that too is [`VerError::Protocol`].
-fn read_shard_view(r: &mut Reader<'_>) -> Result<ShardView> {
+fn read_shard_view<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>) -> Result<ShardView> {
     let score = f64::from_bits(r.u64("shard view score")?);
     let canon = r.seq(8, "shard view canon", |r| {
         Ok((r.u32("canon edge")?, r.u32("canon edge")?))
@@ -508,7 +589,7 @@ fn read_shard_view(r: &mut Reader<'_>) -> Result<ShardView> {
     let mut cols: Vec<Vec<Value>> = metas.iter().map(|_| Vec::new()).collect();
     for _ in 0..nrows {
         for col in &mut cols {
-            col.push(read_value(r, "shard view cell")?);
+            col.push(read_value(r, text, "shard view cell")?);
         }
     }
     let provenance = Provenance {
@@ -553,7 +634,8 @@ fn read_shard_output(r: &mut Reader<'_>) -> Result<ShardSearchOutput> {
     let shard_count = r.u32("shard count")? as usize;
     let partial = r.bool("shard partial")?;
     let stats = read_search_stats(r)?;
-    let views = r.seq(40, "shard views", read_shard_view)?;
+    let mut text = TextCells::default();
+    let views = r.seq(40, "shard views", |r| read_shard_view(r, &mut text))?;
     Ok(ShardSearchOutput {
         shard,
         shard_count,
@@ -843,6 +925,44 @@ const RESP_SHUTDOWN_ACK: u8 = 5;
 const RESP_ERROR: u8 = 6;
 const RESP_SHARD_OUTPUT: u8 = 7;
 
+/// A `Query` head's fields before its views, in wire order — shared by
+/// [`Response::encode`] and [`encode_query_head`].
+#[allow(clippy::too_many_arguments)]
+fn put_head_fields(
+    out: &mut Vec<u8>,
+    partial: bool,
+    stats: &SearchStats,
+    survivors_c2: impl ExactSizeIterator<Item = u32>,
+    ranked: impl ExactSizeIterator<Item = (u32, u64)>,
+    total_views: u32,
+    page_size: u32,
+    cursor: u64,
+) {
+    out.push(RESP_QUERY);
+    out.push(partial as u8);
+    put_search_stats(out, stats);
+    put_u32(out, survivors_c2.len() as u32);
+    for v in survivors_c2 {
+        put_u32(out, v);
+    }
+    put_u32(out, ranked.len() as u32);
+    for (v, s) in ranked {
+        put_u32(out, v);
+        put_u64(out, s);
+    }
+    put_u32(out, total_views);
+    put_u32(out, page_size);
+    put_u64(out, cursor);
+}
+
+/// A `Page`'s fields before its views, in wire order.
+fn put_page_fields(out: &mut Vec<u8>, cursor: u64, page: u32, last: bool) {
+    out.push(RESP_PAGE);
+    put_u64(out, cursor);
+    put_u32(out, page);
+    out.push(last as u8);
+}
+
 fn put_views(out: &mut Vec<u8>, views: &[WireView]) {
     put_u32(out, views.len() as u32);
     for v in views {
@@ -850,8 +970,54 @@ fn put_views(out: &mut Vec<u8>, views: &[WireView]) {
     }
 }
 
+fn put_cached_views(out: &mut Vec<u8>, views: &[View]) {
+    put_u32(out, views.len() as u32);
+    for v in gathered(views) {
+        put_cached_view(out, v);
+    }
+}
+
+/// One reply's views, their text cells interned across the whole reply.
 fn read_views(r: &mut Reader<'_>) -> Result<Vec<WireView>> {
-    r.seq(20, "views", WireView::decode)
+    let mut text = TextCells::default();
+    r.seq(20, "views", |r| WireView::decode(r, &mut text))
+}
+
+/// The `Response::Query` payload of a head over `result` that ships
+/// `views` — the whole result inline (`page_size` 0, `cursor` 0), or its
+/// first page under a cursor — written straight from the cached views.
+/// Byte-for-byte what [`Response::encode`] makes of the same head built
+/// from [`WireResult::from_query_result`], with no [`WireView`] in between.
+/// The shipped views are gathered first; the rest of `result` is not
+/// touched.
+pub fn encode_query_head(
+    result: &QueryResult,
+    views: &[View],
+    page_size: u32,
+    cursor: u64,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_head_fields(
+        &mut out,
+        result.partial,
+        &result.search_stats,
+        result.distill.survivors_c2.iter().map(|v| v.0),
+        result.ranked.iter().map(|(v, s)| (v.0, *s as u64)),
+        result.views.len() as u32,
+        page_size,
+        cursor,
+    );
+    put_cached_views(&mut out, views);
+    out
+}
+
+/// The `Response::Page` payload of page `page` of `cursor`, written straight
+/// from the cached `views` it ships, as [`encode_query_head`] writes a head.
+pub(crate) fn encode_page(cursor: u64, page: u32, last: bool, views: &[View]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_page_fields(&mut out, cursor, page, last);
+    put_cached_views(&mut out, views);
+    out
 }
 
 impl Response {
@@ -859,28 +1025,20 @@ impl Response {
         let mut out = Vec::new();
         match self {
             Response::Query(head) => {
-                out.push(RESP_QUERY);
-                out.push(head.partial as u8);
-                put_search_stats(&mut out, &head.stats);
-                put_u32(&mut out, head.survivors_c2.len() as u32);
-                for v in &head.survivors_c2 {
-                    put_u32(&mut out, *v);
-                }
-                put_u32(&mut out, head.ranked.len() as u32);
-                for (v, s) in &head.ranked {
-                    put_u32(&mut out, *v);
-                    put_u64(&mut out, *s);
-                }
-                put_u32(&mut out, head.total_views);
-                put_u32(&mut out, head.page_size);
-                put_u64(&mut out, head.cursor);
+                put_head_fields(
+                    &mut out,
+                    head.partial,
+                    &head.stats,
+                    head.survivors_c2.iter().copied(),
+                    head.ranked.iter().copied(),
+                    head.total_views,
+                    head.page_size,
+                    head.cursor,
+                );
                 put_views(&mut out, &head.views);
             }
             Response::Page(p) => {
-                out.push(RESP_PAGE);
-                put_u64(&mut out, p.cursor);
-                put_u32(&mut out, p.page);
-                out.push(p.last as u8);
+                put_page_fields(&mut out, p.cursor, p.page, p.last);
                 put_views(&mut out, &p.views);
             }
             Response::Stats(s) => {
@@ -978,14 +1136,9 @@ impl WireResult {
     /// Server-side conversion from the in-process result. The golden
     /// test pins `render` of this against `render` of a client-fetched
     /// copy *and* against the in-process snapshot file.
+    /// It is also the reference the server's direct writers
+    /// ([`encode_query_head`] and its page twin) are tested against.
     pub fn from_query_result(result: &QueryResult) -> WireResult {
-        WireResult::with_views(result, WireView::from_views(&result.views))
-    }
-
-    /// `result`'s result-level facts — partial flag, search stats, C2
-    /// survivor ids, ranked pairs — around already-converted `views`. A
-    /// paginated head passes only its first page.
-    pub(crate) fn with_views(result: &QueryResult, views: Vec<WireView>) -> WireResult {
         WireResult {
             partial: result.partial,
             stats: result.search_stats,
@@ -995,7 +1148,10 @@ impl WireResult {
                 .iter()
                 .map(|(v, s)| (v.0, *s as u64))
                 .collect(),
-            views,
+            views: gathered(&result.views)
+                .iter()
+                .map(WireView::from_view)
+                .collect(),
         }
     }
 
@@ -1246,6 +1402,60 @@ mod tests {
         match Response::decode(&resp.encode()).unwrap() {
             Response::Page(p) => assert_eq!(p.views[0].score_bits, v.score_bits),
             other => panic!("expected Page, got {other:?}"),
+        }
+    }
+
+    fn text_cell(v: &Value) -> &Arc<str> {
+        match v {
+            Value::Text(t) => t,
+            other => panic!("expected a text cell, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn equal_strings_in_one_reply_share_one_allocation() {
+        let other = WireView {
+            id: 8,
+            rows: vec![vec![Value::text("x"), Value::text("y")]],
+            ..sample_view()
+        };
+        let resp = Response::Page(Page {
+            cursor: 1,
+            page: 1,
+            last: true,
+            views: vec![sample_view(), other],
+        });
+        let Response::Page(p) = Response::decode(&resp.encode()).unwrap() else {
+            panic!("expected a page");
+        };
+        let first = text_cell(&p.views[0].rows[0][0]);
+        let again = text_cell(&p.views[1].rows[0][0]);
+        assert_eq!(&**first, "x");
+        assert!(Arc::ptr_eq(first, again));
+        assert!(!Arc::ptr_eq(first, text_cell(&p.views[1].rows[0][1])));
+    }
+
+    #[test]
+    fn a_repeat_with_invalid_utf8_is_still_a_protocol_error() {
+        let view = WireView {
+            columns: vec![None],
+            rows: vec![vec![Value::text("ab")], vec![Value::text("ab")]],
+            ..sample_view()
+        };
+        let mut bytes = Response::Page(Page {
+            cursor: 1,
+            page: 1,
+            last: true,
+            views: vec![view],
+        })
+        .encode();
+        // The second `ab` cell ends the payload; its bytes become 0xff 0xfe.
+        let n = bytes.len();
+        assert_eq!(&bytes[n - 2..], b"ab");
+        bytes[n - 2..].copy_from_slice(&[0xff, 0xfe]);
+        match Response::decode(&bytes) {
+            Err(VerError::Protocol(m)) => assert!(m.contains("utf-8"), "{m}"),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
     }
 }
