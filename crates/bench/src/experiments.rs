@@ -620,19 +620,30 @@ pub fn fig3() -> Report {
 }
 
 /// Fig. 4 — runtime breakdowns on the whole open-data corpus: (a) 4C's
-/// phases, (b) the end-to-end stages.
+/// phases, (b) the end-to-end stages, and (c) JGS split by the search
+/// space's two modes: a query whose second attribute has one column
+/// candidate, or one whose second attribute has many.
 pub fn fig4() -> Report {
     // Timer phase names, and the labels the paper gives them.
     let fourc = ["schema_partition", "hash_c1", "c2", "c3_c4"];
     let stages = ["cs", "jgs", "materialize", "vd_io", "4c"];
     let mut fourc_ms = vec![Vec::new(); fourc.len()];
     let mut stage_ms = vec![Vec::new(); stages.len()];
+    // Per mode (one candidate, many): column candidates, join graphs and
+    // JGS ms per query.
+    let mut modes = [[vec![], vec![], vec![]], [vec![], vec![], vec![]]];
     view_io_runs(1.0, 0xF164, |r| {
         for (phase, samples) in fourc.iter().zip(&mut fourc_ms) {
             samples.push(r.distill.timer.get(phase).as_secs_f64() * 1e3);
         }
         for (phase, samples) in stages.iter().zip(&mut stage_ms) {
             samples.push(r.timer.get(phase).as_secs_f64() * 1e3);
+        }
+        let candidates = (r.selection.per_attribute.get(1)).map_or(0, |a| a.candidates.len());
+        let jgs = r.timer.get("jgs").as_secs_f64() * 1e3;
+        let samples = [candidates as f64, r.search_stats.join_graphs as f64, jgs];
+        for (mode, x) in modes[usize::from(candidates > 1)].iter_mut().zip(samples) {
+            mode.push(x);
         }
     });
     let rows = |labels: &[&str], samples: &[Vec<f64>]| {
@@ -641,6 +652,15 @@ pub fn fig4() -> Report {
             .map(|(label, v)| vec![label.to_string(), spread(v, 3)])
             .collect()
     };
+    let med = |v: &[f64], d: usize| median(v).map_or_else(|| "-".into(), |m| format!("{m:.d$}"));
+    let mode_rows = (["one", "many"].iter().zip(&modes))
+        .map(|(label, [cands, graphs, jgs])| {
+            let mut cells = row(&[label], [cands.len()]);
+            cells.extend([med(cands, 0), med(graphs, 0), med(jgs, 2)]);
+            cells
+        })
+        .collect();
+    let wide = &modes[1][0];
     Report {
         tables: vec![
             table(
@@ -656,8 +676,19 @@ pub fn fig4() -> Report {
                 "Stage|Runtime",
                 rows(&["CS", "JGS", "M", "VD-IO", "4C"], &stage_ms),
             ),
+            table(
+                format!(
+                    "Fig. 4(c): JGS by the second attribute's column candidates over \
+                     {VIEW_IO_QUERIES} queries (medians; JGS in ms)"
+                ),
+                "Mode|Queries|Column candidates|Join graphs|JGS",
+                mode_rows,
+            ),
         ],
-        checks: vec![],
+        checks: vec![Check::agrees(
+            "(c) 9 of the 20 queries have 120 column candidates for their second attribute",
+            wide.len() == 9 && wide.iter().all(|&c| c == 120.0),
+        )],
         timing: &[
             "(a) hashing (Hash+C1) dominates 4C, SP ≈ 0",
             "(b) M and VD-IO dominate, CS and JGS are small",

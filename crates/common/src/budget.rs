@@ -3,17 +3,16 @@
 //! "In the wild" a discovery query can fan out to thousands of candidate
 //! join graphs; a production front end cannot let one pathological query
 //! hold a connection for minutes. A [`QueryBudget`] bounds a single query
-//! three ways:
+//! two ways:
 //!
 //! * a **wall-clock deadline** — checked *cooperatively* at stage
-//!   boundaries (per candidate scored, per DAG materialization level, per
+//!   boundaries (per join graph scored, per DAG materialization level, per
 //!   view distilled). There is no preemption: a check is one monotonic
 //!   clock read, and the stages between checks are short, so overshoot is
 //!   bounded by the largest single stage step;
-//! * a **candidate cap** — the search path truncates the generated
-//!   candidate list before scoring;
 //! * a **view cap** — an upper bound on how many ranked candidates are
-//!   materialized.
+//!   materialized: it tightens the search's top-k cut, so the views kept
+//!   are always the best-ranked ones.
 //!
 //! Budget exhaustion is reported as [`VerError::DeadlineExceeded`] naming
 //! the stage that tripped. The serving layer converts that into a
@@ -23,20 +22,19 @@
 //!
 //! Determinism note: a query with **no deadline** never consults the
 //! clock, so budget-free runs are bit-identical to pre-budget builds. The
-//! caps are deterministic (they truncate content-ranked lists), so two
-//! runs with the same caps also produce identical output.
+//! view cap is deterministic (it truncates a content-ranked list), so two
+//! runs with the same cap also produce identical output.
 
 use crate::error::{Result, VerError};
 use std::time::{Duration, Instant};
 
-/// Budget for one query: optional deadline plus optional work caps.
+/// Budget for one query: optional deadline plus optional view cap.
 ///
 /// `Copy` by design — it is threaded by value through the search stages as
 /// a cheap cooperative cancellation token.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryBudget {
     deadline: Option<Instant>,
-    max_candidates: Option<usize>,
     max_views: Option<usize>,
 }
 
@@ -57,12 +55,6 @@ impl QueryBudget {
         self
     }
 
-    /// Cap the number of candidate join graphs scored (`0` = reject all).
-    pub fn with_max_candidates(mut self, cap: usize) -> Self {
-        self.max_candidates = Some(cap);
-        self
-    }
-
     /// Cap the number of ranked candidates materialized into views.
     pub fn with_max_views(mut self, cap: usize) -> Self {
         self.max_views = Some(cap);
@@ -72,11 +64,6 @@ impl QueryBudget {
     /// The absolute deadline, if one is set.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// Candidate cap, if set.
-    pub fn max_candidates(&self) -> Option<usize> {
-        self.max_candidates
     }
 
     /// View (materialization) cap, if set.
@@ -107,12 +94,6 @@ impl QueryBudget {
         }
     }
 
-    /// Apply the candidate cap to a count: how many of `n` candidates the
-    /// search stage should keep.
-    pub fn cap_candidates(&self, n: usize) -> usize {
-        self.max_candidates.map_or(n, |cap| cap.min(n))
-    }
-
     /// Apply the view cap to a count: how many ranked candidates the
     /// materialization stage should execute.
     pub fn cap_views(&self, n: usize) -> usize {
@@ -127,13 +108,9 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = QueryBudget::none();
-        assert_eq!(
-            (b.deadline(), b.max_candidates(), b.max_views()),
-            (None, None, None)
-        );
+        assert_eq!((b.deadline(), b.max_views()), (None, None));
         assert!(!b.expired());
         assert!(b.check("any").is_ok());
-        assert_eq!(b.cap_candidates(17), 17);
         assert_eq!(b.cap_views(17), 17);
     }
 
@@ -171,11 +148,9 @@ mod tests {
 
     #[test]
     fn caps_are_minima() {
-        let b = QueryBudget::none().with_max_candidates(5).with_max_views(2);
-        assert_eq!(b.cap_candidates(100), 5);
-        assert_eq!(b.cap_candidates(3), 3);
+        let b = QueryBudget::none().with_max_views(2);
         assert_eq!(b.cap_views(100), 2);
         assert_eq!(b.cap_views(1), 1);
-        assert_eq!((b.max_candidates(), b.max_views()), (Some(5), Some(2)));
+        assert_eq!(b.max_views(), Some(2));
     }
 }

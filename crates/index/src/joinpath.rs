@@ -79,11 +79,19 @@ impl JoinGraph {
             .map(|e| Ok((catalog.column_ref(e.left)?, catalog.column_ref(e.right)?)))
             .collect()
     }
+
+    /// Canonical form of the edge set: endpoint-sorted column-id pairs,
+    /// ascending — equal for any edge order or orientation. The dedup key
+    /// of [`generate_join_graphs`] and the tie-break of join-graph ranking.
+    pub fn canon(&self) -> Vec<(u32, u32)> {
+        let mut out = Vec::with_capacity(self.edges.len());
+        canon_into(&self.edges, &mut out);
+        out
+    }
 }
 
-/// Canonical form for deduplication — sorted (min, max) column-id pairs —
-/// written into `out` (cleared first) so the enumeration loop reuses one
-/// buffer.
+/// [`JoinGraph::canon`] of `edges`, written into `out` (cleared first) so
+/// the enumeration loop reuses one buffer.
 fn canon_into(edges: &[JoinGraphEdge], out: &mut Vec<(u32, u32)>) {
     out.clear();
     out.extend(edges.iter().map(|e| {
@@ -487,14 +495,7 @@ mod tests {
     fn graphs_are_deduplicated() {
         let g = graph();
         let jgs = generate_join_graphs(&g, &[TableId(0), TableId(1), TableId(2)], opts());
-        let mut canons: Vec<Vec<(u32, u32)>> = jgs
-            .iter()
-            .map(|j| {
-                let mut c = Vec::new();
-                canon_into(&j.edges, &mut c);
-                c
-            })
-            .collect();
+        let mut canons: Vec<Vec<(u32, u32)>> = jgs.iter().map(JoinGraph::canon).collect();
         canons.sort();
         canons.dedup();
         assert_eq!(canons.len(), jgs.len());
@@ -663,14 +664,10 @@ mod tests {
                     }
                     reached.len() == tables.len()
                 };
-                if is_tree {
-                    let mut canon = Vec::new();
-                    canon_into(&candidate.edges, &mut canon);
-                    if seen.insert(canon) {
-                        out.push(candidate);
-                        if out.len() >= opts.max_graphs {
-                            return out;
-                        }
+                if is_tree && seen.insert(candidate.canon()) {
+                    out.push(candidate);
+                    if out.len() >= opts.max_graphs {
+                        return out;
                     }
                 }
                 for e in 0..tree.len() {

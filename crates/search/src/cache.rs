@@ -16,7 +16,7 @@
 //! * **join-graph containment scores** — [`join_score`] folds the
 //!   hypergraph's signature-estimated containments with profile key-ness;
 //!   it is fully determined by the graph's canonical edge form
-//!   ([`graph_canon`]), so a memo keyed by that form skips re-scoring.
+//!   ([`JoinGraph::canon`]), so a memo keyed by that form skips re-scoring.
 //!
 //! Correctness contract: a cache **hit must be bit-identical to the value a
 //! miss would compute**. The score memo keys on the canonical edge form
@@ -33,7 +33,7 @@
 //! golden snapshot.
 //!
 //! [`join_score`]: crate::rank::join_score
-//! [`graph_canon`]: crate::rank::graph_canon
+//! [`JoinGraph::canon`]: ver_index::JoinGraph::canon
 //! [`SearchOutput`]: crate::search::SearchOutput
 //! [`PjPlan`]: ver_engine::plan::PjPlan
 

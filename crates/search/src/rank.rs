@@ -7,12 +7,15 @@
 //! averages its edges and discounts by size.
 //!
 //! Ranking is a **total order on graph content**: score descending, ties
-//! broken by the graph's canonical edge form ([`graph_canon`]) ascending.
-//! That makes the ranked order independent of candidate *input* order —
-//! the property the parallel online path relies on for bit-identical
-//! results across thread counts, and the one
+//! broken by the graph's canonical edge form ([`JoinGraph::canon`])
+//! ascending ([`rank_order`]); the search adds the projection as the last
+//! tie-break, which makes every candidate's key unique. [`top_k_by`] is the
+//! one cut. That makes the ranked order independent of candidate *input*
+//! order — the property the parallel online path relies on for
+//! bit-identical results across thread counts, and the one
 //! `crates/search/tests/rank_properties.rs` pins down.
 
+use std::cmp::Ordering;
 use ver_index::{DiscoveryIndex, JoinGraph};
 
 /// Join score of a graph in `[0, 1]`; empty (single-table) graphs score 1.
@@ -36,21 +39,6 @@ pub fn join_score(index: &DiscoveryIndex, graph: &JoinGraph) -> f64 {
     mean_edge / (1.0 + 0.25 * graph.edges.len() as f64)
 }
 
-/// Canonical form of a graph's edge set: endpoint-sorted column-id pairs in
-/// ascending order. Two graphs over the same columns canonicalise equally
-/// regardless of edge order or edge orientation, so this doubles as the
-/// dedup key during candidate generation and the deterministic tie-breaker
-/// during ranking.
-pub fn graph_canon(graph: &JoinGraph) -> Vec<(u32, u32)> {
-    let mut canon: Vec<(u32, u32)> = graph
-        .edges
-        .iter()
-        .map(|e| (e.left.0.min(e.right.0), e.left.0.max(e.right.0)))
-        .collect();
-    canon.sort_unstable();
-    canon
-}
-
 /// Total-order comparator for ranked candidates: score descending, then
 /// canonical edge form ascending. Scores must be finite (`join_score`
 /// guarantees it); `total_cmp` keeps the comparator total regardless.
@@ -59,37 +47,23 @@ pub fn rank_order(
     a_canon: &[(u32, u32)],
     b_score: f64,
     b_canon: &[(u32, u32)],
-) -> std::cmp::Ordering {
+) -> Ordering {
     b_score
         .total_cmp(&a_score)
         .then_with(|| a_canon.cmp(b_canon))
 }
 
-/// Sort `(graph, payload)` pairs by score descending, ties broken by the
-/// graphs' canonical edge form — a permutation-invariant total order on
-/// graph content (shuffling the input never changes the ranked order of
-/// distinct graphs; identical graphs keep their relative input order, the
-/// sort being stable).
-pub fn rank_join_graphs<T>(index: &DiscoveryIndex, graphs: &mut [(JoinGraph, T)]) {
-    // f64 is not Ord, so decorate with a bit-ordered key for
-    // sort_by_cached_key (one score/canon computation per graph). The
-    // sign-flip trick makes u64 order agree with `f64::total_cmp` for
-    // every value (negatives and -0.0 included), so this sorts exactly as
-    // [`rank_order`] compares.
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    struct DescScore(std::cmp::Reverse<u64>);
-    impl DescScore {
-        fn of(score: f64) -> Self {
-            let bits = score.to_bits();
-            let total = if bits >> 63 == 1 {
-                !bits
-            } else {
-                bits | (1 << 63)
-            };
-            DescScore(std::cmp::Reverse(total))
-        }
+/// Keep the `k` least of `items` under `cmp`, sorted ascending: the top-k
+/// cut, in O(n + k log k) comparisons (select, then sort the survivors).
+/// Under a total order with unique keys — [`rank_order`] plus the
+/// projection tie-break over search candidates — it equals "sort all, then
+/// truncate to `k`".
+pub fn top_k_by<T>(items: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> Ordering) {
+    if k < items.len() {
+        items.select_nth_unstable_by(k, &cmp);
+        items.truncate(k);
     }
-    graphs.sort_by_cached_key(|(g, _)| (DescScore::of(join_score(index, g)), graph_canon(g)));
+    items.sort_unstable_by(cmp);
 }
 
 #[cfg(test)]
@@ -169,25 +143,33 @@ mod tests {
         assert!(join_score(&idx, &one) > join_score(&idx, &two));
     }
 
+    /// Graph indices in the order the search ranks them: one
+    /// `(score, canon)` key per graph, cut by [`top_k_by`] under
+    /// [`rank_order`].
+    fn ranked(idx: &DiscoveryIndex, graphs: &[JoinGraph]) -> Vec<usize> {
+        let keys: Vec<(f64, Vec<(u32, u32)>)> = graphs
+            .iter()
+            .map(|g| (join_score(idx, g), g.canon()))
+            .collect();
+        let mut order: Vec<usize> = (0..graphs.len()).collect();
+        top_k_by(&mut order, usize::MAX, |&a, &b| {
+            rank_order(keys[a].0, &keys[a].1, keys[b].0, &keys[b].1)
+        });
+        order
+    }
+
     #[test]
     fn ranking_orders_by_score_desc() {
         let idx = setup();
-        let mut graphs = vec![
-            (
-                JoinGraph {
-                    edges: vec![edge(2, 3, 1.0)],
-                },
-                "cat",
-            ),
-            (
-                JoinGraph {
-                    edges: vec![edge(0, 1, 1.0)],
-                },
-                "key",
-            ),
+        let graphs = [
+            JoinGraph {
+                edges: vec![edge(2, 3, 1.0)],
+            },
+            JoinGraph {
+                edges: vec![edge(0, 1, 1.0)],
+            },
         ];
-        rank_join_graphs(&idx, &mut graphs);
-        assert_eq!(graphs[0].1, "key");
+        assert_eq!(ranked(&idx, &graphs), vec![1, 0], "the key join first");
     }
 
     #[test]
@@ -198,9 +180,9 @@ mod tests {
         let rev = JoinGraph {
             edges: vec![edge(3, 2, 0.5), edge(1, 0, 0.5)],
         };
-        assert_eq!(graph_canon(&fwd), graph_canon(&rev));
-        assert_eq!(graph_canon(&fwd), vec![(0, 1), (2, 3)]);
-        assert!(graph_canon(&JoinGraph::default()).is_empty());
+        assert_eq!(fwd.canon(), rev.canon());
+        assert_eq!(fwd.canon(), vec![(0, 1), (2, 3)]);
+        assert!(JoinGraph::default().canon().is_empty());
     }
 
     #[test]
@@ -216,50 +198,41 @@ mod tests {
         let sa = join_score(&idx, &a);
         let sb = join_score(&idx, &b);
         // Comparator is total and antisymmetric.
-        let ab = rank_order(sa, &graph_canon(&a), sb, &graph_canon(&b));
-        let ba = rank_order(sb, &graph_canon(&b), sa, &graph_canon(&a));
+        let ab = rank_order(sa, &a.canon(), sb, &b.canon());
+        let ba = rank_order(sb, &b.canon(), sa, &a.canon());
         assert_eq!(ab, ba.reverse());
         // Equal scores fall back to canon order.
-        assert_eq!(
-            rank_order(0.5, &[(0, 1)], 0.5, &[(2, 3)]),
-            std::cmp::Ordering::Less
-        );
+        assert_eq!(rank_order(0.5, &[(0, 1)], 0.5, &[(2, 3)]), Ordering::Less);
     }
 
     #[test]
     fn negative_scores_sort_consistently_with_rank_order() {
         // JoinGraphEdge.score is pub and unconstrained; a hostile caller
-        // can produce negative join scores. The sort must still agree with
+        // can produce negative join scores. The cut must still agree with
         // rank_order (score descending under total_cmp).
         let idx = setup();
-        let mut graphs = vec![
-            (
-                JoinGraph {
-                    edges: vec![edge(0, 1, -1.0)],
-                },
-                "neg",
-            ),
-            (
-                JoinGraph {
-                    edges: vec![edge(2, 3, 1.0)],
-                },
-                "pos",
-            ),
+        let graphs = [
+            JoinGraph {
+                edges: vec![edge(0, 1, -1.0)],
+            },
+            JoinGraph {
+                edges: vec![edge(2, 3, 1.0)],
+            },
         ];
-        rank_join_graphs(&idx, &mut graphs);
-        assert_eq!(graphs[0].1, "pos", "negative scores must rank last");
-        let (sa, sb) = (
-            join_score(&idx, &graphs[0].0),
-            join_score(&idx, &graphs[1].0),
+        assert_eq!(
+            ranked(&idx, &graphs),
+            vec![1, 0],
+            "negative scores rank last"
         );
+        let (neg, pos) = (&graphs[0], &graphs[1]);
         assert_eq!(
             rank_order(
-                sa,
-                &graph_canon(&graphs[0].0),
-                sb,
-                &graph_canon(&graphs[1].0)
+                join_score(&idx, pos),
+                &pos.canon(),
+                join_score(&idx, neg),
+                &neg.canon()
             ),
-            std::cmp::Ordering::Less
+            Ordering::Less
         );
     }
 }

@@ -3,11 +3,13 @@
 //! The online path is structured as *generate → score → rank → execute* so
 //! the two expensive stages (join-graph scoring and view materialization)
 //! can fan out on `ver_common::pool` without changing the output:
-//! candidate generation is sequential and canonically ordered, scoring is
-//! an order-preserving [`ThreadPool::par_map`], the rank comparator is a
-//! total order on candidate content ([`rank_order`]), and the top-k
-//! candidates materialise over the shared sub-join DAG
-//! ([`materialize_batch`]) whose level-wise fan-out is
+//! candidate generation is sequential and canonically ordered, each join
+//! graph is scored once by an order-preserving [`ThreadPool::try_par_map`],
+//! a candidate is a (combination, graph) index pair ranked by a total order
+//! on its content ([`rank_order`], then the projection), and the top-k cut
+//! ([`top_k_by`]) runs before anything is built: candidates below k are
+//! never cloned, planned or executed. The survivors materialise over the
+//! shared sub-join DAG ([`materialize_batch`]), whose level-wise fan-out is
 //! likewise order-preserving. Results are therefore bit-identical for
 //! every `threads` value — same views, same [`ViewId`] assignment, same
 //! ranked order — and identical to executing each ranked plan on its own
@@ -18,16 +20,15 @@
 
 use std::sync::Arc;
 
-use crate::rank::{graph_canon, join_score, rank_order};
+use crate::rank::{join_score, rank_order, top_k_by};
 use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
-use ver_common::fxhash::FxHashSet;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_common::pool::ThreadPool;
 use ver_engine::dag::{materialize_batch, MaterializeStats};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::view::View;
-use ver_index::DiscoveryIndex;
+use ver_index::{DiscoveryIndex, JoinGraph};
 use ver_select::SelectionResult;
 use ver_store::catalog::TableCatalog;
 
@@ -38,8 +39,8 @@ pub struct SearchConfig {
     pub rho: usize,
     /// Materialise the top-k ranked join candidates. The paper's evaluation
     /// sets k = total join graphs (materialise everything). Candidates
-    /// ranked below k are never planned or executed — the bounded top-k
-    /// pruning the batched materializer relies on.
+    /// ranked below k are never built, planned or executed: the cut ranks
+    /// (combination, graph) index pairs and clones nothing for the rest.
     pub k: usize,
     /// Cap on enumerated column combinations.
     pub max_combinations: usize,
@@ -94,8 +95,8 @@ pub struct SearchOutput {
     /// (plan execution) — the JGS/M split of Fig. 4b.
     pub timer: ver_common::timer::PhaseTimer,
     /// `true` when a [`QueryBudget`] trimmed the output (deadline tripped
-    /// mid-stage, a candidate/view cap bit, or a worker panicked and its
-    /// candidate was skipped). `views` then holds the best-ranked views
+    /// mid-stage, the view cap bit, or a worker panicked and its
+    /// candidates were skipped). `views` then holds the best-ranked views
     /// that *did* complete, still in rank order. Always `false` for an
     /// unlimited budget on a healthy run.
     pub partial: bool,
@@ -159,12 +160,11 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Attach a per-query [`QueryBudget`]: a wall-clock deadline checked
-    /// cooperatively at every stage boundary plus optional candidate/view
-    /// caps. On exhaustion the search degrades instead of failing — it
-    /// keeps whatever ranked views completed and sets
-    /// [`SearchOutput::partial`]. The default (unlimited) budget never
-    /// reads the clock, keeping budget-free runs bit-identical to
-    /// pre-budget builds.
+    /// cooperatively at every stage boundary plus an optional view cap.
+    /// On exhaustion the search degrades instead of failing — it keeps
+    /// whatever ranked views completed and sets [`SearchOutput::partial`].
+    /// The default (unlimited) budget never reads the clock, keeping
+    /// budget-free runs bit-identical to pre-budget builds.
     pub fn with_budget(mut self, budget: QueryBudget) -> Self {
         self.budget = budget;
         self
@@ -178,33 +178,20 @@ impl<'a> SearchContext<'a> {
         selection: &SelectionResult,
         config: &SearchConfig,
     ) -> Result<SearchOutput> {
-        let (ranked, mut stats, dag, timer, partial) =
-            self.search_filtered(selection, config, None)?;
-        let mut views = Vec::with_capacity(ranked.len());
-        for (i, sv) in ranked.into_iter().enumerate() {
-            let mut view = sv.view;
-            view.id = ViewId(i as u32);
-            views.push(view);
-        }
-        stats.views = views.len();
-        Ok(SearchOutput {
-            views,
-            stats,
-            dag,
-            timer,
-            partial,
-        })
+        // One shard that owns every candidate: the gather's ranked merge is
+        // then only the numbering, shared with the scatter path.
+        let out = self.search_filtered(selection, config, None)?;
+        Ok(merge_shard_outputs(vec![out], true))
     }
 
     /// Run one shard's slice of the scatter/gather search (determinism
     /// invariant 11).
     ///
     /// Every shard performs the **identical** global computation up to the
-    /// top-k cut — enumeration, candidate collection, scoring of *all*
-    /// candidates (a shared [`SearchCaches`] score memo makes the duplicate
-    /// scoring cheap), the content-based global sort, and the `k` /
-    /// view-cap truncation — and then materialises only the candidates it
-    /// *owns*: a candidate belongs to
+    /// top-k cut — enumeration, scoring of *every* join graph (a shared
+    /// [`SearchCaches`] score memo makes the duplicate scoring cheap), and
+    /// the content-based global cut to `k` and the view cap — and then
+    /// materialises only the candidates it *owns*: a candidate belongs to
     /// `shard_of_table(min TableId of its projection, shard_count)`, the
     /// same table-anchored hash that partitions the index. Because
     /// ownership partitions the globally-cut candidate list exactly,
@@ -229,38 +216,21 @@ impl<'a> SearchContext<'a> {
         // so an armed panic here kills this entire shard — the caller's
         // scatter loop must drop the leg and degrade to a partial merge.
         ver_common::fault::hit(ver_common::fault::points::SEARCH_SHARD)?;
-        let (views, mut stats, dag, timer, partial) =
-            self.search_filtered(selection, config, Some((shard, shard_count)))?;
-        stats.views = views.len();
-        Ok(ShardSearchOutput {
-            shard,
-            shard_count,
-            views,
-            stats,
-            dag,
-            timer,
-            partial,
-        })
+        self.search_filtered(selection, config, Some((shard, shard_count)))
     }
 
     /// Shared body of [`search`](Self::search) and
     /// [`search_shard`](Self::search_shard): the full generate → score →
     /// rank pipeline, with materialization optionally restricted to the
-    /// candidates owned by one shard. Returns ranked views still carrying
-    /// their rank keys (no [`ViewId`]s assigned — the caller finalises
-    /// ids so the sharded merge can renumber globally).
+    /// candidates owned by one `(shard, shard_count)` (`None`: shard 0 of
+    /// 1). Returns ranked views still carrying their rank keys, without
+    /// [`ViewId`]s — [`merge_shard_outputs`] numbers them.
     fn search_filtered(
         &self,
         selection: &SelectionResult,
         config: &SearchConfig,
         owner: Option<(usize, usize)>,
-    ) -> Result<(
-        Vec<ShardView>,
-        SearchStats,
-        MaterializeStats,
-        ver_common::timer::PhaseTimer,
-        bool,
-    )> {
+    ) -> Result<ShardSearchOutput> {
         let mut timer = ver_common::timer::PhaseTimer::new();
         let pool = ThreadPool::new(config.threads);
         let jgs_start = std::time::Instant::now();
@@ -272,66 +242,75 @@ impl<'a> SearchContext<'a> {
             &self.budget,
         );
 
-        let stats = SearchStats {
-            combinations: enumeration.total_combinations,
-            skipped_by_cache: enumeration.skipped_by_cache,
-            joinable_groups: enumeration.joinable_group_count(),
-            join_graphs: enumeration.join_graph_count(),
-            views: 0,
-        };
-
         let mut partial = enumeration.partial;
-        let mut candidates = collect_candidates(self.catalog, &enumeration)?;
-        // Budget: candidate cap. Generation order is canonical, so the
-        // truncation is deterministic for a fixed cap.
-        let cand_cap = self.budget.cap_candidates(candidates.len());
-        if cand_cap < candidates.len() {
-            candidates.truncate(cand_cap);
-            partial = true;
+        // One projection per combination, shared by `Arc` with the views
+        // built from it.
+        let mut projections: Vec<Arc<[ColumnRef]>> = Vec::new();
+        for (combo, _) in &enumeration.combinations {
+            let columns = combo.columns.iter().map(|&c| self.catalog.column_ref(c));
+            projections.push(columns.collect::<Result<Vec<_>>>()?.into());
         }
 
-        // Score in parallel (order-preserving), then rank by the
-        // content-based total order: score desc, canonical edges asc,
-        // projection asc. The projection tail makes the order total even
-        // across candidates sharing a graph, so ranked output never depends
-        // on generation order. A candidate whose scoring trips the deadline
-        // or panics is dropped (degrading to a partial result); any other
-        // error is a hard failure.
-        let scores = pool.try_par_map(&candidates, |c| {
-            ver_common::fault::hit(ver_common::fault::points::SEARCH_SCORE)?;
-            self.budget.check("search.score")?;
-            Ok(match self.caches {
-                Some(cs) => cs.score_or_compute(&c.canon, || join_score(self.index, &c.graph)),
-                None => join_score(self.index, &c.graph),
+        // Score each graph once, in parallel (order-preserving): a graph's
+        // rank key — join score and canonical edge form — is the same for
+        // every combination of its group. A graph that cannot be scored
+        // drops out with all its candidates.
+        let mut graphs: Vec<&JoinGraph> = Vec::new();
+        let mut group_graphs = Vec::with_capacity(enumeration.groups.len());
+        for (_, group) in &enumeration.groups {
+            group_graphs.push(graphs.len()..graphs.len() + group.len());
+            graphs.extend(group);
+        }
+        let keys = pool
+            .try_par_map(&graphs, |graph| {
+                ver_common::fault::hit(ver_common::fault::points::SEARCH_SCORE)?;
+                self.budget.check("search.score")?;
+                let canon = graph.canon();
+                let score = match self.caches {
+                    Some(cs) => cs.score_or_compute(&canon, || join_score(self.index, graph)),
+                    None => join_score(self.index, graph),
+                };
+                Ok((score, canon))
             })
-        });
-        let mut scored: Vec<(f64, Candidate)> = Vec::with_capacity(candidates.len());
-        for (score, candidate) in scores.into_iter().zip(candidates) {
-            match score {
-                Ok(s) => scored.push((s, candidate)),
-                Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => partial = true,
-                Err(e) => return Err(e),
-            }
+            .into_iter()
+            .map(|key| degrade(key, &mut partial))
+            .collect::<Result<Vec<_>>>()?;
+
+        // A candidate is a (combination, graph) index pair. Rank by the
+        // content-based total order — score desc, canonical edges asc,
+        // projection asc — and keep the top k; the budget's view cap
+        // tightens the cut deterministically. Nothing is cloned for a
+        // candidate below the cut.
+        let mut cut: Vec<(usize, usize)> = Vec::new();
+        for (c, &(_, group)) in enumeration.combinations.iter().enumerate() {
+            let scored = group_graphs[group].clone().filter(|&g| keys[g].is_some());
+            cut.extend(scored.map(|g| (c, g)));
         }
-        scored.sort_by(|a, b| {
-            rank_order(a.0, &a.1.canon, b.0, &b.1.canon)
-                .then_with(|| a.1.projection.cmp(&b.1.projection))
-        });
-        // Bounded top-k pruning: everything below the cut is dropped before
-        // any planning or execution happens. The budget's view cap tightens
-        // the cut deterministically.
-        let k = config.k.min(scored.len());
+        let key = |&(c, g): &(usize, usize)| {
+            let (score, canon) = keys[g].as_ref().expect("only scored graphs are cut");
+            (*score, canon.as_slice(), &*projections[c])
+        };
+        let order = |a: &(usize, usize), b: &(usize, usize)| {
+            let ((sa, ca, pa), (sb, cb, pb)) = (key(a), key(b));
+            rank_order(sa, ca, sb, cb).then_with(|| pa.cmp(pb))
+        };
+        let k = config.k.min(cut.len());
         let keep = self.budget.cap_views(k);
-        if keep < k {
-            partial = true;
-        }
-        scored.truncate(keep);
+        partial |= keep < k;
+        top_k_by(&mut cut, keep, order);
+        // Generation yields each (graph, projection) pair once — a group's
+        // graphs are distinct, and equal projections mean one combination —
+        // so the ranked keys are strictly increasing.
+        debug_assert!(
+            cut.windows(2).all(|w| order(&w[0], &w[1]).is_lt()),
+            "rank keys must be unique"
+        );
         // Scatter/gather shard filter: every shard computed the identical
         // globally-cut candidate list above; each materialises only the
         // candidates it owns. Ownership partitions the list exactly, so
         // the per-shard outputs merge back into the unsharded ranking.
         if let Some((shard, count)) = owner {
-            scored.retain(|(_, c)| candidate_shard(c, count) == shard);
+            cut.retain(|&(c, _)| candidate_shard(&projections[c], count) == shard);
         }
         timer.add("jgs", jgs_start.elapsed());
 
@@ -341,24 +320,25 @@ impl<'a> SearchContext<'a> {
         let mat_start = std::time::Instant::now();
         // Linearisation depends only on (graph, base table), and the rank
         // order's canonical-edge + projection tiebreaks put candidates
-        // sharing a graph next to each other — so a run of equal graphs
-        // with the same base reuses the previous BFS verbatim instead of
+        // sharing a graph next to each other — so a run of one graph with
+        // the same base reuses the previous BFS verbatim instead of
         // re-linearising each of the top-k candidates.
-        let mut prev: Option<(&ver_index::JoinGraph, TableId, Vec<JoinStep>)> = None;
-        let plans: Vec<Result<PjPlan>> = scored
+        let mut prev: Option<(usize, TableId, Vec<JoinStep>)> = None;
+        let plans: Vec<Result<PjPlan>> = cut
             .iter()
-            .map(|(_, c)| {
-                if let (Some((g, base, joins)), Some(p)) = (&prev, c.projection.first()) {
-                    if *base == p.table && *g == &c.graph {
+            .map(|&(c, g)| {
+                let projection = &projections[c];
+                if let (Some((pg, base, joins)), Some(p)) = (&prev, projection.first()) {
+                    if *pg == g && *base == p.table {
                         return Ok(PjPlan {
                             base: *base,
                             joins: joins.clone(),
-                            projection: c.projection.to_vec(),
+                            projection: projection.to_vec(),
                         });
                     }
                 }
-                let plan = PjPlan::from_edges(&c.graph.column_edges(self.catalog)?, &c.projection)?;
-                prev = Some((&c.graph, plan.base, plan.joins.clone()));
+                let plan = PjPlan::from_edges(&graphs[g].column_edges(self.catalog)?, projection)?;
+                prev = Some((g, plan.base, plan.joins.clone()));
                 Ok(plan)
             })
             .collect();
@@ -368,7 +348,7 @@ impl<'a> SearchContext<'a> {
         // keeps the key it was looked up under and moves it into
         // `view_insert`; its plan moves into the batch. A hit is a handle
         // on the cached view's body, an insert another one.
-        let mut results: Vec<Option<Result<View>>> = (0..scored.len()).map(|_| None).collect();
+        let mut results: Vec<Option<Result<View>>> = (0..cut.len()).map(|_| None).collect();
         let mut miss = Vec::new();
         let mut batch: Vec<(PjPlan, f64)> = Vec::new();
         for (i, plan) in plans.into_iter().enumerate() {
@@ -379,14 +359,15 @@ impl<'a> SearchContext<'a> {
                     continue;
                 }
             };
+            let (c, g) = cut[i];
             let cached = self
                 .caches
-                .map(|cs| (cs, crate::cache::view_key(&plan, &scored[i].1.projection)));
+                .map(|cs| (cs, crate::cache::view_key(&plan, &projections[c])));
             match cached.as_ref().and_then(|(cs, key)| cs.view_get(key)) {
                 Some(view) => results[i] = Some(Ok(view)),
                 None => {
                     miss.push((i, cached));
-                    batch.push((plan, scored[i].0));
+                    batch.push((plan, key(&(c, g)).0));
                 }
             }
         }
@@ -399,32 +380,54 @@ impl<'a> SearchContext<'a> {
         }
 
         let mut views = Vec::with_capacity(results.len());
-        for (result, (score, candidate)) in results.into_iter().zip(scored) {
-            // Graceful degradation: a candidate that ran out of deadline or
-            // whose worker panicked is skipped (the ranked views that did
-            // complete are still returned, flagged partial); any other
-            // error — e.g. a genuine I/O failure — is a hard failure for
-            // the whole query.
-            let view = match result.expect("every candidate resolved") {
-                Ok(view) => view,
-                Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => {
-                    partial = true;
-                    continue;
-                }
-                Err(e) => return Err(e),
+        for (result, (c, g)) in results.into_iter().zip(cut) {
+            let Some(view) = degrade(result.expect("every candidate resolved"), &mut partial)?
+            else {
+                continue;
             };
             if config.drop_empty_views && view.row_count() == 0 {
                 continue;
             }
+            let (score, canon) = keys[g].clone().expect("only scored graphs are cut");
             views.push(ShardView {
                 score,
-                canon: candidate.canon,
-                projection: candidate.projection,
+                canon,
+                projection: projections[c].clone(),
                 view,
             });
         }
         timer.add("materialize", mat_start.elapsed());
-        Ok((views, stats, dag, timer, partial))
+        let (shard, shard_count) = owner.unwrap_or((0, 1));
+        let stats = SearchStats {
+            combinations: enumeration.total_combinations,
+            skipped_by_cache: enumeration.skipped_by_cache,
+            joinable_groups: enumeration.joinable_group_count(),
+            join_graphs: enumeration.join_graph_count(),
+            views: views.len(),
+        };
+        Ok(ShardSearchOutput {
+            shard,
+            shard_count,
+            views,
+            stats,
+            dag,
+            timer,
+            partial,
+        })
+    }
+}
+
+/// Graceful degradation: a unit of work that ran out of deadline or whose
+/// worker panicked is skipped (`Ok(None)`), flagging the result partial;
+/// any other error, e.g. a genuine I/O failure, fails the whole query.
+fn degrade<T>(result: Result<T>, partial: &mut bool) -> Result<Option<T>> {
+    match result {
+        Ok(value) => Ok(Some(value)),
+        Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => {
+            *partial = true;
+            Ok(None)
+        }
+        Err(e) => Err(e),
     }
 }
 
@@ -435,8 +438,8 @@ impl<'a> SearchContext<'a> {
 /// table owns its index slices too. Projection-less candidates (which the
 /// planner rejects anyway) fall to shard 0 so the error surfaces on
 /// exactly one shard.
-fn candidate_shard(candidate: &Candidate, shard_count: usize) -> usize {
-    match candidate.projection.iter().map(|p| p.table).min() {
+fn candidate_shard(projection: &[ColumnRef], shard_count: usize) -> usize {
+    match projection.iter().map(|p| p.table).min() {
         Some(table) => ver_index::shard_of_table(table, shard_count),
         None => 0,
     }
@@ -483,7 +486,8 @@ pub struct ShardSearchOutput {
 
 /// Gather step of the sharded search: merge per-shard outputs back into
 /// one [`SearchOutput`] through the content-based total order, then assign
-/// [`ViewId`]s sequentially.
+/// [`ViewId`]s sequentially. [`SearchContext::search`] finishes through it
+/// too, as the one shard that owns every candidate.
 ///
 /// Each shard's list is already globally rank-ordered and ownership
 /// partitions the candidate space, so the merge is a pure k-way merge with
@@ -527,55 +531,6 @@ pub fn merge_shard_outputs(outputs: Vec<ShardSearchOutput>, complete: bool) -> S
         timer,
         partial,
     }
-}
-
-/// One deduplicated (join graph, projection) execution candidate.
-///
-/// The projection is shared (`Arc`) across all graphs of its combination
-/// instead of cloned per graph, and the canonical edge form is kept
-/// alongside because it serves twice: dedup key at generation time,
-/// deterministic tie-breaker at rank time.
-struct Candidate {
-    graph: ver_index::JoinGraph,
-    projection: Arc<[ColumnRef]>,
-    canon: Vec<(u32, u32)>,
-}
-
-/// Dedup key: canonical edge form + projection (content-hashed through the
-/// `Arc`).
-type CandidateKey = (Vec<(u32, u32)>, Arc<[ColumnRef]>);
-
-/// Pair each combination with each of its group's join graphs, deduping
-/// identical (graph, projection) pairs arising from different orders.
-/// Sequential and input-order deterministic — the fan-out stages downstream
-/// rely on this producing one canonical candidate list.
-fn collect_candidates(
-    catalog: &TableCatalog,
-    enumeration: &crate::enumerate::Enumeration,
-) -> Result<Vec<Candidate>> {
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut seen: FxHashSet<CandidateKey> = FxHashSet::default();
-    for (combo, gi) in &enumeration.combinations {
-        let projection: Arc<[ColumnRef]> = combo
-            .columns
-            .iter()
-            .map(|&c| catalog.column_ref(c))
-            .collect::<Result<Vec<_>>>()?
-            .into();
-        for graph in &enumeration.groups[*gi].1 {
-            let canon = graph_canon(graph);
-            // Arc clones are refcount bumps; the column list itself is
-            // built once per combination.
-            if seen.insert((canon.clone(), projection.clone())) {
-                candidates.push(Candidate {
-                    graph: graph.clone(),
-                    projection: projection.clone(),
-                    canon,
-                });
-            }
-        }
-    }
-    Ok(candidates)
 }
 
 #[cfg(test)]
@@ -900,23 +855,6 @@ mod tests {
             .unwrap();
         assert!(!loose.partial);
         assert_eq!(loose.views.len(), all.views.len());
-    }
-
-    #[test]
-    fn candidate_cap_budget_flags_partial() {
-        let (cat, idx) = setup();
-        let q = ExampleQuery::new(vec![
-            QueryColumn::of_strs(&["st1", "st2"]),
-            QueryColumn::of_strs(&["1001", "2002"]),
-        ])
-        .unwrap();
-        let sel = select(&idx, &q);
-        let out = SearchContext::new(&cat, &idx)
-            .with_budget(QueryBudget::none().with_max_candidates(1))
-            .search(&sel, &SearchConfig::default())
-            .unwrap();
-        assert!(out.partial);
-        assert!(out.views.len() <= 1);
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! Property tests for join-graph ranking: the ranked order is a total
-//! order on graph *content* — permutation-invariant (shuffling the
-//! candidate input never changes the output order of distinct graphs) with
-//! deterministic tie-breaking by canonical edge form. This is the contract
-//! the parallel online path needs for bit-identical results across thread
-//! counts.
+//! Property tests for join-graph ranking, run through the functions the
+//! search ranks with: [`rank_order`] as the comparator and [`top_k_by`] as
+//! the cut. The ranked order is a total order on graph *content* —
+//! permutation-invariant (shuffling the candidate input never changes the
+//! output order of distinct graphs) with deterministic tie-breaking by
+//! canonical edge form — and the cut to any k is the k-prefix of the full
+//! ranking. This is the contract the parallel online path needs for
+//! bit-identical results across thread counts.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 use ver_common::fxhash::FxHashSet;
 use ver_common::ids::ColumnId;
 use ver_common::value::Value;
 use ver_index::{build_index, DiscoveryIndex, IndexConfig, JoinGraph, JoinGraphEdge};
-use ver_search::rank::{graph_canon, join_score, rank_join_graphs, rank_order};
+use ver_search::rank::{join_score, rank_order, top_k_by};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
 
@@ -65,11 +68,31 @@ fn graphs_of(raw: Vec<Vec<(u32, u32, f64)>>) -> Vec<JoinGraph> {
                 })
                 .collect(),
         };
-        if seen.insert(graph_canon(&g)) {
+        if seen.insert(g.canon()) {
             graphs.push(g);
         }
     }
     graphs
+}
+
+/// One rank key per graph, as the search computes it: (score, canon).
+fn keys_of(graphs: &[JoinGraph]) -> Vec<(f64, Vec<(u32, u32)>)> {
+    let idx = index();
+    graphs
+        .iter()
+        .map(|g| (join_score(idx, g), g.canon()))
+        .collect()
+}
+
+/// `rank_order` over keyed items.
+fn by_key(keys: &[(f64, Vec<(u32, u32)>)], a: usize, b: usize) -> Ordering {
+    rank_order(keys[a].0, &keys[a].1, keys[b].0, &keys[b].1)
+}
+
+/// Rank `items` (indices into `keys`) and keep the best `k`.
+fn ranked(keys: &[(f64, Vec<(u32, u32)>)], mut items: Vec<usize>, k: usize) -> Vec<usize> {
+    top_k_by(&mut items, k, |&a, &b| by_key(keys, a, b));
+    items
 }
 
 fn raw_graphs() -> impl Strategy<Value = Vec<Vec<(u32, u32, f64)>>> {
@@ -84,35 +107,33 @@ proptest! {
 
     #[test]
     fn ranking_is_permutation_invariant(raw in raw_graphs(), seed in 0u64..1_000_000) {
-        let idx = index();
         let graphs = graphs_of(raw);
-
-        let mut original: Vec<(JoinGraph, usize)> =
-            graphs.iter().cloned().enumerate().map(|(i, g)| (g, i)).collect();
+        let keys = keys_of(&graphs);
+        let original: Vec<usize> = (0..graphs.len()).collect();
         let mut shuffled = original.clone();
         shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
 
-        rank_join_graphs(idx, &mut original);
-        rank_join_graphs(idx, &mut shuffled);
-
-        let canon_a: Vec<_> = original.iter().map(|(g, _)| graph_canon(g)).collect();
-        let canon_b: Vec<_> = shuffled.iter().map(|(g, _)| graph_canon(g)).collect();
+        let a = ranked(&keys, original, usize::MAX);
+        let b = ranked(&keys, shuffled, usize::MAX);
+        let canon_a: Vec<_> = a.iter().map(|&i| graphs[i].canon()).collect();
+        let canon_b: Vec<_> = b.iter().map(|&i| graphs[i].canon()).collect();
         prop_assert_eq!(canon_a, canon_b, "shuffle changed the ranked order");
     }
 
     #[test]
     fn ranking_is_a_total_order_with_canonical_ties(raw in raw_graphs()) {
         let idx = index();
-        let mut graphs: Vec<(JoinGraph, usize)> =
-            graphs_of(raw).into_iter().enumerate().map(|(i, g)| (g, i)).collect();
-        rank_join_graphs(idx, &mut graphs);
+        let graphs = graphs_of(raw);
+        let keys = keys_of(&graphs);
+        let order = ranked(&keys, (0..graphs.len()).collect(), usize::MAX);
 
-        for w in graphs.windows(2) {
-            let (sa, sb) = (join_score(idx, &w[0].0), join_score(idx, &w[1].0));
+        for w in order.windows(2) {
+            let (ga, gb) = (&graphs[w[0]], &graphs[w[1]]);
+            let (sa, sb) = (join_score(idx, ga), join_score(idx, gb));
             prop_assert!(sa >= sb, "scores must be non-increasing: {} < {}", sa, sb);
             if sa == sb {
                 prop_assert!(
-                    graph_canon(&w[0].0) <= graph_canon(&w[1].0),
+                    ga.canon() <= gb.canon(),
                     "equal scores must order by canonical form"
                 );
             }
@@ -121,15 +142,47 @@ proptest! {
 
     #[test]
     fn ranking_twice_is_idempotent(raw in raw_graphs()) {
-        let idx = index();
-        let mut once: Vec<(JoinGraph, usize)> =
-            graphs_of(raw).into_iter().enumerate().map(|(i, g)| (g, i)).collect();
-        rank_join_graphs(idx, &mut once);
-        let mut twice = once.clone();
-        rank_join_graphs(idx, &mut twice);
-        let a: Vec<usize> = once.iter().map(|&(_, i)| i).collect();
-        let b: Vec<usize> = twice.iter().map(|&(_, i)| i).collect();
-        prop_assert_eq!(a, b, "re-ranking a ranked list must be a no-op");
+        let keys = keys_of(&graphs_of(raw));
+        let once = ranked(&keys, (0..keys.len()).collect(), usize::MAX);
+        let twice = ranked(&keys, once.clone(), usize::MAX);
+        prop_assert_eq!(once, twice, "re-ranking a ranked list must be a no-op");
+    }
+
+    #[test]
+    fn top_k_cut_equals_sort_then_truncate(
+        raw in raw_graphs(),
+        k in 0usize..20,
+        seed in 0u64..1_000_000,
+    ) {
+        let keys = keys_of(&graphs_of(raw));
+        let mut input: Vec<usize> = (0..keys.len()).collect();
+        input.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut sorted = input.clone();
+        sorted.sort_by(|&a, &b| by_key(&keys, a, b));
+        sorted.truncate(k);
+        prop_assert_eq!(ranked(&keys, input, k), sorted, "k={}", k);
+    }
+
+    #[test]
+    fn ranked_keys_are_strictly_increasing(
+        raw in raw_graphs(),
+        projections in 1usize..4,
+        k in 0usize..40,
+    ) {
+        // Search candidates: every graph paired with every projection of
+        // its group, the projection breaking ties as in `search_filtered`.
+        let keys = keys_of(&graphs_of(raw));
+        let mut candidates: Vec<(usize, usize)> = (0..keys.len())
+            .flat_map(|g| (0..projections).map(move |p| (g, p)))
+            .collect();
+        let order = |a: &(usize, usize), b: &(usize, usize)| {
+            by_key(&keys, a.0, b.0).then_with(|| a.1.cmp(&b.1))
+        };
+        top_k_by(&mut candidates, k, order);
+        prop_assert_eq!(candidates.len(), k.min(keys.len() * projections));
+        for w in candidates.windows(2) {
+            prop_assert_eq!(order(&w[0], &w[1]), Ordering::Less, "keys must be unique");
+        }
     }
 
     #[test]
@@ -144,9 +197,9 @@ proptest! {
         prop_assert_eq!(ab, ba.reverse(), "comparator must be antisymmetric");
         // Equal keys compare equal; distinct keys never do.
         if sa == sb && ca == cb {
-            prop_assert_eq!(ab, std::cmp::Ordering::Equal);
+            prop_assert_eq!(ab, Ordering::Equal);
         }
-        if ab == std::cmp::Ordering::Equal {
+        if ab == Ordering::Equal {
             prop_assert!(sa == sb && ca == cb, "only identical keys may tie");
         }
     }
