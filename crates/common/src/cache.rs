@@ -7,13 +7,10 @@
 //! * [`LruCache`] — a bounded least-recently-used map for values worth
 //!   keeping only while hot (materialized candidate views, whole query
 //!   results);
-//! * [`Memo`] — an unbounded memoization map for values that are cheap to
-//!   store and deterministic given the engine's immutable index (join-graph
-//!   containment scores);
 //! * [`CacheCounters`] / [`CacheStats`] — lock-free hit/miss accounting so
-//!   serving stats can report cache effectiveness without touching the maps.
+//!   serving stats can report cache effectiveness without touching the map.
 //!
-//! Both caches take `&self` for every operation (interior `Mutex`), so they
+//! The cache takes `&self` for every operation (interior `Mutex`), so it
 //! can sit behind an `Arc`'d engine queried from many threads at once.
 //! Values are returned **by clone**; callers cache cheaply cloneable values
 //! (`Arc`s, or views whose text cells are refcounted `Arc<str>`). See
@@ -26,7 +23,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Lock-free hit/miss counters shared by both cache types.
+/// Lock-free hit/miss counters behind [`LruCache`]'s stats.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     hits: AtomicU64,
@@ -219,76 +216,9 @@ impl<K: Hash + Eq, V> std::fmt::Debug for LruCache<K, V> {
     }
 }
 
-/// An unbounded, thread-safe memoization map.
-///
-/// For values that are deterministic functions of their key (given immutable
-/// shared state, e.g. a built discovery index) and small enough to keep
-/// forever. Racing inserts of the same key are benign: both compute the same
-/// value, last write wins.
-pub struct Memo<K, V> {
-    map: Mutex<FxHashMap<K, V>>,
-    counters: CacheCounters,
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
-    /// Empty memo.
-    pub fn new() -> Self {
-        Memo {
-            map: Mutex::new(FxHashMap::default()),
-            counters: CacheCounters::new(),
-        }
-    }
-
-    /// Number of memoized entries.
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.map).len()
-    }
-
-    /// `true` when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hit/miss snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.counters.stats()
-    }
-
-    /// Return the memoized value for `key`, computing it with `make` on
-    /// first sight. `make` runs **outside** the lock, so concurrent callers
-    /// never serialise behind a slow computation (they may compute the same
-    /// value twice; determinism makes that harmless).
-    pub fn get_or_insert_with(&self, key: &K, make: impl FnOnce() -> V) -> V {
-        if let Some(v) = lock_unpoisoned(&self.map).get(key) {
-            self.counters.hit();
-            return v.clone();
-        }
-        self.counters.miss();
-        let v = make();
-        lock_unpoisoned(&self.map).insert(key.clone(), v.clone());
-        v
-    }
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Default for Memo<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Hash + Eq, V> std::fmt::Debug for Memo<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Memo")
-            .field("len", &lock_unpoisoned(&self.map).len())
-            .field("stats", &self.counters.stats())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn lru_hits_and_misses_are_counted() {
@@ -376,40 +306,21 @@ mod tests {
     }
 
     #[test]
-    fn memo_computes_once_per_key() {
-        let memo: Memo<u32, u64> = Memo::new();
-        let calls = AtomicUsize::new(0);
-        for _ in 0..3 {
-            let v = memo.get_or_insert_with(&7, || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                49
-            });
-            assert_eq!(v, 49);
-        }
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        let s = memo.stats();
-        assert_eq!((s.hits, s.misses), (2, 1));
-        assert_eq!(memo.len(), 1);
-    }
-
-    #[test]
     fn caches_are_usable_across_threads() {
         let cache: LruCache<usize, usize> = LruCache::new(64);
-        let memo: Memo<usize, usize> = Memo::new();
         std::thread::scope(|s| {
             for t in 0..4 {
                 s.spawn(|| {
                     for i in 0..100 {
                         cache.insert(i, i * 2);
                         let _ = cache.get(&i);
-                        assert_eq!(memo.get_or_insert_with(&i, || i * 3), i * 3);
                     }
                     let _ = t;
                 });
             }
         });
         assert!(!cache.is_empty() && cache.len() <= 64);
-        assert!(memo.stats().lookups() == 400);
+        assert_eq!(cache.stats().lookups(), 400);
     }
 
     #[test]

@@ -52,11 +52,11 @@ pub struct QueryResult {
     pub ranked: Vec<(ViewId, usize)>,
     /// Per-stage wall times (`cs`, `jgs`, `materialize`, `vd_io`, `4c`).
     pub timer: PhaseTimer,
-    /// `true` when a [`QueryBudget`] degraded this result: candidates were
-    /// capped or skipped, the deadline tripped mid-stage, or distillation
-    /// was abandoned (in which case every view counts as a survivor and
-    /// ranking falls back to join scores). Budget-free runs are never
-    /// partial.
+    /// `true` when a [`QueryBudget`] degraded this result: the view cap
+    /// cut the ranked candidates short, candidates were skipped, the
+    /// deadline tripped mid-stage, or distillation was abandoned (in which
+    /// case every view counts as a survivor and ranking falls back to join
+    /// scores). Budget-free runs are never partial.
     pub partial: bool,
 }
 
@@ -161,11 +161,12 @@ impl Ver {
 
     /// [`Ver::run_cached`] under a [`QueryBudget`].
     ///
-    /// The budget is threaded through every stage: search checks it per
-    /// candidate scored, per DAG step and per view projected (skipping
-    /// candidates that trip), and distillation checks it per block and per
-    /// view. Exhaustion degrades instead of failing — the result keeps
-    /// whatever ranked views completed, with [`QueryResult::partial`] set.
+    /// The budget is threaded through every stage: search checks it once
+    /// per new table group enumerated, per join graph scored, per DAG step
+    /// and per view projected (skipping candidates that trip), and
+    /// distillation checks it per block and per view. Exhaustion degrades
+    /// instead of failing — the result keeps whatever ranked views
+    /// completed, with [`QueryResult::partial`] set.
     /// If distillation itself runs out of budget (or a distill worker
     /// panics), the views are returned *undistilled*: every view counts as
     /// a C2 survivor and ranking falls back to the non-QBE join-score
@@ -512,9 +513,9 @@ fn rank_survivors(
 }
 
 /// The example query driving presentation distances; non-QBE specs get a
-/// synthetic one from their terms. Public so serving-layer sessions
-/// (`ver-serve`) can build [`PresentationSession`]s over stored results
-/// with exactly the query [`Ver::run_interactive`] would use.
+/// synthetic one from their terms. Public so callers can build
+/// [`PresentationSession`]s over stored results with exactly the query
+/// [`Ver::present`] uses.
 pub fn presentation_query(spec: &ViewSpec) -> ExampleQuery {
     match spec {
         ViewSpec::Qbe(q) => q.clone(),

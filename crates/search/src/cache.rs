@@ -1,44 +1,36 @@
-//! Cross-query caches for the online search path.
+//! Cross-query cache for the online search path.
 //!
 //! A long-lived serving deployment (`ver-serve`) answers many queries
-//! against one immutable discovery index. Two pieces of per-query work are
-//! pure functions of that index and therefore safe to share across queries
-//! and sessions:
+//! against one immutable discovery index. Executing a candidate's
+//! [`PjPlan`] always yields the same view, so an LRU over plans
+//! short-circuits the MATERIALIZER for candidates that recur across
+//! queries (the common case: different example queries over the same
+//! popular tables resolve to the same join graphs). A [`View`] is a handle
+//! on a shared body, so a hit and an insert are refcount bumps under the
+//! lock, and a view some query gathered stays gathered for every later hit.
 //!
-//! * **materialized candidate views** — executing a candidate's
-//!   [`PjPlan`] always yields the same view, so an LRU over plans
-//!   short-circuits the MATERIALIZER for candidates that recur across
-//!   queries (the common case: different example queries over the same
-//!   popular tables resolve to the same join graphs). A [`View`] is a
-//!   handle on a shared body, so a hit and an insert are refcount bumps
-//!   under the lock, and a view some query gathered stays gathered for
-//!   every later hit;
-//! * **join-graph containment scores** — [`join_score`] folds the
-//!   hypergraph's signature-estimated containments with profile key-ness;
-//!   it is fully determined by the graph's canonical edge form
-//!   ([`JoinGraph::canon`]), so a memo keyed by that form skips re-scoring.
+//! Join scores are not cached: [`join_score`] is two profile loads and a
+//! multiply per edge, cheaper than a hashed lookup of the graph's
+//! canonical form under a shared lock.
 //!
 //! Correctness contract: a cache **hit must be bit-identical to the value a
-//! miss would compute**. The score memo keys on the canonical edge form
-//! (edge *sets* determine scores — the mean over edges is
-//! order-independent). The view cache keys on the candidate's **linearised
-//! execution plan** — base table, oriented [`JoinStep`] sequence, and
-//! projection — because the materialized view (rows, row order, provenance,
-//! chained name) is a pure function of exactly that plan. Keying on the
-//! plan rather than the raw edge list means two graphs whose differing edge
-//! orders linearise to the same plan share one entry, while graphs that
-//! linearise differently (and hence execute differently) never collide.
-//! With these keys, cached and uncached runs produce identical
-//! [`SearchOutput`]s, which `tests/serve_warm_start.rs` pins against the
-//! golden snapshot.
+//! miss would compute**. The view cache keys on the candidate's
+//! **linearised execution plan** — base table, oriented [`JoinStep`]
+//! sequence, and projection — because the materialized view (rows, row
+//! order, provenance, chained name) is a pure function of exactly that
+//! plan. Keying on the plan rather than the raw edge list means two graphs
+//! whose differing edge orders linearise to the same plan share one entry,
+//! while graphs that linearise differently (and hence execute differently)
+//! never collide. With this key, cached and uncached runs produce
+//! identical [`SearchOutput`]s, which `tests/serve_warm_start.rs` pins
+//! against the golden snapshot.
 //!
 //! [`join_score`]: crate::rank::join_score
-//! [`JoinGraph::canon`]: ver_index::JoinGraph::canon
 //! [`SearchOutput`]: crate::search::SearchOutput
 //! [`PjPlan`]: ver_engine::plan::PjPlan
 
 use std::sync::Arc;
-use ver_common::cache::{CacheStats, LruCache, Memo};
+use ver_common::cache::{CacheStats, LruCache};
 use ver_common::ids::{ColumnRef, TableId};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::view::View;
@@ -55,7 +47,7 @@ pub fn view_key(plan: &PjPlan, projection: &Arc<[ColumnRef]>) -> ViewKey {
     (plan.base, plan.joins.clone(), projection.clone())
 }
 
-/// Shared caches threaded through [`SearchContext::search`].
+/// Shared cache threaded through [`SearchContext::search`].
 ///
 /// All methods take `&self`; the struct is `Sync` and intended to live in an
 /// `Arc`'d serving engine queried from many threads.
@@ -65,22 +57,13 @@ pub fn view_key(plan: &PjPlan, projection: &Arc<[ColumnRef]>) -> ViewKey {
 pub struct SearchCaches {
     /// LRU over materialized candidate views.
     views: LruCache<ViewKey, View>,
-    /// Memoized signature/containment-derived join scores, keyed by the
-    /// graph's canonical edge form.
-    scores: Memo<Vec<(u32, u32)>, f64>,
 }
 
 impl SearchCaches {
     /// Caches with the given view-LRU capacity (`0` disables view caching).
-    /// The score memo is unbounded: each distinct graph costs a map slot
-    /// holding its key's `Vec` header (24 B) and its `f64` score (8 B),
-    /// plus the key's heap buffer of 8 B per canonical edge and the hash
-    /// table's control byte and load-factor slack — roughly 40 B + 8 B per
-    /// edge.
     pub fn new(view_capacity: usize) -> Self {
         SearchCaches {
             views: LruCache::new(view_capacity),
-            scores: Memo::new(),
         }
     }
 
@@ -89,19 +72,9 @@ impl SearchCaches {
         self.views.stats()
     }
 
-    /// Hit/miss snapshot of the join-score memo.
-    pub fn score_stats(&self) -> CacheStats {
-        self.scores.stats()
-    }
-
     /// Number of views currently cached.
     pub fn cached_views(&self) -> usize {
         self.views.len()
-    }
-
-    /// Memoized join score for a graph with canonical form `canon`.
-    pub fn score_or_compute(&self, canon: &Vec<(u32, u32)>, compute: impl FnOnce() -> f64) -> f64 {
-        self.scores.get_or_insert_with(canon, compute)
     }
 
     /// Cached view for `key`, if present (counts a hit or a miss). The
@@ -199,16 +172,5 @@ mod tests {
         assert!(Arc::ptr_eq(&hit.provenance, &inserted.provenance));
         let s = caches.view_stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn score_memo_computes_once() {
-        let caches = SearchCaches::new(0);
-        let canon = vec![(0u32, 2u32)];
-        let a = caches.score_or_compute(&canon, || 0.75);
-        let b = caches.score_or_compute(&canon, || panic!("memoized"));
-        assert_eq!(a, 0.75);
-        assert_eq!(b, 0.75);
-        assert_eq!(caches.score_stats().hits, 1);
     }
 }

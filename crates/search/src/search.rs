@@ -121,12 +121,11 @@ pub struct SearchOutput {
 /// # }
 /// ```
 ///
-/// When `caches` is set, join-graph scores are memoized by canonical edge
-/// form and materialized views are served from the LRU keyed by the
-/// candidate's linearised plan (see [`crate::cache`]). Output is
+/// When `caches` is set, materialized views are served from the LRU keyed
+/// by the candidate's linearised plan (see [`crate::cache`]). Output is
 /// **bit-identical** to the uncached path for any cache state — a hit
-/// returns exactly what the miss would compute, because both values are
-/// pure functions of the immutable index and catalog. `ver-serve` threads
+/// returns exactly what the miss would compute, because a view is a pure
+/// function of its plan over the immutable catalog. `ver-serve` threads
 /// one [`SearchCaches`] through every query of a long-lived engine.
 ///
 /// The worker pool is resolved per call from `config.threads`; the output
@@ -188,9 +187,9 @@ impl<'a> SearchContext<'a> {
     /// invariant 11).
     ///
     /// Every shard performs the **identical** global computation up to the
-    /// top-k cut — enumeration, scoring of *every* join graph (a shared
-    /// [`SearchCaches`] score memo makes the duplicate scoring cheap), and
-    /// the content-based global cut to `k` and the view cap — and then
+    /// top-k cut — enumeration, scoring of *every* join graph (each leg
+    /// repeats it; a score is two profile loads and a multiply per edge),
+    /// and the content-based global cut to `k` and the view cap — and then
     /// materialises only the candidates it *owns*: a candidate belongs to
     /// `shard_of_table(min TableId of its projection, shard_count)`, the
     /// same table-anchored hash that partitions the index. Because
@@ -199,8 +198,6 @@ impl<'a> SearchContext<'a> {
     /// ([`merge_shard_outputs`]) reproduces the single-engine
     /// [`SearchContext::search`] result bit-for-bit, for every shard
     /// count.
-    ///
-    /// [`SearchCaches`]: crate::cache::SearchCaches
     pub fn search_shard(
         &self,
         selection: &SelectionResult,
@@ -265,12 +262,7 @@ impl<'a> SearchContext<'a> {
             .try_par_map(&graphs, |graph| {
                 ver_common::fault::hit(ver_common::fault::points::SEARCH_SCORE)?;
                 self.budget.check("search.score")?;
-                let canon = graph.canon();
-                let score = match self.caches {
-                    Some(cs) => cs.score_or_compute(&canon, || join_score(self.index, graph)),
-                    None => join_score(self.index, graph),
-                };
-                Ok((score, canon))
+                Ok((join_score(self.index, graph), graph.canon()))
             })
             .into_iter()
             .map(|key| degrade(key, &mut partial))
@@ -785,7 +777,6 @@ mod tests {
         }
         // The warm passes actually hit.
         assert!(caches.view_stats().hits > 0, "no view-cache hits");
-        assert!(caches.score_stats().hits > 0, "no score-memo hits");
         assert!(caches.view_stats().misses > 0);
     }
 

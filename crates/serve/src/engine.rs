@@ -2,7 +2,7 @@
 //!
 //! [`Engine`] owns that policy **once** — result LRU, admission gate,
 //! `serve.query` fault point, the partial-is-never-cached rule, the
-//! deadline fallback, counters, sessions and the [`ServeStats`] assembly —
+//! deadline fallback, counters and the [`ServeStats`] assembly —
 //! and is parameterised only by *how a miss is computed*, the
 //! [`MissBackend`] seam. The three deployment shapes are instantiations:
 //! [`ServeEngine`] runs the pipeline in process, [`ShardedEngine`] and
@@ -14,16 +14,13 @@
 
 use crate::remote::RouterLegStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use ver_common::budget::QueryBudget;
 use ver_common::cache::{CacheStats, LruCache};
 use ver_common::error::{Result, VerError};
-use ver_common::fxhash::FxHashMap;
-use ver_common::sync::lock_unpoisoned;
 use ver_core::{QueryResult, Ver, VerConfig};
 use ver_index::persist::{load_index, save_index};
 use ver_index::DiscoveryIndex;
-use ver_present::{SessionOutcome, SimulatedUser};
 use ver_qbe::ViewSpec;
 use ver_search::{SearchCaches, ShardSearchOutput};
 use ver_store::catalog::TableCatalog;
@@ -39,11 +36,11 @@ pub struct ServeConfig {
     /// Capacity of the whole-result LRU (`0` disables result caching).
     pub result_cache_capacity: usize,
     /// Capacity of the materialized-view LRU shared across queries
-    /// (`0` disables view caching; the score memo is always on). Size this
-    /// above the working set of candidates your workload's queries touch —
-    /// an LRU smaller than one sequential scan of that set degrades to
-    /// zero hits. Candidate views on open-data-style corpora are small
-    /// (tens of rows), so the default trades a few MB for hot candidates.
+    /// (`0` disables view caching). Size this above the working set of
+    /// candidates your workload's queries touch — an LRU smaller than one
+    /// sequential scan of that set degrades to zero hits. Candidate views
+    /// on open-data-style corpora are small (tens of rows), so the default
+    /// trades a few MB for hot candidates.
     pub view_cache_capacity: usize,
     /// Admission gate: maximum queries allowed to execute the pipeline
     /// concurrently (`0` = unbounded). The gate **fails fast** — the
@@ -99,16 +96,12 @@ pub struct ServeStats {
     pub result_cache: CacheStats,
     /// Materialized-view LRU hit/miss counts (across queries).
     pub view_cache: CacheStats,
-    /// Join-score signature/containment memo hit/miss counts.
+    /// Retired: join scores are no longer memoized. Always
+    /// `CacheStats { disabled: true, .. }` with zero lookups; kept so
+    /// readers of the field still compile.
     pub score_memo: CacheStats,
     /// Views currently held by the view LRU.
     pub cached_views: usize,
-    /// Sessions opened over the engine's lifetime.
-    pub sessions_opened: u64,
-    /// Sessions currently open.
-    pub sessions_active: usize,
-    /// Interaction-loop runs served.
-    pub interactions: u64,
     /// Queries rejected by the admission gate ([`VerError::Overloaded`]).
     pub rejected: u64,
     /// Queries that completed degraded (`partial: true` — deadline tripped
@@ -155,8 +148,7 @@ pub trait MissBackend {
 
 /// The in-process [`MissBackend`]: a miss runs [`Ver::run_budgeted`] with
 /// the engine's cross-query [`SearchCaches`] threaded through, so even a
-/// result-cache miss reuses materialized views and memoized scores from
-/// earlier queries.
+/// result-cache miss reuses materialized views from earlier queries.
 pub struct InProcess {
     caches: SearchCaches,
 }
@@ -175,34 +167,21 @@ impl MissBackend for InProcess {
     }
 }
 
-/// Opaque handle to an open interactive session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SessionId(pub u64);
-
-impl std::fmt::Display for SessionId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "S{}", self.0)
-    }
-}
-
 /// A long-lived, concurrently shareable serving engine over miss backend
 /// `B`.
 ///
 /// All entry points take `&self`; the engine is `Sync` and designed to sit
 /// behind an `Arc` with any number of client threads calling
-/// [`Engine::query`] / [`Engine::interact`] simultaneously.
+/// [`Engine::query`] simultaneously. An interactive QBE loop (Algorithm 2)
+/// runs over a shared answer with no engine state:
+/// `engine.ver().present(&spec, &engine.query(&spec)?, &mut user)`.
 pub struct Engine<B> {
     ver: Ver,
     config: ServeConfig,
     /// Whole-result cache keyed by the canonical query form.
     results: LruCache<String, Arc<QueryResult>>,
     pub(crate) miss: B,
-    /// Open sessions: each one's spec and its (shared) query result.
-    sessions: Mutex<FxHashMap<SessionId, (ViewSpec, Arc<QueryResult>)>>,
-    next_session: AtomicU64,
     queries: AtomicU64,
-    sessions_opened: AtomicU64,
-    interactions: AtomicU64,
     in_flight: AtomicU64,
     rejected: AtomicU64,
     partial_results: AtomicU64,
@@ -265,11 +244,7 @@ impl<B: MissBackend> Engine<B> {
         Engine {
             results: LruCache::new(config.result_cache_capacity),
             miss,
-            sessions: Mutex::new(FxHashMap::default()),
-            next_session: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            sessions_opened: AtomicU64::new(0),
-            interactions: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             partial_results: AtomicU64::new(0),
@@ -337,8 +312,7 @@ impl<B: MissBackend> Engine<B> {
     ///
     /// Identical specs (after value normalization) are served from the
     /// whole-result LRU; misses go to the [`MissBackend`]. The returned
-    /// result is shared — sessions and concurrent callers alias one
-    /// materialization.
+    /// result is shared — concurrent callers alias one materialization.
     ///
     /// Unbudgeted: shorthand for [`Engine::query_with_budget`] with an
     /// unlimited [`QueryBudget`]. Still subject to the admission gate.
@@ -426,62 +400,19 @@ impl<B: MissBackend> Engine<B> {
             .run_shard_leg(spec, self.miss.caches(), budget, shard, shard_count)
     }
 
-    /// Open an interactive QBE session: run (or reuse) the query and
-    /// register a session over its distilled candidates. Sessions over the
-    /// same query share one materialization through the result cache.
-    pub fn open_session(&self, spec: &ViewSpec) -> Result<SessionId> {
-        let result = self.query(spec)?;
-        let id = SessionId(self.next_session.fetch_add(1, Ordering::Relaxed));
-        lock_unpoisoned(&self.sessions).insert(id, (spec.clone(), result));
-        self.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
-    }
-
-    /// Drive session `id`'s question loop (Algorithm 2) with `user` via
-    /// [`Ver::present`]; each run starts from the distilled candidate set.
-    /// The loop runs outside the registry lock, so any number of sessions
-    /// can interact concurrently.
-    pub fn interact(&self, id: SessionId, user: &mut dyn SimulatedUser) -> Result<SessionOutcome> {
-        let (spec, result) = lock_unpoisoned(&self.sessions)
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| VerError::NotFound(format!("session {id}")))?;
-        self.interactions.fetch_add(1, Ordering::Relaxed);
-        Ok(self.ver.present(&spec, &result, user))
-    }
-
-    /// Number of candidate views session `id` starts from (distillation
-    /// survivors) — what the first question will range over.
-    pub fn session_candidates(&self, id: SessionId) -> Result<usize> {
-        lock_unpoisoned(&self.sessions)
-            .get(&id)
-            .map(|(_, result)| result.distill.survivors_c2.len())
-            .ok_or_else(|| VerError::NotFound(format!("session {id}")))
-    }
-
-    /// Close a session; returns `false` when it was already gone.
-    pub fn close_session(&self, id: SessionId) -> bool {
-        lock_unpoisoned(&self.sessions).remove(&id).is_some()
-    }
-
-    /// Currently open sessions.
-    pub fn active_sessions(&self) -> usize {
-        lock_unpoisoned(&self.sessions).len()
-    }
-
     /// Serving statistics snapshot. An engine that runs no local search
-    /// (a router) reports the view/score caches as the all-zero default.
+    /// (a router) reports the view cache as the all-zero default.
     pub fn stats(&self) -> ServeStats {
         let caches = self.miss.caches();
         ServeStats {
             queries: self.queries.load(Ordering::Relaxed),
             result_cache: self.results.stats(),
             view_cache: caches.map(SearchCaches::view_stats).unwrap_or_default(),
-            score_memo: caches.map(SearchCaches::score_stats).unwrap_or_default(),
+            score_memo: CacheStats {
+                disabled: true,
+                ..CacheStats::default()
+            },
             cached_views: caches.map_or(0, SearchCaches::cached_views),
-            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            sessions_active: self.active_sessions(),
-            interactions: self.interactions.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             partial_results: self.partial_results.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed) as usize,
@@ -618,13 +549,6 @@ mod tests {
         assert!(Arc::ptr_eq(&full, &served), "{name}");
         assert_eq!(engine.stats().partial_results, 1, "{name}: no new partials");
         assert_eq!(engine.stats().in_flight, 0, "{name}");
-
-        // Sessions ride on the same front: opened over the cached answer.
-        let sid = engine.open_session(&spec()).unwrap();
-        assert_eq!(engine.session_candidates(sid).unwrap(), full.ranked.len());
-        assert!(engine.close_session(sid), "{name}");
-        assert_eq!(engine.stats().sessions_opened, 1, "{name}");
-        assert_eq!(engine.stats().sessions_active, 0, "{name}");
     }
 
     /// `n` in-process `verd` shard legs (one shared single engine behind
@@ -727,26 +651,22 @@ mod tests {
     }
 
     #[test]
-    fn sessions_share_results_and_reach_targets() {
+    fn two_presentations_over_one_cached_result_reach_their_targets() {
         let engine = ServeEngine::build(catalog(), config()).unwrap();
-        let s1 = engine.open_session(&spec()).unwrap();
-        let s2 = engine.open_session(&spec()).unwrap();
-        assert_ne!(s1, s2);
-        assert_eq!(engine.active_sessions(), 2);
-        // Both sessions share one materialization via the result cache.
+        let first = engine.query(&spec()).unwrap();
+        let second = engine.query(&spec()).unwrap();
+        // Both loops share one materialization via the result cache.
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(engine.stats().result_cache.hits, 1);
-        assert!(engine.session_candidates(s1).unwrap() >= 1);
 
-        let target = engine.query(&spec()).unwrap().ranked[0].0;
-        let mut user = OracleUser::new(target);
-        let outcome = engine.interact(s1, &mut user).unwrap();
-        assert_eq!(outcome.found_view(), Some(target));
-
-        assert!(engine.close_session(s1));
-        assert!(!engine.close_session(s1), "double close reports false");
-        assert_eq!(engine.active_sessions(), 1);
-        let err = engine.interact(s1, &mut user);
-        assert!(matches!(err, Err(VerError::NotFound(_))));
+        // The best-ranked view and the worst-ranked one.
+        let last = first.ranked.len() - 1;
+        for (result, rank) in [(&first, 0), (&second, last)] {
+            let target = result.ranked[rank].0;
+            let mut user = OracleUser::new(target);
+            let outcome = engine.ver().present(&spec(), result, &mut user);
+            assert_eq!(outcome.found_view(), Some(target));
+        }
     }
 
     #[test]
@@ -772,19 +692,17 @@ mod tests {
                                 assert_eq!(out.ranked, baseline.ranked, "t{t} r{round}");
                             }
                         }
-                        let sid = engine.open_session(&specs[0]).unwrap();
-                        let target = engine.query(&specs[0]).unwrap().ranked[0].0;
-                        let outcome = engine.interact(sid, &mut OracleUser::new(target)).unwrap();
+                        let result = engine.query(&specs[0]).unwrap();
+                        let target = result.ranked[0].0;
+                        let mut user = OracleUser::new(target);
+                        let outcome = engine.ver().present(&specs[0], &result, &mut user);
                         assert_eq!(outcome.found_view(), Some(target));
-                        engine.close_session(sid);
                     }
                 });
             }
         });
         let stats = engine.stats();
-        assert_eq!(stats.sessions_active, 0);
-        assert_eq!(stats.sessions_opened, 12);
-        assert_eq!(stats.interactions, 12);
+        assert_eq!(stats.queries, 1 + 4 * 3 * (specs.len() as u64 + 1));
         assert!(stats.result_cache.hits > 0);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Everything upstream of this crate is single-shot: build an index, answer
 //! one query, exit. A deployment instead keeps one [`ServeEngine`] alive
-//! and pushes every user's queries and interactive sessions through it:
+//! and pushes every user's queries through it:
 //!
 //! * **warm-start** — the engine loads a [persisted discovery
 //!   index](ver_index::persist) instead of re-profiling and re-sketching
@@ -12,19 +12,18 @@
 //!   serving entry point takes `&self`, and each query fans out onto
 //!   `ver_common::pool` under the configured per-query thread budget
 //!   ([`ServeConfig::with_query_threads`]);
-//! * **three caches on the hot path** — a whole-result LRU keyed by the
-//!   canonical query form, plus the cross-query
-//!   [`SearchCaches`](ver_search::SearchCaches) (materialized-view LRU +
-//!   memoized signature/containment join scores), all surfaced with
+//! * **two bounded caches on the hot path** — a whole-result LRU keyed by
+//!   the canonical query form, plus the cross-query materialized-view LRU
+//!   in [`SearchCaches`](ver_search::SearchCaches), both surfaced with
 //!   hit/miss counters in [`ServeStats`];
-//! * **sessions** — many simultaneous QBE sessions
-//!   ([`ServeEngine::open_session`]) reusing `ver-present`'s Algorithm-2
-//!   interaction loop over shared query results.
+//! * **interaction without server state** — `ver-present`'s Algorithm-2
+//!   question loop runs over a shared cached answer
+//!   (`engine.ver().present(&spec, &result, &mut user)`), so any number
+//!   of users can be driven over one materialization.
 //!
 //! [`ServeEngine`] is one instantiation of the generic front
 //! [`Engine`]`<B>`, which owns the whole serving policy (result LRU,
-//! admission gate, partial-is-never-cached, deadline fallback, sessions,
-//! stats) and is parameterised only by how a miss is computed
+//! admission gate, partial-is-never-cached, deadline fallback, stats) and is parameterised only by how a miss is computed
 //! ([`MissBackend`]): in process ([`ServeEngine`]), scattered over
 //! in-process shard legs ([`ShardedEngine`]), or scattered over remote
 //! `verd` processes ([`RouterEngine`]).
@@ -38,6 +37,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use ver_core::VerConfig;
+//! use ver_present::OracleUser;
 //! use ver_qbe::{ExampleQuery, ViewSpec};
 //! use ver_serve::{ServeConfig, ServeEngine};
 //! use ver_store::catalog::TableCatalog;
@@ -68,6 +68,12 @@
 //! let second = engine.query(&spec).unwrap(); // served from the result cache
 //! assert!(Arc::ptr_eq(&first, &second));
 //! assert_eq!(engine.stats().result_cache.hits, 1);
+//!
+//! // Algorithm 2's question loop over the cached answer: a simulated user
+//! // who knows the view they want finds it. The engine holds no state for it.
+//! let target = first.ranked[0].0;
+//! let outcome = engine.ver().present(&spec, &first, &mut OracleUser::new(target));
+//! assert_eq!(outcome.found_view(), Some(target));
 //! std::fs::remove_file(&path).ok();
 //! ```
 //!
@@ -80,7 +86,7 @@ pub mod net;
 pub mod remote;
 pub mod sharded;
 
-pub use engine::{Engine, InProcess, MissBackend, ServeConfig, ServeEngine, ServeStats, SessionId};
+pub use engine::{Engine, InProcess, MissBackend, ServeConfig, ServeEngine, ServeStats};
 pub use remote::{RemoteLeg, RouterEngine, RouterLegStats};
 pub use sharded::{LocalLeg, Scatter, ShardBackend, ShardStats, ShardedEngine};
 

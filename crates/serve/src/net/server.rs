@@ -399,6 +399,15 @@ fn error_reply(e: &VerError) -> Vec<u8> {
     .encode()
 }
 
+/// A query budget from a wire deadline in milliseconds (`0` = none).
+fn budget_from_ms(ms: u64) -> QueryBudget {
+    if ms == 0 {
+        QueryBudget::none()
+    } else {
+        QueryBudget::none().with_timeout(Duration::from_millis(ms))
+    }
+}
+
 /// Answer one request with the payload to frame.
 fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Request) -> Vec<u8> {
     let c = &shared.counters;
@@ -408,12 +417,7 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
             page_size,
             timeout_ms,
         } => {
-            let budget = if timeout_ms == 0 {
-                QueryBudget::none()
-            } else {
-                QueryBudget::none().with_timeout(Duration::from_millis(timeout_ms))
-            };
-            match engine.query_with_budget(&spec, &budget) {
+            match engine.query_with_budget(&spec, &budget_from_ms(timeout_ms)) {
                 Ok(result) => {
                     let reply = paginate(shared, &result, page_size);
                     // An over-cap reply is refused, and counted, by `write_reply`.
@@ -435,12 +439,8 @@ fn handle_request<B: MissBackend>(shared: &Shared, engine: &Engine<B>, req: Requ
             budget_ms,
         } => {
             // The wire carries the budget *remaining at the router*; the
-            // leg rebuilds a local deadline from it (0 = no deadline).
-            let budget = if budget_ms == 0 {
-                QueryBudget::none()
-            } else {
-                QueryBudget::none().with_timeout(Duration::from_millis(budget_ms))
-            };
+            // leg rebuilds a local deadline from it.
+            let budget = budget_from_ms(budget_ms);
             match engine.shard_query(&spec, shard as usize, shard_count as usize, &budget) {
                 Ok(out) => {
                     let reply = Response::ShardOutput(out).encode();

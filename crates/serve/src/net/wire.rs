@@ -52,7 +52,8 @@ use crate::ServeStats;
 ///
 /// v2: `ShardQuery` / `ShardOutput` messages for remote scatter legs, and
 /// per-leg router stats appended to `Stats` replies.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3: `Stats` replies drop the three session counters.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 fn reader(payload: &[u8]) -> Reader<'_> {
     Reader::new(payload, VerError::Protocol)
@@ -827,9 +828,6 @@ impl StatsReply {
         put_cache_stats(out, &s.view_cache);
         put_cache_stats(out, &s.score_memo);
         put_u64(out, s.cached_views as u64);
-        put_u64(out, s.sessions_opened);
-        put_u64(out, s.sessions_active as u64);
-        put_u64(out, s.interactions);
         put_u64(out, s.rejected);
         put_u64(out, s.partial_results);
         put_u64(out, s.in_flight as u64);
@@ -847,9 +845,6 @@ impl StatsReply {
             view_cache: read_cache_stats(r, "view cache")?,
             score_memo: read_cache_stats(r, "score memo")?,
             cached_views: r.u64("cached views")? as usize,
-            sessions_opened: r.u64("sessions opened")?,
-            sessions_active: r.u64("sessions active")? as usize,
-            interactions: r.u64("interactions")?,
             rejected: r.u64("rejected")?,
             partial_results: r.u64("partial results")?,
             in_flight: r.u64("in flight")? as usize,

@@ -7,9 +7,8 @@
 //! behind the [`ShardBackend`] trait: the engine built here scatters over
 //! in-process [`LocalLeg`]s ([`Ver::run_shard_leg`]), and the router in
 //! [`crate::remote`] scatters the same way over remote `verd` processes.
-//! One [`SearchCaches`] bundle is shared by every local leg: the score
-//! memo makes each shard's (identical) global scoring pass cheap, and
-//! cache hits stay bit-identical to misses.
+//! One [`SearchCaches`] view LRU is shared by every local leg, and cache
+//! hits stay bit-identical to misses.
 //!
 //! **Determinism invariant 11.** For every shard count the merged answer
 //! is bit-identical to the single-engine [`ServeEngine`](crate::ServeEngine) run — same views,

@@ -52,8 +52,8 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("WDC-Q5 shard request", 116, 0xe5a8398f2993e861),
     ("paged head", 5831, 0x5c73bd96ad66ff77),
     ("page 1", 4932, 0xe1edd2fb237c5d3f),
-    ("stats", 294, 0x5ebf83de48dc719d),
-    ("health", 52, 0xd403a3cc09650909),
+    ("stats", 270, 0xf97468526c60530b),
+    ("health", 52, 0x22c936f97899870f),
     ("error", 51, 0x1935e70327de7d5c),
     ("shutdown ack", 20, 0xa280ec77c039946f),
     ("keyword request", 61, 0x21e91b445f422f8d),

@@ -2,7 +2,7 @@
 //!
 //! The serving layer's correctness claim is that none of its machinery —
 //! full-index persistence, warm-start assembly, the result LRU, the
-//! materialized-view LRU, the score memo, concurrent access — changes a
+//! materialized-view LRU, concurrent access — changes a
 //! single byte of query output. This suite drives the same fixed workload
 //! as `tests/golden_online.rs` through a `ServeEngine` that was built,
 //! persisted to disk, and re-loaded, and requires the rendered output to
@@ -56,8 +56,8 @@ fn warm_started_engine_reproduces_the_golden_snapshot() {
         ServeEngine::open(Arc::clone(&catalog), &path, ServeConfig::default()).expect("warm start");
     std::fs::remove_file(&path).ok();
 
-    // Pass 1: cold caches. Every query is a result-cache miss; view/score
-    // caches fill as candidates recur across queries.
+    // Pass 1: cold caches. Every query is a result-cache miss; the view
+    // LRU fills as candidates recur across queries.
     let cold_pass = snapshot_with(&queries, |spec| engine.query(spec));
     assert_eq!(
         cold_pass, expected,
@@ -79,16 +79,12 @@ fn warm_started_engine_reproduces_the_golden_snapshot() {
         queries.len(),
         "second pass must be served entirely from the result cache"
     );
-    assert!(
-        stats.score_memo.lookups() > 0,
-        "join-graph scoring must route through the shared memo"
-    );
 }
 
 #[test]
-fn view_and_score_caches_hit_across_distinct_queries() {
-    // Distinct specs bypass the whole-result cache; candidate views and
-    // scores shared between them must still hit the cross-query caches.
+fn view_cache_hits_across_distinct_queries() {
+    // Distinct specs bypass the whole-result cache; candidate views shared
+    // between them must still hit the cross-query view LRU.
     let catalog = Arc::new(golden_catalog());
     let queries = golden_queries(&catalog);
     let index = Arc::new(build_index(&catalog, IndexConfig::default()).expect("index build"));
@@ -118,10 +114,6 @@ fn view_and_score_caches_hit_across_distinct_queries() {
     assert!(
         stats.view_cache.hits > 0,
         "repeated pipeline runs must hit the materialized-view LRU: {stats:?}"
-    );
-    assert!(
-        stats.score_memo.hits > 0,
-        "repeated pipeline runs must hit the score memo: {stats:?}"
     );
 }
 
