@@ -6,9 +6,9 @@
 //!
 //! * [`LruCache`] — a bounded least-recently-used map for values worth
 //!   keeping only while hot (materialized candidate views, whole query
-//!   results);
-//! * [`CacheCounters`] / [`CacheStats`] — lock-free hit/miss accounting so
-//!   serving stats can report cache effectiveness without touching the map.
+//!   results), with lock-free hit/miss counters so serving stats can
+//!   report cache effectiveness without touching the map;
+//! * [`CacheStats`] — a snapshot of those counters.
 //!
 //! The cache takes `&self` for every operation (interior `Mutex`), so it
 //! can sit behind an `Arc`'d engine queried from many threads at once.
@@ -22,39 +22,6 @@ use crate::sync::lock_unpoisoned;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Lock-free hit/miss counters behind [`LruCache`]'s stats.
-#[derive(Debug, Default)]
-pub struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CacheCounters {
-    /// Fresh counters (all zero).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a hit.
-    pub fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a miss.
-    pub fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Consistent-enough snapshot for reporting.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            disabled: false,
-        }
-    }
-}
 
 /// A point-in-time view of a cache's effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,7 +70,10 @@ struct LruInner<K, V> {
 /// `insert` is a no-op, so callers can thread one through unconditionally.
 pub struct LruCache<K, V> {
     inner: Mutex<LruInner<K, V>>,
-    counters: CacheCounters,
+    /// Lookups answered from the map; counted outside the lock.
+    hits: AtomicU64,
+    /// Lookups that found nothing; counted outside the lock.
+    misses: AtomicU64,
     capacity: usize,
 }
 
@@ -115,7 +85,8 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
                 map: FxHashMap::default(),
                 tick: 0,
             }),
-            counters: CacheCounters::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             capacity,
         }
     }
@@ -139,8 +110,9 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// lookups and `disabled: true` — it never counted phantom misses.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
             disabled: self.capacity == 0,
-            ..self.counters.stats()
         }
     }
 
@@ -160,12 +132,12 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
                 *t = tick;
                 let out = v.clone();
                 drop(inner);
-                self.counters.hit();
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(out)
             }
             None => {
                 drop(inner);
-                self.counters.miss();
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -205,13 +177,13 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-impl<K: Hash + Eq, V> std::fmt::Debug for LruCache<K, V> {
+impl<K: Hash + Eq + Clone, V: Clone> std::fmt::Debug for LruCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = lock_unpoisoned(&self.inner);
         f.debug_struct("LruCache")
             .field("len", &inner.map.len())
             .field("capacity", &self.capacity)
-            .field("stats", &self.counters.stats())
+            .field("stats", &self.stats())
             .finish()
     }
 }

@@ -1,7 +1,7 @@
 //! The byte-level codec kit under every binary format in the workspace.
 //!
-//! Three hand-rolled little-endian formats share it: the `VERIDX\x03`
-//! full-index and `VERSHD\x01` shard artifacts (`ver-index`) and the
+//! Three hand-rolled little-endian formats share it: the `VERIDX\x04`
+//! full-index and `VERSHD\x02` shard artifacts (`ver-index`) and the
 //! `VERNET\x01` wire protocol (`ver-serve`). The kit knows integers,
 //! floats, strings and counts — nothing else; the codec of a domain type
 //! (a `Value`, a profile, a view) lives in the module that owns the type

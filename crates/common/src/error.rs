@@ -108,6 +108,25 @@ impl VerError {
             other => VerError::Internal(format!("unknown wire status {other}: {message}")),
         }
     }
+
+    /// Whether this error **degrades** the unit of work it hit — the unit
+    /// is skipped and the result flagged partial — instead of failing the
+    /// query: a deadline that passed, or a worker panic confined to its
+    /// item. Every other error is a real failure.
+    pub fn degrades(&self) -> bool {
+        matches!(self, VerError::DeadlineExceeded(_) | VerError::Internal(_))
+    }
+
+    /// Whether this error is a transport-level failure of a remote peer —
+    /// a broken socket, a desynced frame, or a shedding server — which a
+    /// reconnect-and-retry can change. Typed answers from a healthy peer
+    /// are not.
+    pub fn is_transport(&self) -> bool {
+        matches!(
+            self,
+            VerError::Io(_) | VerError::Protocol(_) | VerError::Overloaded(_)
+        )
+    }
 }
 
 impl std::error::Error for VerError {}
@@ -144,9 +163,8 @@ mod tests {
         assert_ne!(VerError::Config("x".into()), VerError::Io("x".into()));
     }
 
-    #[test]
-    fn wire_codes_round_trip_every_variant() {
-        let variants = [
+    fn every_variant() -> [VerError; 12] {
+        [
             VerError::NotFound("m".into()),
             VerError::InvalidData("m".into()),
             VerError::InvalidQuery("m".into()),
@@ -159,14 +177,40 @@ mod tests {
             VerError::DeadlineExceeded("m".into()),
             VerError::Internal("m".into()),
             VerError::Protocol("m".into()),
-        ];
+        ]
+    }
+
+    #[test]
+    fn wire_codes_round_trip_every_variant() {
         let mut seen = std::collections::HashSet::new();
-        for e in variants {
+        for e in every_variant() {
             let code = e.wire_code();
             assert_ne!(code, 0, "0 is reserved for ok");
             assert!(seen.insert(code), "duplicate wire code {code}");
             assert_eq!(VerError::from_wire(code, "m".into()), e);
         }
+    }
+
+    #[test]
+    fn degrade_and_transport_sets_are_pinned_over_every_variant() {
+        let of = |pick: fn(&VerError) -> bool| -> Vec<VerError> {
+            every_variant().into_iter().filter(pick).collect()
+        };
+        assert_eq!(
+            of(VerError::degrades),
+            [
+                VerError::DeadlineExceeded("m".into()),
+                VerError::Internal("m".into())
+            ]
+        );
+        assert_eq!(
+            of(VerError::is_transport),
+            [
+                VerError::Io("m".into()),
+                VerError::Overloaded("m".into()),
+                VerError::Protocol("m".into())
+            ]
+        );
     }
 
     #[test]

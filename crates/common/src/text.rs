@@ -1,5 +1,5 @@
 //! Text utilities: Levenshtein distance (fuzzy keyword search), tokenisation,
-//! and lexical distances used by the question-prioritisation strategies.
+//! and lexical distances used by question prioritisation.
 //!
 //! The paper uses pre-trained word2vec embeddings to compute question/query
 //! distances; offline we substitute deterministic lexical distances (token

@@ -39,7 +39,7 @@ pub mod pipeline;
 pub mod spec_select;
 
 pub use config::VerConfig;
-pub use pipeline::{leg_degradable, presentation_query, QueryResult, ShardLeg, Ver};
+pub use pipeline::{presentation_query, QueryResult, ShardLeg, Ver};
 
 // Re-export the component crates under one roof for downstream users.
 pub use ver_common as common;

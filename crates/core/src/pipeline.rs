@@ -217,7 +217,7 @@ impl Ver {
             shard_count,
             self.config.search.threads,
             |shard| self.run_shard_leg(spec, caches, budget, shard, shard_count),
-            |_, e| leg_degradable(e),
+            |_, e| e.degrades(),
         )
         .map(|(result, _)| result)
     }
@@ -361,7 +361,7 @@ impl Ver {
         // caller which contract they got.
         let distill_out = match distill_budgeted(&views, &self.config.distill, budget) {
             Ok(out) => out,
-            Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => {
+            Err(e) if e.degrades() => {
                 partial = true;
                 undistilled(&views)
             }
@@ -429,14 +429,6 @@ pub struct ShardLeg {
     pub partial: bool,
     /// Views the leg contributed to the merge.
     pub views: usize,
-}
-
-/// Which leg errors an in-process scatter drops rather than surfaces: a
-/// worker panic ([`VerError::Internal`]) or a deadline that tripped before
-/// the shard could degrade internally. Remote backends widen this to
-/// transport failures.
-pub fn leg_degradable(e: &VerError) -> bool {
-    matches!(e, VerError::DeadlineExceeded(_) | VerError::Internal(_))
 }
 
 /// The degraded stand-in for an abandoned distillation: an unlabelled
@@ -840,7 +832,7 @@ mod tests {
             _ => healthy(shard),
         };
         let (result, legs) = ver
-            .scatter_gather(&spec, &budget, 2, 2, one_panics, |_, e| leg_degradable(e))
+            .scatter_gather(&spec, &budget, 2, 2, one_panics, |_, e| e.degrades())
             .unwrap();
         assert!(result.partial);
         assert!(!legs[0].ok && legs[1].ok);
@@ -855,7 +847,7 @@ mod tests {
             1 => Err(VerError::Io("leg down".into())),
             _ => ver.run_shard_leg(&spec, None, &budget, shard, 2),
         };
-        let err = ver.scatter_gather(&spec, &budget, 2, 2, one_down, |_, e| leg_degradable(e));
+        let err = ver.scatter_gather(&spec, &budget, 2, 2, one_down, |_, e| e.degrades());
         assert!(matches!(err, Err(VerError::Io(_))), "{err:?}");
     }
 

@@ -19,27 +19,19 @@ use ver_common::timer::PhaseTimer;
 use ver_engine::rowhash::{relation, SetRelation};
 use ver_engine::view::View;
 
+/// Key-uniqueness slack of C3's candidate keys (0.0 = exact keys).
+const KEY_EPSILON: f64 = 0.0;
+
+/// Maximum width of C3's candidate keys.
+const MAX_KEY_WIDTH: usize = 2;
+
 /// Tunables for distillation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DistillConfig {
-    /// Key-uniqueness slack (0.0 = exact keys).
-    pub key_epsilon: f64,
-    /// Maximum candidate-key width.
-    pub max_key_width: usize,
     /// Worker threads for the per-view work — row hashing, candidate-key
     /// discovery, per-key contradiction hashing (`0` = one per available
     /// hardware thread, the default). Output is identical for every value.
     pub threads: usize,
-}
-
-impl Default for DistillConfig {
-    fn default() -> Self {
-        DistillConfig {
-            key_epsilon: 0.0,
-            max_key_width: 2,
-            threads: 0,
-        }
-    }
 }
 
 /// One contradiction signal: under `key`, the views split into `groups`
@@ -210,8 +202,8 @@ pub fn distill_budgeted(
             // Forces the gather: key uniqueness is counted over cells.
             Ok(find_candidate_keys(
                 &views[vi].table,
-                config.key_epsilon,
-                config.max_key_width,
+                KEY_EPSILON,
+                MAX_KEY_WIDTH,
             ))
         });
         for (&vi, keys) in survivors_c2.iter().zip(found) {

@@ -1,14 +1,19 @@
 //! Offline discovery-index construction (the DISCOVERY ENGINE's build pass).
 //!
 //! Builds, over a [`TableCatalog`]:
-//! 1. per-column profiles (exact cardinalities plus the sorted distinct-hash
-//!    vector every later stage feeds from),
-//! 2. MinHash signatures, sketched from the pre-hashed profile values,
-//! 3. keyword indexes over values / attribute names / table names (built
-//!    per-table, then merged),
+//! 1. per-column profiles (exact cardinalities),
+//! 2. MinHash signatures, sketched from each column's sorted distinct-hash
+//!    vector,
+//! 3. keyword indexes over values and attribute names (built per-table,
+//!    then merged),
 //! 4. the join hypergraph: LSH candidate pairs deduplicated up front and
 //!    verified by estimated (or optionally exact) containment at
 //!    `containment_threshold`.
+//!
+//! Signatures and hash vectors exist only to find joinable pairs: they are
+//! intermediates of this pass and are dropped when [`build_index`] returns.
+//! The [`DiscoveryIndex`] it hands over holds only what online discovery
+//! reads — profiles, keyword postings and the hypergraph.
 //!
 //! Every stage runs on one [`ThreadPool`] from [`ver_common::pool`]
 //! (`threads: 0` = one worker per hardware thread), whose workers claim
@@ -45,12 +50,10 @@ pub struct IndexConfig {
     /// estimate. Slower but eliminates MinHash estimation error (used by
     /// small corpora). Verification compares the columns' 64-bit
     /// distinct-value hashes, so it is exact up to Fx-hash collisions
-    /// (vanishingly rare on non-adversarial data); it also keeps the
-    /// per-column hash vectors alive on the profiles, which estimated mode
-    /// drops after sketching.
+    /// (vanishingly rare on non-adversarial data); it also keeps every
+    /// column's hash vector alive until the hypergraph is built, where
+    /// estimated mode drops each one as soon as it is sketched.
     pub verify_exact: bool,
-    /// Distinct-value sample cap per column profile.
-    pub sample_cap: usize,
     /// Worker threads for the offline build (`0` = one per available
     /// hardware thread, the default; `1` = sequential). The built index is
     /// identical for every value.
@@ -68,7 +71,6 @@ impl Default for IndexConfig {
             minhash_k: 128,
             containment_threshold: 0.8,
             verify_exact: false,
-            sample_cap: 64,
             threads: 0,
             seed: 0x5eed,
             value_index_cap: 1_000_000,
@@ -79,40 +81,53 @@ impl Default for IndexConfig {
 /// Build the discovery index for `catalog`.
 pub fn build_index(catalog: &TableCatalog, config: IndexConfig) -> Result<DiscoveryIndex> {
     let pool = ThreadPool::new(config.threads);
-    let mut profiles = profile_catalog(catalog, config.sample_cap, &pool);
-    let hasher = MinHasher::new(config.minhash_k, config.seed);
-    let signatures = compute_signatures(&profiles, &hasher, &pool);
-    if !config.verify_exact {
-        // In estimated mode the stored hash vectors are only consumed by
-        // sketching, which just finished — drop them now, before the
-        // keyword and hypergraph stages run, rather than keep ~8 bytes per
-        // distinct value alive (Open-Data-scale corpora have millions of
-        // columns, and profiles were designed around the `sample_cap`
-        // memory bound). `verify_exact` deployments keep them: they are
-        // the containment verifier's input below and remain available for
-        // re-verification.
-        for p in &mut profiles {
-            p.hashes = Vec::new();
-        }
-    }
+    let profiles = profile_catalog(catalog, &pool);
+    let sketches = sketch(catalog, &profiles, &config, &pool);
     let keyword = build_keyword_index(catalog, &config, &pool);
-    let hypergraph = build_hypergraph(&profiles, &signatures, &config, &pool);
+    let hypergraph = build_hypergraph(&profiles, &sketches, &config, &pool);
     Ok(DiscoveryIndex::assemble(
-        config, profiles, hasher, signatures, keyword, hypergraph,
+        config, profiles, keyword, hypergraph,
     ))
 }
 
-/// Sketch every column from its profile's pre-hashed distinct set — no
-/// re-hashing of values, no per-column set clones. Output is in `ColumnId`
-/// order for any worker count.
-fn compute_signatures(
+/// The build's per-column intermediates, in `ColumnId` order. Both feed
+/// only the hypergraph stage and die with [`build_index`].
+struct Sketches {
+    signatures: Vec<MinHashSignature>,
+    /// Sorted, deduplicated Fx hashes of each column's distinct values
+    /// (`Column::distinct_hashes`) — the exact verifier's input. Empty
+    /// vectors in estimated mode, which reads only the signatures.
+    hashes: Vec<Vec<u64>>,
+}
+
+/// Hash each column's distinct set once and sketch it from those hashes —
+/// no re-hashing of values, no per-column set clones. Output is in
+/// `ColumnId` order for any worker count.
+fn sketch(
+    catalog: &TableCatalog,
     profiles: &[ColumnProfile],
-    hasher: &MinHasher,
+    config: &IndexConfig,
     pool: &ThreadPool,
-) -> Vec<MinHashSignature> {
-    pool.par_map(profiles, |p| {
-        hasher.signature_of_hash_slice(&p.hashes, p.distinct)
-    })
+) -> Sketches {
+    let hasher = MinHasher::new(config.minhash_k, config.seed);
+    let (signatures, hashes) = pool
+        .par_map(profiles, |p| {
+            let col = catalog.column(p.cref).expect("profiled column");
+            let hashes = col.distinct_hashes();
+            let signature = hasher.signature_of_hash_slice(&hashes, p.distinct);
+            // Estimated mode frees each vector as soon as it is sketched,
+            // rather than keep ~8 bytes per distinct value alive through
+            // the keyword and hypergraph stages.
+            let kept = if config.verify_exact {
+                hashes
+            } else {
+                Vec::new()
+            };
+            (signature, kept)
+        })
+        .into_iter()
+        .unzip();
+    Sketches { signatures, hashes }
 }
 
 /// Keyword indexes are built per table on the pool, then merged in table
@@ -149,7 +164,6 @@ fn keyword_index_of_table(
                 .expect("registered column")
         })
         .collect();
-    idx.add_table(table.name(), table.id, cols.clone());
     for (ordinal, cid) in cols.iter().enumerate() {
         if let Some(name) = &table.schema.columns[ordinal].name {
             idx.add_attribute(name, *cid);
@@ -175,7 +189,7 @@ fn keyword_index_of_table(
 /// count.
 fn build_hypergraph(
     profiles: &[ColumnProfile],
-    signatures: &[MinHashSignature],
+    sketches: &Sketches,
     config: &IndexConfig,
     pool: &ThreadPool,
 ) -> JoinHypergraph {
@@ -190,7 +204,7 @@ fn build_hypergraph(
     // Ensemble/Lazo address. False candidates are discarded by the
     // containment check below.
     let mut lsh = LshIndex::new(config.minhash_k, 1);
-    lsh.insert_signatures(signatures, pool);
+    lsh.insert_signatures(&sketches.signatures, pool);
 
     let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -213,15 +227,11 @@ fn build_hypergraph(
     let scores = pool.par_map(&pairs, |&(a, b)| {
         // Symmetric-max scoring shares one intersection/agreement count per
         // pair (bit-identical to taking the max of both directions).
+        let (a, b) = (a as usize, b as usize);
         if config.verify_exact {
-            let (ha, hb) = (
-                profiles[a as usize].hashes.as_slice(),
-                profiles[b as usize].hashes.as_slice(),
-            );
-            hashed_containment_max(ha, hb)
+            hashed_containment_max(&sketches.hashes[a], &sketches.hashes[b])
         } else {
-            let (sa, sb) = (&signatures[a as usize], &signatures[b as usize]);
-            estimated_containment_max(sa, sb)
+            estimated_containment_max(&sketches.signatures[a], &sketches.signatures[b])
         }
     });
     for (&(a, b), &score) in pairs.iter().zip(&scores) {
@@ -338,17 +348,84 @@ mod tests {
     #[test]
     fn parallel_and_sequential_signatures_agree() {
         let cat = catalog();
-        let h = MinHasher::new(64, 1);
-        let profiles = profile_catalog(&cat, 64, &ThreadPool::new(1));
-        let seq = compute_signatures(&profiles, &h, &ThreadPool::new(1));
-        let par = compute_signatures(&profiles, &h, &ThreadPool::new(4));
+        let config = IndexConfig {
+            minhash_k: 64,
+            seed: 1,
+            ..Default::default()
+        };
+        let pool = ThreadPool::new(1);
+        let profiles = profile_catalog(&cat, &pool);
+        let seq = sketch(&cat, &profiles, &config, &pool).signatures;
+        let par = sketch(&cat, &profiles, &config, &ThreadPool::new(4)).signatures;
         assert_eq!(seq, par);
         // And they match direct column sketching (pre-hash fidelity).
+        let h = MinHasher::new(64, 1);
         let direct: Vec<MinHashSignature> = cat
             .all_columns()
             .map(|(_, cref)| h.signature_of_column(cat.column(cref).unwrap()))
             .collect();
         assert_eq!(seq, direct);
+    }
+
+    /// Tables of skewed sizes over shared value ranges, so eight workers
+    /// claim uneven grains.
+    fn skewed_catalog() -> TableCatalog {
+        let mut cat = TableCatalog::new();
+        for t in 0..24i64 {
+            let mut b = TableBuilder::new(format!("t{t}"), &["code", "n"]);
+            for i in 0..(8 + t * t * 3) {
+                b.push_row(vec![
+                    Value::text(format!("c{}", i % 97)),
+                    Value::Int(i % (t + 5)),
+                ])
+                .unwrap();
+            }
+            cat.add_table(b.build()).unwrap();
+        }
+        cat
+    }
+
+    #[test]
+    fn one_thread_and_eight_threads_sketch_identically() {
+        let cat = skewed_catalog();
+        for verify_exact in [false, true] {
+            let config = IndexConfig {
+                verify_exact,
+                ..Default::default()
+            };
+            let run = |threads| {
+                let pool = ThreadPool::new(threads);
+                sketch(&cat, &profile_catalog(&cat, &pool), &config, &pool)
+            };
+            let (seq, par) = (run(1), run(8));
+            assert_eq!(
+                seq.signatures, par.signatures,
+                "signatures (verify_exact={verify_exact})"
+            );
+            assert_eq!(
+                seq.hashes, par.hashes,
+                "hashes (verify_exact={verify_exact})"
+            );
+        }
+    }
+
+    #[test]
+    fn hashes_cover_the_distinct_set() {
+        let cat = catalog();
+        let pool = ThreadPool::new(1);
+        let profiles = profile_catalog(&cat, &pool);
+        let exact = IndexConfig {
+            verify_exact: true,
+            ..Default::default()
+        };
+        let hashes = sketch(&cat, &profiles, &exact, &pool).hashes;
+        for (p, h) in profiles.iter().zip(&hashes) {
+            assert_eq!(h.len(), p.distinct);
+            assert!(h.windows(2).all(|w| w[0] < w[1]));
+        }
+        // Estimated mode keeps none of them past sketching.
+        let estimated = sketch(&cat, &profiles, &IndexConfig::default(), &pool).hashes;
+        assert!(estimated.iter().all(Vec::is_empty));
     }
 
     #[test]

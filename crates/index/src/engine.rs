@@ -1,14 +1,16 @@
 //! The online Discovery Engine API.
 //!
-//! [`DiscoveryIndex`] bundles everything the offline pass built and exposes
-//! the three functions the paper's Appendix A specifies (SEARCH-KEYWORD,
-//! NEIGHBORS, GENERATE-JOIN-GRAPHS) plus the lookups downstream components
-//! need (profiles, column↔table resolution, Table-I statistics).
+//! [`DiscoveryIndex`] bundles what online discovery reads of the offline
+//! pass — column profiles, keyword postings and the join hypergraph — and
+//! exposes the three functions the paper's Appendix A specifies
+//! (SEARCH-KEYWORD, NEIGHBORS, GENERATE-JOIN-GRAPHS) plus the lookups
+//! downstream components need (profiles, column↔table resolution, Table-I
+//! statistics). The build's MinHash signatures and hash vectors are not
+//! part of it: they end with [`crate::build_index`].
 
 use crate::builder::IndexConfig;
 use crate::hypergraph::JoinHypergraph;
 use crate::joinpath::{generate_join_graphs, unjoinable, JoinGraph, JoinGraphOptions};
-use crate::minhash::{MinHashSignature, MinHasher};
 use crate::valueindex::{Fuzziness, KeywordIndex, SearchTarget};
 use ver_common::ids::{ColumnId, TableId};
 use ver_store::profile::ColumnProfile;
@@ -18,27 +20,21 @@ use ver_store::profile::ColumnProfile;
 pub struct DiscoveryIndex {
     config: IndexConfig,
     profiles: Vec<ColumnProfile>,
-    hasher: MinHasher,
-    signatures: Vec<MinHashSignature>,
     keyword: KeywordIndex,
     hypergraph: JoinHypergraph,
 }
 
 impl DiscoveryIndex {
-    /// Assemble from parts (used by the builder).
+    /// Assemble from parts (used by the builder and the decoders).
     pub(crate) fn assemble(
         config: IndexConfig,
         profiles: Vec<ColumnProfile>,
-        hasher: MinHasher,
-        signatures: Vec<MinHashSignature>,
         keyword: KeywordIndex,
         hypergraph: JoinHypergraph,
     ) -> Self {
         DiscoveryIndex {
             config,
             profiles,
-            hasher,
-            signatures,
             keyword,
             hypergraph,
         }
@@ -59,16 +55,6 @@ impl DiscoveryIndex {
         &self.profiles
     }
 
-    /// MinHash signature of a column.
-    pub fn signature(&self, c: ColumnId) -> &MinHashSignature {
-        &self.signatures[c.idx()]
-    }
-
-    /// The MinHash family (for sketching query-side value sets).
-    pub fn hasher(&self) -> &MinHasher {
-        &self.hasher
-    }
-
     /// The join hypergraph.
     pub fn hypergraph(&self) -> &JoinHypergraph {
         &self.hypergraph
@@ -79,17 +65,14 @@ impl DiscoveryIndex {
         &self.keyword
     }
 
-    /// `true` when two indexes hold identical contents — profiles (with
-    /// their stored distinct-hash vectors), MinHash family and signatures,
-    /// keyword postings, and the full hypergraph adjacency. This is the
+    /// `true` when two indexes hold identical contents — profiles, keyword
+    /// postings, and the full hypergraph adjacency. This is the
     /// determinism contract of the parallel builder: `threads: 1` and
     /// `threads: N` must produce indexes for which this holds. The build
     /// config itself (which records the thread count) is deliberately not
     /// compared.
     pub fn same_contents(&self, other: &DiscoveryIndex) -> bool {
         self.profiles == other.profiles
-            && self.hasher == other.hasher
-            && self.signatures == other.signatures
             && self.keyword == other.keyword
             && self.hypergraph == other.hypergraph
     }
@@ -198,6 +181,5 @@ mod tests {
         let idx = setup();
         assert_eq!(idx.profiles().len(), 4);
         assert_eq!(idx.profile(ColumnId(0)).distinct, 80);
-        assert_eq!(idx.signature(ColumnId(0)).cardinality, 80);
     }
 }

@@ -5,7 +5,7 @@
 //! (Appendix A), all implemented here:
 //!
 //! * `SEARCH-KEYWORD(target, fuzzy)` → [`valueindex`] (exact and
-//!   Levenshtein-fuzzy lookup over values, attribute names, table names);
+//!   Levenshtein-fuzzy lookup over values and attribute names);
 //! * `NEIGHBORS(threshold)` → [`hypergraph`] (joinable columns by estimated
 //!   Jaccard containment);
 //! * `GENERATE-JOIN-GRAPHS(tables, ρ)` → [`joinpath`] (join-graph trees with
@@ -16,9 +16,10 @@
 //! sub-quadratic. [`builder`] runs the offline pass on one
 //! `ver_common::pool::ThreadPool` (profiles, signatures, keyword indexing
 //! and candidate verification all fan out; results are bit-identical for
-//! any thread count) and [`engine`] is the online façade. [`persist`]
-//! serialises the hypergraph — the expensive offline product — to a
-//! compact binary format.
+//! any thread count) and [`engine`] is the online façade, which keeps only
+//! what online discovery reads: profiles, keyword postings and the
+//! hypergraph. [`persist`] serialises that index to a checksummed binary
+//! artifact, and [`shard`] splits it by table.
 //!
 //! Layer 2 of the crate map in the repo-root `ARCHITECTURE.md` — the
 //! offline half of the pipeline; its persisted artifact is what the

@@ -5,13 +5,16 @@
 //! persistence cannot lean on derives); this module owns the layout and
 //! the codecs of the index's own types, the kit the integers, strings,
 //! counts and the checksum fold: the **checksummed full-index format**
-//! (`VERIDX\x03`) — everything [`DiscoveryIndex`] holds, as five payload
-//! sections (build config, column profiles with their distinct-hash
-//! vectors, MinHash signatures, keyword index, hypergraph), each framed as
-//! `len u64 · payload · checksum u64`, followed by a whole-file trailer
-//! checksum. (The layouts before it — the hypergraph-only `VERIDX\x01` and
-//! the unchecksummed `VERIDX\x02` — are not read: such a file fails with a
-//! typed bad-magic error.) This is what [`save_index`] writes and what the
+//! (`VERIDX\x04`) — everything [`DiscoveryIndex`] holds, as four payload
+//! sections (build config, column profiles, keyword index, hypergraph),
+//! each framed as `len u64 · payload · checksum u64`, followed by a
+//! whole-file trailer checksum. The build's MinHash signatures and
+//! distinct-hash vectors are not stored: no query reads them, and they end
+//! with the build. (The layouts before it — the hypergraph-only
+//! `VERIDX\x01`, the unchecksummed `VERIDX\x02`, and `VERIDX\x03`, which
+//! also carried signatures, value samples and table-name postings — are
+//! not read: such a file fails with a typed bad-magic error naming the
+//! magic it carries.) This is what [`save_index`] writes and what the
 //! `ver-serve` serving layer warm-starts from: [`load_index`] must
 //! reproduce the in-memory index **exactly**
 //! ([`DiscoveryIndex::same_contents`]), so a warm-started engine answers
@@ -19,15 +22,13 @@
 //! See ARCHITECTURE.md ("Offline → online contract").
 //!
 //! ```text
-//! full index  "VERIDX\x03"
-//!   5 × section   len u64 · payload · checksum u64     (fxhash-folded)
+//! full index  "VERIDX\x04"
+//!   4 × section   len u64 · payload · checksum u64     (fxhash-folded)
 //!     config      minhash_k u32 · containment f64 · verify_exact u8 ·
-//!                 sample_cap u64 · threads u32 · seed u64 · value_cap u64
+//!                 threads u32 · seed u64 · value_cap u64
 //!     profiles    n u32 × { id u32 · table u32 · ordinal u16 · dtype u8 ·
-//!                           rows/nulls/distinct u64 · sample [str] · hashes [u64] }
-//!     sigs        n u32 × { cardinality u64 · sig [u64] }
-//!     keyword     values/attributes [str → [u32]] · tables [str → u32] ·
-//!                 table_columns [u32 → [u32]]   (all key-sorted = canonical)
+//!                           rows/nulls/distinct u64 }
+//!     keyword     values/attributes [str → [u32]]   (key-sorted = canonical)
 //!     graph       ncols u32 · tabs u32×n · edges u64 × (u32, u32, f32)
 //!   trailer       checksum u64 over every preceding byte (magic included)
 //! ```
@@ -40,9 +41,7 @@
 //! checksum mismatch") for artifacts corrupted in ways the trailer cannot
 //! attribute. All lengths are still validated against the remaining input
 //! before allocation, so a hostile artifact with valid checksums fails with
-//! [`VerError::Serde`] instead of panicking or over-allocating. The MinHash
-//! family is *not* stored: it is a pure
-//! function of `(minhash_k, seed)`, both in the config.
+//! [`VerError::Serde`] instead of panicking or over-allocating.
 //!
 //! **Crash safety.** [`save_index`] writes through a temp file in the
 //! destination directory, `fsync`s it, and atomically renames it into
@@ -54,7 +53,6 @@
 use crate::builder::IndexConfig;
 use crate::engine::DiscoveryIndex;
 use crate::hypergraph::{JoinHypergraph, JoinableEdge};
-use crate::minhash::{MinHashSignature, MinHasher};
 use crate::valueindex::KeywordIndex;
 use bytes::Bytes;
 use ver_common::codec::{
@@ -66,11 +64,11 @@ use ver_common::ids::{ColumnId, ColumnRef, TableId};
 use ver_common::value::DataType;
 use ver_store::profile::ColumnProfile;
 
-const MAGIC_FULL_V3: &[u8; 8] = b"VERIDX\x03\x00";
+const MAGIC_FULL: &[u8; 8] = b"VERIDX\x04\x00";
 
 /// Section names in on-disk order, used to name the damaged section in
 /// checksum-mismatch errors.
-const SECTIONS: [&str; 5] = ["config", "profiles", "signatures", "keyword", "hypergraph"];
+const SECTIONS: [&str; 4] = ["config", "profiles", "keyword", "hypergraph"];
 
 /// Section checksum: [`checksum_fold`] seeded with the artifact constant
 /// and the section index, so swapped sections cannot pass for each other.
@@ -96,17 +94,6 @@ pub(crate) fn section<T>(
     Ok(value)
 }
 
-fn put_u64_slice(buf: &mut Vec<u8>, v: &[u64]) {
-    put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_u64(buf, x);
-    }
-}
-
-fn u64_vec(r: &mut Reader<'_>, what: &str) -> Result<Vec<u64>> {
-    r.seq(8, what, |r| r.u64(what))
-}
-
 fn put_column_ids(buf: &mut Vec<u8>, v: &[ColumnId]) {
     put_u32(buf, v.len() as u32);
     for c in v {
@@ -114,9 +101,9 @@ fn put_column_ids(buf: &mut Vec<u8>, v: &[ColumnId]) {
     }
 }
 
-/// A posting list. Postings index into the profile/signature tables at
-/// query time (`DiscoveryIndex::profile`/`signature` are plain `Vec`
-/// lookups), so every id is validated against `ncols` here — an
+/// A posting list. Postings index into the profile table at query time
+/// (`DiscoveryIndex::profile` is a plain `Vec` lookup), so every id is
+/// validated against `ncols` here — an
 /// out-of-range posting in a corrupt artifact must fail the load, not
 /// panic the first query.
 fn column_ids(r: &mut Reader<'_>, ncols: usize, what: &str) -> Result<Vec<ColumnId>> {
@@ -188,20 +175,21 @@ pub(crate) fn read_hypergraph(r: &mut Reader<'_>) -> Result<JoinHypergraph> {
 }
 
 // ---------------------------------------------------------------------------
-// Full-index format (VERIDX\x03, checksummed).
+// Full-index format (VERIDX\x04, checksummed).
 
-/// Config section (the MinHash family is derived from k + seed on load).
-/// `threads` is canonicalised to `0` (auto): the build-time worker count
+/// Config section. `threads` is canonicalised to `0` (auto): the build-time worker count
 /// is not index content.
 pub(crate) fn put_config(buf: &mut Vec<u8>, c: &IndexConfig) {
     put_u32(buf, c.minhash_k as u32);
     put_f64(buf, c.containment_threshold);
     buf.push(u8::from(c.verify_exact));
-    put_u64(buf, c.sample_cap as u64);
     put_u32(buf, 0);
     put_u64(buf, c.seed);
     put_u64(buf, c.value_index_cap as u64);
 }
+
+/// Encoded size of one column profile.
+pub(crate) const PROFILE_BYTES: usize = 4 + 4 + 2 + 1 + 3 * 8;
 
 /// One column profile (shared by the full-index and shard formats).
 pub(crate) fn put_profile(buf: &mut Vec<u8>, p: &ColumnProfile) {
@@ -212,11 +200,6 @@ pub(crate) fn put_profile(buf: &mut Vec<u8>, p: &ColumnProfile) {
     put_u64(buf, p.rows as u64);
     put_u64(buf, p.nulls as u64);
     put_u64(buf, p.distinct as u64);
-    put_u32(buf, p.sample.len() as u32);
-    for s in &p.sample {
-        put_string(buf, s);
-    }
-    put_u64_slice(buf, &p.hashes);
 }
 
 /// Column-profile section.
@@ -227,47 +210,19 @@ fn put_profiles(buf: &mut Vec<u8>, index: &DiscoveryIndex) {
     }
 }
 
-/// One MinHash signature (shared by the full-index and shard formats).
-pub(crate) fn put_signature(buf: &mut Vec<u8>, sig: &MinHashSignature) {
-    put_u64(buf, sig.cardinality as u64);
-    put_u64_slice(buf, &sig.sig);
-}
-
-/// MinHash-signature section.
-fn put_signatures(buf: &mut Vec<u8>, index: &DiscoveryIndex) {
-    put_u32(buf, index.profiles().len() as u32);
-    for i in 0..index.profiles().len() {
-        put_signature(buf, index.signature(ColumnId(i as u32)));
-    }
-}
-
 /// Keyword-index section, key-sorted for canonical bytes.
 pub(crate) fn put_keyword(buf: &mut Vec<u8>, keyword: &KeywordIndex) {
-    let (values, attributes, table_names, table_columns) = keyword.persist_parts();
-    put_u32(buf, values.len() as u32);
-    for (value, cols) in values {
-        put_string(buf, value);
-        put_column_ids(buf, cols);
-    }
-    put_u32(buf, attributes.len() as u32);
-    for (name, cols) in attributes {
-        put_string(buf, name);
-        put_column_ids(buf, cols);
-    }
-    put_u32(buf, table_names.len() as u32);
-    for (name, table) in table_names {
-        put_string(buf, name);
-        put_u32(buf, table.0);
-    }
-    put_u32(buf, table_columns.len() as u32);
-    for (table, cols) in table_columns {
-        put_u32(buf, table.0);
-        put_column_ids(buf, cols);
+    for postings in keyword.persist_parts() {
+        put_u32(buf, postings.len() as u32);
+        for (key, cols) in postings {
+            put_string(buf, key);
+            put_column_ids(buf, cols);
+        }
     }
 }
 
 /// Serialise a complete [`DiscoveryIndex`] to bytes in the current
-/// (`VERIDX\x03`) checksummed format.
+/// (`VERIDX\x04`) checksummed format.
 ///
 /// The encoding is canonical: two indexes for which
 /// [`DiscoveryIndex::same_contents`] holds produce identical bytes (keyword
@@ -275,17 +230,16 @@ pub(crate) fn put_keyword(buf: &mut Vec<u8>, keyword: &KeywordIndex) {
 /// canonicalised to `0`), so persisted artifacts can be compared
 /// byte-for-byte across builds and thread counts.
 pub fn index_to_bytes(index: &DiscoveryIndex) -> Bytes {
-    let mut sections: [Vec<u8>; 5] = Default::default();
+    let mut sections: [Vec<u8>; 4] = Default::default();
     put_config(&mut sections[0], index.config());
     put_profiles(&mut sections[1], index);
-    put_signatures(&mut sections[2], index);
-    put_keyword(&mut sections[3], index.keyword_index());
-    put_hypergraph(&mut sections[4], index.hypergraph());
-    frame_sections(MAGIC_FULL_V3, &sections)
+    put_keyword(&mut sections[2], index.keyword_index());
+    put_hypergraph(&mut sections[3], index.hypergraph());
+    frame_sections(MAGIC_FULL, &sections)
 }
 
 /// Frame payload sections in the checksummed layout shared by the
-/// `VERIDX\x03` full-index and `VERSHD\x01` shard formats: magic, then each
+/// `VERIDX\x04` full-index and `VERSHD\x02` shard formats: magic, then each
 /// section as `len u64 · payload · checksum u64`, then a whole-file trailer
 /// checksum (trailer pseudo-section index = number of sections, so a
 /// section checksum can never masquerade as the trailer).
@@ -303,14 +257,25 @@ pub(crate) fn frame_sections(magic: &[u8; 8], sections: &[Vec<u8>]) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Decode a [`frame_sections`] artifact: verify the whole-file trailer over
-/// the raw bytes *before any parsing*, then check and slice out each named
-/// section. Returns one payload slice per name, in order.
+/// Decode a [`frame_sections`] artifact. The magic is checked first, so a
+/// file of another format or version (e.g. a `VERIDX\x03` artifact that
+/// still carries signatures) fails with an error naming the magic it
+/// carries. Then the whole-file trailer is verified over the raw bytes
+/// *before any parsing*, and each named section is checked and sliced out.
+/// Returns one payload slice per name, in order.
 pub(crate) fn read_framed_sections<'a>(
     data: &'a [u8],
     magic: &[u8; 8],
     names: &[&str],
 ) -> Result<Vec<&'a [u8]>> {
+    if !data.starts_with(magic) {
+        let found = &data[..data.len().min(magic.len())];
+        return Err(VerError::Serde(format!(
+            "bad magic header \"{}\" (expected \"{}\")",
+            found.escape_ascii(),
+            magic.escape_ascii()
+        )));
+    }
     let body_len = data.len().saturating_sub(8);
     if body_len < magic.len() {
         return Err(VerError::Serde(
@@ -323,9 +288,6 @@ pub(crate) fn read_framed_sections<'a>(
         return Err(VerError::Serde(
             "trailer checksum mismatch (corrupt or truncated artifact)".into(),
         ));
-    }
-    if &body[..magic.len()] != magic {
-        return Err(VerError::Serde("bad magic header".into()));
     }
     let mut r = reader(&body[magic.len()..]);
     let mut payloads = Vec::with_capacity(names.len());
@@ -346,32 +308,20 @@ pub(crate) fn read_framed_sections<'a>(
 /// [`index_to_bytes`]. The result satisfies
 /// [`DiscoveryIndex::same_contents`] with the original.
 ///
-/// The magic is checked first, so a file of another format or version
-/// (e.g. a pre-checksum `VERIDX\x02` artifact) fails with an error naming
-/// the magic it carries. Then the whole-file trailer is verified over the
-/// raw bytes *before any parsing*, so any flipped bit or truncation — in
-/// payloads, length fields, section checksums, or the trailer itself —
-/// fails with a typed error; the per-section checksums then attribute
-/// damage to a named section.
+/// A file of another format or version fails with an error naming the
+/// magic it carries; any flipped bit or truncation — in payloads, length
+/// fields, section checksums, or the trailer itself — fails with a typed
+/// error before parsing; the per-section checksums then attribute damage
+/// to a named section.
 pub fn index_from_bytes(data: &[u8]) -> Result<DiscoveryIndex> {
-    if !data.starts_with(MAGIC_FULL_V3) {
-        let found = &data[..data.len().min(MAGIC_FULL_V3.len())];
-        return Err(VerError::Serde(format!(
-            "bad magic header \"{}\" (not a VERIDX\\x03 full-index artifact)",
-            found.escape_ascii()
-        )));
-    }
-    let payloads = read_framed_sections(data, MAGIC_FULL_V3, &SECTIONS)?;
+    let payloads = read_framed_sections(data, MAGIC_FULL, &SECTIONS)?;
 
     let config = section(payloads[0], "config section", read_config)?;
     let profiles = section(payloads[1], "profiles section", read_profiles)?;
-    let signatures = section(payloads[2], "signatures section", |r| {
-        read_signatures(r, profiles.len(), config.minhash_k)
-    })?;
-    let keyword = section(payloads[3], "keyword section", |r| {
+    let keyword = section(payloads[2], "keyword section", |r| {
         read_keyword(r, profiles.len())
     })?;
-    let hypergraph = section(payloads[4], "hypergraph section", read_hypergraph)?;
+    let hypergraph = section(payloads[3], "hypergraph section", read_hypergraph)?;
 
     if hypergraph.column_count() != profiles.len() {
         return Err(VerError::Serde(format!(
@@ -380,9 +330,8 @@ pub fn index_from_bytes(data: &[u8]) -> Result<DiscoveryIndex> {
             profiles.len()
         )));
     }
-    let hasher = MinHasher::new(config.minhash_k, config.seed);
     Ok(DiscoveryIndex::assemble(
-        config, profiles, hasher, signatures, keyword, hypergraph,
+        config, profiles, keyword, hypergraph,
     ))
 }
 
@@ -391,7 +340,6 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<IndexConfig> {
         minhash_k: r.u32("config")? as usize,
         containment_threshold: r.f64("config")?,
         verify_exact: r.u8("config")? != 0,
-        sample_cap: r.u64("config")? as usize,
         threads: r.u32("config")? as usize,
         seed: r.u64("config")?,
         value_index_cap: r.u64("config")? as usize,
@@ -405,11 +353,11 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<IndexConfig> {
     Ok(config)
 }
 
-/// Profiles (each ≥ 34 bytes fixed header). Profile ids must be the
+/// Profiles ([`PROFILE_BYTES`] each). Profile ids must be the
 /// sequence 0..n — that is what the builder produces and what every
 /// `Vec`-indexed lookup downstream assumes.
 fn read_profiles(r: &mut Reader<'_>) -> Result<Vec<ColumnProfile>> {
-    let nprofiles = r.count(34, "profile table")?;
+    let nprofiles = r.count(PROFILE_BYTES, "profile table")?;
     let mut profiles = Vec::with_capacity(nprofiles);
     for expected in 0..nprofiles {
         let p = read_profile(r)?;
@@ -439,8 +387,6 @@ pub(crate) fn read_profile(r: &mut Reader<'_>) -> Result<ColumnProfile> {
     let rows = r.u64("profile rows")? as usize;
     let nulls = r.u64("profile nulls")? as usize;
     let distinct = r.u64("profile distinct")? as usize;
-    let sample = r.seq(4, "profile sample", |r| r.string("profile sample value"))?;
-    let hashes = u64_vec(r, "profile hashes")?;
     Ok(ColumnProfile {
         id,
         cref,
@@ -448,36 +394,7 @@ pub(crate) fn read_profile(r: &mut Reader<'_>) -> Result<ColumnProfile> {
         rows,
         nulls,
         distinct,
-        sample,
-        hashes,
     })
-}
-
-/// One MinHash signature (shared by the full-index and shard decoders).
-pub(crate) fn read_signature(r: &mut Reader<'_>, minhash_k: usize) -> Result<MinHashSignature> {
-    let cardinality = r.u64("signature cardinality")? as usize;
-    let sig = u64_vec(r, "signature")?;
-    if sig.len() != minhash_k {
-        return Err(VerError::Serde(format!(
-            "signature length {} != minhash_k {minhash_k}",
-            sig.len(),
-        )));
-    }
-    Ok(MinHashSignature { sig, cardinality })
-}
-
-fn read_signatures(
-    r: &mut Reader<'_>,
-    nprofiles: usize,
-    minhash_k: usize,
-) -> Result<Vec<MinHashSignature>> {
-    let nsigs = r.count(12, "signature table")?;
-    if nsigs != nprofiles {
-        return Err(VerError::Serde(format!(
-            "signature count {nsigs} != profile count {nprofiles}"
-        )));
-    }
-    (0..nsigs).map(|_| read_signature(r, minhash_k)).collect()
 }
 
 pub(crate) fn read_keyword(r: &mut Reader<'_>, nprofiles: usize) -> Result<KeywordIndex> {
@@ -489,20 +406,7 @@ pub(crate) fn read_keyword(r: &mut Reader<'_>, nprofiles: usize) -> Result<Keywo
         let name = r.string("attribute name")?;
         Ok((name, column_ids(r, nprofiles, "attribute posting")?))
     })?;
-    let table_names = r.seq(8, "table names", |r| {
-        let name = r.string("table name")?;
-        Ok((name, TableId(r.u32("table id")?)))
-    })?;
-    let table_columns = r.seq(8, "table columns", |r| {
-        let table = TableId(r.u32("table id")?);
-        Ok((table, column_ids(r, nprofiles, "table column list")?))
-    })?;
-    Ok(KeywordIndex::from_persist_parts(
-        values,
-        attributes,
-        table_names,
-        table_columns,
-    ))
+    Ok(KeywordIndex::from_persist_parts(values, attributes))
 }
 
 // ---------------------------------------------------------------------------
@@ -546,7 +450,7 @@ pub(crate) fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Persist a complete discovery index to a file (checksummed `\x03`
+/// Persist a complete discovery index to a file (checksummed `\x04`
 /// format, atomic temp-file + fsync + rename write).
 pub fn save_index(index: &DiscoveryIndex, path: &std::path::Path) -> Result<()> {
     ver_common::fault::hit(ver_common::fault::points::PERSIST_SAVE)?;
@@ -651,7 +555,7 @@ mod tests {
             },
         )
         .unwrap();
-        // The v3 writer canonicalises the build-time `threads` knob, so the
+        // The writer canonicalises the build-time `threads` knob, so the
         // artifacts match without masking anything.
         assert_eq!(
             index_to_bytes(&one).to_vec(),
@@ -662,32 +566,37 @@ mod tests {
 
     #[test]
     fn v2_magic_is_rejected_with_a_typed_error_naming_it() {
-        // The pre-checksum `\x02` layout is no longer read. Whatever
-        // follows the magic — even a byte-valid v3 body — the load fails
-        // up front, typed, naming the magic it found: never a panic, never
-        // a partially decoded index.
+        // The pre-checksum `\x02` layout and the `\x03` layout that still
+        // carried signatures are no longer read. Whatever follows the magic
+        // — even a byte-valid v4 body — the load fails up front, typed,
+        // naming the magic it found: never a panic, never a partially
+        // decoded index.
         let idx = build(true);
-        let mut bytes = index_to_bytes(&idx).to_vec();
-        bytes[6] = 0x02;
-        for artifact in [&bytes[..], &b"VERIDX\x02\x00"[..]] {
-            match index_from_bytes(artifact) {
-                Err(VerError::Serde(m)) => {
-                    assert!(m.contains("bad magic"), "{m}");
-                    assert!(m.contains("VERIDX\\x02"), "must name the magic found: {m}");
+        for version in [0x02u8, 0x03] {
+            let mut bytes = index_to_bytes(&idx).to_vec();
+            bytes[6] = version;
+            let magic = [b'V', b'E', b'R', b'I', b'D', b'X', version, 0];
+            let name = format!("VERIDX\\x0{version}");
+            for artifact in [&bytes[..], &magic[..]] {
+                match index_from_bytes(artifact) {
+                    Err(VerError::Serde(m)) => {
+                        assert!(m.contains("bad magic"), "{m}");
+                        assert!(m.contains(&name), "must name the magic found: {m}");
+                    }
+                    other => panic!("expected Serde(bad magic), got {other:?}"),
                 }
-                other => panic!("expected Serde(bad magic), got {other:?}"),
             }
         }
-        // v3 canonicalises the build-time threads knob.
-        let from_v3 = index_from_bytes(&index_to_bytes(&idx)).unwrap();
-        assert_eq!(from_v3.config().threads, 0);
+        // v4 canonicalises the build-time threads knob.
+        let from_v4 = index_from_bytes(&index_to_bytes(&idx)).unwrap();
+        assert_eq!(from_v4.config().threads, 0);
     }
 
     #[test]
-    fn v3_flipped_bits_fail_with_serde() {
+    fn v4_flipped_bits_fail_with_serde() {
         let idx = build(false);
         let bytes = index_to_bytes(&idx).to_vec();
-        assert_eq!(&bytes[..8], b"VERIDX\x03\x00");
+        assert_eq!(&bytes[..8], b"VERIDX\x04\x00");
         // Flip one bit at a spread of offsets covering the magic, section
         // framing, payloads, section checksums, and the trailer.
         for frac in 0..32 {
@@ -703,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_section_checksum_names_the_damaged_section() {
+    fn v4_section_checksum_names_the_damaged_section() {
         let idx = build(false);
         let bytes = index_to_bytes(&idx).to_vec();
         // Corrupt one byte inside the profiles payload (section 1) and
@@ -831,29 +740,20 @@ mod tests {
         // Find a keyword posting: scan for any 4-byte LE value equal to a
         // known posting id is fragile; instead corrupt via the API surface —
         // rebuild bytes from parts with one posting bumped out of range.
-        let (values, attrs, tabs, tcols) = good.keyword_index().persist_parts();
-        let mut values: Vec<(String, Vec<ColumnId>)> = values
-            .into_iter()
-            .map(|(s, c)| (s.clone(), c.clone()))
-            .collect();
+        let [mut values, attrs] =
+            good.keyword_index()
+                .persist_parts()
+                .map(|postings| -> Vec<(String, Vec<ColumnId>)> {
+                    postings
+                        .into_iter()
+                        .map(|(s, c)| (s.clone(), c.clone()))
+                        .collect()
+                });
         values[0].1[0] = ColumnId(nprofiles + 7);
-        let corrupt_kw = KeywordIndex::from_persist_parts(
-            values,
-            attrs
-                .into_iter()
-                .map(|(s, c)| (s.clone(), c.clone()))
-                .collect(),
-            tabs.into_iter().map(|(s, t)| (s.clone(), t)).collect(),
-            tcols.into_iter().map(|(t, c)| (t, c.clone())).collect(),
-        );
         let corrupt = DiscoveryIndex::assemble(
             good.config().clone(),
             good.profiles().to_vec(),
-            good.hasher().clone(),
-            (0..good.profiles().len())
-                .map(|i| good.signature(ColumnId(i as u32)).clone())
-                .collect(),
-            corrupt_kw,
+            KeywordIndex::from_persist_parts(values, attrs),
             good.hypergraph().clone(),
         );
         let err = index_from_bytes(&index_to_bytes(&corrupt));
@@ -866,13 +766,12 @@ mod tests {
         // valid and the length validation itself is exercised (a bit flip
         // in a real artifact would be rejected at the trailer first).
         let idx = build(false);
-        let mut sections: [Vec<u8>; 5] = Default::default();
+        let mut sections: [Vec<u8>; 4] = Default::default();
         put_config(&mut sections[0], idx.config());
         put_u32(&mut sections[1], u32::MAX);
-        put_signatures(&mut sections[2], &idx);
-        put_keyword(&mut sections[3], idx.keyword_index());
-        put_hypergraph(&mut sections[4], idx.hypergraph());
-        let bytes = frame_sections(MAGIC_FULL_V3, &sections);
+        put_keyword(&mut sections[2], idx.keyword_index());
+        put_hypergraph(&mut sections[3], idx.hypergraph());
+        let bytes = frame_sections(MAGIC_FULL, &sections);
         match index_from_bytes(&bytes) {
             Err(VerError::Serde(m)) => assert!(m.contains("profile"), "{m}"),
             other => panic!("expected a length error, got {other:?}"),
@@ -887,23 +786,22 @@ mod tests {
         let idx = build(false);
         let ncols = idx.profiles().len() as u32;
         for (a, b) in [(ncols + 7, 0), (0, ncols), (1, 1)] {
-            let mut sections: [Vec<u8>; 5] = Default::default();
+            let mut sections: [Vec<u8>; 4] = Default::default();
             put_config(&mut sections[0], idx.config());
             put_profiles(&mut sections[1], &idx);
-            put_signatures(&mut sections[2], &idx);
-            put_keyword(&mut sections[3], idx.keyword_index());
+            put_keyword(&mut sections[2], idx.keyword_index());
             let g = idx.hypergraph();
-            put_u32(&mut sections[4], ncols);
+            put_u32(&mut sections[3], ncols);
             for i in 0..ncols {
-                put_u32(&mut sections[4], g.table_of(ColumnId(i)).0);
+                put_u32(&mut sections[3], g.table_of(ColumnId(i)).0);
             }
             let edge = JoinableEdge {
                 a: ColumnId(a),
                 b: ColumnId(b),
                 score: 0.9,
             };
-            put_edges(&mut sections[4], 1, std::iter::once(edge));
-            let bytes = frame_sections(MAGIC_FULL_V3, &sections);
+            put_edges(&mut sections[3], 1, std::iter::once(edge));
+            let bytes = frame_sections(MAGIC_FULL, &sections);
             match index_from_bytes(&bytes) {
                 Err(VerError::Serde(m)) => assert!(m.contains("invalid edge"), "{m}"),
                 other => panic!("edge {a}-{b}: expected Serde, got {other:?}"),

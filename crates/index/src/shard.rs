@@ -2,29 +2,28 @@
 //!
 //! The "millions of users" axis (ROADMAP direction 2): one logical catalog
 //! is hashed **by table** onto `shard_count` shards. Each shard owns its
-//! tables' column profiles, MinHash signatures, keyword postings, and the
-//! hypergraph edges incident to its tables (an edge crossing a shard
-//! boundary is stored by both endpoints' shards and deduplicated on
-//! merge). Shards persist independently in a checksummed `VERSHD\x01`
-//! artifact — the sibling of the full-index `VERIDX\x03` format, sharing
-//! its section framing, checksums, and atomic write path — so shard builds
-//! and loads can eventually live in separate processes.
+//! tables' column profiles, keyword postings, and the hypergraph edges
+//! incident to its tables (an edge crossing a shard boundary is stored by
+//! both endpoints' shards and deduplicated on merge). Shards persist
+//! independently in a checksummed `VERSHD\x02` artifact — the sibling of
+//! the full-index `VERIDX\x04` format, sharing its section framing,
+//! checksums, bad-magic refusal and atomic write path — so shard builds and
+//! loads can eventually live in separate processes. (`VERSHD\x01`, which
+//! also carried MinHash signatures, is refused by name.)
 //!
 //! **Determinism invariant 11 (shard-count invariance).** Partitioning is a
 //! pure function of `(TableId, shard_count)` ([`shard_of_table`]), and
 //! [`merge_shards`] reconstructs the unsharded index **exactly**
 //! ([`DiscoveryIndex::same_contents`] holds against a single-engine build)
-//! for every shard count: profiles and signatures interleave back into
-//! dense `ColumnId` order, keyword posting lists re-sort into the
-//! builder's canonical ascending order, and the hypergraph is rebuilt from
-//! the edge union. The sharded serving path (`ver-serve::ShardedEngine`)
+//! for every shard count: profiles interleave back into dense `ColumnId`
+//! order, keyword posting lists re-sort into the builder's canonical
+//! ascending order, and the hypergraph is rebuilt from the edge union. The sharded serving path (`ver-serve::ShardedEngine`)
 //! is bit-identical to the single-engine run *because* the merged index is
 //! — see `tests/parallel_determinism.rs`.
 
 use crate::builder::IndexConfig;
 use crate::engine::DiscoveryIndex;
 use crate::hypergraph::{JoinHypergraph, JoinableEdge};
-use crate::minhash::{MinHashSignature, MinHasher};
 use crate::persist;
 use crate::valueindex::KeywordIndex;
 use bytes::Bytes;
@@ -34,17 +33,10 @@ use ver_common::fxhash::fx_step;
 use ver_common::ids::{ColumnId, TableId};
 use ver_store::profile::ColumnProfile;
 
-const MAGIC_SHARD: &[u8; 8] = b"VERSHD\x01\x00";
+const MAGIC_SHARD: &[u8; 8] = b"VERSHD\x02\x00";
 
-/// Section names of the `VERSHD\x01` layout, in on-disk order.
-const SHARD_SECTIONS: [&str; 6] = [
-    "config",
-    "shard",
-    "profiles",
-    "signatures",
-    "keyword",
-    "hypergraph",
-];
+/// Section names of the `VERSHD\x02` layout, in on-disk order.
+const SHARD_SECTIONS: [&str; 5] = ["config", "shard", "profiles", "keyword", "hypergraph"];
 
 /// Owning shard of a table: a pure hash of `(table id, shard_count)`.
 ///
@@ -63,7 +55,7 @@ pub fn shard_of_table(table: TableId, shard_count: usize) -> usize {
 /// One shard's slice of a logical [`DiscoveryIndex`].
 ///
 /// Holds everything the owning shard needs to answer for its tables: the
-/// owned profiles/signatures (tagged with their **global** `ColumnId`s —
+/// owned profiles (tagged with their **global** `ColumnId`s —
 /// ids are never renumbered, so merging is a pure interleave), the owned
 /// keyword postings, the incident hypergraph edges, and the full
 /// column→table mapping (4 bytes per column) so any shard can resolve
@@ -77,9 +69,6 @@ pub struct IndexShard {
     col_table: Vec<TableId>,
     /// Owned profiles, ascending global `ColumnId`.
     profiles: Vec<ColumnProfile>,
-    /// Owned signatures, ascending global `ColumnId` (same id sequence as
-    /// `profiles`).
-    signatures: Vec<(ColumnId, MinHashSignature)>,
     /// Owned tables' keyword postings.
     keyword: KeywordIndex,
     /// Hypergraph edges incident to an owned table. A cross-shard edge is
@@ -121,7 +110,6 @@ impl IndexShard {
             && self.count == other.count
             && self.col_table == other.col_table
             && self.profiles == other.profiles
-            && self.signatures == other.signatures
             && self.keyword == other.keyword
             && self.edges == other.edges
     }
@@ -146,23 +134,15 @@ pub fn partition_index(index: &DiscoveryIndex, shard_count: usize) -> Vec<IndexS
             count: shard_count as u32,
             col_table: col_table.clone(),
             profiles: Vec::new(),
-            signatures: Vec::new(),
             keyword: KeywordIndex::new(),
             edges: Vec::new(),
         })
         .collect();
 
-    for (i, p) in index.profiles().iter().enumerate() {
-        let c = ColumnId(i as u32);
-        let s = owner_of_col(c);
-        shards[s].profiles.push(p.clone());
-        shards[s].signatures.push((c, index.signature(c).clone()));
+    for p in index.profiles() {
+        shards[owner_of_col(p.id)].profiles.push(p.clone());
     }
-    let keyword_parts = index.keyword_index().partition(
-        shard_count,
-        |t| shard_of_table(t, shard_count),
-        |c| col_table[c.idx()],
-    );
+    let keyword_parts = index.keyword_index().partition(shard_count, owner_of_col);
     for (shard, part) in shards.iter_mut().zip(keyword_parts) {
         shard.keyword = part;
     }
@@ -217,7 +197,7 @@ pub fn merge_shards(shards: &[IndexShard]) -> Result<DiscoveryIndex> {
     }
     let ordered: Vec<&IndexShard> = by_id.into_iter().flatten().collect();
 
-    // Profiles and signatures interleave back into dense ColumnId order.
+    // Profiles interleave back into dense ColumnId order.
     let ncols = first.col_table.len();
     let mut profiles: Vec<ColumnProfile> = ordered
         .iter()
@@ -238,18 +218,6 @@ pub fn merge_shards(shards: &[IndexShard]) -> Result<DiscoveryIndex> {
             )));
         }
     }
-    let mut tagged: Vec<(ColumnId, MinHashSignature)> = ordered
-        .iter()
-        .flat_map(|s| s.signatures.iter().cloned())
-        .collect();
-    tagged.sort_unstable_by_key(|(c, _)| *c);
-    if tagged.len() != ncols || tagged.iter().enumerate().any(|(i, (c, _))| c.idx() != i) {
-        return Err(VerError::Serde(
-            "merged signature ids are not the dense column sequence".into(),
-        ));
-    }
-    let signatures: Vec<MinHashSignature> = tagged.into_iter().map(|(_, s)| s).collect();
-
     // Keyword postings: concatenate per-shard partitions, then restore the
     // builder's canonical ascending posting order (each column lives on
     // exactly one shard, so sorting is a pure permutation — no dedup).
@@ -269,21 +237,22 @@ pub fn merge_shards(shards: &[IndexShard]) -> Result<DiscoveryIndex> {
     }
     g.finalize();
 
-    let config = first.config.clone();
-    let hasher = MinHasher::new(config.minhash_k, config.seed);
     Ok(DiscoveryIndex::assemble(
-        config, profiles, hasher, signatures, keyword, g,
+        first.config.clone(),
+        profiles,
+        keyword,
+        g,
     ))
 }
 
 // ---------------------------------------------------------------------------
-// Persistence (VERSHD\x01): the shard sibling of the VERIDX\x03 format.
+// Persistence (VERSHD\x02): the shard sibling of the VERIDX\x04 format.
 
-/// Serialise one shard in the checksummed `VERSHD\x01` layout. Canonical
-/// for the same reason `VERIDX\x03` is: keyword maps key-sorted, the
+/// Serialise one shard in the checksummed `VERSHD\x02` layout. Canonical
+/// for the same reason `VERIDX\x04` is: keyword maps key-sorted, the
 /// build-time `threads` knob canonicalised to `0`.
 pub fn shard_to_bytes(shard: &IndexShard) -> Bytes {
-    let mut sections: [Vec<u8>; 6] = Default::default();
+    let mut sections: [Vec<u8>; 5] = Default::default();
     persist::put_config(&mut sections[0], &shard.config);
     put_u32(&mut sections[1], shard.shard);
     put_u32(&mut sections[1], shard.count);
@@ -291,18 +260,13 @@ pub fn shard_to_bytes(shard: &IndexShard) -> Bytes {
     for p in &shard.profiles {
         persist::put_profile(&mut sections[2], p);
     }
-    put_u32(&mut sections[3], shard.signatures.len() as u32);
-    for (c, sig) in &shard.signatures {
-        put_u32(&mut sections[3], c.0);
-        persist::put_signature(&mut sections[3], sig);
-    }
-    persist::put_keyword(&mut sections[4], &shard.keyword);
-    put_u32(&mut sections[5], shard.col_table.len() as u32);
+    persist::put_keyword(&mut sections[3], &shard.keyword);
+    put_u32(&mut sections[4], shard.col_table.len() as u32);
     for t in &shard.col_table {
-        put_u32(&mut sections[5], t.0);
+        put_u32(&mut sections[4], t.0);
     }
     persist::put_edges(
-        &mut sections[5],
+        &mut sections[4],
         shard.edges.len(),
         shard.edges.iter().copied(),
     );
@@ -310,10 +274,10 @@ pub fn shard_to_bytes(shard: &IndexShard) -> Bytes {
 }
 
 /// Deserialise a shard written by [`shard_to_bytes`]. Validation mirrors
-/// the full-index decoder: checksums first, then bounds-checked parsing,
-/// then structural checks (shard id in range, owned ids strictly
-/// increasing and actually owned under [`shard_of_table`], signatures
-/// aligned with profiles, postings and edges within the column table).
+/// the full-index decoder: magic and checksums first, then bounds-checked
+/// parsing, then structural checks (shard id in range, owned ids strictly
+/// increasing and actually owned under [`shard_of_table`], postings and
+/// edges within the column table).
 pub fn shard_from_bytes(data: &[u8]) -> Result<IndexShard> {
     let payloads = persist::read_framed_sections(data, MAGIC_SHARD, &SHARD_SECTIONS)?;
 
@@ -327,12 +291,12 @@ pub fn shard_from_bytes(data: &[u8]) -> Result<IndexShard> {
         )));
     }
     let (col_table, edges) =
-        persist::section(payloads[5], "hypergraph section", persist::read_graph)?;
+        persist::section(payloads[4], "hypergraph section", persist::read_graph)?;
     let ncols = col_table.len();
     let owned = |c: ColumnId| shard_of_table(col_table[c.idx()], count as usize) == shard as usize;
 
     let profiles = persist::section(payloads[2], "profiles section", |r| {
-        let nprofiles = r.count(34, "shard profile table")?;
+        let nprofiles = r.count(persist::PROFILE_BYTES, "shard profile table")?;
         let mut profiles: Vec<ColumnProfile> = Vec::with_capacity(nprofiles);
         for _ in 0..nprofiles {
             let p = persist::read_profile(r)?;
@@ -352,28 +316,7 @@ pub fn shard_from_bytes(data: &[u8]) -> Result<IndexShard> {
         }
         Ok(profiles)
     })?;
-    let signatures = persist::section(payloads[3], "signatures section", |r| {
-        let nsigs = r.count(16, "shard signature table")?;
-        if nsigs != profiles.len() {
-            return Err(VerError::Serde(format!(
-                "shard holds {nsigs} signatures but {} profiles",
-                profiles.len()
-            )));
-        }
-        let mut signatures = Vec::with_capacity(nsigs);
-        for p in &profiles {
-            let c = ColumnId(r.u32("signature column")?);
-            if c != p.id {
-                return Err(VerError::Serde(format!(
-                    "signature column {c:?} misaligned with profile {:?}",
-                    p.id
-                )));
-            }
-            signatures.push((c, persist::read_signature(r, config.minhash_k)?));
-        }
-        Ok(signatures)
-    })?;
-    let keyword = persist::section(payloads[4], "keyword section", |r| {
+    let keyword = persist::section(payloads[3], "keyword section", |r| {
         persist::read_keyword(r, ncols)
     })?;
 
@@ -383,7 +326,6 @@ pub fn shard_from_bytes(data: &[u8]) -> Result<IndexShard> {
         count,
         col_table,
         profiles,
-        signatures,
         keyword,
         edges,
     })
@@ -581,8 +523,21 @@ mod tests {
                 "flip at {off} must fail"
             );
         }
-        // A full-index artifact is not a shard.
-        assert!(shard_from_bytes(&persist::index_to_bytes(&idx)).is_err());
+        // A full-index artifact is not a shard, nor is a retired `\x01`
+        // shard, which still carried signatures: both are refused by name.
+        let mut v1 = bytes.clone();
+        v1[6] = 0x01;
+        for (artifact, found) in [
+            (persist::index_to_bytes(&idx).to_vec(), "VERIDX\\x04"),
+            (v1, "VERSHD\\x01"),
+        ] {
+            match shard_from_bytes(&artifact) {
+                Err(VerError::Serde(m)) => {
+                    assert!(m.contains("bad magic") && m.contains(found), "{m}")
+                }
+                other => panic!("expected Serde naming {found}, got {other:?}"),
+            }
+        }
         // Truncations fail, never panic.
         for frac in 1..12 {
             let cut = bytes.len() * frac / 12;

@@ -1,6 +1,7 @@
-//! Keyword retrieval indexes: values, attribute names and table names.
+//! Keyword retrieval indexes: values and attribute names.
 //!
-//! Implements the Aurum API function the paper's Appendix A specifies:
+//! Implements the Aurum API function the paper's Appendix A specifies, over
+//! its two targets:
 //!
 //! ```text
 //! SEARCH-KEYWORD(target, fuzzy) — given an input string, return columns
@@ -11,11 +12,12 @@
 //!
 //! Values are indexed by their normalized form (lower-cased, trimmed,
 //! numeric forms unified) so the noisy-query setting tolerates case and
-//! formatting mismatches out of the box.
+//! formatting mismatches out of the box. An exact lookup is one hash probe
+//! of the target's map; a fuzzy one scans its keys.
 
 use serde::{Deserialize, Serialize};
-use ver_common::fxhash::{FxHashMap, FxHashSet};
-use ver_common::ids::{ColumnId, TableId};
+use ver_common::fxhash::FxHashMap;
+use ver_common::ids::ColumnId;
 use ver_common::text::FuzzyMatcher;
 
 /// What a keyword should be matched against.
@@ -25,10 +27,6 @@ pub enum SearchTarget {
     Values,
     /// Match against attribute (column header) names.
     Attributes,
-    /// Match against table names.
-    TableNames,
-    /// Match against everything.
-    All,
 }
 
 /// Exact or fuzzy matching.
@@ -47,44 +45,10 @@ pub struct KeywordIndex {
     values: FxHashMap<String, Vec<ColumnId>>,
     /// normalized attribute name → columns bearing it.
     attributes: FxHashMap<String, Vec<ColumnId>>,
-    /// normalized table name → table id.
-    table_names: FxHashMap<String, TableId>,
-    /// columns of each table (for TableNames target resolution).
-    table_columns: FxHashMap<TableId, Vec<ColumnId>>,
 }
 
 fn normalize(s: &str) -> String {
     s.trim().to_lowercase()
-}
-
-/// One query's match state, built once per lookup: the normalised needle
-/// plus (for fuzzy mode) a reusable [`FuzzyMatcher`]. Probing a posting key
-/// allocates nothing.
-struct KeywordMatcher {
-    needle: String,
-    fuzzy: Option<FuzzyMatcher>,
-}
-
-impl KeywordMatcher {
-    fn new(keyword: &str, fuzzy: Fuzziness) -> Self {
-        let needle = normalize(keyword);
-        let fuzzy = match fuzzy {
-            Fuzziness::Exact => None,
-            Fuzziness::MaxEdits(d) => Some(FuzzyMatcher::new(&needle, d)),
-        };
-        KeywordMatcher { needle, fuzzy }
-    }
-
-    fn needle(&self) -> &str {
-        &self.needle
-    }
-
-    fn matches(&mut self, key: &str) -> bool {
-        match &mut self.fuzzy {
-            None => key == self.needle,
-            Some(m) => m.matches(key),
-        }
-    }
 }
 
 impl KeywordIndex {
@@ -131,12 +95,6 @@ impl KeywordIndex {
         }
     }
 
-    /// Register a table name and its columns.
-    pub fn add_table(&mut self, name: &str, table: TableId, columns: Vec<ColumnId>) {
-        self.table_names.insert(normalize(name), table);
-        self.table_columns.insert(table, columns);
-    }
-
     /// Number of distinct indexed values.
     pub fn distinct_values(&self) -> usize {
         self.values.len()
@@ -156,22 +114,18 @@ impl KeywordIndex {
         for (name, cols) in other.attributes {
             self.attributes.entry(name).or_default().extend(cols);
         }
-        self.table_names.extend(other.table_names);
-        self.table_columns.extend(other.table_columns);
     }
 
-    /// Split into `count` partitions by table ownership: partition
-    /// `owner(table)` receives the table's name/column registration and
-    /// every posting of the table's columns. Posting sublists keep their
-    /// original relative order, so a later [`KeywordIndex::merge`] +
+    /// Split into `count` partitions by column ownership: partition
+    /// `owner(column)` receives every posting of the column. Posting
+    /// sublists keep their original relative order, so a later [`KeywordIndex::merge`] +
     /// [`KeywordIndex::sort_postings`] reconstructs a builder-produced
     /// index exactly (the builder emits strictly increasing posting lists —
     /// tables in id order, columns in ordinal order).
     pub(crate) fn partition(
         &self,
         count: usize,
-        owner: impl Fn(TableId) -> usize,
-        table_of: impl Fn(ColumnId) -> TableId,
+        owner: impl Fn(ColumnId) -> usize,
     ) -> Vec<KeywordIndex> {
         assert!(count >= 1, "at least one partition");
         let mut parts = vec![KeywordIndex::new(); count];
@@ -180,23 +134,13 @@ impl KeywordIndex {
                      parts: &mut Vec<KeywordIndex>| {
             for (key, cols) in postings {
                 for &c in cols {
-                    let entry = select(&mut parts[owner(table_of(c))])
-                        .entry(key.clone())
-                        .or_default();
+                    let entry = select(&mut parts[owner(c)]).entry(key.clone()).or_default();
                     entry.push(c);
                 }
             }
         };
         split(&self.values, |p| &mut p.values, &mut parts);
         split(&self.attributes, |p| &mut p.attributes, &mut parts);
-        for (name, &table) in &self.table_names {
-            parts[owner(table)].table_names.insert(name.clone(), table);
-        }
-        for (&table, cols) in &self.table_columns {
-            parts[owner(table)]
-                .table_columns
-                .insert(table, cols.clone());
-        }
         parts
     }
 
@@ -217,24 +161,12 @@ impl KeywordIndex {
     /// encoding in [`crate::persist`] is canonical (two equal indexes
     /// serialise to identical bytes). Posting lists keep their insertion
     /// order — it is part of the index's determinism contract.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn persist_parts(
-        &self,
-    ) -> (
-        Vec<(&String, &Vec<ColumnId>)>,
-        Vec<(&String, &Vec<ColumnId>)>,
-        Vec<(&String, TableId)>,
-        Vec<(TableId, &Vec<ColumnId>)>,
-    ) {
-        let mut values: Vec<_> = self.values.iter().collect();
-        values.sort_unstable_by_key(|(k, _)| *k);
-        let mut attributes: Vec<_> = self.attributes.iter().collect();
-        attributes.sort_unstable_by_key(|(k, _)| *k);
-        let mut table_names: Vec<_> = self.table_names.iter().map(|(k, &t)| (k, t)).collect();
-        table_names.sort_unstable_by_key(|(k, _)| *k);
-        let mut table_columns: Vec<_> = self.table_columns.iter().map(|(&t, c)| (t, c)).collect();
-        table_columns.sort_unstable_by_key(|(t, _)| *t);
-        (values, attributes, table_names, table_columns)
+    pub(crate) fn persist_parts(&self) -> [Vec<(&String, &Vec<ColumnId>)>; 2] {
+        [&self.values, &self.attributes].map(|postings| {
+            let mut sorted: Vec<_> = postings.iter().collect();
+            sorted.sort_unstable_by_key(|(k, _)| *k);
+            sorted
+        })
     }
 
     /// Rebuild from parts produced by [`KeywordIndex::persist_parts`]
@@ -242,68 +174,45 @@ impl KeywordIndex {
     pub(crate) fn from_persist_parts(
         values: Vec<(String, Vec<ColumnId>)>,
         attributes: Vec<(String, Vec<ColumnId>)>,
-        table_names: Vec<(String, TableId)>,
-        table_columns: Vec<(TableId, Vec<ColumnId>)>,
     ) -> Self {
         KeywordIndex {
             values: values.into_iter().collect(),
             attributes: attributes.into_iter().collect(),
-            table_names: table_names.into_iter().collect(),
-            table_columns: table_columns.into_iter().collect(),
         }
     }
 
     /// SEARCH-KEYWORD: columns matching `keyword` under `target`/`fuzzy`.
     /// Results are sorted and deduplicated for determinism.
     ///
-    /// The query is normalised once up front; fuzzy probes share one
-    /// `KeywordMatcher` (pre-decoded needle, reused DP row), so the per-key
-    /// lookup loop over the posting maps allocates nothing.
+    /// The query is normalised once up front. An exact match is one probe
+    /// of the target's map; a fuzzy match shares one [`FuzzyMatcher`]
+    /// (pre-decoded needle, reused DP row) across every key, so the scan
+    /// allocates nothing per key.
     pub fn search_keyword(
         &self,
         keyword: &str,
         target: SearchTarget,
         fuzzy: Fuzziness,
     ) -> Vec<ColumnId> {
-        let mut matcher = KeywordMatcher::new(keyword, fuzzy);
-        let mut out: FxHashSet<ColumnId> = FxHashSet::default();
-
-        if matches!(target, SearchTarget::Values | SearchTarget::All) {
-            match fuzzy {
-                Fuzziness::Exact => {
-                    if let Some(cols) = self.values.get(matcher.needle()) {
-                        out.extend(cols.iter().copied());
-                    }
-                }
-                Fuzziness::MaxEdits(_) => {
-                    for (key, cols) in &self.values {
-                        if matcher.matches(key) {
-                            out.extend(cols.iter().copied());
-                        }
-                    }
-                }
+        let postings = match target {
+            SearchTarget::Values => &self.values,
+            SearchTarget::Attributes => &self.attributes,
+        };
+        let needle = normalize(keyword);
+        let mut out: Vec<ColumnId> = match fuzzy {
+            Fuzziness::Exact => postings.get(&needle).cloned().unwrap_or_default(),
+            Fuzziness::MaxEdits(d) => {
+                let mut matcher = FuzzyMatcher::new(&needle, d);
+                postings
+                    .iter()
+                    .filter(|(key, _)| matcher.matches(key))
+                    .flat_map(|(_, cols)| cols.iter().copied())
+                    .collect()
             }
-        }
-        if matches!(target, SearchTarget::Attributes | SearchTarget::All) {
-            for (key, cols) in &self.attributes {
-                if matcher.matches(key) {
-                    out.extend(cols.iter().copied());
-                }
-            }
-        }
-        if matches!(target, SearchTarget::TableNames | SearchTarget::All) {
-            for (key, table) in &self.table_names {
-                if matcher.matches(key) {
-                    if let Some(cols) = self.table_columns.get(table) {
-                        out.extend(cols.iter().copied());
-                    }
-                }
-            }
-        }
-
-        let mut v: Vec<ColumnId> = out.into_iter().collect();
-        v.sort_unstable();
-        v
+        };
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
@@ -319,7 +228,6 @@ mod tests {
         idx.add_value("6800000", ColumnId(1));
         idx.add_attribute("State", ColumnId(0));
         idx.add_attribute("state_name", ColumnId(2));
-        idx.add_table("airports", TableId(0), vec![ColumnId(0), ColumnId(1)]);
         idx
     }
 
@@ -363,23 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn table_name_target_returns_member_columns() {
-        let idx = index();
-        assert_eq!(
-            idx.search_keyword("airports", SearchTarget::TableNames, Fuzziness::Exact),
-            vec![ColumnId(0), ColumnId(1)]
-        );
-    }
-
-    #[test]
-    fn all_target_unions_everything() {
-        let mut idx = index();
-        idx.add_value("state", ColumnId(9)); // a *value* equal to an attribute name
-        let hits = idx.search_keyword("state", SearchTarget::All, Fuzziness::Exact);
-        assert_eq!(hits, vec![ColumnId(0), ColumnId(9)]);
-    }
-
-    #[test]
     fn numbers_search_as_normalized_strings() {
         let idx = index();
         assert_eq!(
@@ -394,29 +285,25 @@ mod tests {
         idx.add_value("", ColumnId(0));
         idx.add_attribute("  ", ColumnId(0));
         assert_eq!(idx.distinct_values(), 0);
-        assert!(idx
-            .search_keyword("", SearchTarget::All, Fuzziness::Exact)
-            .is_empty());
+        for target in [SearchTarget::Values, SearchTarget::Attributes] {
+            assert!(idx.search_keyword("", target, Fuzziness::Exact).is_empty());
+        }
     }
 
     #[test]
     fn merging_partials_matches_sequential_insertion() {
         // Sequential: two tables inserted in order.
         let mut seq = KeywordIndex::new();
-        seq.add_table("a", TableId(0), vec![ColumnId(0)]);
         seq.add_value("shared", ColumnId(0));
         seq.add_attribute("k", ColumnId(0));
-        seq.add_table("b", TableId(1), vec![ColumnId(1)]);
         seq.add_value("shared", ColumnId(1));
         seq.add_attribute("k", ColumnId(1));
 
         // Parallel: one partial per table, merged in table order.
         let mut pa = KeywordIndex::new();
-        pa.add_table("a", TableId(0), vec![ColumnId(0)]);
         pa.add_value_owned("shared".into(), ColumnId(0));
         pa.add_attribute("k", ColumnId(0));
         let mut pb = KeywordIndex::new();
-        pb.add_table("b", TableId(1), vec![ColumnId(1)]);
         pb.add_value_owned("shared".into(), ColumnId(1));
         pb.add_attribute("k", ColumnId(1));
         let mut merged = KeywordIndex::new();

@@ -1,5 +1,5 @@
 //! Corruption suite for the persisted artifacts: the full index
-//! (`VERIDX\x03`) and a shard of it (`VERSHD\x01`), which share one
+//! (`VERIDX\x04`) and a shard of it (`VERSHD\x02`), which share one
 //! section framing.
 //!
 //! The crash-safety contract under test: **any** single-byte flip and
@@ -10,8 +10,9 @@
 //! the property hold at *every* offset (payloads, length fields, section
 //! checksums, the trailer itself, even the magic — a damaged magic falls
 //! through to the bad-magic error, still `Serde`). Alongside the
-//! properties, the retired `VERIDX\x02` layout is pinned as *rejected*:
-//! typed error naming the magic, never a panic, never a partial index.
+//! properties, the retired `VERIDX\x02`, `VERIDX\x03` and `VERSHD\x01`
+//! layouts are pinned as *rejected*: typed error naming the magic, never a
+//! panic, never a partial index.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -65,8 +66,8 @@ fn index() -> &'static DiscoveryIndex {
     })
 }
 
-/// The canonical `\x03` artifact, built once for all properties.
-fn v3_bytes() -> &'static [u8] {
+/// The canonical `\x04` artifact, built once for all properties.
+fn v4_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| index_to_bytes(index()).to_vec())
 }
@@ -82,7 +83,7 @@ fn artifact(shard: bool) -> Artifact {
         let bytes = SHARD.get_or_init(|| shard_to_bytes(&partition_index(index(), 2)[0]).to_vec());
         (bytes, |b| shard_from_bytes(b).map(drop))
     } else {
-        (v3_bytes(), |b| index_from_bytes(b).map(drop))
+        (v4_bytes(), |b| index_from_bytes(b).map(drop))
     }
 }
 
@@ -151,26 +152,43 @@ proptest! {
 }
 
 #[test]
-fn intact_v3_round_trips_to_same_contents() {
-    let loaded = index_from_bytes(v3_bytes()).unwrap();
+fn intact_v4_round_trips_to_same_contents() {
+    // The current magics, pinned: a format bump must rename these tests.
+    assert_eq!(&v4_bytes()[..8], b"VERIDX\x04\x00");
+    assert_eq!(&artifact(true).0[..8], b"VERSHD\x02\x00");
+    let loaded = index_from_bytes(v4_bytes()).unwrap();
     assert!(loaded.same_contents(index()));
 }
 
 #[test]
 fn retired_v2_magic_fails_typed_naming_the_magic() {
-    // A `\x02`-magic file — here the worst case, an otherwise byte-valid
-    // artifact — is refused before any decoding.
-    let mut v2 = v3_bytes().to_vec();
-    v2[6] = 0x02;
-    match index_from_bytes(&v2) {
-        Err(VerError::Serde(m)) => {
-            assert!(m.contains("bad magic") && m.contains("VERIDX\\x02"), "{m}")
+    // A retired-magic file — here the worst case, an otherwise byte-valid
+    // artifact — is refused before any decoding: the `\x02` and `\x03`
+    // full indexes and the `\x01` shard, which carried signatures.
+    let shard = shard_to_bytes(&partition_index(index(), 2)[0]).to_vec();
+    type Load = fn(&[u8]) -> Result<(), VerError>;
+    let cases: [(&[u8], u8, &str, Load); 3] = [
+        (v4_bytes(), 0x02, "VERIDX\\x02", |b| {
+            index_from_bytes(b).map(drop)
+        }),
+        (v4_bytes(), 0x03, "VERIDX\\x03", |b| {
+            index_from_bytes(b).map(drop)
+        }),
+        (&shard, 0x01, "VERSHD\\x01", |b| {
+            shard_from_bytes(b).map(drop)
+        }),
+    ];
+    for (bytes, version, name, load) in cases {
+        let mut retired = bytes.to_vec();
+        retired[6] = version;
+        match load(&retired) {
+            Err(VerError::Serde(m)) => assert!(m.contains("bad magic") && m.contains(name), "{m}"),
+            other => panic!("expected Serde naming {name}, got {other:?}"),
         }
-        other => panic!("expected Serde naming the bad magic, got {other:?}"),
     }
     // Re-saving a load produces the canonical bytes.
-    let loaded = index_from_bytes(v3_bytes()).unwrap();
-    assert_eq!(index_to_bytes(&loaded).as_ref(), v3_bytes());
+    let loaded = index_from_bytes(v4_bytes()).unwrap();
+    assert_eq!(index_to_bytes(&loaded).as_ref(), v4_bytes());
 }
 
 #[test]
@@ -179,6 +197,7 @@ fn empty_and_garbage_inputs_are_serde_errors() {
         &[][..],
         b"VERIDX",
         b"VERIDX\x01\x00",
+        b"VERIDX\x03\x00",
         b"VERIDX\x04\x00",
         b"not an artifact at all",
         &[0u8; 64][..],

@@ -11,9 +11,8 @@
 //!   "is this group relevant?"
 //!
 //! Question generation is driven by the current candidate set, the 4C graph
-//! and the input query; candidates are ordered by one of two prioritisation
-//! strategies (distance of the question, or of its dataset schema, from the
-//! query — we use lexical distance as the offline word2vec substitute).
+//! and the input query; candidates are ordered by their distance from the
+//! query (lexical distance, the offline word2vec substitute).
 
 use crate::wordcloud::wordcloud_terms;
 use serde::{Deserialize, Serialize};
@@ -47,15 +46,6 @@ impl InterfaceKind {
             InterfaceKind::Summary,
         ]
     }
-}
-
-/// How to order candidate questions within an interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Prioritization {
-    /// Distance of the question text from the input query.
-    QueryDistance,
-    /// Distance of the question's dataset schema from the input query.
-    SchemaDistance,
 }
 
 /// A concrete question shown to the user.
@@ -125,22 +115,15 @@ pub struct QuestionFactory<'a> {
     views: &'a [View],
     distill: &'a DistillOutput,
     query_text: String,
-    prioritization: Prioritization,
 }
 
 impl<'a> QuestionFactory<'a> {
     /// Create a factory for a presentation session.
-    pub fn new(
-        views: &'a [View],
-        distill: &'a DistillOutput,
-        query: &ExampleQuery,
-        prioritization: Prioritization,
-    ) -> Self {
+    pub fn new(views: &'a [View], distill: &'a DistillOutput, query: &ExampleQuery) -> Self {
         QuestionFactory {
             views,
             distill,
             query_text: query.all_example_strings().join(" "),
-            prioritization,
         }
     }
 
@@ -208,13 +191,13 @@ impl<'a> QuestionFactory<'a> {
         if candidates.is_empty() {
             return None;
         }
-        // Max info gain = max(|with|, n − |with|); tie-break by the chosen
-        // prioritisation distance, then lexicographically.
+        // Max info gain = max(|with|, n − |with|); tie-break by the
+        // attribute's distance from the query, then lexicographically.
         candidates.sort_by(|a, b| {
             let gain = |vs: &Vec<ViewId>| vs.len().max(n - vs.len());
             gain(&b.1).cmp(&gain(&a.1)).then_with(|| {
-                let da = self.term_distance(&a.0, &a.1);
-                let db = self.term_distance(&b.0, &b.1);
+                let da = lexical_distance(&a.0, &self.query_text);
+                let db = lexical_distance(&b.0, &self.query_text);
                 da.partial_cmp(&db).expect("finite").then(a.0.cmp(&b.0))
             })
         });
@@ -224,15 +207,6 @@ impl<'a> QuestionFactory<'a> {
             name,
             with_attribute: with,
         })
-    }
-
-    fn term_distance(&self, term: &str, views: &[ViewId]) -> f64 {
-        match self.prioritization {
-            Prioritization::QueryDistance => lexical_distance(term, &self.query_text),
-            Prioritization::SchemaDistance => {
-                views.first().map(|&v| self.view_distance(v)).unwrap_or(1.0)
-            }
-        }
     }
 
     fn pair_question(&self, alive: &[ViewId]) -> Option<Question> {
@@ -348,7 +322,7 @@ mod tests {
     fn dataset_question_prefers_query_adjacent_views() {
         let (views, q) = fixture();
         let d = distill(&views, &DistillConfig::default());
-        let f = QuestionFactory::new(&views, &d, &q, Prioritization::QueryDistance);
+        let f = QuestionFactory::new(&views, &d, &q);
         let alive: Vec<ViewId> = views.iter().map(|v| v.id).collect();
         let q = f.question(InterfaceKind::Dataset, &alive).unwrap();
         assert!(matches!(q, Question::Dataset { .. }));
@@ -358,7 +332,7 @@ mod tests {
     fn attribute_question_splits_candidates() {
         let (views, q) = fixture();
         let d = distill(&views, &DistillConfig::default());
-        let f = QuestionFactory::new(&views, &d, &q, Prioritization::QueryDistance);
+        let f = QuestionFactory::new(&views, &d, &q);
         let alive: Vec<ViewId> = views.iter().map(|v| v.id).collect();
         let Question::Attribute {
             name,
@@ -380,7 +354,7 @@ mod tests {
         ];
         let q = ExampleQuery::from_rows(&[vec!["IN", "1"]]).unwrap();
         let d = distill(&views, &DistillConfig::default());
-        let f = QuestionFactory::new(&views, &d, &q, Prioritization::QueryDistance);
+        let f = QuestionFactory::new(&views, &d, &q);
         let alive: Vec<ViewId> = views.iter().map(|v| v.id).collect();
         assert!(f.question(InterfaceKind::Attribute, &alive).is_none());
     }
@@ -390,7 +364,7 @@ mod tests {
         let (views, q) = fixture();
         let d = distill(&views, &DistillConfig::default());
         assert!(!d.contradictions.is_empty(), "fixture has a contradiction");
-        let f = QuestionFactory::new(&views, &d, &q, Prioritization::QueryDistance);
+        let f = QuestionFactory::new(&views, &d, &q);
         let alive: Vec<ViewId> = views.iter().map(|v| v.id).collect();
         let Question::DatasetPair { a, b, .. } =
             f.question(InterfaceKind::DatasetPair, &alive).unwrap()
@@ -405,7 +379,7 @@ mod tests {
     fn summary_question_covers_a_strict_subset() {
         let (views, q) = fixture();
         let d = distill(&views, &DistillConfig::default());
-        let f = QuestionFactory::new(&views, &d, &q, Prioritization::SchemaDistance);
+        let f = QuestionFactory::new(&views, &d, &q);
         let alive: Vec<ViewId> = views.iter().map(|v| v.id).collect();
         let Question::Summary { terms, group } =
             f.question(InterfaceKind::Summary, &alive).unwrap()
@@ -420,7 +394,7 @@ mod tests {
     fn questions_respect_alive_subset() {
         let (views, q) = fixture();
         let d = distill(&views, &DistillConfig::default());
-        let f = QuestionFactory::new(&views, &d, &q, Prioritization::QueryDistance);
+        let f = QuestionFactory::new(&views, &d, &q);
         // Only view 2 alive: no pair question possible.
         assert!(f
             .question(InterfaceKind::DatasetPair, &[ViewId(2)])
@@ -433,7 +407,7 @@ mod tests {
     fn empty_alive_set_yields_no_questions() {
         let (views, q) = fixture();
         let d = distill(&views, &DistillConfig::default());
-        let f = QuestionFactory::new(&views, &d, &q, Prioritization::QueryDistance);
+        let f = QuestionFactory::new(&views, &d, &q);
         for kind in InterfaceKind::all() {
             assert!(f.question(kind, &[]).is_none(), "{kind:?}");
         }

@@ -36,6 +36,6 @@ pub mod wordcloud;
 
 pub use bandit::{Bandit, BanditConfig};
 pub use fasttopk::{fasttopk_rank, simulate_scan, ScanOutcome};
-pub use interface::{Answer, InterfaceKind, Prioritization, Question};
+pub use interface::{Answer, InterfaceKind, Question};
 pub use session::{PresentationConfig, PresentationSession, SessionOutcome};
 pub use user::{OracleUser, PersonaUser, SimulatedUser};

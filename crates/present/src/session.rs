@@ -9,7 +9,7 @@
 
 use crate::bandit::{Bandit, BanditConfig};
 use crate::infogain::info_gain;
-use crate::interface::{Answer, InterfaceKind, Prioritization, Question, QuestionFactory};
+use crate::interface::{Answer, InterfaceKind, Question, QuestionFactory};
 use crate::ranking::{rank_views, AnsweredQuestion};
 use crate::user::SimulatedUser;
 use rand::rngs::StdRng;
@@ -28,8 +28,6 @@ pub struct PresentationConfig {
     pub bandit: BanditConfig,
     /// Maximum interactions `T`.
     pub max_iterations: usize,
-    /// Question prioritisation strategy.
-    pub prioritization: Prioritization,
     /// RNG seed for arm draws.
     pub seed: u64,
 }
@@ -39,7 +37,6 @@ impl Default for PresentationConfig {
         PresentationConfig {
             bandit: BanditConfig::default(),
             max_iterations: 50,
-            prioritization: Prioritization::QueryDistance,
             seed: 0xBAD1,
         }
     }
@@ -105,7 +102,7 @@ impl<'a> PresentationSession<'a> {
         config: PresentationConfig,
     ) -> Self {
         let alive: Vec<ViewId> = distill.survivors_c2.clone();
-        let factory = QuestionFactory::new(views, distill, query, config.prioritization);
+        let factory = QuestionFactory::new(views, distill, query);
         let bandit = Bandit::new(InterfaceKind::all().to_vec(), config.bandit.clone());
         let base_scores = views
             .iter()

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use crate::rank::{join_score, rank_order, top_k_by};
 use ver_common::budget::QueryBudget;
-use ver_common::error::{Result, VerError};
+use ver_common::error::Result;
 use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_common::pool::ThreadPool;
 use ver_engine::dag::{materialize_batch, MaterializeStats};
@@ -415,7 +415,7 @@ impl<'a> SearchContext<'a> {
 fn degrade<T>(result: Result<T>, partial: &mut bool) -> Result<Option<T>> {
     match result {
         Ok(value) => Ok(Some(value)),
-        Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => {
+        Err(e) if e.degrades() => {
             *partial = true;
             Ok(None)
         }

@@ -7,6 +7,9 @@ use ver_common::ids::ColumnId;
 use ver_index::{DiscoveryIndex, Fuzziness, SearchTarget};
 use ver_qbe::query::{ExampleQuery, QueryColumn};
 
+/// Hypergraph threshold of the connected-components clustering (line 5).
+const CLUSTER_THRESHOLD: f64 = 0.8;
+
 /// Tunables for column selection.
 #[derive(Debug, Clone)]
 pub struct SelectionConfig {
@@ -16,8 +19,6 @@ pub struct SelectionConfig {
     pub theta: usize,
     /// Keyword-match fuzziness for example lookup.
     pub fuzzy: Fuzziness,
-    /// Hypergraph threshold used for the connected-components clustering.
-    pub cluster_threshold: f64,
 }
 
 impl Default for SelectionConfig {
@@ -25,7 +26,6 @@ impl Default for SelectionConfig {
         SelectionConfig {
             theta: 1,
             fuzzy: Fuzziness::Exact,
-            cluster_threshold: 0.8,
         }
     }
 }
@@ -107,7 +107,7 @@ fn select_for_attribute(
     let total_columns = all.len();
 
     // Line 5: cluster candidates by hypergraph connected components.
-    let clusters = connected_components(index, &all, config.cluster_threshold);
+    let clusters = connected_components(index, &all, CLUSTER_THRESHOLD);
     let num_clusters = clusters.len();
 
     // Lines 6-7: score clusters by their best member overlap.

@@ -11,6 +11,10 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7117";
 /// Connection cap used when `--max-conns` does not say otherwise.
 pub const DEFAULT_MAX_CONNS: usize = 64;
 
+/// Open-cursor cap of one server; the oldest cursor is evicted (FIFO) when
+/// a new paginated query would exceed it.
+pub const MAX_CURSORS: usize = 64;
+
 /// Parse a `--addr`-style value: a socket address like `127.0.0.1:7117`
 /// or `[::1]:7117`.
 pub fn parse_addr(raw: &str) -> Option<SocketAddr> {
@@ -35,9 +39,6 @@ pub struct NetConfig {
     /// Page size applied when a `Query` asks for `page_size == 0`;
     /// `0` here means "whole result inline".
     pub default_page_size: u32,
-    /// Open-cursor cap; the oldest cursor is evicted (FIFO) when a new
-    /// paginated query would exceed it.
-    pub max_cursors: usize,
 }
 
 impl Default for NetConfig {
@@ -48,7 +49,6 @@ impl Default for NetConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             default_page_size: 0,
-            max_cursors: 64,
         }
     }
 }
@@ -78,6 +78,5 @@ mod tests {
         let c = NetConfig::default();
         assert!(c.read_timeout > Duration::ZERO);
         assert!(c.write_timeout > Duration::ZERO);
-        assert!(c.max_cursors > 0);
     }
 }

@@ -12,7 +12,8 @@
 //!   `Health`, `Shutdown`; materialized views travel whole so clients
 //!   can verify invariant 12 (over-the-wire ≡ in-process) byte-for-byte.
 //! * [`config`] — [`NetConfig`], whose defaults are the constants
-//!   [`DEFAULT_ADDR`] / [`DEFAULT_MAX_CONNS`].
+//!   [`DEFAULT_ADDR`] / [`DEFAULT_MAX_CONNS`], and the server's open-cursor
+//!   cap [`MAX_CURSORS`].
 //! * [`server`] — the accept loop, connection cap, timeouts, pagination
 //!   cursors, and [`NetStats`] counters behind the `verd` binary.
 //! * [`client`] — the blocking [`Client`] used by tests and the repo
@@ -37,7 +38,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use config::{NetConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS};
+pub use config::{NetConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS, MAX_CURSORS};
 pub use resilient::{backoff_delay, Breaker, BreakerState, ResilientClient, RetryPolicy};
 pub use server::{Backend, Server, ServerHandle};
 pub use wire::{

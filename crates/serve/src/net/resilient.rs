@@ -226,16 +226,6 @@ pub struct ResilientCounters {
     pub failures: u64,
 }
 
-/// Is this error worth a reconnect-and-retry? Transport-level failures
-/// and shedding are; clean typed answers (a malformed query, an exceeded
-/// deadline) are not — the leg is healthy, retrying cannot change them.
-fn retryable(e: &VerError) -> bool {
-    matches!(
-        e,
-        VerError::Io(_) | VerError::Protocol(_) | VerError::Overloaded(_)
-    )
-}
-
 /// A [`Client`] to one remote shard leg, wrapped in the retry/backoff/
 /// breaker envelope. Healthy connections are kept and reused across
 /// calls; any failed exchange drops the connection (see [`Client`]'s
@@ -351,7 +341,10 @@ impl ResilientClient {
                     self.breaker.record_success();
                     return Ok(v);
                 }
-                Err(e) if retryable(&e) => {
+                // Only transport failures and shedding are worth a retry:
+                // a typed answer (a malformed query, an exceeded deadline)
+                // comes from a healthy leg, and retrying cannot change it.
+                Err(e) if e.is_transport() => {
                     self.counters.failures += 1;
                     self.breaker.record_failure(Instant::now());
                     last_err = Some(e);

@@ -30,7 +30,7 @@ use ver_common::fxhash::FxHashMap;
 use ver_common::sync::lock_unpoisoned;
 use ver_core::QueryResult;
 
-use super::config::NetConfig;
+use super::config::{NetConfig, MAX_CURSORS};
 use super::frame::{read_frame, write_frame, ReadOutcome, MAX_FRAME_LEN};
 use super::wire::{
     encode_page, encode_query_head, HealthReply, NetStats, Request, Response, StatsReply,
@@ -97,7 +97,7 @@ struct CursorState {
     page_size: u32,
 }
 
-/// Open cursors, FIFO-evicted at `max_cursors` (a cursor leak from
+/// Open cursors, FIFO-evicted at [`MAX_CURSORS`] (a cursor leak from
 /// clients that never finish paging must not grow without bound).
 #[derive(Default)]
 struct CursorTable {
@@ -507,7 +507,7 @@ fn paginate(shared: &Shared, result: &Arc<QueryResult>, requested_page_size: u32
 }
 
 /// Park a handle on `result` under a fresh cursor id, FIFO-evicting the
-/// oldest cursors past `max_cursors`.
+/// oldest cursors past [`MAX_CURSORS`].
 fn open_cursor(shared: &Shared, result: &Arc<QueryResult>, page_size: u32) -> u64 {
     let id = shared.next_cursor.fetch_add(1, Ordering::Relaxed);
     let mut evicted = Vec::new();
@@ -520,7 +520,7 @@ fn open_cursor(shared: &Shared, result: &Arc<QueryResult>, page_size: u32) -> u6
         },
     );
     table.order.push_back(id);
-    while table.map.len() > shared.config.max_cursors.max(1) {
+    while table.map.len() > MAX_CURSORS {
         if let Some(old) = table.order.pop_front() {
             if let Some(state) = table.map.remove(&old) {
                 evicted.push(state);
@@ -607,10 +607,9 @@ mod tests {
         assert!(matches!(page, Response::Page(ref p) if p.views.len() == 1));
     }
 
-    fn server_on(engine: Arc<ServeEngine>, max_cursors: usize) -> Server {
+    fn server_on(engine: Arc<ServeEngine>) -> Server {
         let net = NetConfig {
             addr: "127.0.0.1:0".parse().unwrap(),
-            max_cursors,
             ..NetConfig::default()
         };
         Server::bind(Backend::Single(engine), net).unwrap()
@@ -648,7 +647,7 @@ mod tests {
             before.iter().filter(|g| !**g).count() >= 3,
             "need ungathered views beyond the two pages served: {before:?}"
         );
-        let server = server_on(Arc::clone(&engine), 64);
+        let server = server_on(Arc::clone(&engine));
         let head = decode_head(paginate(&server.shared, &result, 1));
         assert_eq!(head.views.len(), 1);
         assert_eq!(
@@ -671,7 +670,7 @@ mod tests {
         assert!(result.views.len() > 2, "need three pages of two");
         let base = Arc::strong_count(&result);
 
-        let server = server_on(Arc::clone(&engine), 64);
+        let server = server_on(Arc::clone(&engine));
         let shared = &server.shared;
         let cursors: Vec<u64> = (1..=3)
             .map(|open| {
@@ -690,11 +689,13 @@ mod tests {
         }
 
         // A FIFO eviction lets go of the handle too.
-        let server = server_on(engine, 1);
+        let server = server_on(engine);
         let shared = &server.shared;
         let first = decode_head(paginate(shared, &result, 2)).cursor;
-        paginate(shared, &result, 2);
-        assert_eq!(Arc::strong_count(&result), base + 1);
+        for _ in 0..MAX_CURSORS {
+            paginate(shared, &result, 2);
+        }
+        assert_eq!(Arc::strong_count(&result), base + MAX_CURSORS);
         assert!(matches!(
             decode(fetch_page(shared, first, 1)),
             Response::Error { .. }
@@ -709,7 +710,7 @@ mod tests {
             ..config()
         };
         let engine = Arc::new(ServeEngine::build(catalog(), one_result).unwrap());
-        let server = server_on(Arc::clone(&engine), 64);
+        let server = server_on(Arc::clone(&engine));
         let result = engine.query(&spec()).unwrap();
         let inline = WireResult::from_query_result(&result);
         let head = decode_head(paginate(&server.shared, &result, 2));

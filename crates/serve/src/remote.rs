@@ -126,14 +126,7 @@ impl ShardBackend for RemoteLeg {
     /// transport-level failures: a dead or desynced or shedding peer costs
     /// its leg, never the query (the merge is flagged partial instead).
     fn degradable(&self, e: &VerError) -> bool {
-        matches!(
-            e,
-            VerError::DeadlineExceeded(_)
-                | VerError::Internal(_)
-                | VerError::Io(_)
-                | VerError::Protocol(_)
-                | VerError::Overloaded(_)
-        )
+        e.degrades() || e.is_transport()
     }
 }
 

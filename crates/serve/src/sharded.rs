@@ -54,11 +54,11 @@ pub trait ShardBackend: Send + Sync {
 
     /// Whether `e` **degrades** this leg (dropped at the gather, merged
     /// result flagged partial) rather than failing the whole query. The
-    /// in-process default is [`ver_core::leg_degradable`]: worker panics
-    /// and un-degraded deadlines are droppable, anything else is a real
-    /// error. Remote backends widen this to transport failures.
+    /// in-process default is [`VerError::degrades`]: worker panics and
+    /// un-degraded deadlines are droppable, anything else is a real error.
+    /// Remote backends widen this to transport failures.
     fn degradable(&self, e: &VerError) -> bool {
-        ver_core::leg_degradable(e)
+        e.degrades()
     }
 }
 

@@ -62,9 +62,9 @@ const EXPECTED: &[(&str, usize, u64)] = &[
     ("stats request", 20, 0xbd8943c91ad465e2),
     ("health request", 20, 0xebc2ebc26a10d004),
     ("shutdown request", 20, 0xa280ec77c039946f),
-    ("VERIDX\\x03 index", 227971, 0xc9a48cf3fbd97c81),
-    ("VERSHD\\x01 shard 0/2", 134652, 0x92ddcc8603edb9f9),
-    ("VERSHD\\x01 shard 1/2", 101505, 0x867ad23eae1c83fc),
+    ("VERIDX\\x04 index", 55081, 0xc65454ad17943aa3),
+    ("VERSHD\\x02 shard 0/2", 40073, 0x877396780b274f30),
+    ("VERSHD\\x02 shard 1/2", 22674, 0x298ad8cef133d20a),
 ];
 
 /// A whole result as the server ships it unpaginated.
@@ -219,9 +219,9 @@ fn pins() -> Vec<(String, usize, u64)> {
     pin_msg("shutdown request", Request::Shutdown.encode());
 
     let index = ver.index();
-    pin("VERIDX\\x03 index".into(), &index_to_bytes(index));
+    pin("VERIDX\\x04 index".into(), &index_to_bytes(index));
     for (i, shard) in partition_index(index, 2).iter().enumerate() {
-        pin(format!("VERSHD\\x01 shard {i}/2"), &shard_to_bytes(shard));
+        pin(format!("VERSHD\\x02 shard {i}/2"), &shard_to_bytes(shard));
     }
     out
 }

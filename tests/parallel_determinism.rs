@@ -47,19 +47,14 @@ fn one_thread_and_eight_threads_build_identical_indexes() {
         let par = build(&cat, 8, verify_exact);
 
         // Signatures: bit-identical per column.
+        // They end with the build, so ver-index's builder tests compare
+        // them (and the hash vectors) at 1 vs 8 threads in both modes; the
+        // profiles that outlive the build must agree here.
         assert_eq!(
-            seq.profiles().len(),
-            par.profiles().len(),
-            "profile count (verify_exact={verify_exact})"
+            seq.profiles(),
+            par.profiles(),
+            "profiles (verify_exact={verify_exact})"
         );
-        for (cid, _) in cat.all_columns() {
-            assert_eq!(
-                seq.signature(cid),
-                par.signature(cid),
-                "signature of {cid} (verify_exact={verify_exact})"
-            );
-            assert_eq!(seq.profile(cid).hashes, par.profile(cid).hashes);
-        }
 
         // Hypergraph: same edge set with the same scores, in the same order.
         let seq_edges: Vec<_> = seq.hypergraph().edges().collect();
