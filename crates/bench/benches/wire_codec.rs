@@ -7,12 +7,17 @@
 //!   for `wire.to_wire_ms` + `wire.encode_ms`.
 //! * `direct_encode` — `wire::encode_query_head`, what `verd` runs now.
 //!   Same bytes (asserted before timing).
-//! * `decode` — `Response::decode` of that payload, its output dropped
-//!   after the clock stops.
-//! * `drop` — dropping one decoded result, the client's cost after it
-//!   has read the reply.
+//! * `decode` — `Response::decode` of that payload: one copy of the
+//!   payload and one validating walk over it, which builds no row and no
+//!   cell. Its output is dropped after the clock stops.
+//! * `decode_read_all` — `decode`, then every cell of every view read
+//!   through `RowBlock::cells`; dropped after the clock stops. With cells
+//!   read on access, `decode` alone would hide work moved to the reader;
+//!   this case cannot.
+//! * `drop` — dropping one decoded result: one payload buffer plus each
+//!   view's header, the client's cost after it has read the reply.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ver_core::{QueryResult, Ver, VerConfig};
 use ver_datagen::wdc::{generate_wdc, WdcConfig};
 use ver_datagen::workload::{generate_workload, wdc_ground_truths};
@@ -75,6 +80,24 @@ fn bench_wire_codec(c: &mut Criterion) {
         b.iter_batched(
             || (),
             |()| Response::decode(&payload).expect("decode"),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("decode_read_all", |b| {
+        b.iter_batched(
+            || (),
+            |()| {
+                let decoded = Response::decode(&payload).expect("decode");
+                let Response::Query(head) = &decoded else {
+                    panic!("expected a head");
+                };
+                for view in &head.views {
+                    for cell in view.rows.cells() {
+                        black_box(cell);
+                    }
+                }
+                decoded
+            },
             BatchSize::PerIteration,
         )
     });

@@ -10,7 +10,8 @@
 //!   format's own seed).
 //! * [`wire`] — request/response codecs: `Query`, `FetchPage`, `Stats`,
 //!   `Health`, `Shutdown`; materialized views travel whole so clients
-//!   can verify invariant 12 (over-the-wire ≡ in-process) byte-for-byte.
+//!   can verify invariant 12 (over-the-wire ≡ in-process) byte-for-byte,
+//!   and a decoded view reads its cells in place from its reply's payload.
 //! * [`config`] — [`NetConfig`], whose defaults are the constants
 //!   [`DEFAULT_ADDR`] / [`DEFAULT_MAX_CONNS`], and the server's open-cursor
 //!   cap [`MAX_CURSORS`].
@@ -42,6 +43,6 @@ pub use config::{NetConfig, DEFAULT_ADDR, DEFAULT_MAX_CONNS, MAX_CURSORS};
 pub use resilient::{backoff_delay, Breaker, BreakerState, ResilientClient, RetryPolicy};
 pub use server::{Backend, Server, ServerHandle};
 pub use wire::{
-    HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireView, PROTOCOL_VERSION,
+    Cells, HealthReply, NetStats, Page, QueryHead, Request, Response, RowBlock, StatsReply,
+    WireCell, WireResult, WireRouterLeg, WireView, PROTOCOL_VERSION,
 };

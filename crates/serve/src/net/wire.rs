@@ -23,14 +23,20 @@
 //! or text-cell clone in between. Both go through one writer of a head's
 //! fixed fields and one of a view header; only the cell loop differs.
 //!
-//! On the read side, every text cell of one decoded reply goes through a
-//! per-reply intern table keyed by the payload bytes: a repeated string is
-//! a refcount bump on the `Arc<str>` its first occurrence allocated. An
-//! entry is added only after its bytes were read, so the table holds at
-//! most one entry per distinct text cell the payload really carries.
+//! On the read side, decoding a view reply is validation. [`Response::decode`]
+//! copies the payload once into one `Arc<[u8]>` and walks it once, making
+//! every check a reader of the cells would make: tags, bounded counts, the
+//! zero-column rule, UTF-8 of every text cell and header, trailing bytes.
+//! A [`WireView`] keeps its header fields and a [`RowBlock`] — a handle on
+//! its row block inside that buffer — and its cells are read on access as
+//! borrowed [`WireCell`]s. No row or cell is built at decode time, and
+//! dropping a reply frees one buffer for all of its row data. Shard-leg
+//! outputs and QBE specs decode into owned tables and values instead,
+//! their text cells interned per message.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::Arc;
 
 use ver_common::codec::{put_opt_string, put_string, put_u16, put_u32, put_u64, Reader};
@@ -81,38 +87,56 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// The text cells of one decoded message, interned by their payload
-/// bytes: the first occurrence of a byte string is UTF-8-checked and
-/// allocated once, every repeat is a refcount bump on that `Arc<str>`. An
-/// entry is added only after its bytes were read, so the table holds at
-/// most one entry per distinct text cell of the payload. The keys come
-/// from a peer, so the map keeps std's randomly seeded hasher.
-#[derive(Default)]
-struct TextCells<'a>(HashMap<&'a [u8], Arc<str>>);
+/// One cell of a row block, borrowed from the bytes it is read from.
+#[derive(Debug, Clone, Copy)]
+pub enum WireCell<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+}
 
-impl<'a> TextCells<'a> {
-    fn read(&mut self, r: &mut Reader<'a>, what: &str) -> Result<Arc<str>> {
-        let len = r.count(1, what)?;
-        let bytes = r.bytes(len, what)?;
-        if let Some(text) = self.0.get(bytes) {
-            return Ok(Arc::clone(text));
+impl WireCell<'_> {
+    /// The owned [`Value`] this cell encodes.
+    pub fn to_value(self) -> Value {
+        match self {
+            WireCell::Null => Value::Null,
+            WireCell::Int(i) => Value::Int(i),
+            WireCell::Float(f) => Value::Float(f),
+            WireCell::Text(t) => Value::text(t),
         }
-        let text: Arc<str> = std::str::from_utf8(bytes)
-            .map_err(|_| VerError::Protocol(format!("invalid utf-8 in {what}")))?
-            .into();
-        self.0.insert(bytes, Arc::clone(&text));
-        Ok(text)
     }
 }
 
-fn read_value<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>, what: &str) -> Result<Value> {
+/// One cell as [`put_value`] wrote it: its tag, then 8 bytes or a
+/// length-prefixed UTF-8 text borrowed from the payload.
+fn read_cell<'a>(r: &mut Reader<'a>, what: &str) -> Result<WireCell<'a>> {
     match r.u8(what)? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Int(r.u64(what)? as i64)),
-        2 => Ok(Value::Float(f64::from_bits(r.u64(what)?))),
-        3 => Ok(Value::Text(text.read(r, what)?)),
+        0 => Ok(WireCell::Null),
+        1 => Ok(WireCell::Int(r.u64(what)? as i64)),
+        2 => Ok(WireCell::Float(f64::from_bits(r.u64(what)?))),
+        3 => {
+            let len = r.count(1, what)?;
+            std::str::from_utf8(r.bytes(len, what)?)
+                .map(WireCell::Text)
+                .map_err(|_| VerError::Protocol(format!("invalid utf-8 in {what}")))
+        }
         t => Err(VerError::Protocol(format!("bad value tag {t} for {what}"))),
     }
+}
+
+/// The text cells of one decoded shard output or QBE spec, which become
+/// owned values: a repeated string is a refcount bump on the `Arc<str>` its
+/// first occurrence allocated. The keys come from a peer, so the map keeps
+/// std's randomly seeded hasher.
+#[derive(Default)]
+struct TextCells<'a>(HashMap<&'a str, Arc<str>>);
+
+fn read_value<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>, what: &str) -> Result<Value> {
+    Ok(match read_cell(r, what)? {
+        WireCell::Text(t) => Value::Text(Arc::clone(text.0.entry(t).or_insert_with(|| t.into()))),
+        cell => cell.to_value(),
+    })
 }
 
 /// A table's row block straight from its columns: `nrows u32`, then the
@@ -141,6 +165,159 @@ fn read_row_count(r: &mut Reader<'_>, ncols: usize, what: &str) -> Result<usize>
         )));
     }
     Ok(nrows)
+}
+
+/// What a cell accessor says of a block it cannot read, which no block
+/// can be: a decoded block was walked cell by cell when its reply was
+/// decoded, and every other block was written by [`put_value`].
+const CHECKED: &str = "row block checked when it was made";
+
+/// A view's row block, read in place: a handle on the bytes `put_rows`
+/// writes (`nrows u32`, then `nrows × width` cells, row-major) inside one
+/// shared buffer. For a decoded view that buffer is its reply's payload,
+/// shared by every view of the reply, so a clone is a refcount bump and
+/// the cells are read on access.
+#[derive(Clone)]
+pub struct RowBlock {
+    buf: Arc<[u8]>,
+    range: Range<usize>,
+    rows: usize,
+    width: usize,
+}
+
+impl RowBlock {
+    /// The block of `rows`, each as wide as the first.
+    ///
+    /// # Panics
+    /// If the rows differ in width, or have no cells at all: a view with no
+    /// columns has no rows.
+    pub fn from_rows(rows: &[Vec<Value>]) -> RowBlock {
+        let width = rows.first().map_or(0, Vec::len);
+        assert!(
+            rows.is_empty() || width > 0,
+            "rows of a view with no columns"
+        );
+        let mut out = Vec::new();
+        put_u32(&mut out, rows.len() as u32);
+        for row in rows {
+            assert_eq!(row.len(), width, "rows of one block differ in width");
+            for v in row {
+                put_value(&mut out, v);
+            }
+        }
+        RowBlock::written(out, rows.len(), width)
+    }
+
+    /// The block of `table`'s rows; forces the gather.
+    fn from_table(table: &Table) -> RowBlock {
+        let mut out = Vec::new();
+        put_rows(&mut out, table);
+        RowBlock::written(out, table.row_count(), table.column_count())
+    }
+
+    fn written(out: Vec<u8>, rows: usize, width: usize) -> RowBlock {
+        RowBlock {
+            range: 0..out.len(),
+            buf: out.into(),
+            rows,
+            width,
+        }
+    }
+
+    /// Rows in the block.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Cells per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The block's wire bytes, row count first.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+
+    /// The buffer the block reads from: for a decoded view, the whole
+    /// payload of its reply.
+    pub fn buffer(&self) -> &Arc<[u8]> {
+        &self.buf
+    }
+
+    /// Every cell, row-major.
+    pub fn cells(&self) -> Cells<'_> {
+        Cells {
+            rest: &self.as_bytes()[4..],
+            left: self.rows * self.width,
+        }
+    }
+
+    /// The rows in order, each the cells of one row.
+    pub fn rows(&self) -> impl Iterator<Item = Cells<'_>> + '_ {
+        let mut cells = self.cells();
+        (0..self.rows).map(move |_| {
+            let row = Cells {
+                rest: cells.rest,
+                left: self.width,
+            };
+            cells.nth(self.width - 1);
+            row
+        })
+    }
+}
+
+/// Byte equality of two blocks is equality of their rows, cell by cell:
+/// * `put_value` has exactly one encoding per [`Value`], prefix-free, and
+///   `Value::eq` compares floats by their bits, so two cell sequences are
+///   equal exactly when their bytes are — `NaN` payloads and `-0.0`
+///   included;
+/// * a block opens with its row count, and `nrows × width` cells then fix
+///   the width whenever there is a row (with none, there is nothing for
+///   the width to split).
+impl PartialEq for RowBlock {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for RowBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.rows().map(Iterator::collect::<Vec<_>>))
+            .finish()
+    }
+}
+
+/// Cells of a [`RowBlock`], row-major, each read as the iterator reaches
+/// it.
+#[derive(Clone)]
+pub struct Cells<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Cells<'a> {
+    type Item = WireCell<'a>;
+
+    fn next(&mut self) -> Option<WireCell<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let mut r = reader(self.rest);
+        let cell = read_cell(&mut r, "view cell").expect(CHECKED);
+        self.rest = &self.rest[self.rest.len() - r.remaining()..];
+        Some(cell)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -358,8 +535,9 @@ pub struct WireView {
     pub source_tables: Vec<u32>,
     /// Column headers; `None` models a missing header.
     pub columns: Vec<Option<String>>,
-    /// Materialized, deduplicated rows (each `columns.len()` wide).
-    pub rows: Vec<Vec<Value>>,
+    /// Materialized, deduplicated rows (each `columns.len()` wide), read in
+    /// place from their wire bytes.
+    pub rows: RowBlock,
 }
 
 impl WireView {
@@ -380,7 +558,7 @@ impl WireView {
                 .map(|c| c.name.as_deref().map(str::to_string))
                 .collect(),
             // Forces the gather: the wire carries every row.
-            rows: v.table.iter_rows().collect(),
+            rows: RowBlock::from_table(&v.table),
         }
     }
 
@@ -393,29 +571,24 @@ impl WireView {
             self.source_tables.iter().copied(),
             self.columns.iter().map(Option::as_deref),
         );
-        put_u32(out, self.rows.len() as u32);
-        for row in &self.rows {
-            for v in row {
-                put_value(out, v);
-            }
-        }
+        out.extend_from_slice(self.rows.as_bytes());
     }
 
-    fn decode<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>) -> Result<WireView> {
+    /// One view read by `r` from a reply whose payload `buf` is a copy of:
+    /// its header decoded, its row block walked cell by cell and kept as
+    /// a handle on `buf`.
+    fn decode(r: &mut Reader<'_>, buf: &Arc<[u8]>) -> Result<WireView> {
         let id = r.u32("view id")?;
         let score_bits = r.u64("view score")?;
         let hops = r.u32("view hops")?;
         let source_tables = r.seq(4, "view tables", |r| r.u32("view table id"))?;
         let columns = r.seq(1, "view columns", |r| r.opt_string("view column name"))?;
-        let ncols = columns.len();
-        let nrows = read_row_count(r, ncols, "view rows")?;
-        let mut rows = Vec::new();
-        for _ in 0..nrows {
-            let mut row = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                row.push(read_value(r, text, "view cell")?);
-            }
-            rows.push(row);
+        let width = columns.len();
+        let start = buf.len() - r.remaining();
+        let rows = read_row_count(r, width, "view rows")?;
+        // At most one cell per remaining byte: `read_row_count` bounds it.
+        for _ in 0..rows * width {
+            read_cell(r, "view cell")?;
         }
         Ok(WireView {
             id,
@@ -423,7 +596,12 @@ impl WireView {
             hops,
             source_tables,
             columns,
-            rows,
+            rows: RowBlock {
+                buf: Arc::clone(buf),
+                range: start..buf.len() - r.remaining(),
+                rows,
+                width,
+            },
         })
     }
 }
@@ -972,10 +1150,11 @@ fn put_cached_views(out: &mut Vec<u8>, views: &[View]) {
     }
 }
 
-/// One reply's views, their text cells interned across the whole reply.
-fn read_views(r: &mut Reader<'_>) -> Result<Vec<WireView>> {
-    let mut text = TextCells::default();
-    r.seq(20, "views", |r| WireView::decode(r, &mut text))
+/// One reply's views, read by `r` from `payload`: the one copy of the
+/// payload their row blocks share is made here.
+fn read_views(r: &mut Reader<'_>, payload: &[u8]) -> Result<Vec<WireView>> {
+    let buf: Arc<[u8]> = payload.into();
+    r.seq(20, "views", |r| WireView::decode(r, &buf))
 }
 
 /// The `Response::Query` payload of a head over `result` that ships
@@ -1058,6 +1237,10 @@ impl Response {
         out
     }
 
+    /// Decode one reply, checking all of it: a malformed payload is
+    /// [`VerError::Protocol`]. A head or a page keeps one copy of `payload`
+    /// that its views' [`RowBlock`]s read from, so reading their cells
+    /// later never fails.
     pub fn decode(payload: &[u8]) -> Result<Response> {
         let mut r = reader(payload);
         let resp = match r.u8("response tag")? {
@@ -1071,7 +1254,7 @@ impl Response {
                 let total_views = r.u32("total views")?;
                 let page_size = r.u32("page size")?;
                 let cursor = r.u64("cursor")?;
-                let views = read_views(&mut r)?;
+                let views = read_views(&mut r, payload)?;
                 Response::Query(QueryHead {
                     partial,
                     stats,
@@ -1087,7 +1270,7 @@ impl Response {
                 let cursor = r.u64("cursor")?;
                 let page = r.u32("page")?;
                 let last = r.bool("last flag")?;
-                let views = read_views(&mut r)?;
+                let views = read_views(&mut r, payload)?;
                 Response::Page(Page {
                     cursor,
                     page,
@@ -1211,10 +1394,10 @@ mod tests {
             hops: 1,
             source_tables: vec![0, 3],
             columns: vec![Some("a".into()), None],
-            rows: vec![
+            rows: RowBlock::from_rows(&[
                 vec![Value::text("x"), Value::Int(-1)],
                 vec![Value::Null, Value::Float(0.5)],
-            ],
+            ]),
         }
     }
 
@@ -1400,18 +1583,11 @@ mod tests {
         }
     }
 
-    fn text_cell(v: &Value) -> &Arc<str> {
-        match v {
-            Value::Text(t) => t,
-            other => panic!("expected a text cell, got {other:?}"),
-        }
-    }
-
     #[test]
-    fn equal_strings_in_one_reply_share_one_allocation() {
+    fn text_cells_are_read_from_the_reply_payload() {
         let other = WireView {
             id: 8,
-            rows: vec![vec![Value::text("x"), Value::text("y")]],
+            rows: RowBlock::from_rows(&[vec![Value::text("x"), Value::text("y")]]),
             ..sample_view()
         };
         let resp = Response::Page(Page {
@@ -1423,18 +1599,30 @@ mod tests {
         let Response::Page(p) = Response::decode(&resp.encode()).unwrap() else {
             panic!("expected a page");
         };
-        let first = text_cell(&p.views[0].rows[0][0]);
-        let again = text_cell(&p.views[1].rows[0][0]);
-        assert_eq!(&**first, "x");
-        assert!(Arc::ptr_eq(first, again));
-        assert!(!Arc::ptr_eq(first, text_cell(&p.views[1].rows[0][1])));
+        let buf = p.views[0].rows.buffer();
+        let within = buf.as_ptr_range();
+        let mut texts = Vec::new();
+        for v in &p.views {
+            assert!(Arc::ptr_eq(buf, v.rows.buffer()));
+            for cell in v.rows.cells() {
+                if let WireCell::Text(t) = cell {
+                    let cell = t.as_bytes().as_ptr_range();
+                    assert!(
+                        within.start <= cell.start && cell.end <= within.end,
+                        "{t:?}"
+                    );
+                    texts.push(t);
+                }
+            }
+        }
+        assert_eq!(texts, ["x", "x", "y"]);
     }
 
     #[test]
     fn a_repeat_with_invalid_utf8_is_still_a_protocol_error() {
         let view = WireView {
             columns: vec![None],
-            rows: vec![vec![Value::text("ab")], vec![Value::text("ab")]],
+            rows: RowBlock::from_rows(&[vec![Value::text("ab")], vec![Value::text("ab")]]),
             ..sample_view()
         };
         let mut bytes = Response::Page(Page {

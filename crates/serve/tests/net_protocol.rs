@@ -23,8 +23,8 @@ use ver_serve::net::frame::{
     decode_frame, encode_frame, read_frame, write_frame, ReadOutcome, MAGIC,
 };
 use ver_serve::net::{
-    Client, HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireView, PROTOCOL_VERSION,
+    Client, HealthReply, NetStats, Page, QueryHead, Request, Response, RowBlock, StatsReply,
+    WireResult, WireRouterLeg, WireView, PROTOCOL_VERSION,
 };
 use ver_serve::ServeStats;
 use ver_store::column::Column;
@@ -38,10 +38,10 @@ fn sample_view(id: u32) -> WireView {
         hops: 1,
         source_tables: vec![0, id + 1],
         columns: vec![Some("state".into()), None],
-        rows: vec![
+        rows: RowBlock::from_rows(&[
             vec![Value::text(format!("state_{id}")), Value::Int(id as i64)],
             vec![Value::Null, Value::Float(0.25 * id as f64)],
-        ],
+        ]),
     }
 }
 
@@ -420,7 +420,7 @@ proptest! {
             last: false,
             views: vec![WireView {
                 columns: vec![],
-                rows: vec![],
+                rows: RowBlock::from_rows(&[]),
                 ..sample_view(0)
             }],
         })
@@ -614,7 +614,7 @@ fn render_matches_the_golden_format_shape() {
             hops: 1,
             source_tables: vec![0, 1],
             columns: vec![Some("a".into()), Some("b".into())],
-            rows: vec![vec![Value::text("x"), Value::text("y")]],
+            rows: RowBlock::from_rows(&[vec![Value::text("x"), Value::text("y")]]),
         }],
     };
     let mut out = String::new();

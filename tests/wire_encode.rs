@@ -4,19 +4,21 @@
 //! For every golden spec and page sizes 0, 1, 2 and 16, the head and every
 //! page a live `verd` writes over a raw socket equal `Response::encode` of
 //! the same head and pages built from `WireResult::from_query_result` —
-//! the conversion the server no longer runs. The decoded reply interns its
-//! text cells: equal strings share one allocation.
+//! the conversion the server no longer runs. A decoded reply reads its text
+//! cells in place: every one is a `&str` inside the reply's one payload
+//! buffer.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use ver_bench::golden::{golden_catalog, golden_queries};
-use ver_common::value::Value;
 use ver_core::QueryResult;
 use ver_index::{build_index, IndexConfig};
 use ver_serve::net::frame::{read_frame, write_frame, ReadOutcome};
-use ver_serve::net::{Backend, NetConfig, Page, QueryHead, Request, Response, Server, WireResult};
+use ver_serve::net::{
+    Backend, NetConfig, Page, QueryHead, Request, Response, Server, WireCell, WireResult,
+};
 use ver_serve::{ServeConfig, ServeEngine};
 
 const PAGE_SIZES: [u32; 4] = [0, 1, 2, 16];
@@ -127,7 +129,7 @@ fn served_heads_and_pages_are_the_reference_bytes() {
 }
 
 #[test]
-fn a_decoded_reply_holds_one_allocation_per_distinct_string() {
+fn a_decoded_reply_reads_every_text_cell_from_its_payload() {
     let catalog = golden_catalog();
     let queries = golden_queries(&catalog);
     let ver = ver_core::Ver::build(catalog, ver_core::VerConfig::default()).expect("index build");
@@ -143,23 +145,39 @@ fn a_decoded_reply_holds_one_allocation_per_distinct_string() {
         cursor: 0,
         views: wire.views,
     };
-    let Response::Query(decoded) = Response::decode(&Response::Query(head).encode()).unwrap()
-    else {
+    let payload = Response::Query(head).encode();
+    let Response::Query(decoded) = Response::decode(&payload).unwrap() else {
         panic!("expected a head");
     };
-    let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
+    let buffer = decoded.views[0].rows.buffer();
+    assert_eq!(
+        &buffer[..],
+        &payload[..],
+        "the buffer is not the reply's payload"
+    );
+    let within = buffer.as_ptr_range();
+    let mut distinct = HashSet::new();
     let mut cells = 0;
-    for row in decoded.views.iter().flat_map(|v| &v.rows) {
-        for cell in row {
-            if let Value::Text(t) = cell {
+    for view in &decoded.views {
+        assert!(
+            Arc::ptr_eq(buffer, view.rows.buffer()),
+            "V{} has its own buffer",
+            view.id
+        );
+        for cell in view.rows.cells() {
+            if let WireCell::Text(t) = cell {
                 cells += 1;
-                let seen = first.entry(&**t).or_insert(t);
-                assert!(Arc::ptr_eq(seen, t), "{t:?} decoded twice");
+                distinct.insert(t);
+                let cell = t.as_bytes().as_ptr_range();
+                assert!(
+                    within.start <= cell.start && cell.end <= within.end,
+                    "{t:?} lies outside the reply's payload"
+                );
             }
         }
     }
     assert!(
-        cells > first.len(),
+        cells > distinct.len(),
         "the golden head repeats no string ({cells} text cells)"
     );
 }
