@@ -10,7 +10,7 @@
 
 use crate::builder::IndexConfig;
 use crate::hypergraph::JoinHypergraph;
-use crate::joinpath::{generate_join_graphs, unjoinable, JoinGraph, JoinGraphOptions};
+use crate::joinpath::{generate_join_graphs, JoinGraph, JoinGraphOptions};
 use crate::valueindex::{Fuzziness, KeywordIndex, SearchTarget};
 use ver_common::ids::{ColumnId, TableId};
 use ver_store::profile::ColumnProfile;
@@ -98,23 +98,16 @@ impl DiscoveryIndex {
     }
 
     /// GENERATE-JOIN-GRAPHS (Appendix A): join graphs connecting `tables`
-    /// with per-connection hop limit `rho`.
+    /// with per-connection hop limit `rho` — empty when some pair of them
+    /// cannot be connected, which Algorithm 5's non-joinable cache asks of
+    /// each pair of an empty group.
     pub fn generate_join_graphs(&self, tables: &[TableId], rho: usize) -> Vec<JoinGraph> {
-        generate_join_graphs(&self.hypergraph, tables, self.join_graph_options(rho))
-    }
-
-    /// True when two tables provably cannot be connected under `rho` hops —
-    /// feeds Algorithm 5's non-joinable cache.
-    pub fn unjoinable(&self, a: TableId, b: TableId, rho: usize) -> bool {
-        unjoinable(&self.hypergraph, a, b, self.join_graph_options(rho))
-    }
-
-    fn join_graph_options(&self, rho: usize) -> JoinGraphOptions {
-        JoinGraphOptions {
+        let opts = JoinGraphOptions {
             max_hops: rho,
             threshold: self.config.containment_threshold,
             max_graphs: 10_000,
-        }
+        };
+        generate_join_graphs(&self.hypergraph, tables, opts)
     }
 
     /// Number of undirected joinable column pairs (Table I).
@@ -171,7 +164,6 @@ mod tests {
         let jgs = idx.generate_join_graphs(&[TableId(0), TableId(1)], 2);
         assert_eq!(jgs.len(), 1);
         assert_eq!(jgs[0].hops(), 1);
-        assert!(!idx.unjoinable(TableId(0), TableId(1), 2));
         // stats
         assert_eq!(idx.joinable_pairs(), 1);
     }

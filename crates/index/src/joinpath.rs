@@ -9,11 +9,17 @@
 //! evaluation (`ρ = 2`).
 //!
 //! Enumeration strategy: (1) enumerate column-edge *paths* of length ≤ ρ
-//! between every required pair (DFS, no repeated tables); (2) enumerate
-//! spanning trees over the required tables (Prüfer sequences — required sets
-//! are small, ≤ 4 in the paper's workloads); (3) take the Cartesian product
-//! of path choices per tree edge, rejecting combinations whose union is not
-//! a tree; (4) canonicalise + dedupe. A `max_graphs` cap bounds worst-case
+//! between every required pair (DFS, no repeated tables). Two required
+//! tables — nearly every group the search resolves — are done here: a
+//! simple path is a tree and distinct paths have distinct edge sets, so
+//! the pair's paths are its graphs. For three or more: (2) enumerate
+//! spanning trees over the required tables (Prüfer sequences — required
+//! sets are small, ≤ 4 in the paper's workloads); (3) take the Cartesian
+//! product of path choices per tree edge, keeping a union only if it has
+//! one table more than it has edges — it is always connected, so that
+//! count is the tree test; (4) drop unions already seen: within one
+//! spanning tree the paths of a tree-shaped union are forced, so repeats
+//! only come from different trees. A `max_graphs` cap bounds worst-case
 //! blowup on dense corpora.
 
 use crate::hypergraph::JoinHypergraph;
@@ -37,7 +43,10 @@ pub struct JoinGraphEdge {
 /// A tree of join edges over tables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct JoinGraph {
-    /// Edges (order not significant; canonicalised on construction).
+    /// Edges in enumeration order: each path's edges as its DFS walked
+    /// them, paths in spanning-tree edge order. Plan linearisation
+    /// (`PjPlan::from_edges`) follows this order; [`JoinGraph::canon`] is
+    /// the order-free form.
     pub edges: Vec<JoinGraphEdge>,
 }
 
@@ -82,7 +91,7 @@ impl JoinGraph {
 
     /// Canonical form of the edge set: endpoint-sorted column-id pairs,
     /// ascending — equal for any edge order or orientation. The dedup key
-    /// of [`generate_join_graphs`] and the tie-break of join-graph ranking.
+    /// of join-graph enumeration and the tie-break of join-graph ranking.
     pub fn canon(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.edges.len());
         canon_into(&self.edges, &mut out);
@@ -245,7 +254,7 @@ fn labelled_trees(n: usize) -> Vec<Vec<(usize, usize)>> {
 
 /// Options for join-graph enumeration.
 #[derive(Debug, Clone, Copy)]
-pub struct JoinGraphOptions {
+pub(crate) struct JoinGraphOptions {
     /// Maximum hops per required-pair connection (paper default: 2).
     pub max_hops: usize,
     /// Containment threshold applied when walking the hypergraph.
@@ -254,21 +263,11 @@ pub struct JoinGraphOptions {
     pub max_graphs: usize,
 }
 
-impl Default for JoinGraphOptions {
-    fn default() -> Self {
-        JoinGraphOptions {
-            max_hops: 2,
-            threshold: 0.8,
-            max_graphs: 10_000,
-        }
-    }
-}
-
 /// `GENERATE-JOIN-GRAPHS(tables, ρ)`: all join graphs connecting `tables`.
 ///
 /// Returns the empty-graph singleton when all required columns live in one
 /// table, and an empty vec when some pair of tables cannot be connected.
-pub fn generate_join_graphs(
+pub(crate) fn generate_join_graphs(
     g: &JoinHypergraph,
     tables: &[TableId],
     opts: JoinGraphOptions,
@@ -283,22 +282,35 @@ pub fn generate_join_graphs(
     if n == 1 {
         return vec![JoinGraph::default()];
     }
-
-    // Pairwise path sets.
-    let mut pair_paths: Vec<Vec<Vec<Path>>> = vec![vec![Vec::new(); n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let p = paths_between(
-                g,
-                required[i],
-                required[j],
-                opts.max_hops,
-                opts.threshold,
-                opts.max_graphs,
-            );
-            pair_paths[i][j] = p;
-        }
+    let paths = |i: usize, j: usize| {
+        paths_between(
+            g,
+            required[i],
+            required[j],
+            opts.max_hops,
+            opts.threshold,
+            opts.max_graphs,
+        )
+    };
+    if n == 2 {
+        // A simple path is a tree, and distinct paths have distinct edge
+        // sets (the hypergraph holds each column pair once), so neither the
+        // tree test nor the dedup below could reject or change one: the
+        // pair's paths, capped at `max_graphs` already, are the graphs.
+        return paths(0, 1)
+            .into_iter()
+            .map(|edges| JoinGraph { edges })
+            .collect();
     }
+
+    // Pairwise path sets, `pair_paths[i][j]` for `i < j`.
+    let pair_paths: Vec<Vec<Vec<Path>>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| if i < j { paths(i, j) } else { Vec::new() })
+                .collect()
+        })
+        .collect();
 
     let mut out: Vec<JoinGraph> = Vec::new();
     let mut seen: FxHashSet<Vec<(u32, u32)>> = FxHashSet::default();
@@ -306,7 +318,7 @@ pub fn generate_join_graphs(
     // graph allocates (its edge list and its dedup key).
     let mut edges: Vec<JoinGraphEdge> = Vec::new();
     let mut canon: Vec<(u32, u32)> = Vec::new();
-    let (mut tables, mut parent) = (Vec::new(), Vec::new());
+    let mut union_tables: Vec<TableId> = Vec::new();
 
     for tree in labelled_trees(n) {
         // Every tree edge needs at least one path.
@@ -321,7 +333,18 @@ pub fn generate_join_graphs(
             for (e, &(i, j)) in tree.iter().enumerate() {
                 edges.extend_from_slice(&pair_paths[i][j][choice[e]]);
             }
-            if is_tree(g, &edges, &mut tables, &mut parent) {
+            // The union is connected — the tree spans the required tables
+            // and each path joins its tree edge's two ends — so it is a
+            // tree iff it has one table more than it has edges.
+            union_tables.clear();
+            union_tables.extend(
+                edges
+                    .iter()
+                    .flat_map(|e| [g.table_of(e.left), g.table_of(e.right)]),
+            );
+            union_tables.sort_unstable();
+            union_tables.dedup();
+            if union_tables.len() == edges.len() + 1 {
                 canon_into(&edges, &mut canon);
                 if !seen.contains(canon.as_slice()) {
                     seen.insert(canon.clone());
@@ -345,63 +368,6 @@ pub fn generate_join_graphs(
         }
     }
     out
-}
-
-/// A join graph is valid iff its edges form a tree over its tables:
-/// `#tables == #edges + 1` and connected. `tables` (the candidate's sorted
-/// distinct tables) and `parent` (union-find over them) are caller-owned
-/// scratch, overwritten on every call.
-fn is_tree(
-    g: &JoinHypergraph,
-    edges: &[JoinGraphEdge],
-    tables: &mut Vec<TableId>,
-    parent: &mut Vec<usize>,
-) -> bool {
-    tables.clear();
-    tables.extend(
-        edges
-            .iter()
-            .flat_map(|e| [g.table_of(e.left), g.table_of(e.right)]),
-    );
-    tables.sort_unstable();
-    tables.dedup();
-    if tables.is_empty() {
-        return edges.is_empty();
-    }
-    if tables.len() != edges.len() + 1 {
-        return false;
-    }
-    // Union-find connectivity.
-    parent.clear();
-    parent.extend(0..tables.len());
-    fn find(p: &mut [usize], x: usize) -> usize {
-        if p[x] != x {
-            let r = find(p, p[x]);
-            p[x] = r;
-        }
-        p[x]
-    }
-    let idx_of = |t: TableId| tables.binary_search(&t).expect("table in list");
-    let mut merges = 0;
-    for e in edges {
-        let (a, b) = (idx_of(g.table_of(e.left)), idx_of(g.table_of(e.right)));
-        let (ra, rb) = (find(parent, a), find(parent, b));
-        if ra == rb {
-            return false; // cycle
-        }
-        parent[ra] = rb;
-        merges += 1;
-    }
-    merges == tables.len() - 1
-}
-
-/// True when two specific tables have no connection within the options —
-/// used by Algorithm 5's non-joinable cache.
-pub fn unjoinable(g: &JoinHypergraph, a: TableId, b: TableId, opts: JoinGraphOptions) -> bool {
-    if a == b {
-        return false;
-    }
-    paths_between(g, a, b, opts.max_hops, opts.threshold, 1).is_empty()
 }
 
 #[cfg(test)]
@@ -474,8 +440,6 @@ mod tests {
         let g = graph();
         let jgs = generate_join_graphs(&g, &[TableId(0), TableId(3)], opts());
         assert!(jgs.is_empty());
-        assert!(unjoinable(&g, TableId(0), TableId(3), opts()));
-        assert!(!unjoinable(&g, TableId(0), TableId(1), opts()));
     }
 
     #[test]
@@ -724,6 +688,17 @@ mod tests {
                                 generate_join_graphs(g, &[a, b, c, a], opts),
                                 generate_join_graphs_scan(g, &[a, b, c, a], opts),
                                 "triple {a:?},{b:?},{c:?} {opts:?}"
+                            );
+                        }
+                        // Four tables at ρ ≤ 2, the setting of fig8's
+                        // four-table groups: at ρ = 3 the reference's
+                        // product takes minutes in a debug build.
+                        let quad = tables.get(j + 1..j + 3).filter(|_| max_hops <= 2);
+                        if let Some(&[c, d]) = quad {
+                            assert_eq!(
+                                generate_join_graphs(g, &[a, b, c, d], opts),
+                                generate_join_graphs_scan(g, &[a, b, c, d], opts),
+                                "quad {a:?},{b:?},{c:?},{d:?} {opts:?}"
                             );
                         }
                     }

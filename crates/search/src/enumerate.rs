@@ -8,30 +8,25 @@
 //! combination containing it is skipped without touching the index — the
 //! paper's "non-joinable pairs are cached to skip computation".
 
+use std::ops::Range;
 use ver_common::budget::QueryBudget;
 use ver_common::fxhash::{FxHashMap, FxHashSet};
 use ver_common::ids::{ColumnId, TableId};
 use ver_index::{DiscoveryIndex, JoinGraph};
 use ver_select::SelectionResult;
 
-/// One candidate combination: a column per query attribute plus its table
-/// group (sorted, deduped).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Combination {
-    /// Chosen column per query attribute (query order).
-    pub columns: Vec<ColumnId>,
-    /// Sorted distinct tables of those columns.
-    pub tables: Vec<TableId>,
-}
-
 /// Result of the enumeration stage.
 #[derive(Debug, Default)]
 pub struct Enumeration {
-    /// Combinations that survived the non-joinable cache, paired with the
-    /// index of their table group in `groups`.
-    pub combinations: Vec<(Combination, usize)>,
-    /// Distinct joinable table groups and their join graphs.
-    pub groups: Vec<(Vec<TableId>, Vec<JoinGraph>)>,
+    /// Combinations that survived the non-joinable cache: the chosen
+    /// column per query attribute (query order), paired with the index of
+    /// their table group in `groups`.
+    pub combinations: Vec<(Vec<ColumnId>, usize)>,
+    /// Every distinct table group's join graphs, group after group.
+    pub graphs: Vec<JoinGraph>,
+    /// Each distinct table group's range of `graphs` — empty for a group
+    /// that cannot be joined.
+    pub groups: Vec<Range<usize>>,
     /// Combinations skipped because of a cached non-joinable pair.
     pub skipped_by_cache: usize,
     /// Total combinations enumerated (before pruning).
@@ -46,12 +41,12 @@ impl Enumeration {
     /// Number of joinable table groups ("No. of Joinable Groups" in
     /// Figs. 5/6/8).
     pub fn joinable_group_count(&self) -> usize {
-        self.groups.iter().filter(|(_, g)| !g.is_empty()).count()
+        self.groups.iter().filter(|g| !g.is_empty()).count()
     }
 
     /// Total join graphs across groups.
     pub fn join_graph_count(&self) -> usize {
-        self.groups.iter().map(|(_, g)| g.len()).sum()
+        self.graphs.len()
     }
 }
 
@@ -115,21 +110,23 @@ pub fn enumerate_combinations(
                     }
                     let graphs = index.generate_join_graphs(&tables, rho);
                     if graphs.is_empty() {
-                        // Find and cache the offending pair(s).
+                        // Find and cache the offending pair(s): those whose
+                        // own two-table group is empty.
                         for (a, b) in pair_iter(&tables) {
-                            if index.unjoinable(a, b, rho) {
+                            if index.generate_join_graphs(&[a, b], rho).is_empty() {
                                 non_joinable.insert((a, b));
                             }
                         }
                     }
-                    let gi = out.groups.len();
-                    group_index.insert(tables.clone(), gi);
-                    out.groups.push((tables.clone(), graphs));
-                    gi
+                    let start = out.graphs.len();
+                    out.graphs.extend(graphs);
+                    out.groups.push(start..out.graphs.len());
+                    group_index.insert(tables, out.groups.len() - 1);
+                    out.groups.len() - 1
                 }
             };
-            if !out.groups[gi].1.is_empty() {
-                out.combinations.push((Combination { columns, tables }, gi));
+            if !out.groups[gi].is_empty() {
+                out.combinations.push((columns, gi));
             }
         }
 
@@ -227,9 +224,9 @@ mod tests {
         let single = e
             .combinations
             .iter()
-            .find(|(c, _)| c.tables.len() == 1)
+            .find(|(c, _)| c.iter().all(|&col| idx.table_of(col) == idx.table_of(c[0])))
             .expect("single-table combination");
-        assert_eq!(e.groups[single.1].1[0].hops(), 0);
+        assert_eq!(e.graphs[e.groups[single.1].start].hops(), 0);
     }
 
     #[test]
@@ -245,8 +242,9 @@ mod tests {
         assert_eq!(e.joinable_group_count(), 1);
         assert!(e.join_graph_count() >= 1);
         let (c, gi) = &e.combinations[0];
-        assert_eq!(c.tables.len(), 2);
-        assert_eq!(e.groups[*gi].1[0].hops(), 1);
+        let tables: FxHashSet<TableId> = c.iter().map(|&col| idx.table_of(col)).collect();
+        assert_eq!(tables.len(), 2);
+        assert_eq!(e.graphs[e.groups[*gi].start].hops(), 1);
     }
 
     #[test]
@@ -279,6 +277,52 @@ mod tests {
         let e = enumerate_combinations(&idx, &sel, 2, 10_000, &QueryBudget::none());
         assert_eq!(e.skipped_by_cache, 1, "second combination skipped by cache");
         assert!(e.combinations.is_empty());
+    }
+
+    #[test]
+    fn an_unjoinable_triple_caches_exactly_its_unjoinable_pairs() {
+        use ver_select::{AttributeCandidates, CandidateColumn};
+        let idx = setup();
+        // C0 airports.iata, C1 airports.state, C3 states.pop, C4/C5 the
+        // island's two columns; only airports.state ⟷ states.state joins.
+        let (a, s, i) = (TableId(0), TableId(1), TableId(2));
+        for (c, t) in [(0, a), (1, a), (3, s), (4, i), (5, i)] {
+            assert_eq!(idx.table_of(ColumnId(c)), t);
+        }
+        let attribute = |cols: &[u32]| AttributeCandidates {
+            candidates: cols
+                .iter()
+                .map(|&c| CandidateColumn {
+                    id: ColumnId(c),
+                    overlap: 1,
+                })
+                .collect(),
+            total_columns: cols.len(),
+            num_clusters: cols.len(),
+            clusters_selected: cols.len(),
+        };
+        let sel = SelectionResult {
+            per_attribute: vec![attribute(&[0, 3]), attribute(&[3, 5]), attribute(&[4, 1])],
+        };
+        // In order (the first attribute varies fastest): {a,s,i} resolves
+        // empty and caches (a,i) and (s,i); {s,i}, {a,i}, {s,i} are skipped;
+        // {a,s} shares only the joinable pair and resolves, twice; {a,i}
+        // and {a,s,i} are skipped.
+        let e = enumerate_combinations(&idx, &sel, 2, 10_000, &QueryBudget::none());
+        assert_eq!(e.total_combinations, 8);
+        assert_eq!(e.skipped_by_cache, 5);
+        assert_eq!(e.groups.len(), 2, "{{s,i}} and {{a,i}} never resolve");
+        assert!(e.groups[0].is_empty());
+        assert_eq!(e.joinable_group_count(), 1);
+        let resolved: Vec<&[ColumnId]> = e.combinations.iter().map(|(c, _)| &c[..]).collect();
+        assert_eq!(
+            resolved,
+            [
+                &[ColumnId(0), ColumnId(3), ColumnId(1)][..],
+                &[ColumnId(3), ColumnId(3), ColumnId(1)][..],
+            ]
+        );
+        assert!(e.combinations.iter().all(|&(_, gi)| gi == 1));
     }
 
     #[test]

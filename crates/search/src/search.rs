@@ -28,7 +28,7 @@ use ver_common::pool::ThreadPool;
 use ver_engine::dag::{materialize_batch, MaterializeStats};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::view::View;
-use ver_index::{DiscoveryIndex, JoinGraph};
+use ver_index::DiscoveryIndex;
 use ver_select::SelectionResult;
 use ver_store::catalog::TableCatalog;
 
@@ -243,8 +243,8 @@ impl<'a> SearchContext<'a> {
         // One projection per combination, shared by `Arc` with the views
         // built from it.
         let mut projections: Vec<Arc<[ColumnRef]>> = Vec::new();
-        for (combo, _) in &enumeration.combinations {
-            let columns = combo.columns.iter().map(|&c| self.catalog.column_ref(c));
+        for (columns, _) in &enumeration.combinations {
+            let columns = columns.iter().map(|&c| self.catalog.column_ref(c));
             projections.push(columns.collect::<Result<Vec<_>>>()?.into());
         }
 
@@ -252,14 +252,9 @@ impl<'a> SearchContext<'a> {
         // rank key — join score and canonical edge form — is the same for
         // every combination of its group. A graph that cannot be scored
         // drops out with all its candidates.
-        let mut graphs: Vec<&JoinGraph> = Vec::new();
-        let mut group_graphs = Vec::with_capacity(enumeration.groups.len());
-        for (_, group) in &enumeration.groups {
-            group_graphs.push(graphs.len()..graphs.len() + group.len());
-            graphs.extend(group);
-        }
+        let graphs = &enumeration.graphs;
         let keys = pool
-            .try_par_map(&graphs, |graph| {
+            .try_par_map(graphs, |graph| {
                 ver_common::fault::hit(ver_common::fault::points::SEARCH_SCORE)?;
                 self.budget.check("search.score")?;
                 Ok((join_score(self.index, graph), graph.canon()))
@@ -275,7 +270,9 @@ impl<'a> SearchContext<'a> {
         // candidate below the cut.
         let mut cut: Vec<(usize, usize)> = Vec::new();
         for (c, &(_, group)) in enumeration.combinations.iter().enumerate() {
-            let scored = group_graphs[group].clone().filter(|&g| keys[g].is_some());
+            let scored = enumeration.groups[group]
+                .clone()
+                .filter(|&g| keys[g].is_some());
             cut.extend(scored.map(|g| (c, g)));
         }
         let key = |&(c, g): &(usize, usize)| {
