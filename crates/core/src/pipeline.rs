@@ -489,10 +489,7 @@ fn rank_survivors(
 ) -> Vec<(ViewId, usize)> {
     let survivors = ver_distill::strategy::distilled_views(views, distill_out);
     match spec {
-        ViewSpec::Qbe(query) => {
-            let owned: Vec<View> = survivors.iter().map(|v| (*v).clone()).collect();
-            fasttopk_rank(&owned, query)
-        }
+        ViewSpec::Qbe(query) => fasttopk_rank(&survivors, query),
         _ => {
             let mut ranked: Vec<(ViewId, usize)> = survivors
                 .iter()

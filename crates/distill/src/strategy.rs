@@ -61,7 +61,7 @@ pub fn distill_counts(views: &[View], output: &DistillOutput) -> DistillCounts {
 /// specific key** within each schema block. Views lacking the key, or pairs
 /// contradictory under it, do not union.
 pub fn union_complementary(views: &[View], output: &DistillOutput, key: &Key) -> usize {
-    let survivors: Vec<&View> = surviving_views(views, output);
+    let survivors: Vec<&View> = distilled_views(views, output);
     let cache = HashCache::prefill(&survivors, &ver_common::pool::ThreadPool::new(1));
 
     // Pairs contradictory under this key (they must not union).
@@ -123,7 +123,7 @@ pub fn union_complementary(views: &[View], output: &DistillOutput, key: &Key) ->
 /// all their views.
 pub fn c3_counts(views: &[View], output: &DistillOutput) -> (usize, usize) {
     // Candidate keys = keys shared by ≥ 2 surviving views.
-    let survivors: Vec<&View> = surviving_views(views, output);
+    let survivors: Vec<&View> = distilled_views(views, output);
     let mut key_count: FxHashMap<&Key, usize> = FxHashMap::default();
     for v in &survivors {
         for k in &output.view_keys[&v.id] {
@@ -207,18 +207,13 @@ pub fn contradiction_steps(
     counts
 }
 
-/// Views that survived C2, resolved against the view slice.
-fn surviving_views<'a>(views: &'a [View], output: &DistillOutput) -> Vec<&'a View> {
+/// The distilled view list a downstream component (VIEW-PRESENTATION)
+/// receives: the views that survived C2, resolved against the view slice,
+/// each annotated with whether it participates in contradictions (the
+/// paper's "categories … shared with the downstream component").
+pub fn distilled_views<'a>(views: &'a [View], output: &DistillOutput) -> Vec<&'a View> {
     let set: FxHashSet<ViewId> = output.survivors_c2.iter().copied().collect();
     views.iter().filter(|v| set.contains(&v.id)).collect()
-}
-
-/// The distilled view list a downstream component (VIEW-PRESENTATION)
-/// receives: C2 survivors, each annotated with whether it participates in
-/// contradictions (the paper's "categories … shared with the downstream
-/// component").
-pub fn distilled_views<'a>(views: &'a [View], output: &DistillOutput) -> Vec<&'a View> {
-    surviving_views(views, output)
 }
 
 #[cfg(test)]

@@ -89,24 +89,29 @@ impl JoinGraph {
             .collect()
     }
 
-    /// Canonical form of the edge set: endpoint-sorted column-id pairs,
-    /// ascending — equal for any edge order or orientation. The dedup key
-    /// of join-graph enumeration and the tie-break of join-graph ranking.
+    /// Canonical form of the edge set over column ids ([`canon_into`]).
+    /// The dedup key of join-graph enumeration and the tie-break of the
+    /// search's top-k cut.
     pub fn canon(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.edges.len());
-        canon_into(&self.edges, &mut out);
+        canon_into(self.edges.iter().map(|e| (e.left.0, e.right.0)), &mut out);
         out
     }
 }
 
-/// [`JoinGraph::canon`] of `edges`, written into `out` (cleared first) so
-/// the enumeration loop reuses one buffer.
-fn canon_into(edges: &[JoinGraphEdge], out: &mut Vec<(u32, u32)>) {
+/// The canonical form of an edge set, written into `out` (cleared first so
+/// a loop can reuse one buffer): each edge's endpoints in ascending order,
+/// then the edges ascending — equal for any edge order or orientation.
+///
+/// The one definition, generic over the endpoint: column ids in join-graph
+/// generation and the search's top-k cut ([`JoinGraph::canon`]), column
+/// refs in the scatter/gather merge, which reads a view's provenance. The
+/// two forms order graphs alike because the catalog numbers columns in
+/// `(table, ordinal)` order (`TableCatalog::add_table`), so the map from
+/// id to ref is strictly increasing.
+pub fn canon_into<T: Ord + Copy>(edges: impl IntoIterator<Item = (T, T)>, out: &mut Vec<(T, T)>) {
     out.clear();
-    out.extend(edges.iter().map(|e| {
-        let (a, b) = (e.left.0, e.right.0);
-        (a.min(b), a.max(b))
-    }));
+    out.extend(edges.into_iter().map(|(a, b)| (a.min(b), a.max(b))));
     out.sort_unstable();
 }
 
@@ -345,7 +350,7 @@ pub(crate) fn generate_join_graphs(
             union_tables.sort_unstable();
             union_tables.dedup();
             if union_tables.len() == edges.len() + 1 {
-                canon_into(&edges, &mut canon);
+                canon_into(edges.iter().map(|e| (e.left.0, e.right.0)), &mut canon);
                 if !seen.contains(canon.as_slice()) {
                     seen.insert(canon.clone());
                     out.push(JoinGraph {

@@ -38,7 +38,7 @@ pub mod valueindex;
 pub use builder::{build_index, IndexConfig};
 pub use engine::DiscoveryIndex;
 pub use hypergraph::JoinHypergraph;
-pub use joinpath::{JoinGraph, JoinGraphEdge};
+pub use joinpath::{canon_into, JoinGraph, JoinGraphEdge};
 pub use lsh::LshIndex;
 pub use minhash::{
     estimated_containment, estimated_containment_max, estimated_jaccard, exact_containment,

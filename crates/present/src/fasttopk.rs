@@ -9,34 +9,29 @@
 //! out of patience before reaching the target.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::cmp::Reverse;
 use ver_common::fxhash::FxHashSet;
 use ver_common::ids::ViewId;
 use ver_engine::view::View;
 use ver_qbe::ExampleQuery;
 
 /// Rank views by example-overlap score, descending (ties: larger views
-/// first, then by id).
-pub fn fasttopk_rank(views: &[View], query: &ExampleQuery) -> Vec<(ViewId, usize)> {
+/// first, then by id). Each view's sort key is computed once.
+pub fn fasttopk_rank<V: Borrow<View>>(views: &[V], query: &ExampleQuery) -> Vec<(ViewId, usize)> {
     let examples: Vec<String> = query.all_example_strings();
-    let mut scored: Vec<(ViewId, usize)> = views
+    let mut scored: Vec<(usize, usize, ViewId)> = views
         .iter()
-        .map(|v| (v.id, overlap_score(v, &examples)))
+        .map(|v| {
+            let v = v.borrow();
+            (overlap_score(v, &examples), v.row_count(), v.id)
+        })
         .collect();
-    scored.sort_by(|a, b| {
-        b.1.cmp(&a.1)
-            .then_with(|| {
-                let rows = |id: ViewId| {
-                    views
-                        .iter()
-                        .find(|v| v.id == id)
-                        .map(|v| v.row_count())
-                        .unwrap_or(0)
-                };
-                rows(b.0).cmp(&rows(a.0))
-            })
-            .then_with(|| a.0.cmp(&b.0))
-    });
+    scored.sort_unstable_by_key(|&(overlap, rows, id)| (Reverse(overlap), Reverse(rows), id));
     scored
+        .into_iter()
+        .map(|(overlap, _, id)| (id, overlap))
+        .collect()
 }
 
 /// Number of distinct query example values present anywhere in the view.

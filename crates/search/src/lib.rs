@@ -35,6 +35,5 @@ pub mod search;
 pub use cache::{view_key, SearchCaches, ViewKey};
 pub use search::{
     merge_shard_outputs, SearchConfig, SearchContext, SearchOutput, SearchStats, ShardSearchOutput,
-    ShardView,
 };
 pub use ver_engine::dag::MaterializeStats;

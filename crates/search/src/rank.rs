@@ -7,7 +7,7 @@
 //! averages its edges and discounts by size.
 //!
 //! Ranking is a **total order on graph content**: score descending, ties
-//! broken by the graph's canonical edge form ([`JoinGraph::canon`])
+//! broken by the graph's canonical edge form ([`ver_index::canon_into`])
 //! ascending ([`rank_order`]); the search adds the projection as the last
 //! tie-break, which makes every candidate's key unique. [`top_k_by`] is the
 //! one cut. That makes the ranked order independent of candidate *input*
@@ -40,14 +40,11 @@ pub fn join_score(index: &DiscoveryIndex, graph: &JoinGraph) -> f64 {
 }
 
 /// Total-order comparator for ranked candidates: score descending, then
-/// canonical edge form ascending. Scores must be finite (`join_score`
-/// guarantees it); `total_cmp` keeps the comparator total regardless.
-pub fn rank_order(
-    a_score: f64,
-    a_canon: &[(u32, u32)],
-    b_score: f64,
-    b_canon: &[(u32, u32)],
-) -> Ordering {
+/// canonical edge form ascending — over column ids in the search's top-k
+/// cut, over column refs in the scatter/gather merge. Scores must be
+/// finite (`join_score` guarantees it); `total_cmp` keeps the comparator
+/// total regardless.
+pub fn rank_order<T: Ord>(a_score: f64, a_canon: &[T], b_score: f64, b_canon: &[T]) -> Ordering {
     b_score
         .total_cmp(&a_score)
         .then_with(|| a_canon.cmp(b_canon))

@@ -28,7 +28,7 @@ use ver_common::pool::ThreadPool;
 use ver_engine::dag::{materialize_batch, MaterializeStats};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::view::View;
-use ver_index::DiscoveryIndex;
+use ver_index::{canon_into, DiscoveryIndex};
 use ver_select::SelectionResult;
 use ver_store::catalog::TableCatalog;
 
@@ -220,8 +220,8 @@ impl<'a> SearchContext<'a> {
     /// [`search_shard`](Self::search_shard): the full generate → score →
     /// rank pipeline, with materialization optionally restricted to the
     /// candidates owned by one `(shard, shard_count)` (`None`: shard 0 of
-    /// 1). Returns ranked views still carrying their rank keys, without
-    /// [`ViewId`]s — [`merge_shard_outputs`] numbers them.
+    /// 1). Returns the views in rank order with provisional [`ViewId`]s —
+    /// [`merge_shard_outputs`] numbers them.
     fn search_filtered(
         &self,
         selection: &SelectionResult,
@@ -369,7 +369,7 @@ impl<'a> SearchContext<'a> {
         }
 
         let mut views = Vec::with_capacity(results.len());
-        for (result, (c, g)) in results.into_iter().zip(cut) {
+        for result in results {
             let Some(view) = degrade(result.expect("every candidate resolved"), &mut partial)?
             else {
                 continue;
@@ -377,13 +377,7 @@ impl<'a> SearchContext<'a> {
             if config.drop_empty_views && view.row_count() == 0 {
                 continue;
             }
-            let (score, canon) = keys[g].clone().expect("only scored graphs are cut");
-            views.push(ShardView {
-                score,
-                canon,
-                projection: projections[c].clone(),
-                view,
-            });
+            views.push(view);
         }
         timer.add("materialize", mat_start.elapsed());
         let (shard, shard_count) = owner.unwrap_or((0, 1));
@@ -434,22 +428,6 @@ fn candidate_shard(projection: &[ColumnRef], shard_count: usize) -> usize {
     }
 }
 
-/// One ranked, materialised view of a shard's output, still carrying the
-/// rank key ([`rank_order`]'s `(score, canon)` plus the projection
-/// tie-break) that [`merge_shard_outputs`] merges through. The view's
-/// [`ViewId`] is not final until the merge renumbers globally.
-#[derive(Debug, Clone)]
-pub struct ShardView {
-    /// Join score of the candidate (rank key, primary, descending).
-    pub score: f64,
-    /// Canonical edge form of the join graph (rank key, secondary).
-    pub canon: Vec<(u32, u32)>,
-    /// Projection columns (rank key, final tie-break).
-    pub projection: Arc<[ColumnRef]>,
-    /// The materialised view.
-    pub view: View,
-}
-
 /// Output of [`SearchContext::search_shard`]: this shard's owned slice of
 /// the global ranking, plus the same stats/budget surface as
 /// [`SearchOutput`].
@@ -460,8 +438,9 @@ pub struct ShardSearchOutput {
     /// Total shards in the scatter.
     pub shard_count: usize,
     /// Owned views in global rank order (a subsequence of the unsharded
-    /// ranking).
-    pub views: Vec<ShardView>,
+    /// ranking), with provisional [`ViewId`]s. A view's rank key is in its
+    /// provenance: join score, join edges and projection.
+    pub views: Vec<View>,
     /// Search-space statistics. The enumeration counters are global (every
     /// shard enumerates identically); `views` counts only owned views.
     pub stats: SearchStats,
@@ -477,6 +456,12 @@ pub struct ShardSearchOutput {
 /// one [`SearchOutput`] through the content-based total order, then assign
 /// [`ViewId`]s sequentially. [`SearchContext::search`] finishes through it
 /// too, as the one shard that owns every candidate.
+///
+/// A view's rank key is read from its provenance: `join_score` descending,
+/// then the canonical form of `join_edges` over column refs, computed once
+/// per view, then `projection`. The cut ranked the same candidates by the
+/// canonical form over column ids, and the catalog numbers columns in
+/// `(table, ordinal)` order, so the two forms order candidates alike.
 ///
 /// Each shard's list is already globally rank-ordered and ownership
 /// partitions the candidate space, so the merge is a pure k-way merge with
@@ -494,21 +479,23 @@ pub fn merge_shard_outputs(outputs: Vec<ShardSearchOutput>, complete: bool) -> S
     let mut dag = MaterializeStats::default();
     let mut timer = ver_common::timer::PhaseTimer::new();
     let mut partial = !complete;
-    let mut merged: Vec<ShardView> =
-        Vec::with_capacity(outputs.iter().map(|o| o.views.len()).sum());
+    let mut merged = Vec::with_capacity(outputs.iter().map(|o| o.views.len()).sum());
     for out in outputs {
         partial |= out.partial;
         dag.accumulate(out.dag);
         timer.merge(&out.timer);
-        merged.extend(out.views);
+        merged.extend(out.views.into_iter().map(|view| {
+            let mut canon = Vec::with_capacity(view.provenance.join_edges.len());
+            canon_into(view.provenance.join_edges.iter().copied(), &mut canon);
+            (canon, view)
+        }));
     }
-    merged.sort_by(|a, b| {
-        rank_order(a.score, &a.canon, b.score, &b.canon)
-            .then_with(|| a.projection.cmp(&b.projection))
+    merged.sort_by(|(ca, a), (cb, b)| {
+        let (a, b) = (&a.provenance, &b.provenance);
+        rank_order(a.join_score, ca, b.join_score, cb).then_with(|| a.projection.cmp(&b.projection))
     });
     let mut views = Vec::with_capacity(merged.len());
-    for (i, sv) in merged.into_iter().enumerate() {
-        let mut view = sv.view;
+    for (i, (_, mut view)) in merged.into_iter().enumerate() {
         view.id = ViewId(i as u32);
         views.push(view);
     }

@@ -5,7 +5,9 @@
 //! output order of distinct graphs) with deterministic tie-breaking by
 //! canonical edge form — and the cut to any k is the k-prefix of the full
 //! ranking. This is the contract the parallel online path needs for
-//! bit-identical results across thread counts.
+//! bit-identical results across thread counts. The canonical form over
+//! column refs, which the scatter/gather merge ranks by, orders graphs as
+//! the form over column ids does.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,30 +18,37 @@ use std::sync::OnceLock;
 use ver_common::fxhash::FxHashSet;
 use ver_common::ids::ColumnId;
 use ver_common::value::Value;
-use ver_index::{build_index, DiscoveryIndex, IndexConfig, JoinGraph, JoinGraphEdge};
+use ver_index::{build_index, canon_into, DiscoveryIndex, IndexConfig, JoinGraph, JoinGraphEdge};
 use ver_search::rank::{join_score, rank_order, top_k_by};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
 
 const COLUMNS: u32 = 8;
 
-/// Eight single-column tables with distinct ratios spread across (0, 1], so
-/// generated edges hit varied key-ness. Built once; ranking is read-only.
-fn index() -> &'static DiscoveryIndex {
-    static INDEX: OnceLock<DiscoveryIndex> = OnceLock::new();
-    INDEX.get_or_init(|| {
+/// Eight columns with distinct ratios spread across (0, 1], so generated
+/// edges hit varied key-ness, in three tables of mixed widths, so column
+/// ids and column refs differ. Built once; ranking is read-only.
+fn fixture() -> &'static (TableCatalog, DiscoveryIndex) {
+    static FIXTURE: OnceLock<(TableCatalog, DiscoveryIndex)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
         let mut cat = TableCatalog::new();
-        for t in 0..COLUMNS {
-            let mut b = TableBuilder::new(format!("t{t}"), &["c"]);
-            // t distinct-classes out of 40 rows: t=0 → all equal, t=7 → near-unique.
-            let classes = 1 + 5 * t as usize;
+        let mut column = 0;
+        for (t, width) in [3, 1, 4].into_iter().enumerate() {
+            let names: Vec<String> = (0..width).map(|i| format!("c{i}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let mut b = TableBuilder::new(format!("t{t}"), &names);
+            // Column c has 1 + 5c distinct classes out of 40 rows: c=0 →
+            // all equal, c=7 → near-unique.
+            let classes: Vec<usize> = (column..column + width).map(|c| 1 + 5 * c).collect();
+            column += width;
             for i in 0..40 {
-                b.push_row(vec![Value::text(format!("v{}", i % classes))])
-                    .unwrap();
+                let row = classes.iter().map(|k| Value::text(format!("v{}", i % k)));
+                b.push_row(row.collect()).unwrap();
             }
             cat.add_table(b.build()).unwrap();
         }
-        build_index(
+        assert_eq!(cat.column_count(), COLUMNS as usize);
+        let index = build_index(
             &cat,
             IndexConfig {
                 threads: 1,
@@ -47,8 +56,13 @@ fn index() -> &'static DiscoveryIndex {
                 ..Default::default()
             },
         )
-        .expect("index build")
+        .expect("index build");
+        (cat, index)
     })
+}
+
+fn index() -> &'static DiscoveryIndex {
+    &fixture().1
 }
 
 /// Strategy output → graphs, deduplicated by canonical form so every graph
@@ -138,6 +152,19 @@ proptest! {
                 );
             }
         }
+
+        // The gather's canonical form, over column refs, orders the graphs
+        // exactly as the form over column ids does.
+        let by_refs = |g: &JoinGraph| {
+            let mut canon = Vec::new();
+            canon_into(g.column_edges(&fixture().0).unwrap(), &mut canon);
+            canon
+        };
+        let mut by_id: Vec<usize> = (0..graphs.len()).collect();
+        by_id.sort_by_key(|&i| graphs[i].canon());
+        let mut by_ref: Vec<usize> = (0..graphs.len()).collect();
+        by_ref.sort_by_key(|&i| by_refs(&graphs[i]));
+        prop_assert_eq!(by_id, by_ref, "column refs must order graphs as column ids do");
     }
 
     #[test]

@@ -46,7 +46,7 @@ use ver_common::value::{DataType, Value};
 use ver_core::engine::{Provenance, View};
 use ver_core::QueryResult;
 use ver_qbe::{ExampleQuery, QueryColumn, ViewSpec};
-use ver_search::{SearchStats, ShardSearchOutput, ShardView};
+use ver_search::{SearchStats, ShardSearchOutput};
 use ver_store::column::Column;
 use ver_store::schema::{ColumnMeta, TableSchema};
 use ver_store::table::Table;
@@ -59,7 +59,13 @@ use crate::ServeStats;
 /// v2: `ShardQuery` / `ShardOutput` messages for remote scatter legs, and
 /// per-leg router stats appended to `Stats` replies.
 /// v3: `Stats` replies drop the three session counters.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// v4: a shard-leg view carries its rank key only in its provenance
+/// (`ShardOutput` views drop the score, canonical form and projection
+/// sent before it).
+///
+/// A router and its legs upgrade together: neither reads the other's
+/// older layout.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 fn reader(payload: &[u8]) -> Reader<'_> {
     Reader::new(payload, VerError::Protocol)
@@ -691,34 +697,16 @@ fn read_cref(r: &mut Reader<'_>, what: &str) -> Result<ColumnRef> {
     })
 }
 
-fn put_crefs(out: &mut Vec<u8>, crefs: &[ColumnRef]) {
-    put_u32(out, crefs.len() as u32);
-    for c in crefs {
-        put_cref(out, c);
-    }
-}
-
-fn read_crefs(r: &mut Reader<'_>, what: &str) -> Result<Vec<ColumnRef>> {
-    r.seq(6, what, |r| read_cref(r, what))
-}
-
-/// One view of a shard leg's output, shipped with its **rank keys**
-/// (score, canonical edge form, projection) and *full-fidelity* view data
-/// — schema metadata, provenance, rows — so the router rebuilds the exact
-/// [`ShardView`] the in-process scatter would have produced and merges
-/// legs bit-identically (invariant 13). Rows stream straight out of the
-/// columnar table, row-major.
-fn put_shard_view(out: &mut Vec<u8>, v: &ShardView) {
-    put_u64(out, v.score.to_bits());
-    put_u32(out, v.canon.len() as u32);
-    for (a, b) in &v.canon {
-        put_u32(out, *a);
-        put_u32(out, *b);
-    }
-    put_crefs(out, &v.projection);
-    put_u32(out, v.view.id.0);
+/// One view of a shard leg's output in *full fidelity* — id, schema
+/// metadata, rows, provenance — so the router rebuilds the exact [`View`]
+/// the in-process scatter would have produced and merges legs
+/// bit-identically (invariant 13). The provenance carries the view's rank
+/// key (join score, join edges, projection); nothing else repeats it. Rows
+/// stream straight out of the columnar table, row-major.
+fn put_shard_view(out: &mut Vec<u8>, v: &View) {
+    put_u32(out, v.id.0);
     // Forces the gather: a leg ships its views' rows to the router.
-    let table: &Table = &v.view.table;
+    let table: &Table = &v.table;
     put_u32(out, table.id.0);
     put_string(out, table.name());
     put_u32(out, table.column_count() as u32);
@@ -727,7 +715,7 @@ fn put_shard_view(out: &mut Vec<u8>, v: &ShardView) {
         out.push(c.dtype.code());
     }
     put_rows(out, table);
-    let prov = &v.view.provenance;
+    let prov = &v.provenance;
     put_u32(out, prov.join_edges.len() as u32);
     for (a, b) in &prov.join_edges {
         put_cref(out, a);
@@ -737,19 +725,17 @@ fn put_shard_view(out: &mut Vec<u8>, v: &ShardView) {
     for t in &prov.source_tables {
         put_u32(out, t.0);
     }
-    put_crefs(out, &prov.projection);
+    put_u32(out, prov.projection.len() as u32);
+    for c in &prov.projection {
+        put_cref(out, c);
+    }
     put_u64(out, prov.join_score.to_bits());
 }
 
 /// Decode one shard view straight into columns → [`Table::new`] →
 /// [`View::new`]. A payload that parses cleanly can still describe an
 /// impossible table (hostile peer); that too is [`VerError::Protocol`].
-fn read_shard_view<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>) -> Result<ShardView> {
-    let score = f64::from_bits(r.u64("shard view score")?);
-    let canon = r.seq(8, "shard view canon", |r| {
-        Ok((r.u32("canon edge")?, r.u32("canon edge")?))
-    })?;
-    let projection = read_crefs(r, "shard view projection")?;
+fn read_shard_view<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>) -> Result<View> {
     let view_id = ViewId(r.u32("shard view id")?);
     let table_id = TableId(r.u32("shard view table id")?);
     let table_name = r.string("shard view table name")?;
@@ -778,19 +764,16 @@ fn read_shard_view<'a>(r: &mut Reader<'a>, text: &mut TextCells<'a>) -> Result<S
         source_tables: r.seq(4, "shard view source tables", |r| {
             Ok(TableId(r.u32("source table")?))
         })?,
-        projection: read_crefs(r, "shard view prov projection")?,
+        projection: r.seq(6, "shard view projection", |r| {
+            read_cref(r, "projection column")
+        })?,
         join_score: f64::from_bits(r.u64("shard view join score")?),
     };
     let columns = cols.into_iter().map(Column::from_values).collect();
     let mut table = Table::new(TableSchema::new(table_name, metas), columns)
         .map_err(|e| VerError::Protocol(format!("shard view table on wire: {e}")))?;
     table.id = table_id;
-    Ok(ShardView {
-        score,
-        canon,
-        projection: projection.into(),
-        view: View::new(view_id, table, provenance),
-    })
+    Ok(View::new(view_id, table, provenance))
 }
 
 /// One whole shard leg's output: this shard's owned slice of the global
@@ -1431,12 +1414,7 @@ mod tests {
         ShardSearchOutput {
             shard: 1,
             shard_count: 2,
-            views: vec![ShardView {
-                score: 0.75,
-                canon: vec![(1, 9), (2, 4)],
-                projection: vec![cref(0, 1), cref(3, 0)].into(),
-                view: View::new(ViewId(5), table, provenance),
-            }],
+            views: vec![View::new(ViewId(5), table, provenance)],
             stats: SearchStats {
                 combinations: 5,
                 skipped_by_cache: 0,
@@ -1497,18 +1475,18 @@ mod tests {
     #[test]
     fn shard_view_reconstruction_is_lossless() {
         // in-process → wire → in-process → wire must be the identity: the
-        // router's merge works on reconstructed `ShardView`s, so any loss
-        // here would silently break invariant 13.
+        // router's merge works on reconstructed views, so any loss here
+        // would silently break invariant 13.
         let bytes = Response::ShardOutput(sample_shard_output()).encode();
         let back = Response::decode(&bytes).unwrap();
         let Response::ShardOutput(out) = &back else {
             panic!("expected ShardOutput, got {back:?}");
         };
         let sv = &out.views[0];
-        assert_eq!(sv.view.table.row_count(), 2);
-        assert_eq!(sv.view.table.schema.columns[0].name.as_deref(), Some("a"));
-        assert_eq!(sv.view.table.cell(1, 1), Some(&Value::Int(7)));
-        assert_eq!(sv.view.provenance.join_edges.len(), 1);
+        assert_eq!(sv.table.row_count(), 2);
+        assert_eq!(sv.table.schema.columns[0].name.as_deref(), Some("a"));
+        assert_eq!(sv.table.cell(1, 1), Some(&Value::Int(7)));
+        assert_eq!(sv.provenance.join_edges.len(), 1);
         assert_eq!(back.encode(), bytes);
     }
 

@@ -18,7 +18,7 @@ use ver_common::ids::{ColumnRef, TableId, ViewId};
 use ver_common::value::{DataType, Value};
 use ver_core::engine::{Provenance, View};
 use ver_qbe::{ExampleQuery, QueryColumn, ViewSpec};
-use ver_search::{SearchStats, ShardSearchOutput, ShardView};
+use ver_search::{SearchStats, ShardSearchOutput};
 use ver_serve::net::frame::{
     decode_frame, encode_frame, read_frame, write_frame, ReadOutcome, MAGIC,
 };
@@ -86,7 +86,7 @@ fn request_corpus() -> Vec<Request> {
     ]
 }
 
-fn sample_shard_view(id: u32) -> ShardView {
+fn sample_shard_view(id: u32) -> View {
     let cref = |table: u32, ordinal: u16| ColumnRef {
         table: TableId(table),
         ordinal,
@@ -110,12 +110,7 @@ fn sample_shard_view(id: u32) -> ShardView {
         projection: vec![cref(0, 0)],
         join_score: 0.25 * id as f64,
     };
-    ShardView {
-        score: 0.5 + id as f64,
-        canon: vec![(0, id + 1), (id + 1, 2)],
-        projection: vec![cref(0, 0), cref(id + 1, 1)].into(),
-        view: View::new(ViewId(id), table, provenance),
-    }
+    View::new(ViewId(id), table, provenance)
 }
 
 /// One of every response type.
@@ -246,11 +241,9 @@ fn assert_same_response(a: &Response, b: &Response) {
             );
             assert_eq!(a.views.len(), b.views.len());
             for (x, y) in a.views.iter().zip(&b.views) {
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
-                assert_eq!((&x.canon, &x.projection), (&y.canon, &y.projection));
-                assert_eq!(x.view.table.id, y.view.table.id);
-                assert_eq!(x.view.table.name(), y.view.table.name());
-                assert!(x.view.same_contents(&y.view), "{x:?} != {y:?}");
+                assert_eq!(x.table.id, y.table.id);
+                assert_eq!(x.table.name(), y.table.name());
+                assert!(x.same_contents(y), "{x:?} != {y:?}");
             }
         }
         _ => panic!("{a:?} is not a {b:?}"),

@@ -39,6 +39,12 @@ impl TableCatalog {
     /// Register a table; assigns and returns its [`TableId`].
     ///
     /// Table names must be unique (open-data portals key datasets by name).
+    ///
+    /// Ids are assigned in `(table, ordinal)` order: a table gets the next
+    /// [`TableId`] and its columns the next [`ColumnId`]s, by ordinal. So
+    /// column ids ascend exactly as their [`ColumnRef`]s do, and the
+    /// search's canonical join-graph form orders graphs alike over either;
+    /// the scatter/gather merge, which reads column refs, relies on it.
     pub fn add_table(&mut self, mut table: Table) -> Result<TableId> {
         let name = table.name().to_string();
         if self.by_name.contains_key(&name) {
@@ -178,6 +184,22 @@ mod tests {
         assert_eq!(cat.total_rows(), 3);
         assert_eq!(cat.tables()[0].id, TableId(0));
         assert_eq!(cat.tables()[1].id, TableId(1));
+    }
+
+    #[test]
+    fn column_ids_ascend_with_table_and_ordinal() {
+        let mut cat = catalog();
+        for (name, width) in [("wide", 5), ("single", 1), ("triple", 3)] {
+            let names: Vec<String> = (0..width).map(|i| format!("c{i}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            cat.add_table(TableBuilder::new(name, &names).build())
+                .unwrap();
+        }
+        let columns: Vec<(ColumnId, ColumnRef)> = cat.all_columns().collect();
+        assert_eq!(columns.len(), 4 + 5 + 1 + 3);
+        for w in columns.windows(2) {
+            assert!(w[0].0 < w[1].0 && w[0].1 < w[1].1, "{w:?}");
+        }
     }
 
     #[test]

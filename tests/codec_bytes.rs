@@ -27,33 +27,33 @@ use ver_serve::ServeStats;
 const EXPECTED: &[(&str, usize, u64)] = &[
     ("WDC-Q1 head", 733464, 0xbee7543fa2febbdc),
     ("WDC-Q1 leg 0/2", 73, 0x829a1b57ac3e10fe),
-    ("WDC-Q1 leg 1/2", 784435, 0x009980cd25c8302d),
+    ("WDC-Q1 leg 1/2", 766923, 0x151d421537f08dfb),
     ("WDC-Q1 query request", 113, 0x16aa8500c7917bf0),
     ("WDC-Q1 shard request", 117, 0xaa51e3ce7a160e53),
     ("WDC-Q2 head", 615115, 0xdfbf2634c347fb28),
-    ("WDC-Q2 leg 0/2", 47069, 0xa0dd64d30b66a700),
-    ("WDC-Q2 leg 1/2", 616250, 0xb0247392bf366b48),
+    ("WDC-Q2 leg 0/2", 46021, 0x38b2b49571f4e960),
+    ("WDC-Q2 leg 1/2", 601002, 0x46af1c1dbac85279),
     ("WDC-Q2 query request", 158, 0x7e4c7c0ad94556cb),
     ("WDC-Q2 shard request", 162, 0xa43a2d2271cd3810),
     ("WDC-Q3 head", 602295, 0xcd172061f8990caa),
-    ("WDC-Q3 leg 0/2", 493928, 0xa70f1bc9f6d9b2ab),
-    ("WDC-Q3 leg 1/2", 261872, 0x41e87e128aa84d5e),
+    ("WDC-Q3 leg 0/2", 464168, 0xea0f3cd3eccb41f0),
+    ("WDC-Q3 leg 1/2", 246072, 0xd0370d618b4ad33f),
     ("WDC-Q3 query request", 111, 0xe3016a52aa13c38f),
     ("WDC-Q3 shard request", 115, 0x7d2f722655e2e3fc),
     ("WDC-Q4 head", 850874, 0x99820cf21af7092f),
-    ("WDC-Q4 leg 0/2", 843933, 0x2a01923da648b50d),
-    ("WDC-Q4 leg 1/2", 58981, 0x31d35072cd1c734f),
+    ("WDC-Q4 leg 0/2", 827117, 0x595c6562cff995a0),
+    ("WDC-Q4 leg 1/2", 57933, 0x3e3f1a6684b48cf7),
     ("WDC-Q4 query request", 137, 0x5d73805788a9d1b9),
     ("WDC-Q4 shard request", 141, 0xf54a41ad58382543),
     ("WDC-Q5 head", 328490, 0x63bfd871d753ad93),
-    ("WDC-Q5 leg 0/2", 236787, 0x441a073d221c5522),
-    ("WDC-Q5 leg 1/2", 163293, 0x36d09679193fbfdc),
+    ("WDC-Q5 leg 0/2", 223959, 0xa97f3c327692bc0a),
+    ("WDC-Q5 leg 1/2", 153477, 0x41d128b03e1ddb18),
     ("WDC-Q5 query request", 112, 0x8bdf65d159e363ae),
     ("WDC-Q5 shard request", 116, 0xe5a8398f2993e861),
     ("paged head", 5831, 0x5c73bd96ad66ff77),
     ("page 1", 4932, 0xe1edd2fb237c5d3f),
     ("stats", 270, 0xf97468526c60530b),
-    ("health", 52, 0x22c936f97899870f),
+    ("health", 52, 0x509ea2eedd275a91),
     ("error", 51, 0x1935e70327de7d5c),
     ("shutdown ack", 20, 0xa280ec77c039946f),
     ("keyword request", 61, 0x21e91b445f422f8d),
