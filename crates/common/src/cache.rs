@@ -4,10 +4,11 @@
 //! sessions; the caches that make repeated work cheap live here so every
 //! layer (search, core, serve) can share one implementation:
 //!
-//! * [`LruCache`] — a bounded least-recently-used map for values worth
-//!   keeping only while hot (materialized candidate views, whole query
-//!   results), with lock-free hit/miss counters so serving stats can
-//!   report cache effectiveness without touching the map;
+//! * [`LruCache`] — a least-recently-used map for values worth keeping
+//!   only while hot (materialized candidate views, whole query results),
+//!   bounded by the sum of what its entries are charged (1 per result,
+//!   bytes per view), with lock-free hit/miss counters so serving stats
+//!   can report cache effectiveness without touching the map;
 //! * [`CacheStats`] — a snapshot of those counters.
 //!
 //! The cache takes `&self` for every operation (interior `Mutex`), so it
@@ -52,22 +53,34 @@ impl CacheStats {
     }
 }
 
-/// Interior state of an [`LruCache`]: entries tagged with a monotonically
-/// increasing access tick. Eviction scans the whole map for the oldest
-/// ticks, but evicts a **batch** (1/8 of capacity) per scan, so the scan
-/// amortises to O(1) comparisons per insert — important because the
-/// serving layer's materialization fan-out inserts from many pool workers
-/// behind this mutex. Batch eviction under-approximates strict LRU by at
-/// most one batch, which is irrelevant for a cache.
+/// Interior state of an [`LruCache`]: entries tagged with their charge
+/// and a monotonically increasing access tick, plus the sum of the
+/// charges. Eviction scans the whole map for the oldest ticks, but evicts
+/// a **batch** (down to ⅞ of capacity) per scan, so the scan amortises to
+/// O(log n) comparisons per insert — important because the serving
+/// layer's materialization fan-out inserts from many pool workers behind
+/// this mutex. Batch eviction under-approximates strict LRU by at most one
+/// batch, which is irrelevant for a cache.
 struct LruInner<K, V> {
-    map: FxHashMap<K, (V, u64)>,
+    map: FxHashMap<K, Entry<V>>,
+    tick: u64,
+    charged: usize,
+}
+
+/// One cached value, what it was charged, and when it was last touched.
+struct Entry<V> {
+    value: V,
+    charge: usize,
     tick: u64,
 }
 
 /// A bounded, thread-safe least-recently-used cache.
 ///
-/// `capacity == 0` disables the cache entirely: every `get` misses and
-/// `insert` is a no-op, so callers can thread one through unconditionally.
+/// Every entry carries a **charge** (at least 1), and `capacity` bounds
+/// the sum of the charges: charge 1 per entry bounds the count of
+/// entries, charge = bytes bounds the bytes they hold. `capacity == 0`
+/// disables the cache entirely: every `get` misses and `insert` is a
+/// no-op, so callers can thread one through unconditionally.
 pub struct LruCache<K, V> {
     inner: Mutex<LruInner<K, V>>,
     /// Lookups answered from the map; counted outside the lock.
@@ -78,12 +91,14 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
-    /// Cache holding at most `capacity` entries (`0` = disabled).
+    /// Cache whose entries' charges sum to at most `capacity` (`0` =
+    /// disabled).
     pub fn new(capacity: usize) -> Self {
         LruCache {
             inner: Mutex::new(LruInner {
                 map: FxHashMap::default(),
                 tick: 0,
+                charged: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -91,7 +106,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Configured capacity.
+    /// Configured capacity, in the unit of the charges.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -99,6 +114,11 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// Current entry count.
     pub fn len(&self) -> usize {
         lock_unpoisoned(&self.inner).map.len()
+    }
+
+    /// Sum of the current entries' charges (never above `capacity`).
+    pub fn charged(&self) -> usize {
+        lock_unpoisoned(&self.inner).charged
     }
 
     /// `true` when no entries are cached.
@@ -128,9 +148,9 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
-            Some((v, t)) => {
-                *t = tick;
-                let out = v.clone();
+            Some(entry) => {
+                entry.tick = tick;
+                let out = entry.value.clone();
                 drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(out)
@@ -143,37 +163,68 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Insert (or refresh) `key`, evicting the least-recently-used batch
-    /// of entries when full. Does not count as a hit or a miss.
+    /// Insert (or refresh) `key` at `charge` (0 counts as 1), evicting the
+    /// least-recently-used batch of entries when the charges would exceed
+    /// capacity. Does not count as a hit or a miss.
     ///
-    /// Boundary invariant: `len() <= capacity` always holds afterwards.
-    /// Refreshing an existing key never grows the map (so skipping
-    /// eviction is safe even at capacity), and a *new* key at capacity
-    /// evicts at least one entry before inserting. Pinned under arbitrary
-    /// get/insert interleavings by `tests/cache_properties.rs`.
-    pub fn insert(&self, key: K, value: V) {
+    /// Boundary invariant: `charged() <= capacity` always holds afterwards.
+    /// A refresh re-charges its key: the old charge is released before the
+    /// new one is placed. Eviction drops the oldest entries until the rest
+    /// sum to at most `capacity - max(capacity / 8, 1)` (⅞, rounded up)
+    /// and leave room for `charge`. An entry charged more than the whole
+    /// capacity is not cached (a refresh drops the key's old value), and
+    /// nothing else is evicted for it. Pinned under arbitrary get/insert
+    /// interleavings by `tests/cache_properties.rs`.
+    pub fn insert(&self, key: K, value: V, charge: usize) {
         if self.capacity == 0 {
             return;
         }
+        let charge = charge.max(1);
         let mut inner = lock_unpoisoned(&self.inner);
+        if let Some(old) = inner.map.remove(&key) {
+            inner.charged -= old.charge;
+        }
+        if charge > self.capacity {
+            return;
+        }
         inner.tick += 1;
         let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            // Evict the oldest ~1/8 of the cache in one scan (at least one
-            // entry): one O(n) pass per n/8 inserts ⇒ amortised O(1).
-            let batch = (self.capacity / 8).max(1);
-            let mut ticks: Vec<u64> = inner.map.values().map(|(_, t)| *t).collect();
-            let idx = batch.min(ticks.len()) - 1;
-            let (_, cutoff, _) = ticks.select_nth_unstable(idx);
-            let cutoff = *cutoff;
-            inner.map.retain(|_, (_, t)| *t > cutoff);
+        if inner.charged + charge > self.capacity {
+            // One scan, oldest first, finds the newest tick that has to go
+            // for the survivors to sum to the target; everything at or
+            // below it is evicted.
+            let target = (self.capacity - (self.capacity / 8).max(1)).min(self.capacity - charge);
+            let mut ages: Vec<(u64, usize)> =
+                inner.map.values().map(|e| (e.tick, e.charge)).collect();
+            ages.sort_unstable_by_key(|&(t, _)| t);
+            let mut left = inner.charged;
+            let mut cutoff = 0;
+            for (t, c) in ages {
+                if left <= target {
+                    break;
+                }
+                left -= c;
+                cutoff = t;
+            }
+            inner.map.retain(|_, e| e.tick > cutoff);
+            inner.charged = left;
         }
-        inner.map.insert(key, (value, tick));
+        inner.charged += charge;
+        inner.map.insert(
+            key,
+            Entry {
+                value,
+                charge,
+                tick,
+            },
+        );
     }
 
     /// Drop every entry (counters are kept).
     pub fn clear(&self) {
-        lock_unpoisoned(&self.inner).map.clear();
+        let mut inner = lock_unpoisoned(&self.inner);
+        inner.map.clear();
+        inner.charged = 0;
     }
 }
 
@@ -182,6 +233,7 @@ impl<K: Hash + Eq + Clone, V: Clone> std::fmt::Debug for LruCache<K, V> {
         let inner = lock_unpoisoned(&self.inner);
         f.debug_struct("LruCache")
             .field("len", &inner.map.len())
+            .field("charged", &inner.charged)
             .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
@@ -196,7 +248,7 @@ mod tests {
     fn lru_hits_and_misses_are_counted() {
         let cache: LruCache<u32, String> = LruCache::new(4);
         assert_eq!(cache.get(&1), None);
-        cache.insert(1, "one".into());
+        cache.insert(1, "one".into(), 1);
         assert_eq!(cache.get(&1).as_deref(), Some("one"));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -206,11 +258,11 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache: LruCache<u32, u32> = LruCache::new(2);
-        cache.insert(1, 10);
-        cache.insert(2, 20);
+        cache.insert(1, 10, 1);
+        cache.insert(2, 20, 1);
         // Touch 1 so 2 becomes the LRU entry.
         assert_eq!(cache.get(&1), Some(10));
-        cache.insert(3, 30);
+        cache.insert(3, 30, 1);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&2), None, "LRU entry evicted");
         assert_eq!(cache.get(&1), Some(10));
@@ -220,9 +272,9 @@ mod tests {
     #[test]
     fn lru_reinsert_refreshes_without_evicting() {
         let cache: LruCache<u32, u32> = LruCache::new(2);
-        cache.insert(1, 10);
-        cache.insert(2, 20);
-        cache.insert(1, 11); // refresh, not a new entry
+        cache.insert(1, 10, 1);
+        cache.insert(2, 20, 1);
+        cache.insert(1, 11, 1); // refresh, not a new entry
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&1), Some(11));
         assert_eq!(cache.get(&2), Some(20));
@@ -232,13 +284,13 @@ mod tests {
     fn batch_eviction_drops_the_oldest_entries() {
         let cache: LruCache<u32, u32> = LruCache::new(64);
         for i in 0..64 {
-            cache.insert(i, i);
+            cache.insert(i, i, 1);
         }
         // Refresh the first 8 so they are the *newest*, then overflow.
         for i in 0..8 {
             assert_eq!(cache.get(&i), Some(i));
         }
-        cache.insert(64, 64);
+        cache.insert(64, 64, 1);
         // One batch (64/8 = 8) of the oldest entries (8..16) is gone; the
         // refreshed ones and the new insert survive.
         assert_eq!(cache.len(), 64 - 8 + 1);
@@ -254,7 +306,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_the_cache() {
         let cache: LruCache<u32, u32> = LruCache::new(0);
-        cache.insert(1, 10);
+        cache.insert(1, 10, 1);
         assert_eq!(cache.get(&1), None);
         assert!(cache.is_empty());
         let s = cache.stats();
@@ -270,7 +322,7 @@ mod tests {
     #[test]
     fn lru_clear_keeps_counters() {
         let cache: LruCache<u32, u32> = LruCache::new(2);
-        cache.insert(1, 10);
+        cache.insert(1, 10, 1);
         let _ = cache.get(&1);
         cache.clear();
         assert!(cache.is_empty());
@@ -284,7 +336,7 @@ mod tests {
             for t in 0..4 {
                 s.spawn(|| {
                     for i in 0..100 {
-                        cache.insert(i, i * 2);
+                        cache.insert(i, i * 2, 1);
                         let _ = cache.get(&i);
                     }
                     let _ = t;

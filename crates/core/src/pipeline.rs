@@ -709,7 +709,7 @@ mod tests {
         let ver = Ver::build(catalog(), VerConfig::fast()).unwrap();
         let spec = qbe(&[vec!["st1", "1001"], vec!["st2", "1002"]]);
         let base = ver.run(&spec).unwrap();
-        let caches = SearchCaches::new(32);
+        let caches = SearchCaches::new(1 << 20);
         for pass in 0..2 {
             let out = ver.run_cached(&spec, Some(&caches)).unwrap();
             assert_eq!(out.ranked, base.ranked, "pass {pass}");
@@ -728,7 +728,7 @@ mod tests {
         let single = ver.run(&spec).unwrap();
         assert!(single.views.len() > 1, "need a multi-view query");
         for count in [1usize, 2, 4] {
-            let caches = SearchCaches::new(32);
+            let caches = SearchCaches::new(1 << 20);
             let sharded = ver
                 .run_sharded(&spec, Some(&caches), &QueryBudget::none(), count)
                 .unwrap();

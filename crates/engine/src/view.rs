@@ -16,7 +16,8 @@
 //! (`view.table.columns()`, `.cell(..)`, `.iter_rows()`, `==`), or saying
 //! so with [`ViewTable::gather`]. What never does: [`View::row_count`], [`View::schema`], [`View::name`],
 //! [`View::schema_signature`], [`View::attribute_names`],
-//! [`ViewTable::is_gathered`], [`ViewTable::ptr_eq`], and
+//! [`ViewTable::is_gathered`], [`ViewTable::ptr_eq`], [`View::byte_bound`]
+//! (the view LRU's charge, which counts the cells as if gathered), and
 //! [`View::row_hashes`] on a view that carries its hashes.
 //!
 //! (The vendored `serde` derives are no-ops. A registry `serde` must
@@ -26,12 +27,17 @@
 use crate::rowhash::{row_set, table_row_hashes};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::mem::size_of;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 use ver_common::ids::{ColumnRef, TableId, ViewId};
+use ver_common::value::Value;
 use ver_store::column::Column;
-use ver_store::schema::TableSchema;
+use ver_store::schema::{ColumnMeta, TableSchema};
 use ver_store::table::Table;
+
+/// The bytes an `Arc` allocation spends on its two reference counts.
+const ARC_COUNTS: usize = 2 * size_of::<usize>();
 
 /// How a view was produced: the join edges of its join graph, the source
 /// tables, the projected columns, and the discovery engine's join score.
@@ -175,6 +181,40 @@ impl ViewTable {
             Body::Lazy { source, table } => table.get_or_init(|| source.gather()),
         }
     }
+
+    /// An upper bound on the heap bytes this body holds now or after its
+    /// gather: the body, the chained name, the source rows behind an
+    /// ungathered view (each shared vector once), and the gathered table —
+    /// its schema copy, its columns and every cell at `size_of::<Value>()`.
+    /// Text cells are `Arc`s shared with the base tables and are not
+    /// charged; a built table's vectors are charged at their length.
+    fn byte_bound(&self) -> usize {
+        let schema = self.schema();
+        let arity = schema.arity();
+        let table = schema.columns.capacity() * size_of::<ColumnMeta>()
+            + arity * size_of::<Column>()
+            + self.row_count() * arity * size_of::<Value>();
+        let source = match &*self.0 {
+            Body::Built(_) => 0,
+            Body::Lazy { source, .. } => {
+                let mut rows = 0;
+                for (i, c) in source.columns.iter().enumerate() {
+                    if !source.columns[..i]
+                        .iter()
+                        .any(|e| Arc::ptr_eq(&e.rows, &c.rows))
+                    {
+                        rows += ARC_COUNTS + c.rows.len() * size_of::<u32>();
+                    }
+                }
+                source.schema.columns.capacity() * size_of::<ColumnMeta>()
+                    + source.columns.capacity() * size_of::<SourceColumn>()
+                    + rows
+            }
+        };
+        let body = ARC_COUNTS + size_of::<Body>();
+        let name = ARC_COUNTS + schema.name.len();
+        body + name + source + table
+    }
 }
 
 impl Deref for ViewTable {
@@ -285,6 +325,25 @@ impl View {
     /// nothing but the answer.
     pub fn release_row_hashes(&mut self) {
         self.row_hashes = None;
+    }
+
+    /// An upper bound on the bytes this view can come to hold, gathered or
+    /// not: the handle, its row hashes, its provenance, and its body with
+    /// every cell charged as gathered. A cache that charges a view this
+    /// once at insert stays within its bound after the view is gathered;
+    /// text bytes, shared with the base tables, are not counted.
+    pub fn byte_bound(&self) -> usize {
+        let p = &*self.provenance;
+        let provenance = ARC_COUNTS
+            + size_of::<Provenance>()
+            + p.join_edges.capacity() * size_of::<(ColumnRef, ColumnRef)>()
+            + p.source_tables.capacity() * size_of::<TableId>()
+            + p.projection.capacity() * size_of::<ColumnRef>();
+        let hashes = self
+            .row_hashes
+            .as_ref()
+            .map_or(0, |h| ARC_COUNTS + h.len() * size_of::<u64>());
+        size_of::<View>() + hashes + provenance + self.table.byte_bound()
     }
 
     /// Number of rows.

@@ -47,7 +47,24 @@ pub fn view_key(plan: &PjPlan, projection: &Arc<[ColumnRef]>) -> ViewKey {
     (plan.base, plan.joins.clone(), projection.clone())
 }
 
+/// The bytes one view-LRU entry can come to hold: the view's
+/// [`View::byte_bound`] plus its key, join steps and projection included.
+fn view_charge(key: &ViewKey, view: &View) -> usize {
+    use std::mem::size_of;
+    let projection_arc_counts = 2 * size_of::<usize>();
+    size_of::<ViewKey>()
+        + key.1.capacity() * size_of::<JoinStep>()
+        + projection_arc_counts
+        + key.2.len() * size_of::<ColumnRef>()
+        + view.byte_bound()
+}
+
 /// Shared cache threaded through [`SearchContext::search`].
+///
+/// The view LRU is bounded in bytes: each entry is charged, once at
+/// insert, the bytes it can come to hold ([`View::byte_bound`] plus its
+/// key). The bound covers the view gathered, so a view 4C or ranking
+/// gathers after insert stays within its charge.
 ///
 /// All methods take `&self`; the struct is `Sync` and intended to live in an
 /// `Arc`'d serving engine queried from many threads.
@@ -60,7 +77,8 @@ pub struct SearchCaches {
 }
 
 impl SearchCaches {
-    /// Caches with the given view-LRU capacity (`0` disables view caching).
+    /// Caches whose view LRU holds at most `view_capacity` bytes (`0`
+    /// disables view caching).
     pub fn new(view_capacity: usize) -> Self {
         SearchCaches {
             views: LruCache::new(view_capacity),
@@ -87,7 +105,8 @@ impl SearchCaches {
     /// Remember a freshly materialized view. Never insert failed
     /// materializations — errors must not poison the cache.
     pub fn view_insert(&self, key: ViewKey, view: View) {
-        self.views.insert(key, view);
+        let charge = view_charge(&key, &view);
+        self.views.insert(key, view, charge);
     }
 }
 
@@ -160,7 +179,7 @@ mod tests {
 
     #[test]
     fn get_then_insert_round_trips() {
-        let caches = SearchCaches::new(8);
+        let caches = SearchCaches::new(1 << 16);
         let key = view_key(&plan(0, &[((0, 0), (1, 0))]), &projection(&[(0, 0)]));
         assert!(caches.view_get(&key).is_none(), "cold cache misses");
         let inserted = dummy_view(2);

@@ -743,7 +743,7 @@ mod tests {
         let cfg = SearchConfig::default();
         let base = SearchContext::new(&cat, &idx).search(&sel, &cfg).unwrap();
 
-        let caches = crate::cache::SearchCaches::new(64);
+        let caches = crate::cache::SearchCaches::new(1 << 20);
         let cx = SearchContext::new(&cat, &idx).with_caches(&caches);
         // Three passes over the same caches: cold, warm, warm.
         for pass in 0..3 {
@@ -864,7 +864,7 @@ mod tests {
         assert!(single.views.len() > 1, "need a multi-view query");
 
         for count in [1usize, 2, 3, 4] {
-            let caches = crate::cache::SearchCaches::new(64);
+            let caches = crate::cache::SearchCaches::new(1 << 20);
             let outputs: Vec<ShardSearchOutput> = (0..count)
                 .map(|shard| {
                     SearchContext::new(&cat, &idx)

@@ -33,14 +33,23 @@ pub struct ServeConfig {
     /// are the per-query fan-out budget; set both at once with
     /// [`ServeConfig::with_query_threads`].
     pub pipeline: VerConfig,
-    /// Capacity of the whole-result LRU (`0` disables result caching).
+    /// Capacity of the whole-result LRU, in results (`0` disables result
+    /// caching).
     pub result_cache_capacity: usize,
-    /// Capacity of the materialized-view LRU shared across queries
-    /// (`0` disables view caching). Size this above the working set of
-    /// candidates your workload's queries touch — an LRU smaller than one
-    /// sequential scan of that set degrades to zero hits. Candidate views
-    /// on open-data-style corpora are small (tens of rows), so the default
-    /// trades a few MB for hot candidates.
+    /// Capacity of the materialized-view LRU shared across queries, in
+    /// **bytes** (`0` disables view caching). Each entry is charged, once
+    /// at insert, an upper bound on the bytes it can come to hold: its
+    /// source-row index arrays, its row hashes, its provenance and plan
+    /// key, and its cells at `size_of::<Value>()` each as if gathered
+    /// (text bytes are shared with the base tables and not charged). The
+    /// bound is in bytes because views differ widely in rows, so a count
+    /// of entries bounds neither memory nor the working set it can hold:
+    /// an LRU smaller than one sequential scan of the working set
+    /// degrades to zero hits, and the pinned `wdc120` corpus has more
+    /// distinct candidates (about 11 700, 3.2 kB each by this charge)
+    /// than the old 8 192-entry cap held. The 64 MiB default holds that
+    /// whole working set (about 37 MB); the resident memory is far less,
+    /// since the cells of the views 4C discards are never gathered.
     pub view_cache_capacity: usize,
     /// Admission gate: maximum queries allowed to execute the pipeline
     /// concurrently (`0` = unbounded). The gate **fails fast** — the
@@ -56,7 +65,7 @@ impl Default for ServeConfig {
         ServeConfig {
             pipeline: VerConfig::default(),
             result_cache_capacity: 64,
-            view_cache_capacity: 8192,
+            view_cache_capacity: 64 << 20,
             max_in_flight: 0,
         }
     }
@@ -362,7 +371,8 @@ impl<B: MissBackend> Engine<B> {
                     // to compute the full, byte-identical answer.
                     self.partial_results.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    self.results.insert(key, Arc::clone(&result));
+                    // Charged 1: the capacity counts results.
+                    self.results.insert(key, Arc::clone(&result), 1);
                 }
                 Ok(result)
             }

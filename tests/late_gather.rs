@@ -125,7 +125,7 @@ fn a_clone_shares_the_body_and_its_gather() {
 fn queries_over_one_cache_share_bodies_and_what_was_gathered() {
     let (ver, queries) = golden();
     let spec = &queries[0].1;
-    let caches = SearchCaches::new(4096);
+    let caches = SearchCaches::new(64 << 20);
     let first = ver.run_cached(spec, Some(&caches)).expect("first run");
     let second = ver.run_cached(spec, Some(&caches)).expect("second run");
     assert_eq!(first.views.len(), second.views.len());

@@ -7,13 +7,14 @@
 //! as `tests/golden_online.rs` through a `ServeEngine` that was built,
 //! persisted to disk, and re-loaded, and requires the rendered output to
 //! match `tests/golden/online_snapshot.txt` exactly, on both the cold-cache
-//! and warm-cache (hitting) passes.
+//! and warm-cache (hitting) passes. A sharded engine at the default
+//! config, result cache off, re-materializes no view on its second pass.
 
 use std::sync::Arc;
 use ver_bench::golden::{golden_catalog, golden_queries, snapshot_with, SNAPSHOT_PATH};
 use ver_index::persist::{load_index, save_index};
 use ver_index::{build_index, IndexConfig};
-use ver_serve::{ServeConfig, ServeEngine};
+use ver_serve::{ServeConfig, ServeEngine, ShardedEngine};
 
 fn golden_expected() -> String {
     std::fs::read_to_string(SNAPSHOT_PATH)
@@ -95,9 +96,10 @@ fn view_cache_hits_across_distinct_queries() {
         // Result cache off: every query runs the pipeline. The view LRU
         // must cover the workload's full candidate working set — an LRU
         // smaller than one scan degrades to zero hits (see ServeConfig).
+        // 16 MiB holds the golden working set many times over.
         ServeConfig {
             result_cache_capacity: 0,
-            view_cache_capacity: 16_384,
+            view_cache_capacity: 16 << 20,
             ..ServeConfig::default()
         },
     )
@@ -115,6 +117,47 @@ fn view_cache_hits_across_distinct_queries() {
         stats.view_cache.hits > 0,
         "repeated pipeline runs must hit the materialized-view LRU: {stats:?}"
     );
+}
+
+#[test]
+fn default_view_cache_holds_the_sharded_working_set() {
+    // The default view LRU is bounded in bytes and sized to hold a
+    // workload's whole candidate working set: with the result cache off, a
+    // sharded engine's second pass over the golden workload finds every
+    // view its legs look up, and the first pass evicted nothing.
+    let catalog = Arc::new(golden_catalog());
+    let queries = golden_queries(&catalog);
+    let index = Arc::new(build_index(&catalog, IndexConfig::default()).expect("index build"));
+    let engine = ShardedEngine::warm_start(
+        Arc::clone(&catalog),
+        index,
+        ServeConfig {
+            result_cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+        2,
+    )
+    .expect("warm start");
+
+    for (_, spec) in &queries {
+        engine.query(spec).expect("query");
+    }
+    let first = engine.stats();
+    assert!(first.view_cache.misses > 0, "{first:?}");
+    assert_eq!(
+        first.cached_views as u64, first.view_cache.misses,
+        "every view built on the first pass is still cached: {first:?}"
+    );
+    for (_, spec) in &queries {
+        engine.query(spec).expect("query");
+    }
+    let second = engine.stats();
+    assert_eq!(second.result_cache.lookups(), 0, "result cache is disabled");
+    assert_eq!(
+        second.view_cache.misses, first.view_cache.misses,
+        "the second pass re-materialized views: {second:?}"
+    );
+    assert!(second.view_cache.hits > first.view_cache.hits);
 }
 
 #[test]
