@@ -1,17 +1,15 @@
 //! Criterion: offline discovery-index construction (profiles + MinHash +
-//! LSH + hypergraph) across corpus shapes — the cost amortised by the
-//! paper's offline stage — and the three sketching kernels inside it, each
-//! as the dispatched SIMD path against its scalar reference (the one
+//! candidate pairs + hypergraph) across corpus shapes — the cost amortised
+//! by the paper's offline stage — and the two sketching kernels inside it,
+//! each as the dispatched SIMD path against its scalar reference (the one
 //! measurement the repo benchmark under `benchmark/` does not make; their
 //! bit-identity is asserted in `crates/index/tests/minhash_equivalence.rs`).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ver_common::fxhash::fx_hash_u64;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ver_datagen::chembl::{generate_chembl, ChemblConfig};
 use ver_datagen::wdc::{generate_wdc, WdcConfig};
 use ver_index::{
-    build_index, hashed_containment_max, hashed_containment_scalar, IndexConfig, LshIndex,
-    MinHasher,
+    build_index, hashed_containment_max, hashed_containment_scalar, IndexConfig, MinHasher,
 };
 
 fn bench_index_build(c: &mut Criterion) {
@@ -56,7 +54,7 @@ fn bench_index_build(c: &mut Criterion) {
         })
     });
 
-    // Exact verification: every LSH candidate pair is checked against the
+    // Exact verification: every candidate pair is checked against the
     // true distinct sets — the path the allocation diet (profile-stored
     // sorted hash vectors, merge-based containment) targets.
     group.bench_function(BenchmarkId::new("wdc_verify_exact", "150t"), |b| {
@@ -135,33 +133,6 @@ fn bench_sketch_kernels(c: &mut Criterion) {
                 .iter()
                 .map(|h| hasher.signature_of_hash_slice(h, h.len()))
                 .collect::<Vec<_>>()
-        })
-    });
-
-    // LSH band hashing under the builder's r = 1 banding (k bands of one
-    // row): one fx hash per band against the batched kernel, both into a
-    // reused buffer so the hashing is what is timed.
-    let signatures: Vec<_> = hash_sets
-        .iter()
-        .map(|h| hasher.signature_of_hash_slice(h, h.len()))
-        .collect();
-    let lsh = LshIndex::new(k, 1);
-    let mut scratch: Vec<u64> = Vec::new();
-    group.bench_function(BenchmarkId::new("band_hash", "scalar"), |b| {
-        b.iter(|| {
-            for sig in &signatures {
-                scratch.clear();
-                scratch.extend((0..k).map(|band| fx_hash_u64(&sig.sig[band..band + 1])));
-                black_box(&scratch);
-            }
-        })
-    });
-    group.bench_function(BenchmarkId::new("band_hash", "simd"), |b| {
-        b.iter(|| {
-            for sig in &signatures {
-                lsh.band_hashes_into(sig, &mut scratch);
-                black_box(&scratch);
-            }
         })
     });
 

@@ -16,15 +16,16 @@ pub struct FxHasher {
     hash: u64,
 }
 
-/// The Fx multiplier (public to the crate so the SIMD lanes in
-/// [`crate::simd`] can replicate [`fx_step`] exactly).
-pub(crate) const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+/// The Fx multiplier. Odd, so each [`fx_step`] is a bijection in its word.
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
 
 /// One Fx hashing step: fold `word` into the running `hash`. This is the
-/// exact state transition [`FxHasher`] applies per 8-byte word; the LSH
-/// band-hash kernel replays it lane-parallel across bands
-/// ([`crate::simd::fx_step_x8`]) and must stay bit-identical to it.
+/// exact state transition [`FxHasher`] applies per 8-byte word; row
+/// hashing, the codec checksum fold and shard placement fold words with
+/// it directly. Index candidate pairs hash nothing: LSH with one-row bands
+/// is columns sharing a MinHash value at some position, and because
+/// `FX_SEED` is odd, hashing a one-word band could only rename that value.
 #[inline]
 pub fn fx_step(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(ROTATE) ^ word).wrapping_mul(FX_SEED)

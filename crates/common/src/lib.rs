@@ -18,8 +18,10 @@
 //!   and the shard scatter all fan out on; `threads: 0` means "use every
 //!   available hardware thread".
 //! * [`simd`] — fixed-width `u64` lane blocks and runtime backend dispatch
-//!   for the MinHash/LSH sketching kernels, chosen by CPU detection alone;
-//!   output is bit-identical to the scalar references.
+//!   for the MinHash sketching and scoring kernels, chosen by CPU detection
+//!   alone; output is bit-identical to the scalar references. (Candidate
+//!   pairs, LSH with one-row bands — columns sharing a MinHash value at
+//!   some position — need no kernel.)
 //! * [`codec`] — the bounds-checked little-endian [`codec::Reader`], its
 //!   `put_*` writers and the seeded checksum fold that the three binary
 //!   formats (`VERIDX`, `VERSHD`, `VERNET`) are all written on.
@@ -31,7 +33,8 @@
 //!   one relaxed atomic load when disarmed, and the only environment
 //!   variable the library reads: every config default is a constant.
 //! * [`sync`] — [`sync::lock_unpoisoned`], the workspace-wide policy that
-//!   a panicked lock holder must never brick a cache or registry.
+//!   a panicked lock holder must never brick a cache, the fault registry
+//!   or a server's cursor table.
 //! * [`timer`] — phase timers used to reproduce the paper's runtime
 //!   breakdowns (Fig. 3 and Fig. 4).
 //!

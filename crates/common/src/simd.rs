@@ -3,8 +3,11 @@
 //! The offline index build is dominated by k-MinHash sketching: every
 //! distinct value is pushed through k independent hash functions and folded
 //! into k running minima. That work is data-parallel across the k seed
-//! lanes, and LSH band hashing is likewise data-parallel across bands. This
-//! module provides the substrate those kernels are written on:
+//! lanes, and so is scoring a candidate pair (a merge over sorted hash
+//! vectors, or a count of agreeing signature positions). Finding candidate
+//! pairs needs no kernel: it is LSH with one-row bands, i.e. columns sharing
+//! a MinHash value at some position, which is a plain grouping by value.
+//! This module provides the substrate the kernels are written on:
 //!
 //! * [`U64x8`] — a fixed block of eight `u64` lanes with element-wise
 //!   arithmetic written as plain array loops. LLVM autovectorizes these
@@ -13,9 +16,8 @@
 //!   `#[inline(always)]` kernel body is instantiated once at the build
 //!   baseline and once inside an `#[target_feature(enable = "avx2")]`
 //!   (or NEON) wrapper, and [`active_backend`] picks at runtime.
-//! * [`mix64x8`] / [`fx_step_x8`] — eight-lane versions of the two scalar
-//!   hash primitives in [`crate::fxhash`], **bit-identical per lane** to
-//!   [`mix64`](crate::fxhash::mix64) and [`fx_step`](crate::fxhash::fx_step).
+//! * [`mix64x8`] — the eight-lane version of the scalar hash primitive
+//!   [`mix64`](crate::fxhash::mix64), **bit-identical per lane** to it.
 //! * [`active_backend`] — cached runtime dispatch: x86-64 probes for
 //!   AVX-512 and AVX2 via `std::arch` feature detection, aarch64 uses NEON
 //!   (part of the baseline target), anything else runs the portable
@@ -29,7 +31,7 @@
 //! `ver-index` equivalence suites pin it in-process against the scalar
 //! references.
 
-use crate::fxhash::{FX_SEED, MIX64_INC, MIX64_M1, MIX64_M2};
+use crate::fxhash::{MIX64_INC, MIX64_M1, MIX64_M2};
 use std::sync::OnceLock;
 
 /// Lane count of the fixed-width block. Eight `u64`s = one AVX-512 register,
@@ -113,28 +115,6 @@ impl U64x8 {
         U64x8(out)
     }
 
-    /// Lane-wise rotate left.
-    #[inline(always)]
-    pub fn rotate_left(self, n: u32) -> Self {
-        let mut out = self.0;
-        for o in out.iter_mut() {
-            *o = o.rotate_left(n);
-        }
-        U64x8(out)
-    }
-
-    /// Lane-wise [`u64::to_le`] — a no-op on little-endian targets, kept so
-    /// kernels that replay byte-wise hashing (`Hasher::write` consumes raw
-    /// bytes little-endian) stay bit-identical on any byte order.
-    #[inline(always)]
-    pub fn to_le(self) -> Self {
-        let mut out = self.0;
-        for o in out.iter_mut() {
-            *o = o.to_le();
-        }
-        U64x8(out)
-    }
-
     /// Lane-wise unsigned minimum (branchless select per lane).
     #[inline(always)]
     pub fn min(self, rhs: Self) -> Self {
@@ -166,13 +146,6 @@ pub fn mix64x8(z: U64x8) -> U64x8 {
         .xorshift_right(27)
         .wrapping_mul_splat(MIX64_M2)
         .xorshift_right(31)
-}
-
-/// Eight-lane Fx hashing step — per lane bit-identical to
-/// [`fx_step`](crate::fxhash::fx_step).
-#[inline(always)]
-pub fn fx_step_x8(hash: U64x8, word: U64x8) -> U64x8 {
-    hash.rotate_left(5).xor(word).wrapping_mul_splat(FX_SEED)
 }
 
 /// The kernel implementation selected at runtime.
@@ -290,7 +263,7 @@ macro_rules! simd_multiversion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fxhash::{fx_step, mix64};
+    use crate::fxhash::mix64;
 
     #[test]
     fn mix64x8_matches_scalar_per_lane() {
@@ -298,16 +271,6 @@ mod tests {
         let out = mix64x8(U64x8(input));
         for (i, &v) in input.iter().enumerate() {
             assert_eq!(out.0[i], mix64(v), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn fx_step_x8_matches_scalar_per_lane() {
-        let h = [1u64, 2, 3, 4, 5, 6, 7, u64::MAX];
-        let w = [9u64, 8, 7, 6, 5, 4, 3, 2];
-        let out = fx_step_x8(U64x8(h), U64x8(w));
-        for i in 0..LANES {
-            assert_eq!(out.0[i], fx_step(h[i], w[i]), "lane {i}");
         }
     }
 

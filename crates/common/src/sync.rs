@@ -2,8 +2,10 @@
 //!
 //! Every `Mutex` in this workspace guards data whose invariants hold at
 //! each individual lock release: the caches mutate standard maps whose
-//! memory safety is unconditional, and the session registry inserts or
-//! removes whole entries. A panic inside a critical section therefore
+//! memory safety is unconditional, the fault registry and a server's
+//! cursor table insert or remove whole entries, and a remote leg's
+//! resilient client drops a connection that failed mid-exchange, never
+//! reusing it. A panic inside a critical section therefore
 //! cannot leave *logically* torn state behind — the worst a panicking
 //! client can do is abandon an entry it was about to write. Propagating
 //! the poison flag, on the other hand, turns one isolated panic into a
@@ -19,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Use this instead of `m.lock().expect("poisoned")` for every mutex whose
 /// protected data stays consistent at each lock release (all of them, in
 /// this workspace — see the module docs). One panicked worker must degrade
-/// to a per-item error, never to a poisoned-forever cache or registry.
+/// to a per-item error, never to a poisoned-forever cache or table.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -8,8 +8,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use proptest::prelude::*;
-use ver_common::fxhash::{fx_step, mix64};
-use ver_common::simd::{fx_step_x8, mix64x8, U64x8, LANES};
+use ver_common::fxhash::mix64;
+use ver_common::simd::{mix64x8, U64x8, LANES};
 use ver_common::simd_multiversion;
 
 fn lanes() -> impl Strategy<Value = Vec<u64>> {
@@ -32,14 +32,6 @@ proptest! {
     }
 
     #[test]
-    fn fx_step_x8_is_lane_wise_fx_step(h in lanes(), w in lanes()) {
-        let out = fx_step_x8(block(&h), block(&w));
-        for lane in 0..LANES {
-            prop_assert_eq!(out.0[lane], fx_step(h[lane], w[lane]), "lane {}", lane);
-        }
-    }
-
-    #[test]
     fn min_is_lane_wise_unsigned_min(a in lanes(), b in lanes()) {
         let out = block(&a).min(block(&b));
         for lane in 0..LANES {
@@ -48,13 +40,11 @@ proptest! {
     }
 
     #[test]
-    fn xor_rotate_shift_are_lane_wise(a in lanes(), b in lanes(), n in 0u32..64) {
+    fn xor_and_shift_are_lane_wise(a in lanes(), b in lanes(), n in 0u32..64) {
         let x = block(&a).xor(block(&b));
-        let r = block(&a).rotate_left(n % 63 + 1);
         let s = block(&a).xorshift_right(n % 63 + 1);
         for lane in 0..LANES {
             prop_assert_eq!(x.0[lane], a[lane] ^ b[lane]);
-            prop_assert_eq!(r.0[lane], a[lane].rotate_left(n % 63 + 1));
             prop_assert_eq!(s.0[lane], a[lane] ^ (a[lane] >> (n % 63 + 1)));
         }
     }

@@ -6,8 +6,9 @@
 //!    vector,
 //! 3. keyword indexes over values and attribute names (built per-table,
 //!    then merged),
-//! 4. the join hypergraph: LSH candidate pairs deduplicated up front and
-//!    verified by estimated (or optionally exact) containment at
+//! 4. the join hypergraph: candidate pairs from LSH with one-row bands —
+//!    columns sharing a MinHash value at some position — deduplicated up
+//!    front and verified by estimated (or optionally exact) containment at
 //!    `containment_threshold`.
 //!
 //! Signatures and hash vectors exist only to find joinable pairs: they are
@@ -24,13 +25,12 @@
 
 use crate::engine::DiscoveryIndex;
 use crate::hypergraph::JoinHypergraph;
-use crate::lsh::LshIndex;
 use crate::minhash::{
-    estimated_containment_max, hashed_containment_max, MinHashSignature, MinHasher,
+    estimated_containment_max, hashed_containment_max, MinHashSignature, MinHasher, DEFAULT_K,
 };
 use crate::valueindex::KeywordIndex;
 use ver_common::error::Result;
-use ver_common::fxhash::FxHashSet;
+use ver_common::fxhash::{FxHashMap, FxHashSet};
 use ver_common::ids::ColumnId;
 use ver_common::pool::ThreadPool;
 use ver_common::value::DataType;
@@ -46,7 +46,7 @@ pub struct IndexConfig {
     /// Containment threshold for hypergraph edges (paper/Aurum default 0.8;
     /// Fig. 8a sweeps 0.8 → 0.5 by rebuilding).
     pub containment_threshold: f64,
-    /// Verify LSH candidates with exact containment instead of the
+    /// Verify candidate pairs with exact containment instead of the
     /// estimate. Slower but eliminates MinHash estimation error (used by
     /// small corpora). Verification compares the columns' 64-bit
     /// distinct-value hashes, so it is exact up to Fx-hash collisions
@@ -68,7 +68,7 @@ pub struct IndexConfig {
 impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
-            minhash_k: 128,
+            minhash_k: DEFAULT_K,
             containment_threshold: 0.8,
             verify_exact: false,
             threads: 0,
@@ -182,8 +182,8 @@ fn keyword_index_of_table(
     idx
 }
 
-/// Candidate pairs are collected from the LSH buckets, deduplicated and
-/// canonically ordered **first**; verification — the dominant cost of the
+/// Candidate pairs come from [`shared_minhash_pairs`], already deduplicated
+/// and canonically ordered; verification — the dominant cost of the
 /// offline pass — then fans out over the pool. Scores depend only on the
 /// pair, so edge insertion in pair order is deterministic for any worker
 /// count.
@@ -196,33 +196,8 @@ fn build_hypergraph(
     let col_table: Vec<_> = profiles.iter().map(|p| p.cref.table).collect();
     let mut graph = JoinHypergraph::new(col_table);
 
-    // Containment-friendly banding: single-row bands (r = 1, b = k). A pair
-    // with Jaccard similarity s collides with probability 1 − (1 − s)^k,
-    // ≈ 1 for any s ≳ 3/k. High-containment pairs of asymmetric sizes have
-    // *low similarity* (A ⊂ B with |B| ≫ |A| gives J ≈ |A|/|B|), so banding
-    // tuned to the containment threshold would miss them — the problem LSH
-    // Ensemble/Lazo address. False candidates are discarded by the
-    // containment check below.
-    let mut lsh = LshIndex::new(config.minhash_k, 1);
-    lsh.insert_signatures(&sketches.signatures, pool);
-
-    let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for group in lsh.collision_groups() {
-        for (i, &a) in group.iter().enumerate() {
-            for &b in &group[i + 1..] {
-                let key = (a.0.min(b.0), a.0.max(b.0));
-                if seen.insert(key)
-                    && compatible(&profiles[key.0 as usize], &profiles[key.1 as usize])
-                {
-                    pairs.push(key);
-                }
-            }
-        }
-    }
-    // Canonical order: makes edge-list construction independent of LSH
-    // bucket iteration and of how verification was scheduled.
-    pairs.sort_unstable();
+    let mut pairs = shared_minhash_pairs(&sketches.signatures, config.minhash_k);
+    pairs.retain(|&(a, b)| compatible(&profiles[a as usize], &profiles[b as usize]));
 
     let scores = pool.par_map(&pairs, |&(a, b)| {
         // Symmetric-max scoring shares one intersection/agreement count per
@@ -241,6 +216,40 @@ fn build_hypergraph(
     }
     graph.finalize();
     graph
+}
+
+/// Candidate pairs: LSH with one-row bands, i.e. columns sharing a MinHash
+/// value at some position. Returns every `(a, b)`, `a < b`, whose
+/// signatures are both non-empty and agree at some `i < k`, sorted and
+/// unique.
+///
+/// One-row bands (r = 1, b = k) are the containment-friendly banding: a
+/// pair with Jaccard similarity s collides with probability
+/// 1 − (1 − s)^k, ≈ 1 for any s ≳ 3/k. High-containment pairs of
+/// asymmetric sizes have *low similarity* (A ⊂ B with |B| ≫ |A| gives
+/// J ≈ |A|/|B|), so banding tuned to the containment threshold would miss
+/// them — the problem LSH Ensemble/Lazo address. False candidates are
+/// discarded by the containment check in [`build_hypergraph`].
+fn shared_minhash_pairs(sigs: &[MinHashSignature], k: usize) -> Vec<(u32, u32)> {
+    let mut groups: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    let mut pairs: FxHashSet<(u32, u32)> = FxHashSet::default();
+    for i in 0..k {
+        groups.clear();
+        for (id, sig) in sigs.iter().enumerate() {
+            if !sig.is_empty() {
+                groups.entry(sig.sig[i]).or_default().push(id as u32);
+            }
+        }
+        // Ids enter each group in ascending order, so every pair is `a < b`.
+        for group in groups.values() {
+            for (j, &a) in group.iter().enumerate() {
+                pairs.extend(group[j + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+    }
+    let mut pairs: Vec<(u32, u32)> = pairs.into_iter().collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Edge admissibility: different tables, same broad type family, both
@@ -263,7 +272,9 @@ fn type_family(t: DataType) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ver_common::value::Value;
+    use ver_store::column::Column;
     use ver_store::table::TableBuilder;
 
     /// Catalog where airports.state ⊆ states.name exactly, and a numeric
@@ -289,6 +300,73 @@ mod tests {
         }
         cat.add_table(b.build()).unwrap();
         cat
+    }
+
+    /// Brute-force reference for [`shared_minhash_pairs`]: every `a < b`,
+    /// both non-empty, agreeing at some position.
+    fn brute_force_pairs(sigs: &[MinHashSignature]) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for (a, sa) in sigs.iter().enumerate() {
+            for (b, sb) in sigs.iter().enumerate().skip(a + 1) {
+                let agree = sa.sig.iter().zip(&sb.sig).any(|(x, y)| x == y);
+                if agree && !sa.is_empty() && !sb.is_empty() {
+                    pairs.push((a as u32, b as u32));
+                }
+            }
+        }
+        pairs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+        #[test]
+        fn shared_minhash_pairs_match_brute_force(
+            k in 1usize..20,
+            n in 0usize..12,
+            span in 1u64..64,
+            raw in prop::collection::vec(any::<u64>(), 12 * 20),
+            empty in prop::collection::vec(0u8..4, 12),
+        ) {
+            // Values drawn from `0..span` so positions collide often, and
+            // about one column in four is empty (its values still collide).
+            let sigs: Vec<MinHashSignature> = (0..n)
+                .map(|c| MinHashSignature {
+                    sig: raw[c * k..(c + 1) * k].iter().map(|v| v % span).collect(),
+                    cardinality: usize::from(empty[c] != 0),
+                })
+                .collect();
+            prop_assert_eq!(shared_minhash_pairs(&sigs, k), brute_force_pairs(&sigs));
+        }
+    }
+
+    fn int_column(range: std::ops::Range<i64>) -> Column {
+        range.map(Value::Int).collect()
+    }
+
+    #[test]
+    fn near_duplicates_pair_disjoint_do_not() {
+        let h = MinHasher::new(DEFAULT_K, 11);
+        let sigs = [
+            h.signature_of_column(&int_column(0..1000)),
+            h.signature_of_column(&int_column(0..990)), // J ≈ 0.99
+            h.signature_of_column(&int_column(50_000..51_000)), // disjoint
+            h.signature_of_column(&int_column(0..1000)), // identical to 0
+        ];
+        assert_eq!(
+            shared_minhash_pairs(&sigs, DEFAULT_K),
+            vec![(0, 1), (0, 3), (1, 3)]
+        );
+    }
+
+    #[test]
+    fn empty_signatures_never_pair() {
+        let h = MinHasher::new(16, 1);
+        let empty = h.signature_of_column(&Column::new());
+        let full = h.signature_of_column(&int_column(0..10));
+        // Two empty signatures agree everywhere (all `u64::MAX`).
+        let sigs = [empty.clone(), empty, full];
+        assert!(shared_minhash_pairs(&sigs, 16).is_empty());
     }
 
     fn config() -> IndexConfig {

@@ -12,8 +12,9 @@
 //!   bounded hops).
 //!
 //! Containment is estimated Lazo-style from MinHash signatures
-//! ([`minhash`]), with LSH banding ([`lsh`]) keeping candidate generation
-//! sub-quadratic. [`builder`] runs the offline pass on one
+//! ([`minhash`]). Candidate pairs come from LSH with one-row bands: columns
+//! sharing a MinHash value at some position, so only pairs that agree
+//! somewhere are ever scored. [`builder`] runs the offline pass on one
 //! `ver_common::pool::ThreadPool` (profiles, signatures, keyword indexing
 //! and candidate verification all fan out; results are bit-identical for
 //! any thread count) and [`engine`] is the online façade, which keeps only
@@ -29,7 +30,6 @@ pub mod builder;
 pub mod engine;
 pub mod hypergraph;
 pub mod joinpath;
-pub mod lsh;
 pub mod minhash;
 pub mod persist;
 pub mod shard;
@@ -39,7 +39,6 @@ pub use builder::{build_index, IndexConfig};
 pub use engine::DiscoveryIndex;
 pub use hypergraph::JoinHypergraph;
 pub use joinpath::{canon_into, JoinGraph, JoinGraphEdge};
-pub use lsh::LshIndex;
 pub use minhash::{
     estimated_containment, estimated_containment_max, estimated_jaccard, exact_containment,
     exact_jaccard, hashed_containment, hashed_containment_max, hashed_containment_scalar,

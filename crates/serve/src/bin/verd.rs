@@ -32,7 +32,8 @@
 //!   `ShardQuery` requests). Implies `--shards 1`
 //! * `--page-size N` — server-side default page size for queries that
 //!   don't request one (0 = whole result inline)
-//! * `--fast` — fast pipeline profile (smaller sketches)
+//! * `--fast` — the `VerConfig::fast()` profile: the same k = 128
+//!   sketches, verified by exact containment, built on one thread
 
 use std::net::SocketAddr;
 use std::process::ExitCode;

@@ -1,5 +1,7 @@
 //! Property-based integration tests for the discovery index: estimation
-//! quality, LSH recall, hypergraph symmetry, persistence.
+//! quality; the hypergraph built over the candidate pairs (LSH with one-row
+//! bands: columns sharing a MinHash value at some position) is symmetric
+//! and thresholded; persistence round-trips; keyword search.
 
 use proptest::prelude::*;
 use ver_common::ids::ColumnId;
