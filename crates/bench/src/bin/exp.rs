@@ -5,6 +5,8 @@
 //! with its verdict. The exit status is non-zero when a verdict differs
 //! from the one the reproduction is pinned to.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use ver_bench::experiments::ALL;
 

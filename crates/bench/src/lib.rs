@@ -10,6 +10,8 @@
 //! experiment harness; also hosts the repo-root integration tests that
 //! pin the determinism invariants.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod golden;
 pub mod stats;

@@ -108,19 +108,13 @@ pub fn fx_hash_u64<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
-/// SplitMix64 finaliser constants, shared with the eight-lane version in
-/// [`crate::simd::mix64x8`] so the two can never drift apart.
-pub(crate) const MIX64_INC: u64 = 0x9e37_79b9_7f4a_7c15;
-pub(crate) const MIX64_M1: u64 = 0xbf58_476d_1ce4_e5b9;
-pub(crate) const MIX64_M2: u64 = 0x94d0_49bb_1331_11eb;
-
 /// Mix a 64-bit value (SplitMix64 finaliser). Used to derive independent
 /// hash functions for MinHash from a single base hash.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(MIX64_INC);
-    z = (z ^ (z >> 30)).wrapping_mul(MIX64_M1);
-    z = (z ^ (z >> 27)).wrapping_mul(MIX64_M2);
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 

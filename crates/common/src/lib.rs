@@ -17,11 +17,6 @@
 //!   one shared counter) that the index build, search, materialization, 4C
 //!   and the shard scatter all fan out on; `threads: 0` means "use every
 //!   available hardware thread".
-//! * [`simd`] — fixed-width `u64` lane blocks and runtime backend dispatch
-//!   for the MinHash sketching and scoring kernels, chosen by CPU detection
-//!   alone; output is bit-identical to the scalar references. (Candidate
-//!   pairs, LSH with one-row bands — columns sharing a MinHash value at
-//!   some position — need no kernel.)
 //! * [`codec`] — the bounds-checked little-endian [`codec::Reader`], its
 //!   `put_*` writers and the seeded checksum fold that the three binary
 //!   formats (`VERIDX`, `VERSHD`, `VERNET`) are all written on.
@@ -41,6 +36,8 @@
 //! Layer 0 of the crate map in the repo-root `ARCHITECTURE.md` — every
 //! other crate rests on this one.
 
+#![forbid(unsafe_code)]
+
 pub mod budget;
 pub mod cache;
 pub mod codec;
@@ -49,7 +46,6 @@ pub mod fault;
 pub mod fxhash;
 pub mod ids;
 pub mod pool;
-pub mod simd;
 pub mod sync;
 pub mod text;
 pub mod timer;
@@ -60,6 +56,5 @@ pub use error::{Result, VerError};
 pub use fxhash::{fx_hash_bytes, fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ColumnId, ColumnRef, TableId, ViewId};
 pub use pool::ThreadPool;
-pub use simd::{active_backend, SimdBackend};
 pub use sync::lock_unpoisoned;
 pub use value::{DataType, Value};

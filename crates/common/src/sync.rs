@@ -149,20 +149,23 @@ mod tests {
         );
     }
 
-    /// Lint: the workspace is safe Rust outside `ver_common::simd`, whose
-    /// target-feature kernels (`simd_multiversion!`) are the one place
-    /// `unsafe` buys something safe code has no operation for.
+    /// Lint: the workspace is safe Rust. Every crate root (each `lib.rs`
+    /// and binary) carries `#![forbid(unsafe_code)]`, and no source names
+    /// `unsafe` anywhere else.
     #[test]
-    fn no_unsafe_outside_simd() {
-        let offenders: Vec<String> = non_test_sources()
-            .into_iter()
-            .filter(|(path, code)| !path.ends_with("common/src/simd.rs") && code.contains("unsafe"))
-            .map(|(path, _)| path)
-            .collect();
-        assert!(
-            offenders.is_empty(),
-            "unsafe outside ver_common::simd in: {offenders:?}"
-        );
+    fn no_unsafe_in_any_crate() {
+        const FORBID: &str = "#![forbid(unsafe_code)]";
+        let mut offenders = Vec::new();
+        for (path, code) in non_test_sources() {
+            let root = path.ends_with("src/lib.rs") || path.contains("src/bin/");
+            if root && !code.contains(FORBID) {
+                offenders.push(format!("{path}: crate root without {FORBID}"));
+            }
+            if code.replace(FORBID, "").contains("unsafe") {
+                offenders.push(format!("{path}: unsafe"));
+            }
+        }
+        assert!(offenders.is_empty(), "{offenders:?}");
     }
 
     /// Lint: the reference executor (`ver-oracle`) stays test-only. Every

@@ -34,6 +34,8 @@
 //! Layer 4 of the crate map in the repo-root `ARCHITECTURE.md`: the
 //! single-process facade that `ver-serve` wraps for long-lived serving.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod pipeline;
 pub mod spec_select;

@@ -23,6 +23,8 @@
 //! Layer 5 of the crate map in the repo-root `ARCHITECTURE.md`:
 //! evaluation infrastructure, not product code.
 
+#![forbid(unsafe_code)]
+
 pub mod chembl;
 pub mod opendata;
 pub mod vocab;

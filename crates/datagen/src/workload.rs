@@ -150,8 +150,8 @@ pub fn attach_noise_columns(
         let Ok(gt_col) = catalog.column(*cref) else {
             continue;
         };
-        // Borrow the ground-truth column's values instead of cloning them
-        // into an owned set (`distinct_values()` clones every `Value`).
+        // Borrow the ground-truth column's values instead of cloning each
+        // `Value` into an owned set.
         let gt_values: ver_common::fxhash::FxHashSet<&ver_common::value::Value> =
             gt_col.non_null().collect();
         let mut best: Option<(f32, ColumnRef)> = None;

@@ -24,6 +24,8 @@
 //! Layer 3 of the crate map in the repo-root `ARCHITECTURE.md` — between
 //! the MATERIALIZER and VIEW-PRESENTATION on the online path.
 
+#![forbid(unsafe_code)]
+
 pub mod algo;
 pub mod blocks;
 pub mod categories;

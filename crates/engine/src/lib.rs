@@ -19,6 +19,8 @@
 //! Layer 2 of the crate map in the repo-root `ARCHITECTURE.md`: the
 //! relational executor under the MATERIALIZER and distillation.
 
+#![forbid(unsafe_code)]
+
 pub mod dag;
 pub mod plan;
 pub mod rowhash;

@@ -26,6 +26,8 @@
 //! offline half of the pipeline; its persisted artifact is what the
 //! serving layer warm-starts from.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod engine;
 pub mod hypergraph;
@@ -41,8 +43,8 @@ pub use hypergraph::JoinHypergraph;
 pub use joinpath::{canon_into, JoinGraph, JoinGraphEdge};
 pub use minhash::{
     estimated_containment, estimated_containment_max, estimated_jaccard, exact_containment,
-    exact_jaccard, hashed_containment, hashed_containment_max, hashed_containment_scalar,
-    hashed_jaccard, MinHashSignature, MinHasher,
+    exact_jaccard, hashed_containment, hashed_containment_max, hashed_jaccard, MinHashSignature,
+    MinHasher,
 };
 pub use shard::{
     load_shard, load_sharded_index, merge_shards, partition_index, save_shard, save_sharded_index,

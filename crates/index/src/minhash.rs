@@ -15,19 +15,14 @@
 //! and thence to containment `C(X ⊆ Y) = |X ∩ Y| / |X|` — the quantity the
 //! join-path hypergraph thresholds on.
 //!
-//! The sketch kernel is vectorized: [`MinHasher::signature_of_hash_slice`]
-//! streams values in cache-sized batches and updates eight seed lanes at a
-//! time with branchless minima ([`ver_common::simd`]), dispatched at runtime
-//! (AVX-512/AVX2/NEON when detected; inputs too small to fill a lane block
-//! take the scalar reference).
-//! MinHash minima are order- and batching-independent, so the blocked kernel
-//! is **bit-identical** to [`MinHasher::signature_of_hashes_scalar`] — the
-//! determinism invariant the equivalence suite and golden snapshots pin.
+//! Every job here is one scalar loop: the sketch folds each (value, seed)
+//! pair into a running minimum, exact containment is a linear merge of two
+//! sorted hash vectors, and estimated similarity counts agreeing signature
+//! positions. The whole offline build is ≈ 1 % of a pinned setup
+//! (ARCHITECTURE.md §Sketching kernels), so none of them is vectorized.
 
 use serde::{Deserialize, Serialize};
 use ver_common::fxhash::mix64;
-use ver_common::simd::{mix64x8, U64x8, LANES};
-use ver_common::simd_multiversion;
 use ver_store::column::Column;
 
 /// Number of hash functions used when none is configured.
@@ -73,32 +68,14 @@ impl MinHasher {
         self.seeds.len()
     }
 
-    /// Sketch an iterator of pre-hashed set elements.
+    /// Sketch a slice of pre-hashed set elements: the hot loop of the
+    /// offline build, one `mix64` + compare per (value, seed) pair.
     ///
     /// `cardinality` must be the exact distinct count of the underlying set
-    /// (duplicated elements in the iterator are harmless for the minima).
-    /// Runs the scalar reference kernel — callers holding a slice should
-    /// prefer [`MinHasher::signature_of_hash_slice`], which vectorizes and
-    /// produces bit-identical output.
-    pub fn signature_of_hashes(
-        &self,
-        hashes: impl Iterator<Item = u64>,
-        cardinality: usize,
-    ) -> MinHashSignature {
-        self.signature_of_hashes_scalar(hashes, cardinality)
-    }
-
-    /// The scalar reference sketch kernel: one `mix64` + compare per
-    /// (value, seed) pair, exactly as the pre-SIMD builder computed it.
-    /// The blocked kernel in [`MinHasher::signature_of_hash_slice`] must
-    /// stay bit-identical to this for every input.
-    pub fn signature_of_hashes_scalar(
-        &self,
-        hashes: impl Iterator<Item = u64>,
-        cardinality: usize,
-    ) -> MinHashSignature {
+    /// (duplicated elements in the slice are harmless for the minima).
+    pub fn signature_of_hash_slice(&self, hashes: &[u64], cardinality: usize) -> MinHashSignature {
         let mut sig = vec![u64::MAX; self.seeds.len()];
-        for h in hashes {
+        for &h in hashes {
             for (slot, &seed) in sig.iter_mut().zip(&self.seeds) {
                 let v = mix64(h ^ seed);
                 if v < *slot {
@@ -106,21 +83,6 @@ impl MinHasher {
                 }
             }
         }
-        MinHashSignature { sig, cardinality }
-    }
-
-    /// Vectorized sketch over a slice of pre-hashed set elements: the hot
-    /// kernel of the offline build. Streams `hashes` in cache-sized batches
-    /// and folds each batch into the k seed lanes, [`LANES`] seeds at a
-    /// time, with branchless minima. Minima commute and associate, so the
-    /// result is bit-identical to the scalar reference for any batching —
-    /// pinned by the `minhash_equivalence` proptest suite.
-    pub fn signature_of_hash_slice(&self, hashes: &[u64], cardinality: usize) -> MinHashSignature {
-        if self.seeds.len() < LANES || hashes.is_empty() {
-            return self.signature_of_hashes_scalar(hashes.iter().copied(), cardinality);
-        }
-        let mut sig = vec![u64::MAX; self.seeds.len()];
-        sketch_blocked(&self.seeds, hashes, &mut sig);
         MinHashSignature { sig, cardinality }
     }
 
@@ -135,45 +97,9 @@ impl MinHasher {
     }
 }
 
-/// Values per streamed batch of the blocked sketch kernel. 512 hashes = 4
-/// KiB, comfortably L1-resident, so re-reading the batch once per seed block
-/// stays in cache while the k accumulator lanes live in registers.
-const SKETCH_BATCH: usize = 512;
-
-simd_multiversion! {
-    /// The blocked sketch kernel: for each batch of values and each block of
-    /// eight seeds, update eight running minima branchlessly. `sig` must
-    /// arrive initialised to `u64::MAX` and its length must equal
-    /// `seeds.len()`. Seed-count tails (`k % LANES`) fall back to the scalar
-    /// loop over the same batch, so any k is supported.
-    fn sketch_blocked(seeds: &[u64], hashes: &[u64], sig: &mut [u64]) {
-        let full = seeds.len() - seeds.len() % LANES;
-        for batch in hashes.chunks(SKETCH_BATCH) {
-            for (block, seed_chunk) in seeds[..full].chunks_exact(LANES).enumerate() {
-                let seedv = U64x8::load(seed_chunk);
-                let slots = &mut sig[block * LANES..][..LANES];
-                let mut acc = U64x8::load(slots);
-                for &h in batch {
-                    acc = acc.min(mix64x8(U64x8::splat(h).xor(seedv)));
-                }
-                acc.store(slots);
-            }
-            for (slot, &seed) in sig[full..].iter_mut().zip(&seeds[full..]) {
-                for &h in batch {
-                    let v = mix64(h ^ seed);
-                    if v < *slot {
-                        *slot = v;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Count of common elements between two **sorted, deduplicated** hash
-/// vectors — the scalar reference: a single linear merge, no set
-/// construction. [`merge_intersection`] must always return the same count.
-pub(crate) fn merge_intersection_scalar(a: &[u64], b: &[u64]) -> usize {
+/// vectors: a single linear merge, no set construction.
+fn merge_intersection(a: &[u64], b: &[u64]) -> usize {
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -189,126 +115,11 @@ pub(crate) fn merge_intersection_scalar(a: &[u64], b: &[u64]) -> usize {
     inter
 }
 
-/// When one side is at least this many times longer than the other, gallop
-/// through the long side instead of merging linearly. Hash sets are
-/// uniform, so expected run length in the longer side ≈ the ratio; galloping
-/// overtakes the linear merge once runs exceed a handful of elements.
-const GALLOP_RATIO: usize = 8;
-
-/// Galloping intersection for skewed cardinalities (`|small| ≪ |large|`):
-/// for each element of `small`, exponential search from the previous
-/// position in `large`, then binary search within the bracketed run —
-/// `O(|small| · log |large|)` instead of `O(|small| + |large|)`.
-fn gallop_intersection(small: &[u64], large: &[u64]) -> usize {
-    let mut inter = 0usize;
-    let mut lo = 0usize;
-    for &x in small {
-        if lo >= large.len() {
-            break;
-        }
-        // Exponential probe: bracket the first index with large[idx] >= x.
-        let mut bound = 1usize;
-        while lo + bound < large.len() && large[lo + bound] < x {
-            bound <<= 1;
-        }
-        let start = lo + bound / 2;
-        let end = (lo + bound + 1).min(large.len());
-        lo = start + large[start..end].partition_point(|&v| v < x);
-        if large.get(lo) == Some(&x) {
-            inter += 1;
-            lo += 1;
-        }
-    }
-    inter
-}
-
-/// Consecutive scalar equalities before the merge tries whole-block
-/// compares. Uniform hash sets with moderate overlap have short equal runs,
-/// where block attempts only waste a vector compare per match; a run this
-/// long signals near-duplicate columns, where blocks advance [`LANES`]
-/// elements per compare.
-const EQ_RUN_TRIGGER: usize = 8;
-
-/// Backoff cap for the adaptive trigger (timsort's MIN_GALLOP idea): every
-/// failed block attempt doubles the trigger up to this, so inputs whose
-/// equal runs hover just at the trigger stop paying for speculation.
-const EQ_RUN_TRIGGER_MAX: usize = 64;
-
-simd_multiversion! {
-    /// Linear merge with a run-detected block fast path: after enough
-    /// consecutive matches (near-duplicate columns — the LSH collision case
-    /// verify_exact sees constantly), equal runs advance [`LANES`] elements
-    /// per whole-block compare. Interleaved inputs never trigger it and pay
-    /// only a counter; a failed block attempt doubles the trigger so
-    /// borderline inputs quickly stop speculating. Skewed inputs are routed
-    /// to the galloping path by [`merge_intersection`] before this runs.
-    fn merge_intersection_blocked(a: &[u64], b: &[u64]) -> usize {
-        let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
-        let mut run = 0usize;
-        let mut trigger = EQ_RUN_TRIGGER;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Equal => {
-                    inter += 1;
-                    i += 1;
-                    j += 1;
-                    run += 1;
-                    if run >= trigger {
-                        let before = i;
-                        while i + LANES <= a.len()
-                            && j + LANES <= b.len()
-                            && U64x8::load(&a[i..]).count_eq(U64x8::load(&b[j..])) == LANES
-                        {
-                            inter += LANES;
-                            i += LANES;
-                            j += LANES;
-                        }
-                        trigger = if i > before {
-                            EQ_RUN_TRIGGER
-                        } else {
-                            (trigger * 2).min(EQ_RUN_TRIGGER_MAX)
-                        };
-                        run = 0;
-                    }
-                }
-                std::cmp::Ordering::Less => {
-                    i += 1;
-                    run = 0;
-                }
-                std::cmp::Ordering::Greater => {
-                    j += 1;
-                    run = 0;
-                }
-            }
-        }
-        inter
-    }
-}
-
-/// Intersection count dispatch: scalar reference for tiny inputs,
-/// galloping for skewed cardinalities, blocked merge otherwise. All three
-/// count the same set, so the result — and every containment score built on
-/// it — is identical whichever path runs.
-fn merge_intersection(a: &[u64], b: &[u64]) -> usize {
-    if a.len() + b.len() < 64 {
-        // Tiny inputs: the plain merge is already optimal and the blocked
-        // paths' bookkeeping would only add overhead.
-        return merge_intersection_scalar(a, b);
-    }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if large.len() >= GALLOP_RATIO.saturating_mul(small.len().max(1)) {
-        return gallop_intersection(small, large);
-    }
-    merge_intersection_blocked(a, b)
-}
-
 /// Exact containment `|A ∩ B| / |A|` over pre-hashed distinct sets (sorted,
 /// deduplicated, as produced by [`Column::distinct_hashes`] and stored on
 /// column profiles). This is what `verify_exact` hypergraph construction
-/// runs per LSH candidate pair: a merge over sorted vectors instead of two
-/// fresh `FxHashSet<Value>` clones per call — galloping when cardinalities
-/// are skewed, block-compare fast paths otherwise (`merge_intersection`
-/// internally).
+/// runs per candidate pair: one linear merge over sorted vectors instead of
+/// two fresh `FxHashSet<Value>` clones per call.
 ///
 /// "Exact" means exact over the 64-bit hash images: two distinct values
 /// whose Fx hashes collide would count as one. That is a ~`n²/2⁶⁴`
@@ -319,16 +130,6 @@ pub fn hashed_containment(a: &[u64], b: &[u64]) -> f64 {
         return 0.0;
     }
     merge_intersection(a, b) as f64 / a.len() as f64
-}
-
-/// [`hashed_containment`] on the scalar reference merge, regardless of the
-/// active SIMD backend. Exposed for equivalence tests and the
-/// `sketch_kernels` bench group; always equals [`hashed_containment`].
-pub fn hashed_containment_scalar(a: &[u64], b: &[u64]) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    merge_intersection_scalar(a, b) as f64 / a.len() as f64
 }
 
 /// `hashed_containment(a, b).max(hashed_containment(b, a))` with the
@@ -368,25 +169,6 @@ pub fn hashed_jaccard(a: &[u64], b: &[u64]) -> f64 {
     inter as f64 / (a.len() + b.len() - inter) as f64
 }
 
-simd_multiversion! {
-    /// Count of positions where two equal-length slices agree, [`LANES`] at
-    /// a time with a scalar tail. Plain counting — identical to the
-    /// `zip().filter().count()` reference by construction.
-    fn count_agreements(a: &[u64], b: &[u64]) -> usize {
-        let full = a.len() - a.len() % LANES;
-        let mut matches = 0usize;
-        for (ca, cb) in a[..full].chunks_exact(LANES).zip(b[..full].chunks_exact(LANES)) {
-            matches += U64x8::load(ca).count_eq(U64x8::load(cb));
-        }
-        matches
-            + a[full..]
-                .iter()
-                .zip(&b[full..])
-                .filter(|(x, y)| x == y)
-                .count()
-    }
-}
-
 /// Estimated Jaccard similarity from two signatures (same family, same k).
 pub fn estimated_jaccard(a: &MinHashSignature, b: &MinHashSignature) -> f64 {
     debug_assert_eq!(
@@ -400,7 +182,8 @@ pub fn estimated_jaccard(a: &MinHashSignature, b: &MinHashSignature) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    count_agreements(&a.sig, &b.sig) as f64 / a.sig.len() as f64
+    let agreements = a.sig.iter().zip(&b.sig).filter(|(x, y)| x == y).count();
+    agreements as f64 / a.sig.len() as f64
 }
 
 /// Lazo estimate of `|A ∩ B|` from the similarity estimate and exact
@@ -531,7 +314,7 @@ mod tests {
         let c = col(0..300);
         let from_col = h.signature_of_column(&c);
         let hashes = c.distinct_hashes();
-        let from_hashes = h.signature_of_hashes(hashes.iter().copied(), c.distinct_count());
+        let from_hashes = h.signature_of_hash_slice(&hashes, c.distinct_count());
         assert_eq!(from_col, from_hashes);
     }
 
@@ -548,18 +331,6 @@ mod tests {
         let a = h.signature_of_column(&with_dups);
         let b = h.signature_of_column(&clean);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn blocked_kernel_matches_scalar_reference() {
-        // Including k values that are not multiples of the lane width.
-        for k in [1, 7, 8, 9, 64, 100, 128] {
-            let h = MinHasher::new(k, 0xFEED);
-            let hashes: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-            let scalar = h.signature_of_hashes_scalar(hashes.iter().copied(), hashes.len());
-            let blocked = h.signature_of_hash_slice(&hashes, hashes.len());
-            assert_eq!(scalar, blocked, "k={k}");
-        }
     }
 
     #[test]
@@ -586,6 +357,9 @@ mod tests {
 
     #[test]
     fn merge_paths_agree_on_skew_and_overlap() {
+        // Containment, its symmetric max and Jaccard all read one merge;
+        // each must see the set intersection on skewed and overlapping
+        // inputs alike.
         let dense: Vec<u64> = (0..4096).map(|i| i * 3).collect();
         let sparse: Vec<u64> = (0..40).map(|i| i * 300).collect();
         let shifted: Vec<u64> = (0..4096).map(|i| i * 3 + 1500).collect();
@@ -596,11 +370,17 @@ mod tests {
             (&dense, &dense),
             (&sparse, &Vec::new()),
         ] {
-            let reference = merge_intersection_scalar(a, b);
-            assert_eq!(merge_intersection(a, b), reference);
-            assert_eq!(merge_intersection_blocked(a, b), reference);
-            let (s, l) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-            assert_eq!(gallop_intersection(s, l), reference);
+            let inter = a.iter().filter(|x| b.binary_search(x).is_ok()).count();
+            assert_eq!(merge_intersection(a, b), inter);
+            if !a.is_empty() {
+                assert_eq!(hashed_containment(a, b), inter as f64 / a.len() as f64);
+            }
+            if !a.is_empty() && !b.is_empty() {
+                let min = a.len().min(b.len());
+                assert_eq!(hashed_containment_max(a, b), inter as f64 / min as f64);
+            }
+            let union = a.len() + b.len() - inter;
+            assert_eq!(hashed_jaccard(a, b), inter as f64 / union as f64);
         }
     }
 

@@ -24,6 +24,8 @@
 //! `ver_common::sync`'s lint tests enforce. Nothing here runs in a
 //! production path.
 
+#![forbid(unsafe_code)]
+
 pub mod dedup;
 pub mod exec;
 pub mod join;

@@ -25,6 +25,8 @@
 //! Layer 3 of the crate map in the repo-root `ARCHITECTURE.md`; the
 //! serving layer re-drives [`session`] loops over shared query results.
 
+#![forbid(unsafe_code)]
+
 pub mod bandit;
 pub mod fasttopk;
 pub mod infogain;

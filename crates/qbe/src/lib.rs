@@ -20,6 +20,8 @@
 //! Layer 4 of the crate map in the repo-root `ARCHITECTURE.md`: the
 //! query vocabulary shared by selection, search, serving and datagen.
 
+#![forbid(unsafe_code)]
+
 pub mod groundtruth;
 pub mod noise;
 pub mod query;

@@ -26,6 +26,8 @@
 //! Layer 3 of the crate map in the repo-root `ARCHITECTURE.md`; the
 //! [`cache`] module is the serving layer's cross-query reuse point.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod enumerate;
 mod materialize;

@@ -19,6 +19,8 @@
 //! Layer 3 of the crate map in the repo-root `ARCHITECTURE.md` — the
 //! first online stage after VIEW-SPECIFICATION.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod cluster;
 pub mod column_selection;

@@ -35,6 +35,8 @@
 //! * `--fast` — the `VerConfig::fast()` profile: the same k = 128
 //!   sketches, verified by exact containment, built on one thread
 
+#![forbid(unsafe_code)]
+
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -81,6 +81,8 @@
 //! serving layer; see its "Determinism invariants" before changing
 //! anything on the query path.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod net;
 pub mod remote;

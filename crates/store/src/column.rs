@@ -124,20 +124,6 @@ impl Column {
         }
     }
 
-    /// The set of distinct non-null values.
-    ///
-    /// Clones every value into a fresh set — fine for one-off inspection,
-    /// wrong for hot paths. Index construction and containment checks use
-    /// [`Column::distinct_hashes`] instead, which is computed once per
-    /// column and compared by sorted-merge.
-    pub fn distinct_values(&self) -> FxHashSet<Value> {
-        self.values
-            .iter()
-            .filter(|v| !v.is_null())
-            .cloned()
-            .collect()
-    }
-
     /// Sorted, deduplicated Fx hashes of the distinct non-null values.
     ///
     /// This is the allocation-free-comparison representation of the
@@ -225,9 +211,12 @@ mod tests {
 
     #[test]
     fn distinct_values_excludes_nulls() {
-        let d = mixed().distinct_values();
-        assert_eq!(d.len(), 3);
-        assert!(!d.contains(&Value::Null));
+        let c = mixed();
+        assert_eq!(c.distinct_count(), 3);
+        assert!(c
+            .distinct_hashes()
+            .binary_search(&fx_hash_u64(&Value::Null))
+            .is_err());
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! Layer 1 of the crate map in the repo-root `ARCHITECTURE.md`: the data
 //! substrate under both the offline build and the online executor.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod column;
 pub mod csv;
